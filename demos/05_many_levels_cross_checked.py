@@ -30,8 +30,8 @@ print("energies:", np.array2string(model.energies, precision=4))
 # 1. Dyson cross-check at finite rate
 vec_dyson = dyson2(model, 0.0)
 rs = rs_recursion(model, 2, 0, at_eps=model.eps)
-a1 = rs.xi[0].value / model.eps
-a2 = rs.xi[1].value / (2 * model.eps)
+a1 = rs.xi[0, 0] / model.eps
+a2 = rs.xi[1, 0] / (2 * model.eps)
 eg = np.zeros(model.dim, dtype=complex)
 eg[0] = 1.0
 vec_rec = (

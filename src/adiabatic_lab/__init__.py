@@ -13,7 +13,6 @@ from .errors import (
     ContinuationError,
     DegeneracyError,
     DomainError,
-    EigenConvergenceError,
     IntegrationError,
     LabError,
     SingularJetError,
@@ -31,7 +30,6 @@ __all__ = [
     "DegeneracyError",
     "ContinuationError",
     "SingularJetError",
-    "EigenConvergenceError",
     "ConsistencyError",
     "__version__",
 ]

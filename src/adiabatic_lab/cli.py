@@ -19,7 +19,6 @@ import numpy as np
 
 from . import nstate, twostate
 from .errors import (
-    ConsistencyError,
     ContinuationError,
     DegeneracyError,
     DomainError,
@@ -186,9 +185,7 @@ def _cmd_two_series(args) -> RunReport:
     report.values = {
         "a_re[bessel-series]": re,
         "a_im[bessel-series]": im,
-        "max_term_magnitude[bessel-series]": float(result.term_magnitudes.max())
-        if result.term_magnitudes.size
-        else 0.0,
+        "max_term_magnitude[bessel-series]": result.max_term,
     }
     report.flags = {"converged[bessel-series]": bool(result.converged)}
     report.tables = [
@@ -286,13 +283,13 @@ def _cmd_two_sweep(args) -> RunReport:
         a_ode, a_series, a_rec, series = _three_way(
             model, 0.0, args.tol, args.order, args.terms
         )
-        full = twostate.bessel_series_a(model, 0.0, args.terms)
-        max_term = float(full.term_magnitudes.max()) if full.term_magnitudes.size else 0.0
+        # the terms rise to one peak and then fall, so the series summed to
+        # its 1e-12 stop has already passed the largest term
         cross = max(
             abs(a_ode - a_series), abs(a_ode - a_rec), abs(a_series - a_rec)
         )
         rows.append(
-            [eps, max_term, abs(a_ode), abs(abs(a_ode) - limit), cross]
+            [eps, series.max_term, abs(a_ode), abs(abs(a_ode) - limit), cross]
         )
     max_terms = [r[1] for r in rows]
     errors = [r[3] for r in rows]
@@ -357,12 +354,12 @@ def _cmd_n_recursion(args) -> RunReport:
     rows = []
     for n in range(1, args.order + 1):
         xi = rs.xi[n - 1]
-        slope = xi.coeffs[1] if args.jet_order >= 1 else 0.0
+        slope = xi[1] if args.jet_order >= 1 else 0.0
         rows.append(
             [
                 n,
-                float(xi.coeffs[0].real),
-                float(xi.coeffs[0].imag),
+                float(xi[0].real),
+                float(xi[0].imag),
                 float(slope.real),
                 float(slope.imag),
                 float(np.linalg.norm(rs.phi_n(n))),
@@ -475,22 +472,19 @@ def _cmd_n_oracle(args) -> RunReport:
 
 def _cmd_n_compare(args) -> RunReport:
     model = _n_state_model(args)
-    split = nstate.g_split(model, args.order)
+    assembled = nstate.assemble_state(model, args.order)
+    split = assembled.split
     shift_oracle = nstate.oracle_shift(model)
     traj = nstate.evolve_nstate(model, 0.0, args.tol)
     psi = traj.final_state
     g = model.ground_index
-    correction = np.zeros(model.dim, dtype=complex)
-    rs = nstate.rs_recursion(model, args.order, 1)
-    for n in range(1, args.order + 1):
-        correction += model.x**n * rs.phi_n(n)
     rows = []
     ratio_resid = 0.0
     for comp in range(model.dim):
         if comp == g:
             continue
         r_ode = abs(psi[comp] / psi[g])
-        r_rec = abs(correction[comp])
+        r_rec = abs(assembled.state[comp] / assembled.state[g])
         ratio_resid = max(ratio_resid, abs(r_ode - r_rec))
         rows.append([comp, r_ode, r_rec, abs(r_ode - r_rec)])
     report = RunReport(
@@ -549,17 +543,65 @@ def _cmd_n_gen(args) -> RunReport:
 # argument parsing and dispatch
 
 
-def _add_output_flags(p):
-    p.add_argument("--out", default=None, help="write the report to this file")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
+# add_argument keywords per flag; a subcommand may override some of them
+_FLAGS = {
+    "--model": {"default": None},
+    "--mu": {"type": float, "default": 0.0},
+    "--delta": {"type": float, "default": 1.0},
+    "--x": {"type": float, "default": 0.5},
+    "--eps": {"type": float, "default": 0.25},
+    "--out": {"default": None, "help": "write the report to this file"},
+    "--format": {"choices": ("csv", "json"), "default": "json"},
+    "--t": {"type": float, "default": 0.0},
+    "--t-end": {"type": float, "default": 0.0},
+    "--tol": {"type": float, "default": 1e-10},
+    "--start-threshold": {"type": float, "default": 1e-8},
+    "--terms": {"type": int, "default": 60},
+    "--order": {"type": int, "default": 30},
+    "--jet-order": {"type": int, "default": 2},
+    "--eps-grid": {"default": "0.5:0.5:4", "help": "start:factor:count"},
+    "--seed": {"type": int, "required": True},
+    "--levels": {"type": int, "required": True},
+    "--gap": {"type": float, "default": 1.0},
+    "--vscale": {"type": float, "default": 1.0},
+}
+_OUTPUT = ("--out", "--format")
+_TWO = (("--model", {"help": "two-state model JSON file"}), "--mu", "--delta", "--x",
+        "--eps", *_OUTPUT)
+_N = ("--model", *_OUTPUT)
+_EVOLVE = ("--t-end", "--tol", "--start-threshold")
 
-
-def _add_two_state_model_flags(p):
-    p.add_argument("--model", default=None, help="two-state model JSON file")
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--x", type=float, default=0.5)
-    p.add_argument("--eps", type=float, default=0.25)
+# group -> (help, [(subcommand, help, handler, flags)])
+_COMMANDS = {
+    "two-state": ("exactly solvable two-level model", [
+        ("exact", "closed-form eigensystem", _cmd_two_exact, _TWO),
+        ("evolve", "integrate the amplitude pair", _cmd_two_evolve, _TWO + _EVOLVE),
+        ("series", "divergent amplitude series", _cmd_two_series,
+         _TWO + ("--t", "--terms")),
+        ("phase", "phase split and normalization identity", _cmd_two_phase,
+         _TWO + ("--order", "--jet-order")),
+        ("compare", "all three routes at one point", _cmd_two_compare,
+         _TWO + ("--t", "--tol", "--order", "--terms")),
+        ("sweep-eps", "compare over a geometric switching-rate grid", _cmd_two_sweep,
+         _TWO + ("--eps-grid", "--tol", "--order", "--terms")),
+    ]),
+    "n-state": ("general finite level count", [
+        ("dyson", "second-order Dyson state", _cmd_n_dyson, _N + ("--t",)),
+        ("recursion", "projector-recursion coefficients", _cmd_n_recursion,
+         _N + (("--order", {"default": 8}), "--jet-order")),
+        ("split", "divergent/secular/finite phase split", _cmd_n_split,
+         _N + ("--order", "--jet-order")),
+        ("assemble", "slow-switching limit state", _cmd_n_assemble,
+         _N + ("--order", "--jet-order")),
+        ("evolve", "full switched-coupling evolution", _cmd_n_evolve, _N + _EVOLVE),
+        ("oracle", "exact-diagonalization level shift", _cmd_n_oracle, _N),
+        ("compare", "series vs oracle vs ODE ratios", _cmd_n_compare,
+         _N + (("--order", {"default": 12}), "--tol")),
+        ("gen", "seeded random model to file", _cmd_n_gen,
+         _OUTPUT + ("--seed", "--levels", "--gap", "--vscale",
+                    ("--x", {"default": None}), "--eps")),
+    ]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -569,111 +611,15 @@ def build_parser() -> argparse.ArgumentParser:
         "phase-recursion and ODE routes with cross-validation.",
     )
     groups = parser.add_subparsers(dest="group", required=True)
-
-    two = groups.add_parser("two-state", help="exactly solvable two-level model")
-    two_sub = two.add_subparsers(dest="command", required=True)
-
-    p = two_sub.add_parser("exact", help="closed-form eigensystem")
-    _add_two_state_model_flags(p); _add_output_flags(p)
-    p.set_defaults(func=_cmd_two_exact)
-
-    p = two_sub.add_parser("evolve", help="integrate the amplitude pair")
-    _add_two_state_model_flags(p); _add_output_flags(p)
-    p.add_argument("--t-end", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--start-threshold", type=float, default=1e-8)
-    p.set_defaults(func=_cmd_two_evolve)
-
-    p = two_sub.add_parser("series", help="divergent amplitude series")
-    _add_two_state_model_flags(p); _add_output_flags(p)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--terms", type=int, default=60)
-    p.set_defaults(func=_cmd_two_series)
-
-    p = two_sub.add_parser("phase", help="phase split and normalization identity")
-    _add_two_state_model_flags(p); _add_output_flags(p)
-    p.add_argument("--order", type=int, default=30)
-    p.add_argument("--jet-order", type=int, default=2)
-    p.set_defaults(func=_cmd_two_phase)
-
-    p = two_sub.add_parser("compare", help="all three routes at one point")
-    _add_two_state_model_flags(p); _add_output_flags(p)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--order", type=int, default=30)
-    p.add_argument("--terms", type=int, default=60)
-    p.set_defaults(func=_cmd_two_compare)
-
-    p = two_sub.add_parser(
-        "sweep-eps", help="compare over a geometric switching-rate grid"
-    )
-    _add_two_state_model_flags(p); _add_output_flags(p)
-    p.add_argument("--eps-grid", default="0.5:0.5:4", help="start:factor:count")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--order", type=int, default=30)
-    p.add_argument("--terms", type=int, default=60)
-    p.set_defaults(func=_cmd_two_sweep)
-
-    nst = groups.add_parser("n-state", help="general finite level count")
-    n_sub = nst.add_subparsers(dest="command", required=True)
-
-    p = n_sub.add_parser("dyson", help="second-order Dyson state")
-    p.add_argument("--model", required=False, default=None)
-    _add_output_flags(p)
-    p.add_argument("--t", type=float, default=0.0)
-    p.set_defaults(func=_cmd_n_dyson)
-
-    p = n_sub.add_parser("recursion", help="projector-recursion coefficients")
-    p.add_argument("--model", default=None)
-    _add_output_flags(p)
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--jet-order", type=int, default=2)
-    p.set_defaults(func=_cmd_n_recursion)
-
-    p = n_sub.add_parser("split", help="divergent/secular/finite phase split")
-    p.add_argument("--model", default=None)
-    _add_output_flags(p)
-    p.add_argument("--order", type=int, default=30)
-    p.add_argument("--jet-order", type=int, default=2)
-    p.set_defaults(func=_cmd_n_split)
-
-    p = n_sub.add_parser("assemble", help="slow-switching limit state")
-    p.add_argument("--model", default=None)
-    _add_output_flags(p)
-    p.add_argument("--order", type=int, default=30)
-    p.add_argument("--jet-order", type=int, default=2)
-    p.set_defaults(func=_cmd_n_assemble)
-
-    p = n_sub.add_parser("evolve", help="full switched-coupling evolution")
-    p.add_argument("--model", default=None)
-    _add_output_flags(p)
-    p.add_argument("--t-end", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--start-threshold", type=float, default=1e-8)
-    p.set_defaults(func=_cmd_n_evolve)
-
-    p = n_sub.add_parser("oracle", help="exact-diagonalization level shift")
-    p.add_argument("--model", default=None)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_n_oracle)
-
-    p = n_sub.add_parser("compare", help="series vs oracle vs ODE ratios")
-    p.add_argument("--model", default=None)
-    _add_output_flags(p)
-    p.add_argument("--order", type=int, default=12)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(func=_cmd_n_compare)
-
-    p = n_sub.add_parser("gen", help="seeded random model to file")
-    _add_output_flags(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--levels", type=int, required=True)
-    p.add_argument("--gap", type=float, default=1.0)
-    p.add_argument("--vscale", type=float, default=1.0)
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--eps", type=float, default=0.25)
-    p.set_defaults(func=_cmd_n_gen)
-
+    for group, (group_help, commands) in _COMMANDS.items():
+        sub = groups.add_parser(group, help=group_help)
+        sub = sub.add_subparsers(dest="command", required=True)
+        for name, help_text, func, flags in commands:
+            p = sub.add_parser(name, help=help_text)
+            for flag in flags:
+                flag, overrides = (flag, {}) if isinstance(flag, str) else flag
+                p.add_argument(flag, **{**_FLAGS[flag], **overrides})
+            p.set_defaults(func=func)
     return parser
 
 
@@ -690,16 +636,16 @@ def main(argv=None) -> int:
         _print_report(report)
         if args.out and args.func is not _cmd_n_gen:
             emit(report, args.format, args.out)
-    except (DegeneracyError,) as exc:
+    except DegeneracyError as exc:
         print(f"error: degeneracy: {exc}", file=sys.stderr)
         return 4
-    except (ContinuationError,) as exc:
+    except ContinuationError as exc:
         print(f"error: continuation: {exc}", file=sys.stderr)
         return 5
-    except (IntegrationError,) as exc:
+    except IntegrationError as exc:
         print(f"error: integration: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, ConsistencyError, LabError) as exc:
+    except LabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

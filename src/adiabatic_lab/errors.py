@@ -43,9 +43,5 @@ class SingularJetError(LabError, ArithmeticError):
     """
 
 
-class EigenConvergenceError(LabError, RuntimeError):
-    """Jacobi sweeps exhausted before the off-diagonal norm target."""
-
-
 class ConsistencyError(LabError, ArithmeticError):
     """A quantity that must be real came out with a large imaginary part."""

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError, ContinuationError, DegeneracyError, DomainError
-from .numkit import HermitianMatrix, Jet, Trajectory, hermitian_eig, jet_recip, ode_evolve
-from .twostate import TwoStateModel, switch_on_time
+from .errors import ContinuationError, DegeneracyError, DomainError
+from .numkit import HermitianMatrix, Trajectory, hermitian_eig, jet_mul, jet_recip, ode_evolve
+from .twostate import TwoStateModel, laurent_split, switch_on_time
 
 __all__ = [
     "NStateModel",
@@ -34,7 +34,6 @@ __all__ = [
     "oracle_shift",
 ]
 
-IMAG_GATE = 1e-9
 GAP_FLOOR_FACTOR = 1e-8
 DEFAULT_JET_ORDER = 2
 DEFAULT_START_THRESHOLD = 1e-8
@@ -175,12 +174,14 @@ class RsExpansion:
     """Phase coefficients (scalar jets) and orthogonal correction vectors
     (one jet per component) from the projector recursion.
 
-    ``phi[n-1, :, k]`` is the k-th jet coefficient of the order-n correction
-    vector; its tracked component is identically zero by construction. Jets
-    are expanded around ``at_eps`` (0 for the slow-switching limit).
+    ``xi[n-1, k]`` is the k-th jet coefficient of the order-n phase
+    coefficient and ``phi[n-1, :, k]`` that of the order-n correction
+    vector, whose tracked component is identically zero by construction.
+    Both arrays are read-only. Jets are expanded around ``at_eps`` (0 for
+    the slow-switching limit).
     """
 
-    xi: tuple
+    xi: np.ndarray
     phi: np.ndarray
     order: int
     jet_order: int
@@ -189,11 +190,11 @@ class RsExpansion:
 
     def xi_values(self) -> np.ndarray:
         """Phase coefficients at the expansion point, orders 1..order."""
-        return np.array([j.coeffs[0] for j in self.xi])
+        return self.xi[:, 0]
 
     def xi_slopes(self) -> np.ndarray:
         """Derivatives of the phase coefficients with respect to the rate."""
-        return np.array([j.coeffs[1] for j in self.xi])
+        return self.xi[:, 1]
 
     def phi_n(self, n: int) -> np.ndarray:
         """Order-n correction vector at the expansion point (1-based)."""
@@ -223,47 +224,42 @@ def rs_recursion(
     dim = model.dim
     k1 = jet_order + 1
 
-    # reciprocal resolvent jets, per recursion order and component
-    recip_coeffs = np.zeros((order + 1, dim, k1), dtype=complex)
-    for n in range(1, order + 1):
-        for comp in range(dim):
-            if comp == g:
-                continue
-            anchor = e[comp] - e[g] - 1j * n * at_eps
-            if jet_order >= 1:
-                den = Jet.variable(anchor, jet_order, slope=-1j * n)
-            else:
-                den = Jet.constant(anchor, 0)
-            recip_coeffs[n, comp] = jet_recip(den).coeffs
+    # reciprocal resolvent jets, per recursion order and component; the
+    # tracked component is left at zero
+    others = np.arange(dim) != g
+    n_col = np.arange(1, order + 1)[:, None]
+    den = np.zeros((order, dim - 1, k1), dtype=complex)
+    den[..., 0] = e[others] - e[g] - 1j * n_col * at_eps
+    if jet_order >= 1:
+        den[..., 1] = -1j * n_col
+    recip = np.zeros((order, dim, k1), dtype=complex)
+    recip[:, others] = jet_recip(den)
 
-    def conv(a, b):
-        # truncated Cauchy product along the jet axis (last axis)
-        out = np.zeros_like(b)
-        for k in range(k1):
-            out[..., k] = np.sum(a[..., : k + 1] * b[..., k::-1], axis=-1)
-        return out
-
-    xi: list[Jet] = [Jet.constant(vm[g, g], jet_order)]
+    xi = np.zeros((order, k1), dtype=complex)
+    xi[0, 0] = vm[g, g]
     phi = np.zeros((order, dim, k1), dtype=complex)
 
     w = np.zeros((dim, k1), dtype=complex)
     w[:, 0] = vm[:, g]
     w[g, 0] = 0.0
-    phi[0] = -conv(recip_coeffs[1], w)
+    phi[0] = -jet_mul(recip[0], w)
     phi[0, g] = 0.0
 
     for n in range(2, order + 1):
-        xi.append(Jet(np.tensordot(vm[g, :], phi[n - 2], axes=(0, 0))))
+        xi[n - 1] = np.tensordot(vm[g, :], phi[n - 2], axes=(0, 0))
         bracket = np.tensordot(vm, phi[n - 2], axes=(1, 0))
         bracket[g] = 0.0
+        # subtract term by term: this accumulation order keeps the rounding
+        # of the Hermitian-case residues small
         for m_idx in range(1, n):
-            bracket -= conv(xi[n - m_idx - 1].coeffs, phi[m_idx - 1])
-        phi[n - 1] = -conv(recip_coeffs[n], bracket)
+            bracket -= jet_mul(xi[n - m_idx - 1], phi[m_idx - 1])
+        phi[n - 1] = -jet_mul(recip[n - 1], bracket)
         phi[n - 1, g] = 0.0
 
+    xi.flags.writeable = False
     phi.flags.writeable = False
     return RsExpansion(
-        xi=tuple(xi),
+        xi=xi,
         phi=phi,
         order=order,
         jet_order=jet_order,
@@ -301,24 +297,14 @@ class AssembledState:
 def _split_from(rs: RsExpansion, model: NStateModel) -> GSplit:
     n = np.arange(1, rs.order + 1)
     powers = model.x**n
-    c0 = rs.xi_values()
-    c1 = rs.xi_slopes()
-    g_a = np.sum(powers * c0 / n)
-    de = np.sum(powers * c0)
-    g_b = -1j * np.sum(powers * c1 / n)
-    residues = {"g_a": abs(g_a.imag), "delta_e": abs(de.imag), "g_b": abs(g_b.imag)}
-    worst = max(residues, key=residues.get)
-    if residues[worst] > IMAG_GATE:
-        raise ConsistencyError(
-            f"imaginary residue {residues[worst]:.3e} on {worst} exceeds {IMAG_GATE:.0e}"
-        )
+    g_a, de, g_b, residue = laurent_split(powers, n, rs.xi, ("g_a", "delta_e", "g_b"))
     return GSplit(
-        g_a=float(g_a.real),
-        delta_e=float(de.real),
-        g_b=float(g_b.real),
+        g_a=g_a,
+        delta_e=de,
+        g_b=g_b,
         order=rs.order,
-        last_term_magnitude=float(abs(powers[-1] * c0[-1])),
-        max_imag_residue=max(residues.values()),
+        last_term_magnitude=float(abs(powers[-1] * rs.xi[-1, 0])),
+        max_imag_residue=residue,
     )
 
 
@@ -366,16 +352,7 @@ def evolve_nstate(
     """Full Schrodinger evolution under the ramped perturbation from deep in
     the switch-on tail (ramped coupling at ``start_threshold`` of the
     smallest gap to the tracked level), starting in the tracked basis state."""
-    if not 0 < start_threshold <= 1e-4:
-        raise DomainError(
-            f"start_threshold must be in (0, 1e-4], got {start_threshold}"
-        )
-    t0 = switch_on_time(model.min_gap, model.x, model.eps, start_threshold)
-    if not t0 < t_end:
-        raise DomainError(
-            f"switch-on start t0 = {t0:.6g} is not before t_end = {t_end:.6g}; "
-            "lower start_threshold or move t_end"
-        )
+    t0 = switch_on_time(model.min_gap, model.x, model.eps, start_threshold, t_end)
     e = model.energies
     vm = model.v.entries
     x, eps = model.x, model.eps

@@ -1,4 +1,4 @@
-"""Foundation numerics: jets, a Hermitian eigensolver, and an adaptive
+"""Foundation numerics: array jets, a Hermitian eigensolver, and an adaptive
 embedded Runge-Kutta integrator for complex ODE systems.
 
 All types are immutable after construction and all operations are pure
@@ -6,12 +6,11 @@ functions of their inputs, so everything here is safe to call concurrently.
 """
 
 from .eig import HermitianMatrix, hermitian_eig
-from .jets import Jet, jet_mul, jet_recip
+from .jets import jet_mul, jet_recip
 from .ode import Trajectory, ode_evolve
 
 __all__ = [
     "HermitianMatrix",
-    "Jet",
     "Trajectory",
     "hermitian_eig",
     "jet_mul",

@@ -5,142 +5,47 @@ and its leading derivatives with respect to the switching rate. Carrying
 them together through the arithmetic as a polynomial truncated at a fixed
 order avoids symbolic differentiation entirely: coefficient ``k`` of a jet
 is the k-th derivative at the expansion point divided by ``k!``.
+
+A jet is any complex array whose last axis holds the coefficients
+``c_0 .. c_K``; leading axes broadcast, so one call acts on a whole table
+of jets.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import SingularJetError
 
-__all__ = ["Jet", "jet_mul", "jet_recip"]
+__all__ = ["jet_mul", "jet_recip"]
 
 
-@dataclass(frozen=True, eq=False)
-class Jet:
-    """Polynomial c_0 + c_1 u + ... + c_K u^K truncated at fixed order K.
-
-    Jets are immutable; arithmetic returns new instances and requires both
-    operands to share the truncation order. A jet that represents a real
-    quantity should have a negligible imaginary part in c_0; that is
-    checked by callers, never silently enforced here.
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex)).copy()
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("jet coefficients must be a non-empty 1-d sequence")
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    # ---- constructors ----------------------------------------------------
-    @classmethod
-    def constant(cls, value, order: int) -> "Jet":
-        c = np.zeros(order + 1, dtype=complex)
-        c[0] = value
-        return cls(c)
-
-    @classmethod
-    def variable(cls, value, order: int, *, slope=1.0) -> "Jet":
-        """Jet of ``value + slope*u``: the expansion variable anchored at ``value``."""
-        if order < 1:
-            raise ValueError("variable jet needs order >= 1")
-        c = np.zeros(order + 1, dtype=complex)
-        c[0] = value
-        c[1] = slope
-        return cls(c)
-
-    # ---- queries -----------------------------------------------------------
-    @property
-    def order(self) -> int:
-        return self.coeffs.size - 1
-
-    @property
-    def value(self) -> complex:
-        return complex(self.coeffs[0])
-
-    def derivative(self, k: int = 1) -> complex:
-        """k-th derivative at the expansion point (coefficient times k!)."""
-        if not 0 <= k <= self.order:
-            raise ValueError(f"derivative order {k} outside jet order {self.order}")
-        return complex(self.coeffs[k]) * math.factorial(k)
-
-    def __call__(self, u) -> complex:
-        """Evaluate the truncated polynomial at offset ``u`` (Horner)."""
-        acc = 0.0 + 0.0j
-        for c in self.coeffs[::-1]:
-            acc = acc * u + c
-        return complex(acc)
-
-    def imag_residue(self) -> float:
-        """|Im c_0|: how far the leading value is from being real."""
-        return abs(float(self.coeffs[0].imag))
-
-    # ---- arithmetic ----------------------------------------------------------
-    def _match(self, other: "Jet") -> None:
-        if self.order != other.order:
-            raise ValueError(
-                f"jet order mismatch: {self.order} vs {other.order}"
-            )
-
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            self._match(other)
-            return Jet(self.coeffs + other.coeffs)
-        c = self.coeffs.copy()
-        c[0] += other
-        return Jet(c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(-self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -complex(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            return jet_mul(self, other)
-        return Jet(self.coeffs * complex(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return jet_mul(self, jet_recip(other))
-        return Jet(self.coeffs / complex(other))
-
-    def __rtruediv__(self, other):
-        return jet_recip(self) * other
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
+def jet_mul(a, b) -> np.ndarray:
     """Cauchy product truncated at the shared order."""
-    a._match(b)
-    k = a.order + 1
-    return Jet(np.convolve(a.coeffs, b.coeffs)[:k])
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(
+            f"jet order mismatch: {a.shape[-1] - 1} vs {b.shape[-1] - 1}"
+        )
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    for k in range(a.shape[-1]):
+        out[..., k] = np.sum(a[..., : k + 1] * b[..., k::-1], axis=-1)
+    return out
 
 
-def jet_recip(a: Jet) -> Jet:
+def jet_recip(a) -> np.ndarray:
     """Multiplicative inverse: jet b with a*b = 1 up to the shared order.
 
-    Raises SingularJetError when the leading coefficient vanishes, which in
+    Raises SingularJetError when a leading coefficient vanishes, which in
     this package signals a vanishing energy denominator (degeneracy).
     """
-    c0 = a.coeffs[0]
-    if c0 == 0:
+    a = np.asarray(a, dtype=complex)
+    c0 = a[..., 0]
+    if np.any(c0 == 0):
         raise SingularJetError("jet reciprocal of zero leading coefficient")
-    out = np.zeros_like(a.coeffs)
-    out[0] = 1.0 / c0
-    for k in range(1, a.coeffs.size):
-        out[k] = -np.dot(a.coeffs[1 : k + 1], out[k - 1 :: -1]) / c0
-    return Jet(out)
+    out = np.zeros_like(a)
+    out[..., 0] = 1.0 / c0
+    for k in range(1, a.shape[-1]):
+        out[..., k] = -np.sum(a[..., 1 : k + 1] * out[..., k - 1 :: -1], axis=-1) / c0
+    return out

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .numkit import Jet, Trajectory, jet_mul, jet_recip, ode_evolve
+from .numkit import Trajectory, jet_mul, jet_recip, ode_evolve
 
 __all__ = [
     "TwoStateModel",
@@ -36,14 +36,16 @@ __all__ = [
     "delta_e_series",
     "bessel_series_a",
     "phase_f",
+    "laurent_split",
     "phase_split",
     "fb_identity_check",
     "evolve_two_state",
     "limit_state",
 ]
 
-# imaginary parts above this on a nominally real quantity abort the run
-IMAG_GATE = 1e-8
+# imaginary parts above this on a nominally real quantity abort the run; the
+# one gate of the Laurent split for two levels and for N levels
+IMAG_GATE = 1e-9
 DEFAULT_ORDER = 30
 DEFAULT_JET_ORDER = 2
 DEFAULT_START_THRESHOLD = 1e-8
@@ -90,23 +92,20 @@ class GtildeTable:
     """Recursion coefficients for the phase function, carried as jets in the
     switching rate so values and derivatives propagate together.
 
-    ``entries[k]`` multiplies the (k+1)-th even power of the ramped coupling.
+    ``entries[k]`` (a read-only ``(order, jet_order + 1)`` array, one jet
+    per row) multiplies the (k+1)-th even power of the ramped coupling.
     """
 
-    entries: tuple
+    entries: np.ndarray
     delta: float
     at_eps: float = 0.0
 
-    def gn(self, n: int) -> Jet:
-        """1-based access: coefficient of the 2n-th power of the coupling."""
-        return self.entries[n - 1]
-
     def values(self) -> np.ndarray:
-        return np.array([j.coeffs[0] for j in self.entries])
+        return self.entries[:, 0]
 
     def slopes(self) -> np.ndarray:
         """First derivatives with respect to the switching rate."""
-        return np.array([j.coeffs[1] for j in self.entries])
+        return self.entries[:, 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,6 +113,10 @@ class BesselSeriesResult:
     value: complex
     term_magnitudes: np.ndarray
     converged: bool
+
+    @property
+    def max_term(self) -> float:
+        return float(self.term_magnitudes.max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -203,19 +206,19 @@ def gtilde_table(
         raise DomainError(f"order must be >= 1, got {order}")
     if jet_order < 1:
         raise DomainError(f"jet order must be >= 1, got {jet_order}")
-    two_i_delta = 2j * delta
-    entries = []
-    for n in range(1, order + 1):
-        fac = 2 * n - 1
-        den = Jet.variable(two_i_delta + fac * at_eps, jet_order, slope=fac)
-        if n == 1:
-            entries.append((-1j) * jet_recip(den))
-        else:
-            conv = Jet.constant(0.0, jet_order)
-            for m_idx in range(1, n):
-                conv = conv + jet_mul(entries[n - m_idx - 1], entries[m_idx - 1])
-            entries.append(1j * jet_mul(conv, jet_recip(den)))
-    return GtildeTable(entries=tuple(entries), delta=delta, at_eps=at_eps)
+    fac = 2 * np.arange(1, order + 1) - 1
+    den = np.zeros((order, jet_order + 1), dtype=complex)
+    den[:, 0] = 2j * delta + fac * at_eps
+    den[:, 1] = fac
+    recip = jet_recip(den)
+    entries = np.empty_like(den)
+    entries[0] = -1j * recip[0]
+    for n in range(2, order + 1):
+        # sum over m of entry_{n-m} * entry_m, accumulated in order of m
+        conv = jet_mul(entries[n - 2 :: -1], entries[: n - 1]).sum(axis=0)
+        entries[n - 1] = 1j * jet_mul(conv, recip[n - 1])
+    entries.flags.writeable = False
+    return GtildeTable(entries=entries, delta=delta, at_eps=at_eps)
 
 
 def gtilde_values(delta: float, eps: float, order: int) -> np.ndarray:
@@ -300,7 +303,10 @@ def bessel_series_a(
         if stop_below is not None and mag < stop_below:
             break
     if converged and mags:
-        converged = mags[-1] <= 1e-12 * max(1.0, abs(value))
+        # the last term must be small, and so must the rounding error left
+        # by cancellation among the largest terms
+        target = 1e-12 * max(1.0, abs(value))
+        converged = mags[-1] <= target and max(mags) * 2.0**-53 <= target
     return BesselSeriesResult(
         value=complex(value),
         term_magnitudes=np.array(mags),
@@ -323,6 +329,32 @@ def phase_f(m: TwoStateModel, t: float, order: int = DEFAULT_ORDER) -> complex:
     return complex(np.sum(lam2**n / (2 * n) * g))
 
 
+def laurent_split(powers, divisors, jets, names):
+    """Laurent split of an accumulated phase ``sum powers * jet / divisors``
+    whose jets are expanded in the switching rate around 0.
+
+    Returns the divergent coefficient ``sum powers * c_0 / divisors`` (to be
+    divided by the rate), the secular shift ``sum powers * c_0``, the
+    log-magnitude ``-1j * sum powers * c_1 / divisors`` (real parts, in that
+    order) and the largest imaginary residue among them. Raises
+    ConsistencyError, naming the quantity from ``names``, when that residue
+    exceeds IMAG_GATE.
+    """
+    parts = (
+        np.sum(powers * jets[:, 0] / divisors),
+        np.sum(powers * jets[:, 0]),
+        -1j * np.sum(powers * jets[:, 1] / divisors),
+    )
+    residues = [abs(p.imag) for p in parts]
+    worst = int(np.argmax(residues))
+    if residues[worst] > IMAG_GATE:
+        raise ConsistencyError(
+            f"imaginary residue {residues[worst]:.3e} on {names[worst]} "
+            f"exceeds {IMAG_GATE:.0e}"
+        )
+    return (*(float(p.real) for p in parts), residues[worst])
+
+
 def phase_split(
     m: TwoStateModel,
     order: int = DEFAULT_ORDER,
@@ -338,29 +370,20 @@ def phase_split(
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
     table = gtilde_table(m.delta, order, max(jet_order, 2))
-    c0 = table.values()
-    c1 = table.slopes()
-    c2 = np.array([j.coeffs[2] for j in table.entries])
     n = np.arange(1, order + 1)
     powers = m.x ** (2 * n)
-    f_a = np.sum(powers * c0 / (2 * n))
-    de = np.sum(powers * c0)
-    f_b = -1j * np.sum(powers * c1 / (2 * n))
-    f_c = m.eps * np.sum(powers * c2 / (2 * n))
-    residues = {"f_a": abs(f_a.imag), "delta_e_a": abs(de.imag), "f_b": abs(f_b.imag)}
-    worst = max(residues, key=residues.get)
-    if residues[worst] > IMAG_GATE:
-        raise ConsistencyError(
-            f"imaginary residue {residues[worst]:.3e} on {worst} exceeds {IMAG_GATE:.0e}"
-        )
+    f_a, de, f_b, residue = laurent_split(
+        powers, 2 * n, table.entries, ("f_a", "delta_e_a", "f_b")
+    )
+    f_c = m.eps * np.sum(powers * table.entries[:, 2] / (2 * n))
     return PhaseSplitTwoState(
-        f_a=float(f_a.real),
-        delta_e_a=float(de.real),
-        f_b=float(f_b.real),
+        f_a=f_a,
+        delta_e_a=de,
+        f_b=f_b,
         f_c=float(f_c.real),
         truncation_order=order,
         eps_used=m.eps,
-        max_imag_residue=max(residues.values()),
+        max_imag_residue=residue,
     )
 
 
@@ -409,9 +432,20 @@ def fb_identity_check(
 # ODE route
 
 
-def switch_on_time(gap: float, x: float, eps: float, threshold: float) -> float:
-    """Start time at which the ramped coupling is ``threshold`` of the gap."""
-    return math.log(gap * threshold / x) / eps
+def switch_on_time(
+    gap: float, x: float, eps: float, threshold: float, t_end: float
+) -> float:
+    """Start time at which the ramped coupling is ``threshold`` of the gap;
+    the threshold must lie in (0, 1e-4] and the start must precede ``t_end``."""
+    if not 0 < threshold <= 1e-4:
+        raise DomainError(f"start_threshold must be in (0, 1e-4], got {threshold}")
+    t0 = math.log(gap * threshold / x) / eps
+    if not t0 < t_end:
+        raise DomainError(
+            f"switch-on start t0 = {t0:.6g} is not before t_end = {t_end:.6g}; "
+            "lower start_threshold or move t_end"
+        )
+    return t0
 
 
 def evolve_two_state(
@@ -424,16 +458,7 @@ def evolve_two_state(
     the switch-on tail (ramped coupling at ``start_threshold`` of the gap 2*delta)
     to ``t_end``, starting from (1, 0). The generator is anti-Hermitian, so
     |a|**2 + |c|**2 stays at 1 within a small multiple of ``tol``."""
-    if not 0 < start_threshold <= 1e-4:
-        raise DomainError(
-            f"start_threshold must be in (0, 1e-4], got {start_threshold}"
-        )
-    t0 = switch_on_time(2 * m.delta, m.x, m.eps, start_threshold)
-    if not t0 < t_end:
-        raise DomainError(
-            f"switch-on start t0 = {t0:.6g} is not before t_end = {t_end:.6g}; "
-            "lower start_threshold or move t_end"
-        )
+    t0 = switch_on_time(2 * m.delta, m.x, m.eps, start_threshold, t_end)
     x, delta, eps = m.x, m.delta, m.eps
 
     def rhs(t, y):

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from adiabatic_lab.cli import main
+from adiabatic_lab.cli import build_parser, main
 from adiabatic_lab.modelio import (
     ModelFileError,
     generate_nstate_model,
@@ -275,3 +276,80 @@ def test_model_dict_is_json_natural():
     model = generate_nstate_model(seed=2, levels=3)
     d = model_to_dict(model)
     assert json.loads(json.dumps(d)) == d
+
+
+# ---------------------------------------------------------------------------
+# command-line surface
+
+# flag -> (type, default, choices, required), per subcommand
+_OUTPUT = {"--out": (None, None, None, False), "--format": (None, "json", ("csv", "json"), False)}
+_TWO_MODEL = {
+    "--model": (None, None, None, False),
+    "--mu": (float, 0.0, None, False),
+    "--delta": (float, 1.0, None, False),
+    "--x": (float, 0.5, None, False),
+    "--eps": (float, 0.25, None, False),
+}
+_N_MODEL = {"--model": (None, None, None, False)}
+_TOL = {"--tol": (float, 1e-10, None, False)}
+_EVOLVE = {
+    "--t-end": (float, 0.0, None, False),
+    **_TOL,
+    "--start-threshold": (float, 1e-8, None, False),
+}
+_ORDERS = {"--order": (int, 30, None, False), "--jet-order": (int, 2, None, False)}
+_T = {"--t": (float, 0.0, None, False)}
+_TERMS = {"--terms": (int, 60, None, False)}
+EXPECTED_FLAGS = {
+    ("two-state", "exact"): {**_TWO_MODEL, **_OUTPUT},
+    ("two-state", "evolve"): {**_TWO_MODEL, **_OUTPUT, **_EVOLVE},
+    ("two-state", "series"): {**_TWO_MODEL, **_OUTPUT, **_T, **_TERMS},
+    ("two-state", "phase"): {**_TWO_MODEL, **_OUTPUT, **_ORDERS},
+    ("two-state", "compare"): {
+        **_TWO_MODEL, **_OUTPUT, **_T, **_TOL, "--order": (int, 30, None, False), **_TERMS,
+    },
+    ("two-state", "sweep-eps"): {
+        **_TWO_MODEL, **_OUTPUT, "--eps-grid": (None, "0.5:0.5:4", None, False),
+        **_TOL, "--order": (int, 30, None, False), **_TERMS,
+    },
+    ("n-state", "dyson"): {**_N_MODEL, **_OUTPUT, **_T},
+    ("n-state", "recursion"): {
+        **_N_MODEL, **_OUTPUT, "--order": (int, 8, None, False),
+        "--jet-order": (int, 2, None, False),
+    },
+    ("n-state", "split"): {**_N_MODEL, **_OUTPUT, **_ORDERS},
+    ("n-state", "assemble"): {**_N_MODEL, **_OUTPUT, **_ORDERS},
+    ("n-state", "evolve"): {**_N_MODEL, **_OUTPUT, **_EVOLVE},
+    ("n-state", "oracle"): {**_N_MODEL, **_OUTPUT},
+    ("n-state", "compare"): {**_N_MODEL, **_OUTPUT, "--order": (int, 12, None, False), **_TOL},
+    ("n-state", "gen"): {
+        **_OUTPUT,
+        "--seed": (int, None, None, True),
+        "--levels": (int, None, None, True),
+        "--gap": (float, 1.0, None, False),
+        "--vscale": (float, 1.0, None, False),
+        "--x": (float, None, None, False),
+        "--eps": (float, 0.25, None, False),
+    },
+}
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_parser_surface():
+    # every subcommand's flags: option strings, type, default, choices, required
+    seen = {}
+    for group, group_parser in _subparsers(build_parser()).items():
+        for command, parser in _subparsers(group_parser).items():
+            flags = {}
+            for action in parser._actions:
+                if isinstance(action, argparse._HelpAction):
+                    continue
+                (option,) = action.option_strings
+                choices = tuple(action.choices) if action.choices else None
+                flags[option] = (action.type, action.default, choices, action.required)
+            seen[(group, command)] = flags
+    assert seen == EXPECTED_FLAGS

@@ -34,7 +34,7 @@ def test_two_level_coupled_matrix():
     np.testing.assert_allclose(w, [-1.1180339887498949, 1.1180339887498949])
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 12, 16])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 12, 16, 64])
 def test_random_reconstruction_and_residuals(n):
     rng = np.random.default_rng(n)
     for _ in range(5):
@@ -69,3 +69,16 @@ def test_rejects_non_square():
 def test_hermiticity_tolerance_boundary():
     m = np.array([[0.0, 1.0], [1.0 + 5e-13, 0.0]], dtype=complex)
     HermitianMatrix(m)  # within 1e-12: accepted
+
+
+def test_hermiticity_tolerance_scales_with_entries():
+    # U diag U^H at entry scale 1e5 carries rounding drift well above 1e-12
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    m = (q * rng.uniform(-1e5, 1e5, 8)) @ q.conj().T
+    assert np.abs(m - m.conj().T).max() > 1e-12
+    HermitianMatrix(m)
+    bad = m.copy()
+    bad[0, 1] += 1e-6 * np.abs(m).max()
+    with pytest.raises(DomainError, match="not Hermitian"):
+        HermitianMatrix(bad)

@@ -139,8 +139,8 @@ def _recursion_coefficients_at_finite_rate(model, t):
     second order, at the model's finite switching rate."""
     rs = rs_recursion(model, 2, 0, at_eps=model.eps)
     ramp = math.exp(model.eps * t)
-    a1 = ramp * rs.xi[0].value / model.eps
-    a2 = ramp * ramp * rs.xi[1].value / (2 * model.eps)
+    a1 = ramp * rs.xi[0, 0] / model.eps
+    a2 = ramp * ramp * rs.xi[1, 0] / (2 * model.eps)
     b1 = ramp * rs.phi_n(1)
     b2 = ramp * ramp * rs.phi_n(2)
     eg = np.zeros(model.dim, dtype=complex)
@@ -175,16 +175,16 @@ def test_recursion_diagonal_perturbation():
         eps=0.25,
     )
     rs = rs_recursion(m, 6, 2)
-    assert rs.xi[0].value == pytest.approx(0.7, abs=1e-15)
+    assert rs.xi[0, 0] == pytest.approx(0.7, abs=1e-15)
     for n in range(2, 7):
-        assert abs(rs.xi[n - 1].value) < 1e-15
+        assert abs(rs.xi[n - 1, 0]) < 1e-15
     assert np.abs(rs.phi).max() == 0.0
 
 
 def test_recursion_two_level_embed_second_order():
     rs = rs_recursion(two_level_embed(TWO), 2, 1)
-    assert rs.xi[0].value == 0.0
-    assert rs.xi[1].value == pytest.approx(-0.5, abs=1e-15)
+    assert rs.xi[0, 0] == 0.0
+    assert rs.xi[1, 0] == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_recursion_matches_direct_double_sum():
@@ -211,6 +211,15 @@ def test_recursion_orthogonality_exact():
     m = random_model(23, 6, complex_v=True)
     rs = rs_recursion(m, 10, 2)
     assert np.abs(rs.phi[:, m.ground_index, :]).max() == 0.0
+
+
+def test_recursion_arrays_read_only():
+    rs = rs_recursion(random_model(5, 4), 6, 2)
+    assert rs.xi.shape == (6, 3)
+    assert rs.phi.shape == (6, 4, 3)
+    for coeffs in (rs.xi, rs.phi):
+        with pytest.raises(ValueError):
+            coeffs[0, 0] = 1.0
 
 
 def test_recursion_xi_values_real_for_hermitian():

@@ -100,9 +100,26 @@ def test_gtilde_low_order_values():
 
 def test_gtilde_first_entry_and_slope():
     table = gtilde_table(1.0, 3, 2)
-    assert abs(table.gn(1).value - (-0.5)) < 1e-14
+    assert abs(table.entries[0, 0] - (-0.5)) < 1e-14
     assert table.slopes()[0] == pytest.approx(-0.25j, abs=1e-15)  # d/deps of -i/(2i+eps)
     assert np.abs(table.values().imag).max() < 1e-12
+
+
+def test_gtilde_table_entries_read_only():
+    table = gtilde_table(1.0, 4, 2)
+    assert table.entries.shape == (4, 3)
+    with pytest.raises(ValueError):
+        table.entries[0, 0] = 1.0
+
+
+def test_gtilde_table_values_match_plain_recursion():
+    # the jet table's value column against the scalar recursion, at the
+    # slow-switching limit and at a finite expansion point
+    for at_eps in (0.0, 0.3):
+        table = gtilde_table(1.3, 40, 2, at_eps=at_eps)
+        np.testing.assert_allclose(
+            table.values(), gtilde_values(1.3, at_eps, 40), rtol=1e-13, atol=0
+        )
 
 
 def test_gtilde_slopes_match_finite_differences():
@@ -115,7 +132,7 @@ def test_gtilde_slopes_match_finite_differences():
 def test_gtilde_curvature_matches_finite_differences():
     delta, h = 1.0, 1e-3
     table = gtilde_table(delta, 6, 2)
-    c2 = np.array([j.coeffs[2] for j in table.entries])
+    c2 = table.entries[:, 2]
     fd = (
         gtilde_values(delta, h, 6)
         - 2 * gtilde_values(delta, 0.0, 6)
@@ -203,6 +220,17 @@ def test_bessel_series_overflow_flagged_not_raised():
     assert not res.converged
     assert res.term_magnitudes.max() > 1e200  # blew up before convergence
     assert res.term_magnitudes.size < 500  # stopped early
+
+
+def test_bessel_series_cancellation_flagged():
+    # the terms reach 2.6e12 before decaying below 1e-12: cancellation
+    # leaves about 3e-4 of rounding in a value of order one, so the sum
+    # has no trustworthy digits although its last term is tiny
+    m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=0.002)
+    res = bessel_series_a(m, 0.0, 2000)
+    assert res.term_magnitudes[-1] <= 1e-12
+    assert res.max_term > 1e12
+    assert not res.converged
 
 
 def test_bessel_divergence_locality():
