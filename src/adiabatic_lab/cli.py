@@ -200,13 +200,12 @@ def _cmd_two_series(args) -> RunReport:
 
 def _cmd_two_phase(args) -> RunReport:
     model = _two_state_model(args)
-    split = twostate.phase_split(model, args.order, args.jet_order)
-    ident = twostate.fb_identity_check(model.delta, model.x, args.order)
+    split = twostate.phase_split(model, args.order)
     report = RunReport(
         command="two-state phase",
         parameters={
             "mu": model.mu, "delta": model.delta, "x": model.x, "eps": model.eps,
-            "order": args.order, "jet_order": args.jet_order,
+            "order": args.order,
         },
     )
     report.values = {
@@ -215,13 +214,13 @@ def _cmd_two_phase(args) -> RunReport:
         "f_b[phase-recursion]": split.f_b,
         "f_c[phase-recursion]": split.f_c,
         "exp_f_b[phase-recursion]": math.exp(split.f_b),
-        "norm_n[exact]": ident.rhs,
+        "norm_n[exact]": split.norm_n,
         "max_imag_residue[phase-recursion]": split.max_imag_residue,
     }
     report.residuals = {
-        "normalization-identity": ident.residual,
-        "shift-quadratic": ident.shift_quadratic_residual,
-        "rate-balance": ident.rate_balance_residual,
+        "normalization-identity": split.normalization_residual,
+        "shift-quadratic": split.shift_quadratic_residual,
+        "rate-balance": split.rate_balance_residual,
     }
     report.tables = [
         Table(
@@ -350,16 +349,15 @@ def _cmd_n_dyson(args) -> RunReport:
 
 def _cmd_n_recursion(args) -> RunReport:
     model = _n_state_model(args)
-    rs = nstate.rs_recursion(model, args.order, args.jet_order)
+    rs = nstate.rs_recursion(model, args.order, 1)
     rows = []
     for n in range(1, args.order + 1):
-        xi = rs.xi[n - 1]
-        slope = xi[1] if args.jet_order >= 1 else 0.0
+        value, slope = rs.xi[n - 1]
         rows.append(
             [
                 n,
-                float(xi[0].real),
-                float(xi[0].imag),
+                float(value.real),
+                float(value.imag),
                 float(slope.real),
                 float(slope.imag),
                 float(np.linalg.norm(rs.phi_n(n))),
@@ -367,9 +365,7 @@ def _cmd_n_recursion(args) -> RunReport:
         )
     report = RunReport(
         command="n-state recursion",
-        parameters={
-            "model": args.model, "order": args.order, "jet_order": args.jet_order,
-        },
+        parameters={"model": args.model, "order": args.order},
     )
     report.tables = [
         Table(
@@ -384,7 +380,7 @@ def _cmd_n_recursion(args) -> RunReport:
 
 def _cmd_n_split(args) -> RunReport:
     model = _n_state_model(args)
-    split = nstate.g_split(model, args.order, args.jet_order)
+    split = nstate.g_split(model, args.order)
     report = RunReport(
         command="n-state split",
         parameters={"model": args.model, "order": args.order, "x": model.x},
@@ -409,7 +405,7 @@ def _cmd_n_split(args) -> RunReport:
 
 def _cmd_n_assemble(args) -> RunReport:
     model = _n_state_model(args)
-    assembled = nstate.assemble_state(model, args.order, args.jet_order)
+    assembled = nstate.assemble_state(model, args.order)
     rows = []
     for comp, val in enumerate(assembled.state):
         re, im = _split_complex(val)
@@ -558,7 +554,6 @@ _FLAGS = {
     "--start-threshold": {"type": float, "default": 1e-8},
     "--terms": {"type": int, "default": 60},
     "--order": {"type": int, "default": 30},
-    "--jet-order": {"type": int, "default": 2},
     "--eps-grid": {"default": "0.5:0.5:4", "help": "start:factor:count"},
     "--seed": {"type": int, "required": True},
     "--levels": {"type": int, "required": True},
@@ -579,7 +574,7 @@ _COMMANDS = {
         ("series", "divergent amplitude series", _cmd_two_series,
          _TWO + ("--t", "--terms")),
         ("phase", "phase split and normalization identity", _cmd_two_phase,
-         _TWO + ("--order", "--jet-order")),
+         _TWO + ("--order",)),
         ("compare", "all three routes at one point", _cmd_two_compare,
          _TWO + ("--t", "--tol", "--order", "--terms")),
         ("sweep-eps", "compare over a geometric switching-rate grid", _cmd_two_sweep,
@@ -588,18 +583,18 @@ _COMMANDS = {
     "n-state": ("general finite level count", [
         ("dyson", "second-order Dyson state", _cmd_n_dyson, _N + ("--t",)),
         ("recursion", "projector-recursion coefficients", _cmd_n_recursion,
-         _N + (("--order", {"default": 8}), "--jet-order")),
+         _N + (("--order", {"default": 8}),)),
         ("split", "divergent/secular/finite phase split", _cmd_n_split,
-         _N + ("--order", "--jet-order")),
+         _N + ("--order",)),
         ("assemble", "slow-switching limit state", _cmd_n_assemble,
-         _N + ("--order", "--jet-order")),
+         _N + ("--order",)),
         ("evolve", "full switched-coupling evolution", _cmd_n_evolve, _N + _EVOLVE),
         ("oracle", "exact-diagonalization level shift", _cmd_n_oracle, _N),
         ("compare", "series vs oracle vs ODE ratios", _cmd_n_compare,
          _N + (("--order", {"default": 12}), "--tol")),
         ("gen", "seeded random model to file", _cmd_n_gen,
-         _OUTPUT + ("--seed", "--levels", "--gap", "--vscale",
-                    ("--x", {"default": None}), "--eps")),
+         (("--out", {"help": "write the model to this file"}), "--seed", "--levels",
+          "--gap", "--vscale", ("--x", {"default": None}), "--eps")),
     ]),
 }
 

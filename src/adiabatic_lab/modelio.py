@@ -7,6 +7,7 @@ imaginary parts (row-major nested lists) to avoid ad-hoc complex literals.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -29,13 +30,22 @@ class ModelFileError(DomainError):
     """Model file is syntactically or semantically invalid."""
 
 
+def _finite_number(value):
+    # JSON admits NaN, Infinity and integers too large for a float; booleans
+    # are ints to Python
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 def _require(mapping, key, kind, where):
     if key not in mapping:
         raise ModelFileError(f"{where}: missing required field '{key}'")
     value = mapping[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ModelFileError(f"{where}: field '{key}' must be a number")
+        if not _finite_number(value):
+            raise ModelFileError(f"{where}: field '{key}' must be a finite number")
         return float(value)
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
@@ -44,11 +54,22 @@ def _require(mapping, key, kind, where):
     return value
 
 
-def _matrix(raw, name, where):
+def _array(raw, name, where):
+    """Nested lists of finite JSON numbers as a float array."""
+
+    def numeric(value):
+        return all(map(numeric, value)) if isinstance(value, list) else _finite_number(value)
+
+    if not numeric(raw):
+        raise ModelFileError(f"{where}: field '{name}' must hold only finite numbers")
     try:
-        arr = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ModelFileError(f"{where}: field '{name}' is not numeric: {exc}") from None
+        return np.array(raw, dtype=float)
+    except ValueError as exc:
+        raise ModelFileError(f"{where}: field '{name}' is ragged: {exc}") from None
+
+
+def _matrix(raw, name, where):
+    arr = _array(raw, name, where)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ModelFileError(
             f"{where}: field '{name}' must be a square row-major matrix, "
@@ -69,7 +90,7 @@ def _model_from_dict(data, where="model file"):
             eps=_require(data, "eps", float, where),
         )
     if kind == "n-state":
-        energies = np.asarray(_require(data, "energies", list, where), dtype=float)
+        energies = _array(_require(data, "energies", list, where), "energies", where)
         v_real = _matrix(_require(data, "v_real", list, where), "v_real", where)
         v_imag = _matrix(_require(data, "v_imag", list, where), "v_imag", where)
         if v_real.shape != v_imag.shape:
@@ -86,7 +107,9 @@ def _model_from_dict(data, where="model file"):
             v=HermitianMatrix(v_real + 1j * v_imag),
             x=_require(data, "x", float, where),
             eps=_require(data, "eps", float, where),
-            ground_index=data.get("ground_index", 0),
+            ground_index=(
+                _require(data, "ground_index", int, where) if "ground_index" in data else 0
+            ),
         )
     raise ModelFileError(
         f"{where}: field 'kind' must be 'two-state' or 'n-state', got {kind!r}"

@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 GAP_FLOOR_FACTOR = 1e-8
-DEFAULT_JET_ORDER = 2
 DEFAULT_START_THRESHOLD = 1e-8
 # an eigenvector must hold at least this probability weight on the initial
 # basis state to count as its continuation
@@ -68,6 +67,9 @@ class NStateModel:
             raise DomainError(f"coupling x must be > 0, got {self.x}")
         if not self.eps > 0:
             raise DomainError(f"switching rate eps must be > 0, got {self.eps}")
+        values = np.concatenate([e, v.entries.ravel(), [self.x, self.eps]])
+        if not np.isfinite(values).all():
+            raise DomainError("energies, perturbation, x and eps must be finite")
         g = self.ground_index
         if not 0 <= g < e.size:
             raise DomainError(f"ground_index {g} out of range for {e.size} levels")
@@ -202,10 +204,7 @@ class RsExpansion:
 
 
 def rs_recursion(
-    model: NStateModel,
-    order: int,
-    jet_order: int = DEFAULT_JET_ORDER,
-    at_eps: float = 0.0,
+    model: NStateModel, order: int, jet_order: int, at_eps: float = 0.0
 ) -> RsExpansion:
     """Run the projector recursion to ``order`` powers of the coupling.
 
@@ -308,25 +307,21 @@ def _split_from(rs: RsExpansion, model: NStateModel) -> GSplit:
     )
 
 
-def g_split(
-    model: NStateModel, order: int, jet_order: int = DEFAULT_JET_ORDER
-) -> GSplit:
-    """Laurent split of the accumulated phase in the slow-switching limit.
+def g_split(model: NStateModel, order: int) -> GSplit:
+    """Laurent split of the accumulated phase in the slow-switching limit,
+    from the values and slopes of a first-order jet expansion.
 
     Accepts any coupling; convergence is the caller's concern and can be
     judged from ``last_term_magnitude``.
     """
-    rs = rs_recursion(model, order, max(jet_order, 1), at_eps=0.0)
-    return _split_from(rs, model)
+    return _split_from(rs_recursion(model, order, 1), model)
 
 
-def assemble_state(
-    model: NStateModel, order: int, jet_order: int = DEFAULT_JET_ORDER
-) -> AssembledState:
+def assemble_state(model: NStateModel, order: int) -> AssembledState:
     """Slow-switching limit state with the divergent phase factor dropped
     (its coefficient is reported in the split). The time dependence
     ``exp(-1j * (E_g + shift) * t)`` is left to the caller via ``energy``."""
-    rs = rs_recursion(model, order, max(jet_order, 1), at_eps=0.0)
+    rs = rs_recursion(model, order, 1)
     split = _split_from(rs, model)
     correction = np.zeros(model.dim, dtype=complex)
     for n in range(1, order + 1):

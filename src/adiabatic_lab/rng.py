@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = ["SplitMix64", "random_hermitian_model_arrays"]
 
 _MASK = (1 << 64) - 1
@@ -59,9 +61,9 @@ def random_hermitian_model_arrays(seed: int, levels: int, gap: float, vscale: fl
     N(0, vscale**2) entries.
     """
     if levels < 2:
-        raise ValueError(f"need at least 2 levels, got {levels}")
+        raise DomainError(f"need at least 2 levels, got {levels}")
     if not gap > 0:
-        raise ValueError(f"gap must be > 0, got {gap}")
+        raise DomainError(f"gap must be > 0, got {gap}")
     rng = SplitMix64(seed)
     energies = np.zeros(levels)
     for k in range(1, levels):

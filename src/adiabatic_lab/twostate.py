@@ -27,7 +27,6 @@ __all__ = [
     "GtildeTable",
     "BesselSeriesResult",
     "PhaseSplitTwoState",
-    "FbIdentityResult",
     "LimitState",
     "exact_eigensystem",
     "gtilde_table",
@@ -38,7 +37,6 @@ __all__ = [
     "phase_f",
     "laurent_split",
     "phase_split",
-    "fb_identity_check",
     "evolve_two_state",
     "limit_state",
 ]
@@ -47,7 +45,6 @@ __all__ = [
 # one gate of the Laurent split for two levels and for N levels
 IMAG_GATE = 1e-9
 DEFAULT_ORDER = 30
-DEFAULT_JET_ORDER = 2
 DEFAULT_START_THRESHOLD = 1e-8
 
 
@@ -68,6 +65,9 @@ class TwoStateModel:
             raise DomainError(f"coupling x must be > 0, got {self.x}")
         if not self.eps > 0:
             raise DomainError(f"switching rate eps must be > 0, got {self.eps}")
+        for name in ("mu", "delta", "x", "eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
 
     def hamiltonian(self) -> np.ndarray:
         """Static Hamiltonian at full coupling (the t = 0 matrix)."""
@@ -124,7 +124,11 @@ class PhaseSplitTwoState:
     """Split of the accumulated phase-over-rate into a divergent coefficient
     (f_a, to be divided by the rate), a secular level shift, and a finite
     log-magnitude f_b. f_c is the finite-rate remainder diagnostic, expected
-    to vanish linearly as the switching slows."""
+    to vanish linearly as the switching slows.
+
+    The normalization identity is checked on the same coefficients: exp(f_b)
+    against the closed-form ``norm_n``, the quadratic the shift satisfies,
+    and the balance tying the coupling derivatives of f_b and the shift."""
 
     f_a: float
     delta_e_a: float
@@ -133,13 +137,8 @@ class PhaseSplitTwoState:
     truncation_order: int
     eps_used: float
     max_imag_residue: float
-
-
-@dataclass(frozen=True)
-class FbIdentityResult:
-    lhs: float
-    rhs: float
-    residual: float
+    norm_n: float
+    normalization_residual: float
     shift_quadratic_residual: float
     rate_balance_residual: float
 
@@ -188,10 +187,7 @@ def exact_eigensystem(m: TwoStateModel) -> TwoStateEigensystem:
 
 
 def gtilde_table(
-    delta: float,
-    order: int,
-    jet_order: int = DEFAULT_JET_ORDER,
-    at_eps: float = 0.0,
+    delta: float, order: int, jet_order: int, at_eps: float = 0.0
 ) -> GtildeTable:
     """First ``order`` phase-recursion coefficients as jets in the switching
     rate, expanded around ``at_eps`` (0 for the slow-switching limit).
@@ -355,27 +351,42 @@ def laurent_split(powers, divisors, jets, names):
     return (*(float(p.real) for p in parts), residues[worst])
 
 
-def phase_split(
-    m: TwoStateModel,
-    order: int = DEFAULT_ORDER,
-    jet_order: int = DEFAULT_JET_ORDER,
-) -> PhaseSplitTwoState:
+def phase_split(m: TwoStateModel, order: int = DEFAULT_ORDER) -> PhaseSplitTwoState:
     """Split the t = 0 phase-over-rate into divergent coefficient, secular
-    shift, and finite log-magnitude, with a finite-rate remainder diagnostic.
+    shift, and finite log-magnitude, with a finite-rate remainder diagnostic
+    and the residuals of the normalization identity.
 
     The remainder f_c is built from the second-order jet coefficients and is
-    expected to vanish linearly with the switching rate.
+    expected to vanish linearly with the switching rate. The identity's
+    derivatives are central differences in the coupling.
     """
     _require_series_domain(m.delta, m.x)
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
-    table = gtilde_table(m.delta, order, max(jet_order, 2))
+    table = gtilde_table(m.delta, order, 2)
     n = np.arange(1, order + 1)
     powers = m.x ** (2 * n)
     f_a, de, f_b, residue = laurent_split(
         powers, 2 * n, table.entries, ("f_a", "delta_e_a", "f_b")
     )
     f_c = m.eps * np.sum(powers * table.entries[:, 2] / (2 * n))
+
+    delta, x = m.delta, m.x
+    c0 = table.values().real
+    c1 = table.slopes()
+
+    def shift_of(xx):
+        return float(np.sum(xx ** (2 * n) * c0))
+
+    def fb_of(xx):
+        return float((-1j * np.sum(xx ** (2 * n) * c1 / (2 * n))).real)
+
+    de_closed = delta_e_closed(delta, x)
+    norm_n = 1.0 / math.sqrt(1.0 + (de_closed / x) ** 2)
+    de_series = shift_of(x)
+    h = 1e-5 * x
+    dfb = (fb_of(x + h) - fb_of(x - h)) / (2 * h)
+    dde = (shift_of(x + h) - shift_of(x - h)) / (2 * h)
     return PhaseSplitTwoState(
         f_a=f_a,
         delta_e_a=de,
@@ -384,47 +395,14 @@ def phase_split(
         truncation_order=order,
         eps_used=m.eps,
         max_imag_residue=residue,
-    )
-
-
-def fb_identity_check(
-    delta: float, x: float, order: int = DEFAULT_ORDER
-) -> FbIdentityResult:
-    """Compare exp(f_b) from the recursion against the closed-form
-    normalization 1/sqrt(1 + (shift/x)**2), plus two consistency relations:
-    the quadratic satisfied by the shift and the first-order balance tying
-    the x-derivatives of f_b and the shift (central differences)."""
-    _require_series_domain(delta, x)
-    table = gtilde_table(delta, order, 2)
-    c0 = table.values().real
-    c1 = table.slopes()
-    n = np.arange(1, order + 1)
-
-    def shift_of(xx):
-        return float(np.sum(xx ** (2 * n) * c0))
-
-    def fb_of(xx):
-        v = -1j * np.sum(xx ** (2 * n) * c1 / (2 * n))
-        return float(v.real)
-
-    lhs = math.exp(fb_of(x))
-    de_closed = delta_e_closed(delta, x)
-    rhs = 1.0 / math.sqrt(1.0 + (de_closed / x) ** 2)
-
-    de_series = shift_of(x)
-    quad = abs(-de_series * de_series + 2 * delta * de_series + x * x)
-
-    h = 1e-5 * x
-    dfb = (fb_of(x + h) - fb_of(x - h)) / (2 * h)
-    dde = (shift_of(x + h) - shift_of(x - h)) / (2 * h)
-    balance = abs(2 * x * dfb * (delta - de_series) + (de_series - x * dde))
-
-    return FbIdentityResult(
-        lhs=lhs,
-        rhs=rhs,
-        residual=abs(lhs - rhs),
-        shift_quadratic_residual=quad,
-        rate_balance_residual=balance,
+        norm_n=norm_n,
+        normalization_residual=abs(math.exp(f_b) - norm_n),
+        shift_quadratic_residual=abs(
+            -de_series * de_series + 2 * delta * de_series + x * x
+        ),
+        rate_balance_residual=abs(
+            2 * x * dfb * (delta - de_series) + (de_series - x * dde)
+        ),
     )
 
 

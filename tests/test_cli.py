@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from adiabatic_lab import nstate, twostate
 from adiabatic_lab.cli import build_parser, main
 from adiabatic_lab.modelio import (
     ModelFileError,
@@ -19,6 +20,24 @@ from adiabatic_lab.twostate import TwoStateModel
 
 def run(*argv):
     return main(list(argv))
+
+
+EMBED = {
+    "kind": "n-state",
+    "energies": [-1.0, 1.0],
+    "v_real": [[0.0, 1.0], [1.0, 0.0]],
+    "v_imag": [[0.0, 0.0], [0.0, 0.0]],
+    "x": 0.5,
+    "eps": 0.25,
+}
+TWO = {"kind": "two-state", "mu": 0.0, "delta": 1.0, "x": 0.5, "eps": 0.25}
+
+
+def write_model(tmp_path, base=EMBED, **fields):
+    """The model ``base`` with ``fields`` replaced, as a JSON file."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**base, **fields}))
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +138,50 @@ def test_exit_code_continuation(tmp_path, capsys):
     assert "continuation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("index", ["1", 1.0, True])
+def test_exit_code_non_integer_ground_index(tmp_path, capsys, index):
+    path = write_model(tmp_path, ground_index=index)
+    assert run("n-state", "oracle", "--model", str(path)) == 2
+    assert "'ground_index' must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "base, fields",
+    [
+        (EMBED, {"energies": ["a", 1]}),
+        (EMBED, {"energies": [-1.0, float("nan")]}),
+        (EMBED, {"v_real": [[0.0, float("inf")], [float("inf"), 0.0]]}),
+        (EMBED, {"x": float("inf")}),
+        (TWO, {"mu": float("nan")}),
+        (TWO, {"eps": 10**400}),
+    ],
+    ids=["string-energy", "nan-energy", "inf-v_real", "inf-x", "nan-mu", "huge-int-eps"],
+)
+def test_exit_code_model_numbers_not_finite(tmp_path, capsys, base, fields):
+    path = write_model(tmp_path, base, **fields)
+    group = "n-state oracle" if base is EMBED else "two-state exact"
+    assert run(*group.split(), "--model", str(path)) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_exit_code_non_finite_mu(capsys):
+    assert run("two-state", "exact", "--mu", "nan") == 2
+    assert "mu must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--levels", "1"], ["--gap", "-1"], ["--vscale", "nan"]],
+    ids=["one-level", "negative-gap", "nan-vscale"],
+)
+def test_exit_code_gen_domain_errors(tmp_path, capsys, flags):
+    out = tmp_path / "model.json"
+    argv = ["--seed", "1", "--levels", "3", *flags, "--out", str(out)]
+    assert run("n-state", "gen", *argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # subcommand behavior
 
@@ -210,6 +273,41 @@ def test_n_state_recursion_prints_sign_note(tmp_path, capsys):
     assert "sign" in out
 
 
+def test_n_state_recursion_slopes_are_first_order_jets(tmp_path):
+    path, out = write_model(tmp_path), tmp_path / "recursion.json"
+    assert run("n-state", "recursion", "--model", str(path), "--out", str(out)) == 0
+    rows = np.array(report_from_json(out).tables[0].rows)
+    slopes = nstate.rs_recursion(load_model(path), 8, 1).xi_slopes()
+    np.testing.assert_array_equal(rows[:, 3], slopes.real)
+    np.testing.assert_array_equal(rows[:, 4], slopes.imag)
+    assert np.any(rows[:, 3:5] != 0.0)
+
+
+def test_two_state_phase_builds_one_table(monkeypatch):
+    calls, gtilde_table = [], twostate.gtilde_table
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return gtilde_table(*args, **kwargs)
+
+    monkeypatch.setattr(twostate, "gtilde_table", counted)
+    assert run("two-state", "phase", "--order", "40") == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["recursion", "split", "assemble", "compare"])
+def test_n_state_commands_run_one_first_order_recursion(tmp_path, monkeypatch, command):
+    jet_orders, rs_recursion = [], nstate.rs_recursion
+
+    def counted(model, order, jet_order, *args, **kwargs):
+        jet_orders.append(jet_order)
+        return rs_recursion(model, order, jet_order, *args, **kwargs)
+
+    monkeypatch.setattr(nstate, "rs_recursion", counted)
+    assert run("n-state", command, "--model", str(write_model(tmp_path))) == 0
+    assert jet_orders == [1]
+
+
 # ---------------------------------------------------------------------------
 # determinism and serialization
 
@@ -297,14 +395,14 @@ _EVOLVE = {
     **_TOL,
     "--start-threshold": (float, 1e-8, None, False),
 }
-_ORDERS = {"--order": (int, 30, None, False), "--jet-order": (int, 2, None, False)}
+_ORDER = {"--order": (int, 30, None, False)}
 _T = {"--t": (float, 0.0, None, False)}
 _TERMS = {"--terms": (int, 60, None, False)}
 EXPECTED_FLAGS = {
     ("two-state", "exact"): {**_TWO_MODEL, **_OUTPUT},
     ("two-state", "evolve"): {**_TWO_MODEL, **_OUTPUT, **_EVOLVE},
     ("two-state", "series"): {**_TWO_MODEL, **_OUTPUT, **_T, **_TERMS},
-    ("two-state", "phase"): {**_TWO_MODEL, **_OUTPUT, **_ORDERS},
+    ("two-state", "phase"): {**_TWO_MODEL, **_OUTPUT, **_ORDER},
     ("two-state", "compare"): {
         **_TWO_MODEL, **_OUTPUT, **_T, **_TOL, "--order": (int, 30, None, False), **_TERMS,
     },
@@ -313,17 +411,14 @@ EXPECTED_FLAGS = {
         **_TOL, "--order": (int, 30, None, False), **_TERMS,
     },
     ("n-state", "dyson"): {**_N_MODEL, **_OUTPUT, **_T},
-    ("n-state", "recursion"): {
-        **_N_MODEL, **_OUTPUT, "--order": (int, 8, None, False),
-        "--jet-order": (int, 2, None, False),
-    },
-    ("n-state", "split"): {**_N_MODEL, **_OUTPUT, **_ORDERS},
-    ("n-state", "assemble"): {**_N_MODEL, **_OUTPUT, **_ORDERS},
+    ("n-state", "recursion"): {**_N_MODEL, **_OUTPUT, "--order": (int, 8, None, False)},
+    ("n-state", "split"): {**_N_MODEL, **_OUTPUT, **_ORDER},
+    ("n-state", "assemble"): {**_N_MODEL, **_OUTPUT, **_ORDER},
     ("n-state", "evolve"): {**_N_MODEL, **_OUTPUT, **_EVOLVE},
     ("n-state", "oracle"): {**_N_MODEL, **_OUTPUT},
     ("n-state", "compare"): {**_N_MODEL, **_OUTPUT, "--order": (int, 12, None, False), **_TOL},
     ("n-state", "gen"): {
-        **_OUTPUT,
+        "--out": (None, None, None, False),
         "--seed": (int, None, None, True),
         "--levels": (int, None, None, True),
         "--gap": (float, 1.0, None, False),

@@ -15,7 +15,6 @@ from adiabatic_lab.twostate import (
     delta_e_series,
     evolve_two_state,
     exact_eigensystem,
-    fb_identity_check,
     gtilde_table,
     gtilde_values,
     limit_state,
@@ -341,21 +340,21 @@ def test_phase_split_domain():
 
 def test_fb_identity_on_grid():
     for x in (0.1, 0.3, 0.5, 0.7):
-        res = fb_identity_check(1.0, x, 40)
-        assert res.residual <= 1e-8
+        res = phase_split(TwoStateModel(mu=0.0, delta=1.0, x=x, eps=0.25), 40)
+        assert res.normalization_residual <= 1e-8
         assert res.shift_quadratic_residual <= 1e-9
         assert res.rate_balance_residual <= 1e-6
 
 
 def test_fb_identity_weak_coupling():
-    res = fb_identity_check(1.0, 1e-6, 10)
-    assert res.lhs == pytest.approx(1.0, abs=1e-11)
-    assert res.rhs == pytest.approx(1.0, abs=1e-11)
+    res = phase_split(TwoStateModel(mu=0.0, delta=1.0, x=1e-6, eps=0.25), 10)
+    assert math.exp(res.f_b) == pytest.approx(1.0, abs=1e-11)
+    assert res.norm_n == pytest.approx(1.0, abs=1e-11)
 
 
 def test_fb_identity_rejects_outside_radius():
     with pytest.raises(DomainError):
-        fb_identity_check(3.0, 4.0, 10)
+        phase_split(TwoStateModel(mu=0.0, delta=3.0, x=4.0, eps=0.25), 10)
 
 
 def test_normalization_identity_across_grid():
