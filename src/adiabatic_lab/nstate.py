@@ -348,12 +348,13 @@ def evolve_nstate(
     the switch-on tail (ramped coupling at ``start_threshold`` of the
     smallest gap to the tracked level), starting in the tracked basis state."""
     t0 = switch_on_time(model.min_gap, model.x, model.eps, start_threshold, t_end)
-    e = model.energies
-    vm = model.v.entries
+    # multiplying by -1j is exact, so moving it inside the sum changes no bit
+    ie = -1j * model.energies
+    ivm = -1j * model.v.entries
     x, eps = model.x, model.eps
 
     def rhs(t, y):
-        return -1j * (e * y + (x * math.exp(eps * t)) * (vm @ y))
+        return ie * y + (x * math.exp(eps * t)) * ivm.dot(y)
 
     y0 = np.zeros(model.dim, dtype=complex)
     y0[model.ground_index] = 1.0

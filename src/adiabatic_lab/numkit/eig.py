@@ -28,6 +28,8 @@ class HermitianMatrix:
         m = np.asarray(self.entries, dtype=complex).copy()
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError(f"matrix must be square, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise DomainError("matrix entries must be finite numbers")
         drift = np.max(np.abs(m - m.conj().T), initial=0.0)
         limit = HERMITICITY_TOL * np.max(np.abs(m), initial=1.0)
         if drift > limit:

@@ -3,10 +3,22 @@
 Dormand-Prince pair with PI step-size control (safety 0.9, growth clamped
 to [0.2, 5.0]). Suited to the smooth, non-stiff switching problems in this
 package, where a long quiescent tail benefits from aggressive step growth.
+
+The states here are short vectors (2 to a few dozen entries), so a step
+costs numpy call overhead, not arithmetic. The tableau is therefore one
+array, ``_W``: row ``i`` (1 to 6) holds the weights of stage ``i``, row 7
+the 5th-order weights and row 8 the error weights. Scaled by ``h`` once
+per step, each stage is one ``dot`` of its row against the stages before
+it, and one ``dot`` of the last two rows gives the update and the error
+estimate together; the error norm is a ``dot`` too. A step of a 2-vector
+then costs about half what a matmul per stage and ``np.mean`` did: 35 to
+60 us on a shared 2-core Xeon, of which the six right-hand-side calls
+are about a fifth.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,21 +34,25 @@ GROWTH_MAX = 5.0
 PI_ALPHA = 0.7 / 5.0
 PI_BETA = 0.4 / 5.0
 MAX_STEPS = 5_000_000
+# smallest step, relative to the larger of |t| and the span
+_H_FLOOR = 8.0 * float(np.finfo(float).eps)
 
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-# difference between 5th- and embedded 4th-order weights
-_ERR = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
+_W = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+        # 5th-order weights (equal to stage 6's: the last stage is first-same-as-last)
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+        # difference between 5th- and embedded 4th-order weights
+        [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
+    ],
+    dtype=complex,
 )
 
 
@@ -73,21 +89,22 @@ class Trajectory:
         return np.linalg.norm(self.states, axis=1)
 
 
-def _error_norm(err, y_old, y_new, tol):
-    scale = tol + tol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+def _rms(v, scale) -> float:
+    """Root mean square of ``|v| / scale``."""
+    r = np.abs(v) / scale
+    return math.sqrt(r.dot(r) / r.size)
 
 
 def _initial_step(rhs, t0, t1, y0, f0, tol):
     """Hairer-style starting step estimate."""
     span = t1 - t0
     scale = tol + tol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean(np.abs(y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean(np.abs(f0 / scale) ** 2)))
+    d0 = _rms(y0, scale)
+    d1 = _rms(f0, scale)
     h0 = 1e-6 if d1 < 1e-5 or d0 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
     f1 = np.asarray(rhs(t0 + h0, y0 + h0 * f0), dtype=complex)
-    d2 = float(np.sqrt(np.mean(np.abs((f1 - f0) / scale) ** 2))) / h0
+    d2 = _rms(f1 - f0, scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -103,9 +120,10 @@ def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
     to ``tol``; for anti-Hermitian generators the state norm drifts by at
     most a small multiple of ``tol`` over moderate spans.
 
-    Raises IntegrationError (naming the time of failure) if the step size
-    underflows, which indicates stiffness or a singularity beyond the
-    tolerance budget.
+    Raises IntegrationError (naming the time of failure) if ``rhs`` is not
+    finite at the start, if the step size underflows, which indicates
+    stiffness or a singularity beyond the tolerance budget, or if more than
+    ``MAX_STEPS`` steps are taken.
     """
     if not t0 < t1:
         raise DomainError(f"need t0 < t1, got [{t0}, {t1}]")
@@ -115,20 +133,25 @@ def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
     y = np.atleast_1d(np.asarray(y0, dtype=complex)).copy()
     t = float(t0)
     f0 = np.asarray(rhs(t, y), dtype=complex)
-    h = _initial_step(rhs, t0, t1, y, f0, tol)
+    h = _initial_step(rhs, t0, t1, y, f0, tol) if np.all(np.isfinite(f0)) else math.nan
+    if not math.isfinite(h):
+        raise IntegrationError(
+            f"right-hand side or starting step is not finite at t = {t:.12g}", time=t
+        )
 
     times = [t]
-    states = [y.copy()]
+    states = [y]
     accepted = 0
     rejected = 0
     err_prev = 1e-4
+    span = abs(t1 - t0)
+    ay = np.abs(y)
     k = np.empty((7, y.size), dtype=complex)
     k[0] = f0
 
     while t < t1:
         h = min(h, t1 - t)
-        h_floor = 8.0 * np.finfo(float).eps * max(abs(t), abs(t1 - t0))
-        if h <= h_floor:
+        if not h > _H_FLOOR * max(abs(t), span):
             raise IntegrationError(
                 f"step size underflow ({h:.3e}) at t = {t:.12g}", time=t
             )
@@ -137,25 +160,26 @@ def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
                 f"step budget exhausted at t = {t:.12g}", time=t
             )
 
+        hw = h * _W
         for i in range(1, 7):
-            yi = y + h * (k[:i].T @ np.asarray(_A[i]))
-            k[i] = rhs(t + _C[i] * h, yi)
-        y_new = y + h * (k.T @ _B5)
-        err_vec = h * (k.T @ _ERR)
-
-        if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(err_vec))):
-            err_norm = np.inf
-        else:
-            err_norm = _error_norm(err_vec, y, y_new, tol)
+            k[i] = rhs(t + _C[i] * h, y + hw[i, :i].dot(k[:i]))
+        update, err_vec = hw[7:].dot(k)
+        y_new = y + update
+        ay_new = np.abs(y_new)
+        err_norm = math.inf  # a non-finite state or error estimate is rejected
+        if math.isfinite(ay_new.max()):
+            norm = _rms(err_vec, tol + tol * np.maximum(ay, ay_new))
+            if math.isfinite(norm):
+                err_norm = norm
 
         if err_norm <= 1.0:
-            t_new = t + h
-            # k7 was evaluated at (t_new, y_new): reuse as next first stage
+            # k7 was evaluated at (t + h, y_new): reuse as next first stage
             k[0] = k[6]
+            t += h
             y = y_new
-            t = t_new
+            ay = ay_new
             times.append(t)
-            states.append(y.copy())
+            states.append(y)
             accepted += 1
             if err_norm == 0.0:
                 factor = GROWTH_MAX
@@ -165,7 +189,7 @@ def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
             err_prev = max(err_norm, 1e-10)
         else:
             rejected += 1
-            if np.isfinite(err_norm):
+            if math.isfinite(err_norm):
                 factor = SAFETY * err_norm ** (-0.2)
             else:
                 factor = GROWTH_MIN

@@ -13,6 +13,7 @@ every series route is tested against.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -414,7 +415,8 @@ def switch_on_time(
     gap: float, x: float, eps: float, threshold: float, t_end: float
 ) -> float:
     """Start time at which the ramped coupling is ``threshold`` of the gap;
-    the threshold must lie in (0, 1e-4] and the start must precede ``t_end``."""
+    the threshold must lie in (0, 1e-4], the start must precede ``t_end``,
+    and the coupling ``x * exp(eps * t_end)`` at the end must be a finite float."""
     if not 0 < threshold <= 1e-4:
         raise DomainError(f"start_threshold must be in (0, 1e-4], got {threshold}")
     t0 = math.log(gap * threshold / x) / eps
@@ -422,6 +424,15 @@ def switch_on_time(
         raise DomainError(
             f"switch-on start t0 = {t0:.6g} is not before t_end = {t_end:.6g}; "
             "lower start_threshold or move t_end"
+        )
+    try:
+        peak = x * math.exp(eps * t_end)
+    except OverflowError:
+        peak = math.inf
+    if not math.isfinite(peak):
+        raise DomainError(
+            f"ramped coupling x * exp(eps * t_end) overflows at t_end = {t_end:.6g}; "
+            "move t_end earlier"
         )
     return t0
 
@@ -441,8 +452,9 @@ def evolve_two_state(
 
     def rhs(t, y):
         w = -1j * x * math.exp(eps * t)
-        phase = np.exp(-2j * delta * t)
-        return np.array([w * phase * y[1], w * np.conj(phase) * y[0]])
+        phase = cmath.exp(-2j * delta * t)
+        a, c = y.tolist()
+        return np.array([w * phase * c, w * phase.conjugate() * a])
 
     y0 = np.array([1.0, 0.0], dtype=complex)
     return ode_evolve(rhs, y0, t0, t_end, tol)

@@ -164,6 +164,22 @@ def test_exit_code_model_numbers_not_finite(tmp_path, capsys, base, fields):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["two-state", "evolve", "--delta", "1", "--x", "0.5", "--eps", "0.25",
+         "--t-end", "3000"],
+        ["n-state", "evolve", "--t-end", "5000"],
+    ],
+    ids=["two-state", "n-state"],
+)
+def test_exit_code_ramp_overflow(tmp_path, capsys, argv):
+    if argv[0] == "n-state":
+        argv = [*argv, "--model", str(write_model(tmp_path))]
+    assert run(*argv) == 2
+    assert "overflows" in capsys.readouterr().err
+
+
 def test_exit_code_non_finite_mu(capsys):
     assert run("two-state", "exact", "--mu", "nan") == 2
     assert "mu must be finite" in capsys.readouterr().err

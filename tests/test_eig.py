@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,16 @@ def test_rejects_non_hermitian():
 def test_rejects_non_square():
     with pytest.raises(DomainError, match="square"):
         HermitianMatrix(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_rejects_non_finite_entries(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite"):
+            hermitian_eig(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(DomainError, match="finite"):
+            HermitianMatrix(np.array([[0.0, bad], [bad, 1.0]]))
 
 
 def test_hermiticity_tolerance_boundary():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adiabatic_lab.errors import DomainError, IntegrationError
-from adiabatic_lab.numkit import Trajectory, ode_evolve
+from adiabatic_lab.numkit import Trajectory, ode, ode_evolve
 
 
 def test_exact_oscillator():
@@ -60,6 +60,50 @@ def test_step_underflow_reports_failure_time():
     assert excinfo.value.time is not None
     assert 0.9 < excinfo.value.time <= 1.05
     assert "t =" in str(excinfo.value)
+
+
+def test_non_finite_start_raises_at_once(monkeypatch):
+    # a NaN step passes any `h <= floor` test, so without the start check
+    # the loop would run out the whole step budget
+    monkeypatch.setattr(ode, "MAX_STEPS", 1000)
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return np.full_like(y, np.nan)
+
+    with pytest.raises(IntegrationError, match="not finite") as excinfo:
+        ode_evolve(rhs, np.array([1.0 + 0j, 0j]), -3.0, 0.0, 1e-10)
+    assert excinfo.value.time == -3.0
+    assert len(calls) == 1
+
+
+def test_non_finite_start_state_raises_at_once(monkeypatch):
+    monkeypatch.setattr(ode, "MAX_STEPS", 1000)
+    rhs = lambda t, y: np.zeros_like(y)
+    with pytest.raises(IntegrationError, match="not finite"):
+        ode_evolve(rhs, np.array([np.nan + 0j]), 0.0, 1.0, 1e-10)
+
+
+def test_nan_after_start_underflows_within_a_few_dozen_steps(monkeypatch):
+    monkeypatch.setattr(ode, "MAX_STEPS", 1000)
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return -y if t == 0.0 else np.full_like(y, np.nan)
+
+    with pytest.raises(IntegrationError, match="underflow"):
+        ode_evolve(rhs, np.array([1.0 + 0j]), 0.0, 1.0, 1e-10)
+    assert len(calls) < 7 * 40
+
+
+def test_step_budget_exhausted(monkeypatch):
+    monkeypatch.setattr(ode, "MAX_STEPS", 10)
+    rhs = lambda t, y: 1j * y
+    with pytest.raises(IntegrationError, match="step budget exhausted") as excinfo:
+        ode_evolve(rhs, np.array([1.0 + 0j]), 0.0, 100.0, 1e-10)
+    assert 0.0 < excinfo.value.time < 100.0
 
 
 def test_rejects_bad_window_and_tolerance():

@@ -398,6 +398,27 @@ def test_evolve_start_threshold_validation():
         evolve_two_state(STD, -1e9, 1e-10)  # start not before t_end
 
 
+def test_evolve_rejects_ramp_overflow():
+    # x * exp(eps * t_end) is not a float: math.exp overflows at 3000 * 0.25
+    with pytest.raises(DomainError, match="overflows"):
+        evolve_two_state(STD, 3000.0, 1e-10)
+
+
+@pytest.mark.parametrize("eps, accepted", [(0.2, 518), (0.05, 2070)])
+def test_evolve_step_counts_pinned(eps, accepted):
+    # the step-size controller's decisions, fixed on this grid
+    m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=eps)
+    traj = evolve_two_state(m, 0.0, 1e-10)
+    assert (traj.accepted_steps, traj.rejected_steps) == (accepted, 0)
+
+
+def test_evolve_final_amplitude_pinned():
+    m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=0.05)
+    a0 = complex(evolve_two_state(m, 0.0, 1e-10).final_state[0])
+    ref = 0.34048331859947556 + 0.9117481728993555j
+    assert abs(a0 - ref) <= 1e-12 * abs(ref)
+
+
 def test_evolve_amplitude_converges_to_normalization():
     errors = []
     for eps in (0.2, 0.1, 0.05):
