@@ -36,6 +36,15 @@ _RECURSION_SIGN_NOTE = (
     "exact diagonalization"
 )
 
+# failure -> (exit code, message prefix); the first class that matches wins
+_EXITS = (
+    (DegeneracyError, 4, "degeneracy: "),
+    (ContinuationError, 5, "continuation: "),
+    (IntegrationError, 3, "integration: "),
+    (LabError, 2, ""),
+    (OSError, 10, "i/o: "),
+)
+
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -43,6 +52,11 @@ _RECURSION_SIGN_NOTE = (
 
 def _split_complex(z):
     return float(z.real), float(z.imag)
+
+
+def _complex_rows(labels, values) -> list:
+    """One ``[label, re, im, abs]`` row per complex value."""
+    return [[label, *_split_complex(z), abs(z)] for label, z in zip(labels, values)]
 
 
 def _two_state_model(args) -> twostate.TwoStateModel:
@@ -53,6 +67,7 @@ def _two_state_model(args) -> twostate.TwoStateModel:
         return model
     return twostate.TwoStateModel(mu=args.mu, delta=args.delta, x=args.x, eps=args.eps)
 
+
 def _n_state_model(args) -> nstate.NStateModel:
     if not args.model:
         raise DomainError("n-state commands need --model FILE")
@@ -60,6 +75,28 @@ def _n_state_model(args) -> nstate.NStateModel:
     if not isinstance(model, nstate.NStateModel):
         raise DomainError(f"{args.model} is not an n-state model file")
     return model
+
+
+def _generated_model(args) -> nstate.NStateModel:
+    if not args.out:
+        raise DomainError("n-state gen needs --out FILE for the model")
+    return generate_nstate_model(
+        seed=args.seed,
+        levels=args.levels,
+        gap=args.gap,
+        vscale=args.vscale,
+        x=args.x,
+        eps=args.eps,
+    )
+
+
+def _parameters(args, model) -> dict:
+    """The command's own flags that are set (but not --out and --format),
+    then the model's float fields: mu, delta, x, eps for two-state, x, eps
+    for n-state."""
+    params = {dest: getattr(args, dest) for dest in args.echo}
+    params.update((k, v) for k, v in vars(model).items() if isinstance(v, float))
+    return {k: v for k, v in params.items() if v is not None}
 
 
 def _parse_eps_grid(text: str):
@@ -119,118 +156,96 @@ def _print_report(report: RunReport) -> None:
 
 # ---------------------------------------------------------------------------
 # two-state subcommands
+#
+# A handler takes the loaded model and the parsed flags and returns the
+# report's values, residuals, flags and tables; ``main`` adds the command
+# name and the parameter echo.
 
 
-def _cmd_two_exact(args) -> RunReport:
-    model = _two_state_model(args)
+def _cmd_two_exact(model, args) -> dict:
     es = twostate.exact_eigensystem(model)
-    report = RunReport(
-        command="two-state exact",
-        parameters={"mu": model.mu, "delta": model.delta, "x": model.x, "eps": model.eps},
+    return dict(
+        values={
+            "delta_e[exact]": es.delta_e,
+            "norm_n[exact]": es.norm_n,
+            "e0[exact]": es.e0,
+            "e1[exact]": es.e1,
+        },
+        tables=[
+            Table(
+                "eigensystem",
+                ["level", "energy[exact]", "re_component_0", "re_component_1"],
+                [
+                    [0, es.e0, float(es.psi0[0].real), float(es.psi0[1].real)],
+                    [1, es.e1, float(es.psi1[0].real), float(es.psi1[1].real)],
+                ],
+            )
+        ],
     )
-    report.values = {
-        "delta_e[exact]": es.delta_e,
-        "norm_n[exact]": es.norm_n,
-        "e0[exact]": es.e0,
-        "e1[exact]": es.e1,
-    }
-    report.tables = [
-        Table(
-            "eigensystem",
-            ["level", "energy[exact]", "re_component_0", "re_component_1"],
-            [
-                [0, es.e0, float(es.psi0[0].real), float(es.psi0[1].real)],
-                [1, es.e1, float(es.psi1[0].real), float(es.psi1[1].real)],
-            ],
-        )
-    ]
-    return report
 
 
-def _cmd_two_evolve(args) -> RunReport:
-    model = _two_state_model(args)
+def _cmd_two_evolve(model, args) -> dict:
     traj = twostate.evolve_two_state(
         model, args.t_end, args.tol, start_threshold=args.start_threshold
     )
     a_re, a_im = _split_complex(traj.final_state[0])
-    report = RunReport(
-        command="two-state evolve",
-        parameters={
-            "mu": model.mu, "delta": model.delta, "x": model.x, "eps": model.eps,
-            "t_end": args.t_end, "tol": args.tol,
-            "start_threshold": args.start_threshold,
+    return dict(
+        values={
+            "a_re[ode]": a_re,
+            "a_im[ode]": a_im,
+            "accepted_steps[ode]": traj.accepted_steps,
+            "rejected_steps[ode]": traj.rejected_steps,
         },
+        tables=[_trajectory_table(traj, ["a", "c"])],
     )
-    report.values = {
-        "a_re[ode]": a_re,
-        "a_im[ode]": a_im,
-        "accepted_steps[ode]": traj.accepted_steps,
-        "rejected_steps[ode]": traj.rejected_steps,
-    }
-    report.tables = [_trajectory_table(traj, ["a", "c"])]
-    return report
 
 
-def _cmd_two_series(args) -> RunReport:
-    model = _two_state_model(args)
+def _cmd_two_series(model, args) -> dict:
     result = twostate.bessel_series_a(model, args.t, args.terms)
     re, im = _split_complex(result.value)
-    report = RunReport(
-        command="two-state series",
-        parameters={
-            "mu": model.mu, "delta": model.delta, "x": model.x, "eps": model.eps,
-            "t": args.t, "terms": args.terms,
+    return dict(
+        values={
+            "a_re[bessel-series]": re,
+            "a_im[bessel-series]": im,
+            "max_term_magnitude[bessel-series]": result.max_term,
         },
+        flags={"converged[bessel-series]": bool(result.converged)},
+        tables=[
+            Table(
+                "series-terms",
+                ["k", "term_magnitude[bessel-series]"],
+                [[k + 1, float(m)] for k, m in enumerate(result.term_magnitudes)],
+            )
+        ],
     )
-    report.values = {
-        "a_re[bessel-series]": re,
-        "a_im[bessel-series]": im,
-        "max_term_magnitude[bessel-series]": result.max_term,
-    }
-    report.flags = {"converged[bessel-series]": bool(result.converged)}
-    report.tables = [
-        Table(
-            "series-terms",
-            ["k", "term_magnitude[bessel-series]"],
-            [[k + 1, float(m)] for k, m in enumerate(result.term_magnitudes)],
-        )
-    ]
-    return report
 
 
-def _cmd_two_phase(args) -> RunReport:
-    model = _two_state_model(args)
+def _cmd_two_phase(model, args) -> dict:
     split = twostate.phase_split(model, args.order)
-    report = RunReport(
-        command="two-state phase",
-        parameters={
-            "mu": model.mu, "delta": model.delta, "x": model.x, "eps": model.eps,
-            "order": args.order,
+    return dict(
+        values={
+            "f_a[phase-recursion]": split.f_a,
+            "delta_e_a[phase-recursion]": split.delta_e_a,
+            "f_b[phase-recursion]": split.f_b,
+            "f_c[phase-recursion]": split.f_c,
+            "exp_f_b[phase-recursion]": math.exp(split.f_b),
+            "norm_n[exact]": split.norm_n,
+            "max_imag_residue[phase-recursion]": split.max_imag_residue,
         },
+        residuals={
+            "normalization-identity": split.normalization_residual,
+            "shift-quadratic": split.shift_quadratic_residual,
+            "rate-balance": split.rate_balance_residual,
+        },
+        tables=[
+            Table(
+                "phase-split",
+                ["f_a", "delta_e_a", "f_b", "f_c", "order", "eps_used"],
+                [[split.f_a, split.delta_e_a, split.f_b, split.f_c,
+                  split.truncation_order, split.eps_used]],
+            )
+        ],
     )
-    report.values = {
-        "f_a[phase-recursion]": split.f_a,
-        "delta_e_a[phase-recursion]": split.delta_e_a,
-        "f_b[phase-recursion]": split.f_b,
-        "f_c[phase-recursion]": split.f_c,
-        "exp_f_b[phase-recursion]": math.exp(split.f_b),
-        "norm_n[exact]": split.norm_n,
-        "max_imag_residue[phase-recursion]": split.max_imag_residue,
-    }
-    report.residuals = {
-        "normalization-identity": split.normalization_residual,
-        "shift-quadratic": split.shift_quadratic_residual,
-        "rate-balance": split.rate_balance_residual,
-    }
-    report.tables = [
-        Table(
-            "phase-split",
-            ["f_a", "delta_e_a", "f_b", "f_c", "order", "eps_used"],
-            [[split.f_a, split.delta_e_a, split.f_b, split.f_c,
-              split.truncation_order, split.eps_used]],
-        )
-    ]
-    return report
 
 
 def _three_way(model, t, tol, order, terms):
@@ -242,38 +257,27 @@ def _three_way(model, t, tol, order, terms):
     return a_ode, a_series, a_rec, series
 
 
-def _cmd_two_compare(args) -> RunReport:
-    model = _two_state_model(args)
+def _cmd_two_compare(model, args) -> dict:
     a_ode, a_series, a_rec, series = _three_way(
         model, args.t, args.tol, args.order, args.terms
     )
-    rows = []
-    for method, val in (
-        ("ode", a_ode), ("bessel-series", a_series), ("phase-recursion", a_rec),
-    ):
-        re, im = _split_complex(val)
-        rows.append([method, re, im, abs(val)])
     residuals = {
         "ode-vs-bessel-series": abs(a_ode - a_series),
         "ode-vs-phase-recursion": abs(a_ode - a_rec),
         "bessel-series-vs-phase-recursion": abs(a_series - a_rec),
     }
-    report = RunReport(
-        command="two-state compare",
-        parameters={
-            "mu": model.mu, "delta": model.delta, "x": model.x, "eps": model.eps,
-            "t": args.t, "tol": args.tol, "order": args.order, "terms": args.terms,
-        },
+    rows = _complex_rows(
+        ("ode", "bessel-series", "phase-recursion"), (a_ode, a_series, a_rec)
     )
-    report.tables = [Table("methods", ["method", "re", "im", "abs"], rows)]
-    report.residuals = residuals
-    report.values = {"max_cross_residual": max(residuals.values())}
-    report.flags = {"converged[bessel-series]": bool(series.converged)}
-    return report
+    return dict(
+        tables=[Table("methods", ["method", "re", "im", "abs"], rows)],
+        residuals=residuals,
+        values={"max_cross_residual": max(residuals.values())},
+        flags={"converged[bessel-series]": bool(series.converged)},
+    )
 
 
-def _cmd_two_sweep(args) -> RunReport:
-    base = _two_state_model(args)
+def _cmd_two_sweep(base, args) -> dict:
     grid = _parse_eps_grid(args.eps_grid)
     limit = twostate.exact_eigensystem(base).norm_n
     rows = []
@@ -292,182 +296,130 @@ def _cmd_two_sweep(args) -> RunReport:
         )
     max_terms = [r[1] for r in rows]
     errors = [r[3] for r in rows]
-    report = RunReport(
-        command="two-state sweep-eps",
-        parameters={
-            "mu": base.mu, "delta": base.delta, "x": base.x,
-            "eps_grid": args.eps_grid, "t": 0.0, "tol": args.tol,
-            "order": args.order, "terms": args.terms,
+    return dict(
+        tables=[
+            Table(
+                "sweep",
+                [
+                    "eps",
+                    "max_term_magnitude[bessel-series]",
+                    "abs_a0[ode]",
+                    "abs_a0_error_vs_limit[ode]",
+                    "max_cross_residual",
+                ],
+                rows,
+            )
+        ],
+        values={"norm_n[exact]": limit},
+        flags={
+            "max_term_monotone_increasing": all(
+                b > a for a, b in zip(max_terms, max_terms[1:])
+            ),
+            "ode_error_monotone_decreasing": all(
+                b < a for a, b in zip(errors, errors[1:])
+            ),
         },
     )
-    report.tables = [
-        Table(
-            "sweep",
-            [
-                "eps",
-                "max_term_magnitude[bessel-series]",
-                "abs_a0[ode]",
-                "abs_a0_error_vs_limit[ode]",
-                "max_cross_residual",
-            ],
-            rows,
-        )
-    ]
-    report.values = {"norm_n[exact]": limit}
-    report.flags = {
-        "max_term_monotone_increasing": all(
-            b > a for a, b in zip(max_terms, max_terms[1:])
-        ),
-        "ode_error_monotone_decreasing": all(
-            b < a for a, b in zip(errors, errors[1:])
-        ),
-    }
-    return report
 
 
 # ---------------------------------------------------------------------------
 # n-state subcommands
 
 
-def _cmd_n_dyson(args) -> RunReport:
-    model = _n_state_model(args)
+def _cmd_n_dyson(model, args) -> dict:
     vec = nstate.dyson2(model, args.t)
-    rows = []
-    for comp, val in enumerate(vec):
-        re, im = _split_complex(val)
-        rows.append([comp, re, im, abs(val)])
-    report = RunReport(
-        command="n-state dyson",
-        parameters={"model": args.model, "t": args.t, "x": model.x, "eps": model.eps},
+    return dict(
+        tables=[
+            Table(
+                "state",
+                ["component", "re[dyson2]", "im[dyson2]", "abs[dyson2]"],
+                _complex_rows(range(vec.size), vec),
+            )
+        ],
+        values={"free_phase_energy": model.ground_energy},
     )
-    report.tables = [
-        Table("state", ["component", "re[dyson2]", "im[dyson2]", "abs[dyson2]"], rows)
-    ]
-    report.values = {"free_phase_energy": model.ground_energy}
-    return report
 
 
-def _cmd_n_recursion(args) -> RunReport:
-    model = _n_state_model(args)
+def _cmd_n_recursion(model, args) -> dict:
     rs = nstate.rs_recursion(model, args.order, 1)
-    rows = []
-    for n in range(1, args.order + 1):
-        value, slope = rs.xi[n - 1]
-        rows.append(
-            [
-                n,
-                float(value.real),
-                float(value.imag),
-                float(slope.real),
-                float(slope.imag),
-                float(np.linalg.norm(rs.phi_n(n))),
-            ]
-        )
-    report = RunReport(
-        command="n-state recursion",
-        parameters={"model": args.model, "order": args.order},
-    )
-    report.tables = [
-        Table(
-            "coefficients",
-            ["n", "xi_re", "xi_im", "dxi_deps_re", "dxi_deps_im", "phi_norm"],
-            rows,
-        )
+    rows = [
+        [n, *_split_complex(value), *_split_complex(slope),
+         float(np.linalg.norm(rs.phi_n(n)))]
+        for n, (value, slope) in enumerate(rs.xi, 1)
     ]
-    report.flags = {"sign_note": _RECURSION_SIGN_NOTE}
-    return report
+    return dict(
+        tables=[
+            Table(
+                "coefficients",
+                ["n", "xi_re", "xi_im", "dxi_deps_re", "dxi_deps_im", "phi_norm"],
+                rows,
+            )
+        ],
+        flags={"sign_note": _RECURSION_SIGN_NOTE},
+    )
 
 
-def _cmd_n_split(args) -> RunReport:
-    model = _n_state_model(args)
+def _cmd_n_split(model, args) -> dict:
     split = nstate.g_split(model, args.order)
-    report = RunReport(
-        command="n-state split",
-        parameters={"model": args.model, "order": args.order, "x": model.x},
+    return dict(
+        values={
+            "g_a[phase-recursion]": split.g_a,
+            "delta_e[phase-recursion]": split.delta_e,
+            "g_b[phase-recursion]": split.g_b,
+            "last_term_magnitude[phase-recursion]": split.last_term_magnitude,
+            "max_imag_residue[phase-recursion]": split.max_imag_residue,
+        },
+        tables=[
+            Table(
+                "split",
+                ["g_a", "delta_e", "g_b", "order", "last_term_magnitude"],
+                [[split.g_a, split.delta_e, split.g_b, split.order,
+                  split.last_term_magnitude]],
+            )
+        ],
     )
-    report.values = {
-        "g_a[phase-recursion]": split.g_a,
-        "delta_e[phase-recursion]": split.delta_e,
-        "g_b[phase-recursion]": split.g_b,
-        "last_term_magnitude[phase-recursion]": split.last_term_magnitude,
-        "max_imag_residue[phase-recursion]": split.max_imag_residue,
-    }
-    report.tables = [
-        Table(
-            "split",
-            ["g_a", "delta_e", "g_b", "order", "last_term_magnitude"],
-            [[split.g_a, split.delta_e, split.g_b, split.order,
-              split.last_term_magnitude]],
-        )
-    ]
-    return report
 
 
-def _cmd_n_assemble(args) -> RunReport:
-    model = _n_state_model(args)
+def _cmd_n_assemble(model, args) -> dict:
     assembled = nstate.assemble_state(model, args.order)
-    rows = []
-    for comp, val in enumerate(assembled.state):
-        re, im = _split_complex(val)
-        rows.append([comp, re, im, abs(val)])
-    report = RunReport(
-        command="n-state assemble",
-        parameters={"model": args.model, "order": args.order},
+    return dict(
+        tables=[
+            Table(
+                "state",
+                ["component", "re[phase-recursion]", "im[phase-recursion]",
+                 "abs[phase-recursion]"],
+                _complex_rows(range(assembled.state.size), assembled.state),
+            )
+        ],
+        values={
+            "energy[phase-recursion]": assembled.energy,
+            "norm[phase-recursion]": float(np.linalg.norm(assembled.state)),
+            "g_a[phase-recursion]": assembled.split.g_a,
+            "delta_e[phase-recursion]": assembled.split.delta_e,
+            "g_b[phase-recursion]": assembled.split.g_b,
+        },
     )
-    report.tables = [
-        Table(
-            "state",
-            ["component", "re[phase-recursion]", "im[phase-recursion]",
-             "abs[phase-recursion]"],
-            rows,
-        )
-    ]
-    report.values = {
-        "energy[phase-recursion]": assembled.energy,
-        "norm[phase-recursion]": float(np.linalg.norm(assembled.state)),
-        "g_a[phase-recursion]": assembled.split.g_a,
-        "delta_e[phase-recursion]": assembled.split.delta_e,
-        "g_b[phase-recursion]": assembled.split.g_b,
-    }
-    return report
 
 
-def _cmd_n_evolve(args) -> RunReport:
-    model = _n_state_model(args)
+def _cmd_n_evolve(model, args) -> dict:
     traj = nstate.evolve_nstate(
         model, args.t_end, args.tol, start_threshold=args.start_threshold
     )
-    report = RunReport(
-        command="n-state evolve",
-        parameters={
-            "model": args.model, "t_end": args.t_end, "tol": args.tol,
-            "start_threshold": args.start_threshold,
+    return dict(
+        values={
+            "accepted_steps[ode]": traj.accepted_steps,
+            "rejected_steps[ode]": traj.rejected_steps,
+            "final_norm[ode]": float(np.linalg.norm(traj.final_state)),
         },
+        tables=[_trajectory_table(traj, [f"c{k}" for k in range(model.dim)])],
     )
-    report.values = {
-        "accepted_steps[ode]": traj.accepted_steps,
-        "rejected_steps[ode]": traj.rejected_steps,
-        "final_norm[ode]": float(np.linalg.norm(traj.final_state)),
-    }
-    report.tables = [
-        _trajectory_table(traj, [f"c{k}" for k in range(model.dim)])
-    ]
-    return report
 
 
-def _cmd_n_oracle(args) -> RunReport:
-    model = _n_state_model(args)
-    shift = nstate.oracle_shift(model)
-    report = RunReport(
-        command="n-state oracle",
-        parameters={"model": args.model, "x": model.x},
-    )
-    report.values = {"shift[oracle]": shift}
-    return report
+def _cmd_n_oracle(model, args) -> dict:
+    return dict(values={"shift[oracle]": nstate.oracle_shift(model)})
 
 
-def _cmd_n_compare(args) -> RunReport:
-    model = _n_state_model(args)
+def _cmd_n_compare(model, args) -> dict:
     assembled = nstate.assemble_state(model, args.order)
     split = assembled.split
     shift_oracle = nstate.oracle_shift(model)
@@ -483,56 +435,31 @@ def _cmd_n_compare(args) -> RunReport:
         r_rec = abs(assembled.state[comp] / assembled.state[g])
         ratio_resid = max(ratio_resid, abs(r_ode - r_rec))
         rows.append([comp, r_ode, r_rec, abs(r_ode - r_rec)])
-    report = RunReport(
-        command="n-state compare",
-        parameters={
-            "model": args.model, "order": args.order, "tol": args.tol,
-            "x": model.x, "eps": model.eps,
+    return dict(
+        values={
+            "delta_e[phase-recursion]": split.delta_e,
+            "shift[oracle]": shift_oracle,
+            "last_term_magnitude[phase-recursion]": split.last_term_magnitude,
         },
+        residuals={
+            "delta_e[phase-recursion]-vs-shift[oracle]": abs(
+                split.delta_e - shift_oracle
+            ),
+            "max_component_ratio[ode]-vs-[phase-recursion]": ratio_resid,
+        },
+        tables=[
+            Table(
+                "component-ratios",
+                ["component", "ratio[ode]", "ratio[phase-recursion]", "residual"],
+                rows,
+            )
+        ],
     )
-    report.values = {
-        "delta_e[phase-recursion]": split.delta_e,
-        "shift[oracle]": shift_oracle,
-        "last_term_magnitude[phase-recursion]": split.last_term_magnitude,
-    }
-    report.residuals = {
-        "delta_e[phase-recursion]-vs-shift[oracle]": abs(
-            split.delta_e - shift_oracle
-        ),
-        "max_component_ratio[ode]-vs-[phase-recursion]": ratio_resid,
-    }
-    report.tables = [
-        Table(
-            "component-ratios",
-            ["component", "ratio[ode]", "ratio[phase-recursion]", "residual"],
-            rows,
-        )
-    ]
-    return report
 
 
-def _cmd_n_gen(args) -> RunReport:
-    if not args.out:
-        raise DomainError("n-state gen needs --out FILE for the model")
-    model = generate_nstate_model(
-        seed=args.seed,
-        levels=args.levels,
-        gap=args.gap,
-        vscale=args.vscale,
-        x=args.x,
-        eps=args.eps,
-    )
+def _cmd_n_gen(model, args) -> dict:
     save_model(model, args.out)
-    report = RunReport(
-        command="n-state gen",
-        parameters={
-            "seed": args.seed, "levels": args.levels, "gap": args.gap,
-            "vscale": args.vscale, "x": model.x, "eps": model.eps,
-            "out": str(args.out),
-        },
-    )
-    report.values = {"min_gap": model.min_gap}
-    return report
+    return dict(values={"min_gap": model.min_gap})
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +478,9 @@ _FLAGS = {
     "--t": {"type": float, "default": 0.0},
     "--t-end": {"type": float, "default": 0.0},
     "--tol": {"type": float, "default": 1e-10},
-    "--start-threshold": {"type": float, "default": 1e-8},
+    "--start-threshold": {"type": float, "default": twostate.DEFAULT_START_THRESHOLD},
     "--terms": {"type": int, "default": 60},
-    "--order": {"type": int, "default": 30},
+    "--order": {"type": int, "default": twostate.DEFAULT_ORDER},
     "--eps-grid": {"default": "0.5:0.5:4", "help": "start:factor:count"},
     "--seed": {"type": int, "required": True},
     "--levels": {"type": int, "required": True},
@@ -566,9 +493,10 @@ _TWO = (("--model", {"help": "two-state model JSON file"}), "--mu", "--delta", "
 _N = ("--model", *_OUTPUT)
 _EVOLVE = ("--t-end", "--tol", "--start-threshold")
 
-# group -> (help, [(subcommand, help, handler, flags)])
+# group -> (help, model loader, [(subcommand, help, handler, flags)]); a fifth
+# item in a subcommand's entry replaces the group's model loader
 _COMMANDS = {
-    "two-state": ("exactly solvable two-level model", [
+    "two-state": ("exactly solvable two-level model", _two_state_model, [
         ("exact", "closed-form eigensystem", _cmd_two_exact, _TWO),
         ("evolve", "integrate the amplitude pair", _cmd_two_evolve, _TWO + _EVOLVE),
         ("series", "divergent amplitude series", _cmd_two_series,
@@ -580,7 +508,7 @@ _COMMANDS = {
         ("sweep-eps", "compare over a geometric switching-rate grid", _cmd_two_sweep,
          _TWO + ("--eps-grid", "--tol", "--order", "--terms")),
     ]),
-    "n-state": ("general finite level count", [
+    "n-state": ("general finite level count", _n_state_model, [
         ("dyson", "second-order Dyson state", _cmd_n_dyson, _N + ("--t",)),
         ("recursion", "projector-recursion coefficients", _cmd_n_recursion,
          _N + (("--order", {"default": 8}),)),
@@ -594,7 +522,7 @@ _COMMANDS = {
          _N + (("--order", {"default": 12}), "--tol")),
         ("gen", "seeded random model to file", _cmd_n_gen,
          (("--out", {"help": "write the model to this file"}), "--seed", "--levels",
-          "--gap", "--vscale", ("--x", {"default": None}), "--eps")),
+          "--gap", "--vscale", ("--x", {"default": None}), "--eps"), _generated_model),
     ]),
 }
 
@@ -606,46 +534,39 @@ def build_parser() -> argparse.ArgumentParser:
         "phase-recursion and ODE routes with cross-validation.",
     )
     groups = parser.add_subparsers(dest="group", required=True)
-    for group, (group_help, commands) in _COMMANDS.items():
+    for group, (group_help, load, commands) in _COMMANDS.items():
         sub = groups.add_parser(group, help=group_help)
         sub = sub.add_subparsers(dest="command", required=True)
-        for name, help_text, func, flags in commands:
+        for name, help_text, func, flags, *own_load in commands:
             p = sub.add_parser(name, help=help_text)
+            echo = []
             for flag in flags:
                 flag, overrides = (flag, {}) if isinstance(flag, str) else flag
-                p.add_argument(flag, **{**_FLAGS[flag], **overrides})
-            p.set_defaults(func=func)
+                action = p.add_argument(flag, **{**_FLAGS[flag], **overrides})
+                if flag not in _OUTPUT:
+                    echo.append(action.dest)
+            p.set_defaults(func=func, load=own_load[0] if own_load else load, echo=echo)
     return parser
 
 
 def main(argv=None) -> int:
     level = os.environ.get("ADIABATIC_LAB_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = f"{args.group} {args.command}"
     started = time.perf_counter()
     try:
-        report = args.func(args)
-        report.timing_s = time.perf_counter() - started
-        log.info("%s finished in %.3f s", report.command, report.timing_s)
+        model = args.load(args)
+        report = RunReport(command, _parameters(args, model), **args.func(model, args))
+        log.info("%s finished in %.3f s", command, time.perf_counter() - started)
         _print_report(report)
-        if args.out and args.func is not _cmd_n_gen:
+        # gen writes the model to --out and has no --format
+        if args.out and "format" in args:
             emit(report, args.format, args.out)
-    except DegeneracyError as exc:
-        print(f"error: degeneracy: {exc}", file=sys.stderr)
-        return 4
-    except ContinuationError as exc:
-        print(f"error: continuation: {exc}", file=sys.stderr)
-        return 5
-    except IntegrationError as exc:
-        print(f"error: integration: {exc}", file=sys.stderr)
-        return 3
-    except LabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: i/o: {exc}", file=sys.stderr)
-        return 10
+    except (LabError, OSError) as exc:
+        code, prefix = next((c, p) for cls, c, p in _EXITS if isinstance(exc, cls))
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
     return 0
 
 

@@ -11,13 +11,15 @@ A second-order Dyson expansion provides an independent finite-rate check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContinuationError, DegeneracyError, DomainError
 from .numkit import HermitianMatrix, Trajectory, hermitian_eig, jet_mul, jet_recip, ode_evolve
-from .twostate import TwoStateModel, laurent_split, switch_on_time
+from .twostate import (
+    DEFAULT_START_THRESHOLD, TwoStateModel, laurent_split, ramped_coupling, switch_on_time,
+)
 
 __all__ = [
     "NStateModel",
@@ -35,7 +37,6 @@ __all__ = [
 ]
 
 GAP_FLOOR_FACTOR = 1e-8
-DEFAULT_START_THRESHOLD = 1e-8
 # an eigenvector must hold at least this probability weight on the initial
 # basis state to count as its continuation
 OVERLAP_FLOOR = 0.5
@@ -45,14 +46,14 @@ OVERLAP_FLOOR = 0.5
 class NStateModel:
     """Unperturbed energies, Hermitian perturbation, coupling and switching
     rate. The tracked initial state (default index 0) must be separated from
-    every other level by at least ``gap_floor``."""
+    every other level by at least ``GAP_FLOOR_FACTOR`` times the spread of
+    the energies."""
 
     energies: np.ndarray
     v: HermitianMatrix
     x: float
     eps: float
     ground_index: int = 0
-    gap_floor: float = field(default=0.0)
 
     def __post_init__(self):
         e = np.asarray(self.energies, dtype=float).copy()
@@ -74,7 +75,7 @@ class NStateModel:
         if not 0 <= g < e.size:
             raise DomainError(f"ground_index {g} out of range for {e.size} levels")
         spread = float(e.max() - e.min())
-        floor = self.gap_floor if self.gap_floor > 0 else GAP_FLOOR_FACTOR * spread
+        floor = GAP_FLOOR_FACTOR * spread
         if spread == 0.0:
             raise DegeneracyError("all levels coincide; tracked state is degenerate")
         gaps = np.abs(e - e[g])
@@ -88,7 +89,6 @@ class NStateModel:
         e.flags.writeable = False
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "gap_floor", floor)
 
     @property
     def dim(self) -> int:
@@ -132,7 +132,7 @@ def dyson2_terms(model: NStateModel, t: float):
     vm = model.v.entries
     eps = model.eps
     dim = model.dim
-    ramp = math.exp(eps * t)
+    ramp = ramped_coupling(1.0, eps, t)
 
     others = np.array([n for n in range(dim) if n != g])
     de = e[others] - e[g]

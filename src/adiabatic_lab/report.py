@@ -49,7 +49,6 @@ class RunReport:
     values: dict = field(default_factory=dict)
     residuals: dict = field(default_factory=dict)
     flags: dict = field(default_factory=dict)
-    timing_s: float | None = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
         return {

@@ -36,6 +36,7 @@ __all__ = [
     "delta_e_series",
     "bessel_series_a",
     "phase_f",
+    "ramped_coupling",
     "laurent_split",
     "phase_split",
     "evolve_two_state",
@@ -279,7 +280,7 @@ def bessel_series_a(
     """
     if terms < 1:
         raise DomainError(f"need at least one term, got {terms}")
-    s = m.x * math.exp(m.eps * t) / m.eps
+    s = ramped_coupling(m.x, m.eps, t) / m.eps
     z = -0.25 * s * s
     nu = 0.5 - 1j * m.delta / m.eps
     value = 1.0 + 0.0j
@@ -321,7 +322,7 @@ def phase_f(m: TwoStateModel, t: float, order: int = DEFAULT_ORDER) -> complex:
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
     g = gtilde_values(m.delta, m.eps, order)
-    lam2 = (m.x * math.exp(m.eps * t)) ** 2
+    lam2 = ramped_coupling(m.x, m.eps, t) ** 2
     n = np.arange(1, order + 1)
     return complex(np.sum(lam2**n / (2 * n) * g))
 
@@ -411,12 +412,27 @@ def phase_split(m: TwoStateModel, order: int = DEFAULT_ORDER) -> PhaseSplitTwoSt
 # ODE route
 
 
+def ramped_coupling(x: float, eps: float, t: float, name: str = "t") -> float:
+    """The coupling ``x * exp(eps * t)`` at time ``t``; a ``DomainError``
+    naming the time ``name`` if it is not a finite float."""
+    try:
+        value = x * math.exp(eps * t)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(
+            f"ramped coupling x * exp(eps * {name}) overflows at {name} = {t:.6g}; "
+            f"move {name} earlier"
+        )
+    return value
+
+
 def switch_on_time(
     gap: float, x: float, eps: float, threshold: float, t_end: float
 ) -> float:
     """Start time at which the ramped coupling is ``threshold`` of the gap;
     the threshold must lie in (0, 1e-4], the start must precede ``t_end``,
-    and the coupling ``x * exp(eps * t_end)`` at the end must be a finite float."""
+    and the coupling at ``t_end`` must be a finite float."""
     if not 0 < threshold <= 1e-4:
         raise DomainError(f"start_threshold must be in (0, 1e-4], got {threshold}")
     t0 = math.log(gap * threshold / x) / eps
@@ -425,15 +441,7 @@ def switch_on_time(
             f"switch-on start t0 = {t0:.6g} is not before t_end = {t_end:.6g}; "
             "lower start_threshold or move t_end"
         )
-    try:
-        peak = x * math.exp(eps * t_end)
-    except OverflowError:
-        peak = math.inf
-    if not math.isfinite(peak):
-        raise DomainError(
-            f"ramped coupling x * exp(eps * t_end) overflows at t_end = {t_end:.6g}; "
-            "move t_end earlier"
-        )
+    ramped_coupling(x, eps, t_end, "t_end")
     return t0
 
 

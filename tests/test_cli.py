@@ -14,6 +14,7 @@ from adiabatic_lab.modelio import (
     save_model,
 )
 from adiabatic_lab.nstate import NStateModel
+from adiabatic_lab.numkit import ode
 from adiabatic_lab.report import RunReport, Table, emit, report_from_json
 from adiabatic_lab.twostate import TwoStateModel
 
@@ -170,14 +171,27 @@ def test_exit_code_model_numbers_not_finite(tmp_path, capsys, base, fields):
         ["two-state", "evolve", "--delta", "1", "--x", "0.5", "--eps", "0.25",
          "--t-end", "3000"],
         ["n-state", "evolve", "--t-end", "5000"],
+        ["two-state", "series", "--delta", "1", "--x", "0.5", "--eps", "0.25",
+         "--t", "3000"],
+        ["n-state", "dyson", "--t", "5000"],
     ],
-    ids=["two-state", "n-state"],
+    ids=["two-state", "n-state", "two-state-series", "n-state-dyson"],
 )
 def test_exit_code_ramp_overflow(tmp_path, capsys, argv):
-    if argv[0] == "n-state":
+    if argv[:2] == ["n-state", "dyson"]:
+        path = tmp_path / "gen.json"
+        save_model(generate_nstate_model(seed=7, levels=6), path)
+        argv = [*argv, "--model", str(path)]
+    elif argv[0] == "n-state":
         argv = [*argv, "--model", str(write_model(tmp_path))]
     assert run(*argv) == 2
     assert "overflows" in capsys.readouterr().err
+
+
+def test_exit_code_integration_failure(monkeypatch, capsys):
+    monkeypatch.setattr(ode, "MAX_STEPS", 50)
+    assert run("two-state", "evolve", "--eps", "0.05") == 3
+    assert capsys.readouterr().err.startswith("error: integration: step budget exhausted")
 
 
 def test_exit_code_non_finite_mu(capsys):
@@ -361,12 +375,11 @@ def test_report_json_round_trip(tmp_path):
         values={"v[ode]": 0.123456789012345678},
         residuals={"r": 1e-300},
         flags={"ok": True},
-        timing_s=1.23,  # never serialized
     )
     path = tmp_path / "report.json"
     emit(report, "json", path)
     loaded = report_from_json(path)
-    assert loaded == report  # timing excluded from comparison
+    assert loaded == report
     emit(loaded, "json", tmp_path / "second.json")
     assert (tmp_path / "second.json").read_bytes() == path.read_bytes()
 

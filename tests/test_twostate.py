@@ -404,6 +404,11 @@ def test_evolve_rejects_ramp_overflow():
         evolve_two_state(STD, 3000.0, 1e-10)
 
 
+def test_phase_f_rejects_ramp_overflow():
+    with pytest.raises(DomainError, match="overflows at t = 3000"):
+        phase_f(STD, 3000.0)
+
+
 @pytest.mark.parametrize("eps, accepted", [(0.2, 518), (0.05, 2070)])
 def test_evolve_step_counts_pinned(eps, accepted):
     # the step-size controller's decisions, fixed on this grid
