@@ -9,6 +9,7 @@ CSV/JSON report. Exit codes: 0 ok, 2 domain error, 3 integration failure,
 from __future__ import annotations
 
 import argparse
+import cmath
 import logging
 import math
 import os
@@ -249,11 +250,20 @@ def _cmd_two_phase(model, args) -> dict:
 
 
 def _three_way(model, t, tol, order, terms):
+    # the cheap phase recursion first: past its reach it fails before the ODE
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_rec = complex(np.exp(-1j * twostate.phase_f(model, t, order) / model.eps))
+    if not cmath.isfinite(a_rec):
+        ramp = twostate.ramped_coupling(model.x, model.eps, t)
+        raise DomainError(
+            f"phase-recursion amplitude is not finite at t = {t:.6g}: the ramped "
+            f"coupling x * exp(eps * t) = {ramp:.6g} is beyond the reach of the "
+            f"order-{order} series"
+        )
     traj = twostate.evolve_two_state(model, t, tol)
     a_ode = complex(traj.final_state[0])
     series = twostate.bessel_series_a(model, t, terms, stop_below=1e-12)
     a_series = series.value
-    a_rec = complex(np.exp(-1j * twostate.phase_f(model, t, order) / model.eps))
     return a_ode, a_series, a_rec, series
 
 

@@ -18,7 +18,8 @@ import numpy as np
 from .errors import ContinuationError, DegeneracyError, DomainError
 from .numkit import HermitianMatrix, Trajectory, hermitian_eig, jet_mul, jet_recip, ode_evolve
 from .twostate import (
-    DEFAULT_START_THRESHOLD, TwoStateModel, laurent_split, ramped_coupling, switch_on_time,
+    DEFAULT_START_THRESHOLD, TwoStateModel, laurent_split, ramped_coupling,
+    ramped_coupling_squared, switch_on_time,
 )
 
 __all__ = [
@@ -133,6 +134,7 @@ def dyson2_terms(model: NStateModel, t: float):
     eps = model.eps
     dim = model.dim
     ramp = ramped_coupling(1.0, eps, t)
+    ramp2 = ramped_coupling_squared(1.0, eps, t)
 
     others = np.array([n for n in range(dim) if n != g])
     de = e[others] - e[g]
@@ -153,7 +155,7 @@ def dyson2_terms(model: NStateModel, t: float):
     second[g] += np.sum(vm[g, others] * vm[others, g] / (2 * eps * d1))
     second[others] = vm[others, g] * vgg / (d2 * eps)
     second[others] += (vm[np.ix_(others, others)] @ (vm[others, g] / d1)) / d2
-    second *= -(ramp * ramp)
+    second *= -ramp2
 
     return zeroth, first, second
 

@@ -37,6 +37,7 @@ __all__ = [
     "bessel_series_a",
     "phase_f",
     "ramped_coupling",
+    "ramped_coupling_squared",
     "laurent_split",
     "phase_split",
     "evolve_two_state",
@@ -322,7 +323,7 @@ def phase_f(m: TwoStateModel, t: float, order: int = DEFAULT_ORDER) -> complex:
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
     g = gtilde_values(m.delta, m.eps, order)
-    lam2 = ramped_coupling(m.x, m.eps, t) ** 2
+    lam2 = ramped_coupling_squared(m.x, m.eps, t)
     n = np.arange(1, order + 1)
     return complex(np.sum(lam2**n / (2 * n) * g))
 
@@ -427,6 +428,19 @@ def ramped_coupling(x: float, eps: float, t: float, name: str = "t") -> float:
     return value
 
 
+def ramped_coupling_squared(x: float, eps: float, t: float) -> float:
+    """The square of ``ramped_coupling(x, eps, t)``; a ``DomainError`` if it
+    is not a finite float."""
+    lam = ramped_coupling(x, eps, t)
+    square = lam * lam
+    if not math.isfinite(square):
+        raise DomainError(
+            f"squared ramped coupling (x * exp(eps * t))**2 overflows at t = {t:.6g}; "
+            "move t earlier"
+        )
+    return square
+
+
 def switch_on_time(
     gap: float, x: float, eps: float, threshold: float, t_end: float
 ) -> float:
@@ -456,13 +470,17 @@ def evolve_two_state(
     to ``t_end``, starting from (1, 0). The generator is anti-Hermitian, so
     |a|**2 + |c|**2 stays at 1 within a small multiple of ``tol``."""
     t0 = switch_on_time(2 * m.delta, m.x, m.eps, start_threshold, t_end)
-    x, delta, eps = m.x, m.delta, m.eps
+    # w = -1j z, where z = x exp(eps t) exp(-2i delta t) is the ramped
+    # coupling times the interaction-picture phase, from one exponential;
+    # the second component's -1j conj(z) is -conj(w). Multiplying by -1j is
+    # exact, so w rounds as -1j * (x * exp(...)) does.
+    ix = -1j * m.x
+    rate = complex(m.eps, -2.0 * m.delta)
 
     def rhs(t, y):
-        w = -1j * x * math.exp(eps * t)
-        phase = cmath.exp(-2j * delta * t)
+        w = ix * cmath.exp(rate * t)
         a, c = y.tolist()
-        return np.array([w * phase * c, w * phase.conjugate() * a])
+        return (w * c, -w.conjugate() * a)
 
     y0 = np.array([1.0, 0.0], dtype=complex)
     return ode_evolve(rhs, y0, t0, t_end, tol)

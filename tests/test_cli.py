@@ -174,8 +174,13 @@ def test_exit_code_model_numbers_not_finite(tmp_path, capsys, base, fields):
         ["two-state", "series", "--delta", "1", "--x", "0.5", "--eps", "0.25",
          "--t", "3000"],
         ["n-state", "dyson", "--t", "5000"],
+        # the ramp is a float here but its square is not
+        ["n-state", "dyson", "--t", "1500"],
+        ["two-state", "compare", "--delta", "1", "--x", "0.5", "--eps", "0.25",
+         "--t", "1500"],
     ],
-    ids=["two-state", "n-state", "two-state-series", "n-state-dyson"],
+    ids=["two-state", "n-state", "two-state-series", "n-state-dyson",
+         "n-state-dyson-square", "two-state-compare-square"],
 )
 def test_exit_code_ramp_overflow(tmp_path, capsys, argv):
     if argv[:2] == ["n-state", "dyson"]:
@@ -186,6 +191,23 @@ def test_exit_code_ramp_overflow(tmp_path, capsys, argv):
         argv = [*argv, "--model", str(write_model(tmp_path))]
     assert run(*argv) == 2
     assert "overflows" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["two-state", "compare", "--delta", "1", "--x", "0.5", "--eps", "0.25",
+         "--t", "5"],
+        ["two-state", "sweep-eps", "--x", "3"],
+    ],
+    ids=["compare", "sweep-eps"],
+)
+def test_exit_code_phase_recursion_not_finite(capsys, argv):
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: phase-recursion amplitude is not finite at t = ")
+    assert "ramped coupling" in err
 
 
 def test_exit_code_integration_failure(monkeypatch, capsys):

@@ -11,6 +11,7 @@ from adiabatic_lab.errors import (
     DegeneracyError,
     DomainError,
 )
+from adiabatic_lab.modelio import generate_nstate_model
 from adiabatic_lab.numkit import HermitianMatrix
 from adiabatic_lab.nstate import (
     NStateModel,
@@ -377,6 +378,73 @@ def test_evolve_component_ratios_converge_to_recursion():
             )
         )
     assert residuals[0] > residuals[1] > residuals[2]
+
+
+def _pinned_n32_model():
+    energies, v = random_hermitian_model_arrays(11, 32, 1.0, 1.0)
+    x = 0.05 * float(energies[1] - energies[0])
+    return NStateModel(energies=energies, v=HermitianMatrix(v), x=x, eps=0.25)
+
+
+# final states recorded with the step-size controller's decisions
+PINNED_N6 = [
+    0.8919733743719458 + 0.4485138784459972j,
+    -0.03851245274722773 - 0.028430188761324658j,
+    -0.024483814918164433 - 0.015331300322664046j,
+    -0.0036324896579073567 - 0.002216032139616494j,
+    -0.0033451097877610072 - 0.0017862728221079806j,
+    -0.006803495657361558 - 0.0037464353554137026j,
+]
+PINNED_N32 = [
+    0.8920248641166557 + 0.44773464395826784j,
+    0.033412870362899624 + 0.024746142008356863j,
+    -0.003011684254462436 - 0.0019802047782778685j,
+    0.021004829243094273 + 0.012217868034518789j,
+    0.020734485560791563 + 0.011645580285699132j,
+    -0.023924400873016678 - 0.012987631580612608j,
+    0.003627590442974077 + 0.0020560252368046704j,
+    -0.005854764300301854 - 0.003182741276067317j,
+    -0.004228115241967089 - 0.002240960006867376j,
+    -0.002492248721985146 - 0.0013588336206861167j,
+    0.00013852489148193117 + 0.00010745533413339366j,
+    0.0012285013714955061 + 0.000703674905432067j,
+    -0.0014853504787374736 - 0.0007357956968171861j,
+    -0.001209323294838733 - 0.0006042579267877925j,
+    0.00011469386709813443 + 6.708232737069851e-05j,
+    -0.0027362057542698786 - 0.0014351115309365048j,
+    -0.0006514100534351808 - 0.0003787832695412637j,
+    0.0022707920968108894 + 0.001169236967010486j,
+    4.58873069000386e-05 + 9.092725213905747e-06j,
+    -0.005804045857191966 - 0.0029923602139343927j,
+    0.0001431356539984253 + 7.554973069944173e-05j,
+    7.70162057742007e-05 + 3.851917567947913e-05j,
+    8.251233549246379e-05 + 4.047088841747622e-05j,
+    0.0008861695735606296 + 0.0004315743736125811j,
+    0.002093136859993371 + 0.0010579670881028216j,
+    0.001557898511163263 + 0.0007885835997448707j,
+    0.0021989855806868793 + 0.0011439795163442313j,
+    -0.0012848645739015937 - 0.0006468821720919492j,
+    -0.0009908578363501945 - 0.000499715215178552j,
+    0.0002683552042163794 + 0.00014736850528417763j,
+    -0.0015168527468838065 - 0.0007899841905930579j,
+    0.002146201193695826 + 0.0010867029615774597j,
+]
+
+
+@pytest.mark.parametrize(
+    "make_model, accepted, pinned",
+    [
+        (lambda: generate_nstate_model(seed=7, levels=6), 453, PINNED_N6),
+        (_pinned_n32_model, 2379, PINNED_N32),
+    ],
+    ids=["gen-seed7-N6", "rng-seed11-N32"],
+)
+def test_evolve_step_counts_and_final_state_pinned(make_model, accepted, pinned):
+    # the step-size controller's decisions and the state they lead to
+    traj = evolve_nstate(make_model(), 0.0, 1e-10)
+    assert (traj.accepted_steps, traj.rejected_steps) == (accepted, 0)
+    ref = np.array(pinned)
+    assert np.abs(traj.final_state - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 # ---------------------------------------------------------------------------

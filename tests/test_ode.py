@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -137,3 +139,39 @@ def test_trajectory_records_every_accepted_step():
     assert traj.times[0] == 0.0
     assert traj.states.shape == (traj.times.size, 1)
     assert np.all(np.diff(traj.times) > 0)
+
+
+def test_sequence_rhs_matches_array_rhs():
+    def rhs_tuple(t, y):
+        a, c = y.tolist()
+        w = -0.5j * math.exp(0.3 * t)
+        return (w * c, w * a + 1j * c)
+
+    def rhs_array(t, y):
+        return np.array(rhs_tuple(t, y))
+
+    y0 = np.array([1.0, 0.0], dtype=complex)
+    seq = ode_evolve(rhs_tuple, y0, -5.0, 2.0, 1e-10)
+    arr = ode_evolve(rhs_array, y0, -5.0, 2.0, 1e-10)
+    assert seq.accepted_steps == arr.accepted_steps
+    assert seq.rejected_steps == arr.rejected_steps
+    assert np.array_equal(seq.times, arr.times)
+    assert np.array_equal(seq.states, arr.states)
+
+
+def test_large_finite_state_accepted():
+    # its squared norm overflows; the error scale must not
+    rhs = lambda t, y: 1j * y
+    traj = ode_evolve(rhs, np.array([1e200 + 0j, 3e199 + 0j]), 0.0, 1.0, 1e-10)
+    expected = np.array([1e200, 3e199]) * np.exp(1j)
+    assert np.abs(traj.final_state - expected).max() <= 1e-8 * 1e200
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_state_never_accepted():
+    # y = 1e308 (1 + t) overflows at t ~ 0.8 while the error estimate of a
+    # constant right-hand side stays finite; the step must still be rejected
+    rhs = lambda t, y: np.full_like(y, 1e308)
+    with pytest.raises(IntegrationError, match="underflow") as excinfo:
+        ode_evolve(rhs, np.array([1e308 + 0j]), 0.0, 2.0, 1e-10)
+    assert 0.7 < excinfo.value.time < 0.8

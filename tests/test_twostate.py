@@ -409,7 +409,15 @@ def test_phase_f_rejects_ramp_overflow():
         phase_f(STD, 3000.0)
 
 
-@pytest.mark.parametrize("eps, accepted", [(0.2, 518), (0.05, 2070)])
+def test_phase_f_rejects_ramp_square_overflow():
+    # x * exp(eps * t) is about 1e163 here, a float; its square is not
+    with pytest.raises(DomainError, match="squared .* overflows at t = 1500"):
+        phase_f(STD, 1500.0)
+
+
+@pytest.mark.parametrize(
+    "eps, accepted", [(0.2, 518), (0.05, 2070), (0.0125, 8286)]
+)
 def test_evolve_step_counts_pinned(eps, accepted):
     # the step-size controller's decisions, fixed on this grid
     m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=eps)
