@@ -5,17 +5,34 @@ to [0.2, 5.0]). Suited to the smooth, non-stiff switching problems in this
 package, where a long quiescent tail benefits from aggressive step growth.
 
 The states here are short vectors (2 to a few dozen entries), so a step
-costs numpy call overhead, not arithmetic, and the loop makes as few calls
-as it can. One stage matrix holds y in row 0 and the stages k1..k7 below
-it. The tableau ``_W`` has a leading column for y (1 in the stage rows, 0
-in the error row); its other columns are scaled by ``h`` in place once per
-step into a persistent buffer, so each stage input is one ``dot`` of a
-pre-sliced buffer row against a pre-sliced head of the stage matrix. The
-input of the last stage is the 5th-order update itself
-(first-same-as-last), one more ``dot`` gives the error vector, and the
-error norm is one ``vdot``. A step of a 2-vector costs 28 to 37 us on one
-CPU of a shared 2-core Xeon, of which the six right-hand-side calls are
-about a sixth.
+costs interpreter and numpy call overhead, not arithmetic. One controller
+(step floor, step budget, PI factor, recorded trajectory) drives one of two
+kernels, which take the same trial steps from the same tableau:
+
+- ``_array_steps``, for every size but 2, makes as few numpy calls as it
+  can. One stage matrix holds y in row 0 and the stages k1..k7 below it.
+  The tableau ``_W`` has a leading column for y (1 in the stage rows, 0 in
+  the error row); its other columns are scaled by ``h`` in place once per
+  step into a persistent buffer, so each stage input is one ``dot`` of a
+  pre-sliced buffer row against a pre-sliced head of the stage matrix. The
+  input of the last stage is the 5th-order update itself
+  (first-same-as-last), one more ``dot`` gives the error vector, and the
+  error norm is one ``vdot``: 22 numpy calls a step.
+- ``_pair_steps``, for 2-vectors: the two-state route, where the
+  slow-switching limit spends its time. A numpy call on a 2-vector costs
+  about 1 us, ten complex multiply-adds on Python scalars, and a step is
+  about 65 of those against 22 calls. So this kernel unrolls the tableau
+  (unpacked from ``_W`` and ``_C``) over two Python complex numbers and
+  makes no numpy call but storing each stage input into the array that
+  the right-hand side is passed.
+
+The kernels round the stage sums differently. The error estimate cancels
+to about 1e-6 of its terms, so their error norms, and with them the step
+sizes, differ by about 1e-7 relative; the step counts of this package's
+problems are the same. Untraced on one CPU of a shared 2-core Xeon, a
+two-state step costs 20 to 23 us with the pair kernel against 28 to 39 us
+with the array kernel in the same sitting; the six right-hand-side calls
+are about a third of it.
 """
 
 from __future__ import annotations
@@ -115,14 +132,159 @@ def _initial_step(rhs, t0, t1, y0, f0, tol):
     return min(100 * h0, h1, span)
 
 
+
+
+def _array_steps(rhs, y, f0, tol):
+    """Trial Dormand-Prince steps of a state vector of any size, on one
+    stage matrix (see the module docstring).
+
+    A generator: each ``send((t, h, keep))`` first makes the previous trial
+    the current state if ``keep`` is true, then takes a trial step of size
+    ``h`` from ``t`` and yields its error norm and its 5th-order state.
+    """
+    ay = np.abs(y)
+    # err_norm = sqrt(q.q / n) / tol, q = err / (1 + max(|y|, |y_new|))
+    norm_scale = 1.0 / (y.size * tol * tol)
+    mean = np.full(y.size, 1.0 / y.size)
+    # stage matrix: y, then the stages k1..k7
+    k = np.empty((8, y.size), dtype=complex)
+    k[0] = y
+    k[1] = f0
+    # the tableau with its h-scaled columns, rescaled in place every step
+    hw = _W.copy()
+    hw_scaled = hw[:, 1:]
+    w_h = _W[:, 1:]
+    # each stage input: a row of hw against the rows of k it weights
+    stage_rows = [(hw[i, : i + 2], k[: i + 2], c) for i, c in enumerate(_C)]
+    err_row = hw_scaled[6]
+    stages = k[1:]
+
+    t, h, _ = yield
+    while True:
+        np.multiply(w_h, h, hw_scaled)
+        for i, (row, head, c) in enumerate(stage_rows, start=2):
+            y_stage = row.dot(head)
+            k[i] = rhs(t + c * h, y_stage)
+        # the input of the last stage is the 5th-order update
+        y_new = y_stage
+        err = err_row.dot(stages)
+        ay_new = np.abs(y_new)
+        scale = 1.0 + np.maximum(ay, ay_new)
+        # a non-finite state is rejected; the mean of the scale cannot overflow
+        if scale.dot(mean) < math.inf:
+            q = err / scale
+            err_norm = math.sqrt(np.vdot(q, q).real * norm_scale)
+        else:
+            err_norm = math.inf
+        t, h, keep = yield err_norm, y_new
+        if keep:
+            # k7 was evaluated at the end of the step: the next first stage
+            k[0] = y_new
+            k[1] = k[7]
+            ay = ay_new
+
+
+def _pair_steps(rhs, y, f0, tol):
+    """Trial Dormand-Prince steps of a 2-vector on Python complex scalars.
+
+    The stage sums, update, error vector and error norm of ``_array_steps``,
+    unrolled over the two components; the only numpy work in a step is
+    storing each stage input into the one array ``rhs`` is passed, and
+    converting what ``rhs`` returns if it is not a tuple. Same protocol, but
+    the yielded state is a tuple.
+    """
+    # _W's weights of k1..k7 row by row, zero weights dropped; each sum of
+    # them is scaled by h
+    (
+        (a21, *_),
+        (a31, a32, *_),
+        (a41, a42, a43, *_),
+        (a51, a52, a53, a54, *_),
+        (a61, a62, a63, a64, a65, *_),
+        (b1, _, b3, b4, b5, b6, _),
+        (e1, _, e3, e4, e5, e6, e7),
+    ) = _W[:, 1:].tolist()
+    c2, c3, c4, c5, c6, c7 = _C
+    inf = math.inf
+    norm_scale = 0.5 / (tol * tol)
+    y_stage = np.empty(2, dtype=complex)
+
+    def f(t, a, c):
+        y_stage[0] = a
+        y_stage[1] = c
+        k = rhs(t, y_stage)
+        # Python complex numbers, so that an array return steps exactly as
+        # a tuple return does
+        if k.__class__ is not tuple:
+            k = np.asarray(k, dtype=complex).tolist()
+        return k
+
+    a, c = y.tolist()
+    ka1, kc1 = f0.tolist()
+    # unlike abs, np.abs gives inf for a modulus past the float range
+    aa, ac = np.abs(y).tolist()
+
+    t, h, _ = yield
+    while True:
+        ka2, kc2 = f(t + c2 * h, a + h * (a21 * ka1), c + h * (a21 * kc1))
+        ka3, kc3 = f(
+            t + c3 * h,
+            a + h * (a31 * ka1 + a32 * ka2),
+            c + h * (a31 * kc1 + a32 * kc2),
+        )
+        ka4, kc4 = f(
+            t + c4 * h,
+            a + h * (a41 * ka1 + a42 * ka2 + a43 * ka3),
+            c + h * (a41 * kc1 + a42 * kc2 + a43 * kc3),
+        )
+        ka5, kc5 = f(
+            t + c5 * h,
+            a + h * (a51 * ka1 + a52 * ka2 + a53 * ka3 + a54 * ka4),
+            c + h * (a51 * kc1 + a52 * kc2 + a53 * kc3 + a54 * kc4),
+        )
+        ka6, kc6 = f(
+            t + c6 * h,
+            a + h * (a61 * ka1 + a62 * ka2 + a63 * ka3 + a64 * ka4 + a65 * ka5),
+            c + h * (a61 * kc1 + a62 * kc2 + a63 * kc3 + a64 * kc4 + a65 * kc5),
+        )
+        # the input of the last stage is the 5th-order update
+        a_new = a + h * (b1 * ka1 + b3 * ka3 + b4 * ka4 + b5 * ka5 + b6 * ka6)
+        c_new = c + h * (b1 * kc1 + b3 * kc3 + b4 * kc4 + b5 * kc5 + b6 * kc6)
+        ka7, kc7 = f(t + c7 * h, a_new, c_new)
+        ea = h * (e1 * ka1 + e3 * ka3 + e4 * ka4 + e5 * ka5 + e6 * ka6 + e7 * ka7)
+        ec = h * (e1 * kc1 + e3 * kc3 + e4 * kc4 + e5 * kc5 + e6 * kc6 + e7 * kc7)
+        try:
+            aa_new, ac_new = abs(a_new), abs(c_new)
+        except OverflowError:  # finite parts, modulus past the float range
+            aa_new = ac_new = inf
+        # a NaN in the new state fails the comparison and reaches the scale
+        sa = 1.0 + (aa if aa > aa_new else aa_new)
+        sc = 1.0 + (ac if ac > ac_new else ac_new)
+        # a non-finite state is rejected
+        if sa < inf and sc < inf:
+            qa = ea / sa
+            qc = ec / sc
+            err_norm = math.sqrt(
+                (qa.real * qa.real + qa.imag * qa.imag + qc.real * qc.real + qc.imag * qc.imag)
+                * norm_scale
+            )
+        else:
+            err_norm = inf
+        t, h, keep = yield err_norm, (a_new, c_new)
+        if keep:
+            # k7 was evaluated at the end of the step: the next first stage
+            a, c, ka1, kc1, aa, ac = a_new, c_new, ka7, kc7, aa_new, ac_new
+
+
 def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
     """Integrate ``y' = rhs(t, y)`` from t0 to t1, recording every accepted step.
 
     ``rhs`` must accept a float time and a complex state vector, which it
-    must not modify, and return the complex derivative as an array or any
-    sequence of complex numbers. The local error is controlled relative
-    to ``tol``; for anti-Hermitian generators the state norm drifts by at
-    most a small multiple of ``tol`` over moderate spans.
+    must neither modify nor keep a reference to (the vector's buffer may be
+    reused for the next stage), and return the complex derivative as an
+    array or any sequence of complex numbers. The local error is controlled
+    relative to ``tol``; for anti-Hermitian generators the state norm drifts
+    by at most a small multiple of ``tol`` over moderate spans.
 
     Raises IntegrationError (naming the time of failure) if ``rhs`` is not
     finite at the start, if the step size underflows, which indicates
@@ -142,6 +304,9 @@ def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
         raise IntegrationError(
             f"right-hand side or starting step is not finite at t = {t:.12g}", time=t
         )
+    # the same steps either way; a 2-vector's are cheaper without numpy
+    steps = (_pair_steps if y.size == 2 else _array_steps)(rhs, y, f0, tol)
+    next(steps)
 
     times = [t]
     states = [y]
@@ -149,22 +314,7 @@ def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
     rejected = 0
     err_prev = 1e-4
     span = abs(t1 - t0)
-    ay = np.abs(y)
-    # err_norm = sqrt(q.q / n) / tol, q = err / (1 + max(|y|, |y_new|))
-    norm_scale = 1.0 / (y.size * tol * tol)
-    mean = np.full(y.size, 1.0 / y.size)
-    # stage matrix: y, then the stages k1..k7
-    k = np.empty((8, y.size), dtype=complex)
-    k[0] = y
-    k[1] = f0
-    # the tableau with its h-scaled columns, rescaled in place every step
-    hw = _W.copy()
-    hw_scaled = hw[:, 1:]
-    w_h = _W[:, 1:]
-    # each stage input: a row of hw against the rows of k it weights
-    stage_rows = [(hw[i, : i + 2], k[: i + 2], c) for i, c in enumerate(_C)]
-    err_row = hw_scaled[6]
-    stages = k[1:]
+    keep = False
 
     while t < t1:
         h = min(h, t1 - t)
@@ -177,28 +327,10 @@ def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
                 f"step budget exhausted at t = {t:.12g}", time=t
             )
 
-        np.multiply(w_h, h, hw_scaled)
-        for i, (row, head, c) in enumerate(stage_rows, start=2):
-            y_stage = row.dot(head)
-            k[i] = rhs(t + c * h, y_stage)
-        # the input of the last stage is the 5th-order update
-        y_new = y_stage
-        err = err_row.dot(stages)
-        ay_new = np.abs(y_new)
-        scale = 1.0 + np.maximum(ay, ay_new)
-        # a non-finite state is rejected; the mean of the scale cannot overflow
-        if scale.dot(mean) < math.inf:
-            q = err / scale
-            err_norm = math.sqrt(np.vdot(q, q).real * norm_scale)
-        else:
-            err_norm = math.inf
-
-        if err_norm <= 1.0:
-            # k7 was evaluated at (t + h, y_new): reuse as next first stage
-            k[0] = y_new
-            k[1] = k[7]
+        err_norm, y_new = steps.send((t, h, keep))
+        keep = err_norm <= 1.0
+        if keep:
             t += h
-            ay = ay_new
             times.append(t)
             states.append(y_new)
             accepted += 1

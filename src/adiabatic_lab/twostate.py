@@ -319,13 +319,22 @@ def bessel_series_a(
 
 def phase_f(m: TwoStateModel, t: float, order: int = DEFAULT_ORDER) -> complex:
     """Accumulated phase function f(t) at the model's finite switching rate;
-    the amplitude is ``exp(-1j * f / eps)``."""
+    the amplitude is ``exp(-1j * f / eps)``. A ``DomainError`` if the sum is
+    not finite: the powers of the squared ramped coupling can overflow even
+    where the square itself does not."""
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
     g = gtilde_values(m.delta, m.eps, order)
     lam2 = ramped_coupling_squared(m.x, m.eps, t)
     n = np.arange(1, order + 1)
-    return complex(np.sum(lam2**n / (2 * n) * g))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = complex(np.sum(lam2**n / (2 * n) * g))
+    if not cmath.isfinite(f):
+        raise DomainError(
+            f"phase function f is not finite at t = {t:.6g}: the squared ramped "
+            f"coupling {lam2:.6g} is beyond the reach of the order-{order} series"
+        )
+    return f
 
 
 def laurent_split(powers, divisors, jets, names):

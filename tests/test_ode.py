@@ -1,10 +1,28 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from adiabatic_lab.errors import DomainError, IntegrationError
 from adiabatic_lab.numkit import Trajectory, ode, ode_evolve
+
+
+def _fails_alike_on_both_kernels(monkeypatch, run):
+    """Run a 2-vector failure case on the pair kernel, then on the array
+    kernel put in its place. Both must raise the same message, numbers
+    aside, at the same time to 1e-6: the error estimate cancels to about
+    1e-6 of its terms, so the kernels' different rounding of the stage sums
+    moves the step sizes by up to about 1e-7 relative."""
+    with pytest.raises(IntegrationError) as pair:
+        run()
+    monkeypatch.setattr(ode, "_pair_steps", ode._array_steps)
+    with pytest.raises(IntegrationError) as array:
+        run()
+    words = lambda e: re.sub(r"-?\d[\w.+-]*", "#", str(e))
+    assert words(pair.value) == words(array.value)
+    assert pair.value.time == pytest.approx(array.value.time, rel=1e-6)
+    return pair.value
 
 
 def test_exact_oscillator():
@@ -64,6 +82,17 @@ def test_step_underflow_reports_failure_time():
     assert "t =" in str(excinfo.value)
 
 
+def test_step_underflow_reports_failure_time_pair(monkeypatch):
+    # the first component blows up at t = 1, the second stays bounded
+    rhs = lambda t, y: y * y
+    error = _fails_alike_on_both_kernels(
+        monkeypatch, lambda: ode_evolve(rhs, np.array([1.0 + 0j, 0.5j]), 0.0, 2.0, 1e-10)
+    )
+    assert error.time is not None
+    assert 0.9 < error.time <= 1.05
+    assert "t =" in str(error)
+
+
 def test_non_finite_start_raises_at_once(monkeypatch):
     # a NaN step passes any `h <= floor` test, so without the start check
     # the loop would run out the whole step budget
@@ -100,12 +129,39 @@ def test_nan_after_start_underflows_within_a_few_dozen_steps(monkeypatch):
     assert len(calls) < 7 * 40
 
 
+def test_nan_after_start_underflows_within_a_few_dozen_steps_pair(monkeypatch):
+    monkeypatch.setattr(ode, "MAX_STEPS", 1000)
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return -y if t == 0.0 else np.full_like(y, np.nan)
+
+    def run():
+        calls.clear()
+        ode_evolve(rhs, np.array([1.0 + 0j, 0.5j]), 0.0, 1.0, 1e-10)
+
+    error = _fails_alike_on_both_kernels(monkeypatch, run)
+    assert "underflow" in str(error)
+    assert len(calls) < 7 * 40
+
+
 def test_step_budget_exhausted(monkeypatch):
     monkeypatch.setattr(ode, "MAX_STEPS", 10)
     rhs = lambda t, y: 1j * y
     with pytest.raises(IntegrationError, match="step budget exhausted") as excinfo:
         ode_evolve(rhs, np.array([1.0 + 0j]), 0.0, 100.0, 1e-10)
     assert 0.0 < excinfo.value.time < 100.0
+
+
+def test_step_budget_exhausted_pair(monkeypatch):
+    monkeypatch.setattr(ode, "MAX_STEPS", 10)
+    rhs = lambda t, y: 1j * y
+    error = _fails_alike_on_both_kernels(
+        monkeypatch, lambda: ode_evolve(rhs, np.array([1.0 + 0j, 0j]), 0.0, 100.0, 1e-10)
+    )
+    assert "step budget exhausted" in str(error)
+    assert 0.0 < error.time < 100.0
 
 
 def test_rejects_bad_window_and_tolerance():
@@ -175,3 +231,22 @@ def test_overflowing_state_never_accepted():
     with pytest.raises(IntegrationError, match="underflow") as excinfo:
         ode_evolve(rhs, np.array([1e308 + 0j]), 0.0, 2.0, 1e-10)
     assert 0.7 < excinfo.value.time < 0.8
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize(
+    "y0, lo, hi",
+    [
+        ([1e308 + 0j, 1e308 + 0j], 0.7, 0.8),
+        # |y| = 1e308 sqrt((1 + t)**2 + 1) overflows at t = 0.494, its parts at 0.798
+        ([1e308 + 1e308j, 1e308 + 1e308j], 0.49, 0.5),
+    ],
+    ids=["parts", "modulus"],
+)
+def test_overflowing_state_never_accepted_pair(monkeypatch, y0, lo, hi):
+    rhs = lambda t, y: np.full_like(y, 1e308)
+    error = _fails_alike_on_both_kernels(
+        monkeypatch, lambda: ode_evolve(rhs, np.array(y0), 0.0, 2.0, 1e-10)
+    )
+    assert "underflow" in str(error)
+    assert lo < error.time < hi

@@ -415,8 +415,15 @@ def test_phase_f_rejects_ramp_square_overflow():
         phase_f(STD, 1500.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_phase_f_rejects_overflowing_powers():
+    # the squared ramp, about 3.5e216 here, is a float; its powers are not
+    with pytest.raises(DomainError, match="f is not finite at t = 1000: .* order-30"):
+        phase_f(STD, 1000.0)
+
+
 @pytest.mark.parametrize(
-    "eps, accepted", [(0.2, 518), (0.05, 2070), (0.0125, 8286)]
+    "eps, accepted", [(0.2, 518), (0.05, 2070), (0.0125, 8286), (0.003125, 33149)]
 )
 def test_evolve_step_counts_pinned(eps, accepted):
     # the step-size controller's decisions, fixed on this grid
