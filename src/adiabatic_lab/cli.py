@@ -251,8 +251,9 @@ def _cmd_two_phase(model, args) -> dict:
 
 def _three_way(model, t, tol, order, terms):
     # the cheap phase recursion first: past its reach it fails before the ODE
+    phase = twostate.phase_series(model, t, order)
     with np.errstate(over="ignore", invalid="ignore"):
-        a_rec = complex(np.exp(-1j * twostate.phase_f(model, t, order) / model.eps))
+        a_rec = complex(np.exp(-1j * phase.value / model.eps))
     if not cmath.isfinite(a_rec):
         ramp = twostate.ramped_coupling(model.x, model.eps, t)
         raise DomainError(
@@ -264,11 +265,11 @@ def _three_way(model, t, tol, order, terms):
     a_ode = complex(traj.final_state[0])
     series = twostate.bessel_series_a(model, t, terms, stop_below=1e-12)
     a_series = series.value
-    return a_ode, a_series, a_rec, series
+    return a_ode, a_series, a_rec, series, phase.converged
 
 
 def _cmd_two_compare(model, args) -> dict:
-    a_ode, a_series, a_rec, series = _three_way(
+    a_ode, a_series, a_rec, series, rec_converged = _three_way(
         model, args.t, args.tol, args.order, args.terms
     )
     residuals = {
@@ -283,7 +284,10 @@ def _cmd_two_compare(model, args) -> dict:
         tables=[Table("methods", ["method", "re", "im", "abs"], rows)],
         residuals=residuals,
         values={"max_cross_residual": max(residuals.values())},
-        flags={"converged[bessel-series]": bool(series.converged)},
+        flags={
+            "converged[bessel-series]": bool(series.converged),
+            "converged[phase-recursion]": rec_converged,
+        },
     )
 
 
@@ -291,11 +295,13 @@ def _cmd_two_sweep(base, args) -> dict:
     grid = _parse_eps_grid(args.eps_grid)
     limit = twostate.exact_eigensystem(base).norm_n
     rows = []
+    rec_converged = True
     for eps in grid:
         model = twostate.TwoStateModel(mu=base.mu, delta=base.delta, x=base.x, eps=eps)
-        a_ode, a_series, a_rec, series = _three_way(
+        a_ode, a_series, a_rec, series, converged = _three_way(
             model, 0.0, args.tol, args.order, args.terms
         )
+        rec_converged = rec_converged and converged
         # the terms rise to one peak and then fall, so the series summed to
         # its 1e-12 stop has already passed the largest term
         cross = max(
@@ -328,6 +334,7 @@ def _cmd_two_sweep(base, args) -> dict:
             "ode_error_monotone_decreasing": all(
                 b < a for a, b in zip(errors, errors[1:])
             ),
+            "converged[phase-recursion]": rec_converged,
         },
     )
 

@@ -246,14 +246,20 @@ def rs_recursion(
     phi[0] = -jet_mul(recip[0], w)
     phi[0, g] = 0.0
 
+    # stack[0] holds V·φ_{n-1} and stack[m] the product ξ_{n-m}·φ_m, for
+    # m = 1 .. n-1; all n-1 products are one broadcast jet_mul
+    stack = np.empty((order, dim, k1), dtype=complex)
+    v_row = vm[g : g + 1]
     for n in range(2, order + 1):
-        xi[n - 1] = np.tensordot(vm[g, :], phi[n - 2], axes=(0, 0))
-        bracket = np.tensordot(vm, phi[n - 2], axes=(1, 0))
-        bracket[g] = 0.0
-        # subtract term by term: this accumulation order keeps the rounding
-        # of the Hermitian-case residues small
-        for m_idx in range(1, n):
-            bracket -= jet_mul(xi[n - m_idx - 1], phi[m_idx - 1])
+        # the same matrix products as np.tensordot, without its reshaping cost
+        xi[n - 1] = v_row.dot(phi[n - 2])
+        stack[0] = vm.dot(phi[n - 2])
+        stack[0, g] = 0.0
+        stack[1:n] = jet_mul(xi[n - 2 :: -1, None, :], phi[: n - 1])
+        # an axis-0 reduction subtracts the products one at a time in order
+        # of m, an accumulation order that keeps the rounding of the
+        # Hermitian-case residues small
+        bracket = np.subtract.reduce(stack[:n], axis=0)
         phi[n - 1] = -jet_mul(recip[n - 1], bracket)
         phi[n - 1, g] = 0.0
 

@@ -116,11 +116,15 @@ def _rms(v, scale) -> float:
 
 
 def _initial_step(rhs, t0, t1, y0, f0, tol):
-    """Hairer-style starting step estimate."""
+    """Hairer-style starting step estimate; NaN when the scaled size of the
+    state or of its derivative overflows, as no step can then be sized."""
     span = t1 - t0
-    scale = tol + tol * np.abs(y0)
-    d0 = _rms(y0, scale)
-    d1 = _rms(f0, scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = tol + tol * np.abs(y0)
+        d0 = _rms(y0, scale)
+        d1 = _rms(f0, scale)
+    if not d0 + d1 < math.inf:
+        return math.nan
     h0 = 1e-6 if d1 < 1e-5 or d0 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
     f1 = np.asarray(rhs(t0 + h0, y0 + h0 * f0), dtype=complex)

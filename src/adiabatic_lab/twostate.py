@@ -27,6 +27,7 @@ __all__ = [
     "TwoStateEigensystem",
     "GtildeTable",
     "BesselSeriesResult",
+    "PhaseSeriesResult",
     "PhaseSplitTwoState",
     "LimitState",
     "exact_eigensystem",
@@ -35,6 +36,7 @@ __all__ = [
     "delta_e_closed",
     "delta_e_series",
     "bessel_series_a",
+    "phase_series",
     "phase_f",
     "ramped_coupling",
     "ramped_coupling_squared",
@@ -120,6 +122,12 @@ class BesselSeriesResult:
     @property
     def max_term(self) -> float:
         return float(self.term_magnitudes.max(initial=0.0))
+
+
+@dataclass(frozen=True, eq=False)
+class PhaseSeriesResult:
+    value: complex
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -317,24 +325,47 @@ def bessel_series_a(
 # phase-function route
 
 
-def phase_f(m: TwoStateModel, t: float, order: int = DEFAULT_ORDER) -> complex:
-    """Accumulated phase function f(t) at the model's finite switching rate;
-    the amplitude is ``exp(-1j * f / eps)``. A ``DomainError`` if the sum is
-    not finite: the powers of the squared ramped coupling can overflow even
-    where the square itself does not."""
+def phase_series(
+    m: TwoStateModel, t: float, order: int = DEFAULT_ORDER
+) -> PhaseSeriesResult:
+    """Accumulated phase function f(t) at the model's finite switching rate,
+    and whether its truncated series in powers of the squared ramped
+    coupling has converged.
+
+    ``converged`` is the rule of ``bessel_series_a`` applied to this series:
+    the last two terms must shrink, and the geometric tail they start must
+    be at most 1e-12 * max(1, |f|). A ``DomainError`` if the sum is not
+    finite: the powers of the squared ramped coupling can overflow even
+    where the square itself does not.
+    """
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
     g = gtilde_values(m.delta, m.eps, order)
     lam2 = ramped_coupling_squared(m.x, m.eps, t)
     n = np.arange(1, order + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        f = complex(np.sum(lam2**n / (2 * n) * g))
+        terms = lam2**n / (2 * n) * g
+        f = complex(np.sum(terms))
+        mags = np.abs(terms)
     if not cmath.isfinite(f):
         raise DomainError(
             f"phase function f is not finite at t = {t:.6g}: the squared ramped "
             f"coupling {lam2:.6g} is beyond the reach of the order-{order} series"
         )
-    return f
+    last = float(mags[-1])
+    prev = float(mags[-2]) if order > 1 else 0.0
+    # terms that keep shrinking by r = last / prev leave a tail of
+    # last * r / (1 - r) = last**2 / (prev - last)
+    converged = last == 0.0 or (
+        last < prev and last * last / (prev - last) <= 1e-12 * max(1.0, abs(f))
+    )
+    return PhaseSeriesResult(value=f, converged=converged)
+
+
+def phase_f(m: TwoStateModel, t: float, order: int = DEFAULT_ORDER) -> complex:
+    """Accumulated phase function f(t) at the model's finite switching rate;
+    the amplitude is ``exp(-1j * f / eps)``. The value of ``phase_series``."""
+    return phase_series(m, t, order).value
 
 
 def laurent_split(powers, divisors, jets, names):

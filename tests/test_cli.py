@@ -272,6 +272,31 @@ def test_sweep_eps_verdicts_computed(tmp_path):
     np.testing.assert_allclose(eps_column, [0.5, 0.25, 0.125, 0.0625])
 
 
+@pytest.mark.parametrize("eps", [0.2, 0.05, 0.0125, 0.003125])
+def test_compare_flags_converged_phase_recursion(tmp_path, eps):
+    out = tmp_path / "compare.json"
+    assert (
+        run(
+            "two-state", "compare",
+            "--delta", "1", "--x", "0.5", "--eps", repr(eps), "--t", "0",
+            "--out", str(out),
+        )
+        == 0
+    )
+    assert report_from_json(out).flags["converged[phase-recursion]"] is True
+
+
+def test_sweep_eps_flags_phase_recursion_past_its_reach(tmp_path):
+    # x = 1.5 is past the radius x = delta of the shift series: at eps
+    # 0.125 and 0.0625 the phase recursion's amplitude is finite but wrong
+    out = tmp_path / "sweep.json"
+    assert run("two-state", "sweep-eps", "--x", "1.5", "--out", str(out)) == 0
+    report = report_from_json(out)
+    assert report.flags["converged[phase-recursion]"] is False
+    cross = [row[4] for row in report.tables[0].rows]
+    assert cross[2] > 0.8 and cross[3] > 0.8
+
+
 def test_trajectory_csv_schema(tmp_path):
     out = tmp_path / "traj.csv"
     assert (

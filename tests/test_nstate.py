@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from adiabatic_lab import nstate
 from adiabatic_lab.errors import (
     ConsistencyError,
     ContinuationError,
@@ -12,7 +15,7 @@ from adiabatic_lab.errors import (
     DomainError,
 )
 from adiabatic_lab.modelio import generate_nstate_model
-from adiabatic_lab.numkit import HermitianMatrix
+from adiabatic_lab.numkit import HermitianMatrix, jet_mul, jet_recip
 from adiabatic_lab.nstate import (
     NStateModel,
     assemble_state,
@@ -33,7 +36,9 @@ NORM = 0.9732489894677302
 TWO = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=0.25)
 
 
-def random_model(seed, levels, x=0.1, eps=0.25, complex_v=False, vscale=1.0):
+def random_model(
+    seed, levels, x=0.1, eps=0.25, complex_v=False, vscale=1.0, ground_index=0
+):
     rng = np.random.default_rng(seed)
     energies = np.cumsum(rng.uniform(0.5, 1.5, levels))
     if complex_v:
@@ -43,7 +48,11 @@ def random_model(seed, levels, x=0.1, eps=0.25, complex_v=False, vscale=1.0):
         a = rng.normal(size=(levels, levels))
         v = (a + a.T) / 2
     return NStateModel(
-        energies=energies, v=HermitianMatrix(vscale * v), x=x, eps=eps
+        energies=energies,
+        v=HermitianMatrix(vscale * v),
+        x=x,
+        eps=eps,
+        ground_index=ground_index,
     )
 
 
@@ -237,6 +246,119 @@ def test_correspondence_with_two_state_recursion():
     for k in range(1, 9):
         assert abs(xv[2 * k - 1] - gv[k - 1]) <= 1e-12
         assert abs(xv[2 * k - 2]) <= 1e-12 or k == 1  # odd orders vanish
+
+
+def _recursion_term_by_term(model, order, jet_order, at_eps):
+    """The projector recursion with the sum over m of xi_{n-m} phi_m taken
+    one jet product at a time: the reference that ``rs_recursion`` must
+    match bit for bit."""
+    e, g, vm, dim = model.energies, model.ground_index, model.v.entries, model.dim
+    k1 = jet_order + 1
+    others = np.arange(dim) != g
+    n_col = np.arange(1, order + 1)[:, None]
+    den = np.zeros((order, dim - 1, k1), dtype=complex)
+    den[..., 0] = e[others] - e[g] - 1j * n_col * at_eps
+    if jet_order >= 1:
+        den[..., 1] = -1j * n_col
+    recip = np.zeros((order, dim, k1), dtype=complex)
+    recip[:, others] = jet_recip(den)
+    xi = np.zeros((order, k1), dtype=complex)
+    xi[0, 0] = vm[g, g]
+    phi = np.zeros((order, dim, k1), dtype=complex)
+    w = np.zeros((dim, k1), dtype=complex)
+    w[:, 0] = vm[:, g]
+    w[g, 0] = 0.0
+    phi[0] = -jet_mul(recip[0], w)
+    phi[0, g] = 0.0
+    for n in range(2, order + 1):
+        xi[n - 1] = np.tensordot(vm[g, :], phi[n - 2], axes=(0, 0))
+        bracket = np.tensordot(vm, phi[n - 2], axes=(1, 0))
+        bracket[g] = 0.0
+        for m_idx in range(1, n):
+            bracket -= jet_mul(xi[n - m_idx - 1], phi[m_idx - 1])
+        phi[n - 1] = -jet_mul(recip[n - 1], bracket)
+        phi[n - 1, g] = 0.0
+    return xi, phi
+
+
+def _assert_recursion_matches_reference(model, order, jet_order, at_eps):
+    rs = rs_recursion(model, order, jet_order, at_eps)
+    xi, phi = _recursion_term_by_term(model, order, jet_order, at_eps)
+    assert np.array_equal(rs.xi, xi)
+    assert np.array_equal(rs.phi, phi)
+
+
+@pytest.mark.parametrize("complex_v", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("levels", [2, 3, 8, 64])
+def test_recursion_bit_identical_to_term_by_term_sum(levels, complex_v):
+    m = random_model(levels, levels, complex_v=complex_v, ground_index=1)
+    for order in (1, 2, 30):
+        for jet_order in (0, 1, 2):
+            for at_eps in (0.0, m.eps):
+                _assert_recursion_matches_reference(m, order, jet_order, at_eps)
+
+
+@pytest.mark.parametrize(
+    "levels, complex_v, jet_order, at_eps",
+    [(2, True, 0, 0.25), (3, False, 1, 0.0), (8, True, 2, 0.0), (64, False, 1, 0.25)],
+)
+def test_recursion_bit_identical_to_term_by_term_sum_order_200(
+    levels, complex_v, jet_order, at_eps
+):
+    # the coefficients of these models stay below 1e86 at order 200, so no
+    # mismatch can hide behind an inf or a NaN
+    m = random_model(levels, levels, complex_v=complex_v, ground_index=levels - 1)
+    _assert_recursion_matches_reference(m, 200, jet_order, at_eps)
+
+
+@st.composite
+def hermitian_models(draw):
+    """Models with unit-scale gaps and a Hermitian V, real or complex,
+    whose entries are up to about ``scale`` in size, tracking any level."""
+    levels = draw(st.integers(2, 5))
+    unit = st.floats(-1.0, 1.0)
+    gaps = draw(st.lists(st.floats(0.5, 1.5), min_size=levels - 1, max_size=levels - 1))
+    scale = draw(st.sampled_from([1e-3, 1.0, 4.0]))
+    a = np.array(draw(st.lists(unit, min_size=levels * levels, max_size=levels * levels)))
+    a = a.reshape(levels, levels)
+    if draw(st.booleans()):
+        b = np.array(draw(st.lists(unit, min_size=levels * levels, max_size=levels * levels)))
+        a = a + 1j * b.reshape(levels, levels)
+    return NStateModel(
+        energies=np.concatenate([[0.0], np.cumsum(gaps)]),
+        v=HermitianMatrix(scale * (a + a.conj().T) / 2),
+        x=0.1,
+        eps=draw(st.sampled_from([0.1, 0.25])),
+        ground_index=draw(st.integers(0, levels - 1)),
+    )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    model=hermitian_models(),
+    order=st.integers(1, 40),
+    jet_order=st.integers(0, 2),
+    at_rate=st.booleans(),
+)
+def test_recursion_bit_identical_to_term_by_term_sum_property(
+    model, order, jet_order, at_rate
+):
+    _assert_recursion_matches_reference(
+        model, order, jet_order, model.eps if at_rate else 0.0
+    )
+
+
+@pytest.mark.parametrize("order", [1, 30, 200])
+def test_recursion_makes_at_most_two_jet_products_per_order(monkeypatch, order):
+    calls = []
+
+    def counting(a, b):
+        calls.append(None)
+        return jet_mul(a, b)
+
+    monkeypatch.setattr(nstate, "jet_mul", counting)
+    rs_recursion(random_model(3, 5, complex_v=True), order, 1)
+    assert 0 < len(calls) <= 2 * order
 
 
 # ---------------------------------------------------------------------------

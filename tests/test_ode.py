@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -250,3 +251,17 @@ def test_overflowing_state_never_accepted_pair(monkeypatch, y0, lo, hi):
     )
     assert "underflow" in str(error)
     assert lo < error.time < hi
+
+
+@pytest.mark.parametrize("size", [2, 3], ids=["pair", "array"])
+def test_overflowing_starting_derivative_fails_at_t0(size):
+    # the zero component's error scale is tol, so the scaled size of the
+    # derivative overflows and no starting step can be sized
+    rhs = lambda t, y: np.full_like(y, 1e308 + 1e308j)
+    y0 = np.zeros(size, dtype=complex)
+    y0[0] = 1e308 + 1e308j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match=r"not finite at t = 0\b") as excinfo:
+            ode_evolve(rhs, y0, 0.0, 2.0, 1e-10)
+    assert excinfo.value.time == 0.0

@@ -19,6 +19,7 @@ from adiabatic_lab.twostate import (
     gtilde_values,
     limit_state,
     phase_f,
+    phase_series,
     phase_split,
 )
 
@@ -420,6 +421,25 @@ def test_phase_f_rejects_overflowing_powers():
     # the squared ramp, about 3.5e216 here, is a float; its powers are not
     with pytest.raises(DomainError, match="f is not finite at t = 1000: .* order-30"):
         phase_f(STD, 1000.0)
+
+
+def test_phase_series_converged_inside_its_reach():
+    result = phase_series(STD, 0.0)
+    assert result.value == phase_f(STD, 0.0)
+    assert result.converged is True
+
+
+def test_phase_series_not_converged_past_its_reach():
+    # the terms grow as (x / delta)**(2n) for x above the radius delta
+    result = phase_series(TwoStateModel(mu=0.0, delta=1.0, x=1.5, eps=0.0625), 0.0)
+    assert math.isfinite(abs(result.value))
+    assert result.converged is False
+
+
+def test_phase_series_convergence_needs_a_second_term():
+    # one term shows no decay; a coupling switched off to 0 leaves no tail
+    assert phase_series(STD, 0.0, 1).converged is False
+    assert phase_series(STD, -5000.0).converged is True
 
 
 @pytest.mark.parametrize(
