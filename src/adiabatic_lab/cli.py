@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import itertools
 import logging
 import math
 import os
@@ -118,15 +119,9 @@ def _trajectory_table(traj, labels) -> Table:
     for lab in labels:
         columns += [f"re_{lab}", f"im_{lab}"]
     columns.append("norm")
-    rows = []
-    norms = traj.norms()
-    for i, t in enumerate(traj.times):
-        row = [float(t)]
-        for comp in traj.states[i]:
-            row += [float(comp.real), float(comp.imag)]
-        row.append(float(norms[i]))
-        rows.append(row)
-    return Table("trajectory", columns, rows)
+    # a complex array viewed as floats holds re and im side by side
+    rows = np.column_stack([traj.times, traj.states.view(float), traj.norms()])
+    return Table("trajectory", columns, rows.tolist())
 
 
 def _print_report(report: RunReport) -> None:
@@ -250,6 +245,9 @@ def _cmd_two_phase(model, args) -> dict:
 
 
 def _three_way(model, t, tol, order, terms):
+    """The amplitude a(t) by the ODE, Bessel-series and phase-recursion
+    routes, keyed by route; their pairwise residuals; the series result; and
+    whether the phase recursion converged."""
     # the cheap phase recursion first: past its reach it fails before the ODE
     phase = twostate.phase_series(model, t, order)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -262,24 +260,22 @@ def _three_way(model, t, tol, order, terms):
             f"order-{order} series"
         )
     traj = twostate.evolve_two_state(model, t, tol)
-    a_ode = complex(traj.final_state[0])
     series = twostate.bessel_series_a(model, t, terms, stop_below=1e-12)
-    a_series = series.value
-    return a_ode, a_series, a_rec, series, phase.converged
+    amps = {
+        "ode": complex(traj.final_state[0]),
+        "bessel-series": series.value,
+        "phase-recursion": a_rec,
+    }
+    pairs = itertools.combinations(amps, 2)
+    residuals = {f"{p}-vs-{q}": abs(amps[p] - amps[q]) for p, q in pairs}
+    return amps, residuals, series, phase.converged
 
 
 def _cmd_two_compare(model, args) -> dict:
-    a_ode, a_series, a_rec, series, rec_converged = _three_way(
+    amps, residuals, series, rec_converged = _three_way(
         model, args.t, args.tol, args.order, args.terms
     )
-    residuals = {
-        "ode-vs-bessel-series": abs(a_ode - a_series),
-        "ode-vs-phase-recursion": abs(a_ode - a_rec),
-        "bessel-series-vs-phase-recursion": abs(a_series - a_rec),
-    }
-    rows = _complex_rows(
-        ("ode", "bessel-series", "phase-recursion"), (a_ode, a_series, a_rec)
-    )
+    rows = _complex_rows(amps, amps.values())
     return dict(
         tables=[Table("methods", ["method", "re", "im", "abs"], rows)],
         residuals=residuals,
@@ -295,21 +291,16 @@ def _cmd_two_sweep(base, args) -> dict:
     grid = _parse_eps_grid(args.eps_grid)
     limit = twostate.exact_eigensystem(base).norm_n
     rows = []
-    rec_converged = True
     for eps in grid:
         model = twostate.TwoStateModel(mu=base.mu, delta=base.delta, x=base.x, eps=eps)
-        a_ode, a_series, a_rec, series, converged = _three_way(
+        amps, residuals, series, converged = _three_way(
             model, 0.0, args.tol, args.order, args.terms
         )
-        rec_converged = rec_converged and converged
         # the terms rise to one peak and then fall, so the series summed to
         # its 1e-12 stop has already passed the largest term
-        cross = max(
-            abs(a_ode - a_series), abs(a_ode - a_rec), abs(a_series - a_rec)
-        )
-        rows.append(
-            [eps, series.max_term, abs(a_ode), abs(abs(a_ode) - limit), cross]
-        )
+        abs_a0 = abs(amps["ode"])
+        rows.append([eps, series.max_term, abs_a0, abs(abs_a0 - limit),
+                     max(residuals.values()), converged])
     max_terms = [r[1] for r in rows]
     errors = [r[3] for r in rows]
     return dict(
@@ -322,6 +313,7 @@ def _cmd_two_sweep(base, args) -> dict:
                     "abs_a0[ode]",
                     "abs_a0_error_vs_limit[ode]",
                     "max_cross_residual",
+                    "converged[phase-recursion]",
                 ],
                 rows,
             )
@@ -334,7 +326,7 @@ def _cmd_two_sweep(base, args) -> dict:
             "ode_error_monotone_decreasing": all(
                 b < a for a, b in zip(errors, errors[1:])
             ),
-            "converged[phase-recursion]": rec_converged,
+            "converged[phase-recursion]": all(r[5] for r in rows),
         },
     )
 

@@ -181,24 +181,12 @@ class RsExpansion:
     ``xi[n-1, k]`` is the k-th jet coefficient of the order-n phase
     coefficient and ``phi[n-1, :, k]`` that of the order-n correction
     vector, whose tracked component is identically zero by construction.
-    Both arrays are read-only. Jets are expanded around ``at_eps`` (0 for
-    the slow-switching limit).
+    Both arrays are read-only. Jets are expanded around the ``at_eps`` of
+    ``rs_recursion`` (0 for the slow-switching limit).
     """
 
     xi: np.ndarray
     phi: np.ndarray
-    order: int
-    jet_order: int
-    at_eps: float
-    ground_index: int
-
-    def xi_values(self) -> np.ndarray:
-        """Phase coefficients at the expansion point, orders 1..order."""
-        return self.xi[:, 0]
-
-    def xi_slopes(self) -> np.ndarray:
-        """Derivatives of the phase coefficients with respect to the rate."""
-        return self.xi[:, 1]
 
     def phi_n(self, n: int) -> np.ndarray:
         """Order-n correction vector at the expansion point (1-based)."""
@@ -265,14 +253,7 @@ def rs_recursion(
 
     xi.flags.writeable = False
     phi.flags.writeable = False
-    return RsExpansion(
-        xi=xi,
-        phi=phi,
-        order=order,
-        jet_order=jet_order,
-        at_eps=at_eps,
-        ground_index=g,
-    )
+    return RsExpansion(xi=xi, phi=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +283,15 @@ class AssembledState:
 
 
 def _split_from(rs: RsExpansion, model: NStateModel) -> GSplit:
-    n = np.arange(1, rs.order + 1)
+    order = len(rs.xi)
+    n = np.arange(1, order + 1)
     powers = model.x**n
     g_a, de, g_b, residue = laurent_split(powers, n, rs.xi, ("g_a", "delta_e", "g_b"))
     return GSplit(
         g_a=g_a,
         delta_e=de,
         g_b=g_b,
-        order=rs.order,
+        order=order,
         last_term_magnitude=float(abs(powers[-1] * rs.xi[-1, 0])),
         max_imag_residue=residue,
     )

@@ -19,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError
-from .numkit import Trajectory, jet_mul, jet_recip, ode_evolve
+from .errors import ConsistencyError, DomainError, IntegrationError
+from .numkit import Trajectory, jet_mul, jet_recip, ode, ode_evolve
 
 __all__ = [
     "TwoStateModel",
     "TwoStateEigensystem",
-    "GtildeTable",
     "BesselSeriesResult",
     "PhaseSeriesResult",
     "PhaseSplitTwoState",
@@ -37,7 +36,6 @@ __all__ = [
     "delta_e_series",
     "bessel_series_a",
     "phase_series",
-    "phase_f",
     "ramped_coupling",
     "ramped_coupling_squared",
     "laurent_split",
@@ -90,27 +88,6 @@ class TwoStateEigensystem:
     e1: float
     delta_e: float
     norm_n: float
-
-
-@dataclass(frozen=True, eq=False)
-class GtildeTable:
-    """Recursion coefficients for the phase function, carried as jets in the
-    switching rate so values and derivatives propagate together.
-
-    ``entries[k]`` (a read-only ``(order, jet_order + 1)`` array, one jet
-    per row) multiplies the (k+1)-th even power of the ramped coupling.
-    """
-
-    entries: np.ndarray
-    delta: float
-    at_eps: float = 0.0
-
-    def values(self) -> np.ndarray:
-        return self.entries[:, 0]
-
-    def slopes(self) -> np.ndarray:
-        """First derivatives with respect to the switching rate."""
-        return self.entries[:, 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,11 +174,11 @@ def exact_eigensystem(m: TwoStateModel) -> TwoStateEigensystem:
 # phase-function recursion coefficients
 
 
-def gtilde_table(
-    delta: float, order: int, jet_order: int, at_eps: float = 0.0
-) -> GtildeTable:
-    """First ``order`` phase-recursion coefficients as jets in the switching
-    rate, expanded around ``at_eps`` (0 for the slow-switching limit).
+def gtilde_table(delta: float, order: int) -> np.ndarray:
+    """First ``order`` phase-recursion coefficients as second-order jets in
+    the switching rate around the slow-switching limit 0: a read-only
+    ``(order, 3)`` array whose row k (value, slope, half curvature)
+    multiplies the (k+1)-th even power of the ramped coupling.
 
     Entry n solves: first entry = -i / (2i*delta + rate); entry n =
     i * sum_{m<n} entry_{n-m} * entry_m / (2i*delta + (2n-1)*rate).
@@ -211,12 +188,9 @@ def gtilde_table(
         raise DomainError(f"delta must be > 0, got {delta}")
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
-    if jet_order < 1:
-        raise DomainError(f"jet order must be >= 1, got {jet_order}")
-    fac = 2 * np.arange(1, order + 1) - 1
-    den = np.zeros((order, jet_order + 1), dtype=complex)
-    den[:, 0] = 2j * delta + fac * at_eps
-    den[:, 1] = fac
+    den = np.zeros((order, 3), dtype=complex)
+    den[:, 0] = 2j * delta
+    den[:, 1] = 2 * np.arange(1, order + 1) - 1
     recip = jet_recip(den)
     entries = np.empty_like(den)
     entries[0] = -1j * recip[0]
@@ -225,7 +199,7 @@ def gtilde_table(
         conv = jet_mul(entries[n - 2 :: -1], entries[: n - 1]).sum(axis=0)
         entries[n - 1] = 1j * jet_mul(conv, recip[n - 1])
     entries.flags.writeable = False
-    return GtildeTable(entries=entries, delta=delta, at_eps=at_eps)
+    return entries
 
 
 def gtilde_values(delta: float, eps: float, order: int) -> np.ndarray:
@@ -328,9 +302,9 @@ def bessel_series_a(
 def phase_series(
     m: TwoStateModel, t: float, order: int = DEFAULT_ORDER
 ) -> PhaseSeriesResult:
-    """Accumulated phase function f(t) at the model's finite switching rate,
-    and whether its truncated series in powers of the squared ramped
-    coupling has converged.
+    """Accumulated phase function f(t) at the model's finite switching rate
+    (the amplitude is ``exp(-1j * f / eps)``), and whether its truncated
+    series in powers of the squared ramped coupling has converged.
 
     ``converged`` is the rule of ``bessel_series_a`` applied to this series:
     the last two terms must shrink, and the geometric tail they start must
@@ -360,12 +334,6 @@ def phase_series(
         last < prev and last * last / (prev - last) <= 1e-12 * max(1.0, abs(f))
     )
     return PhaseSeriesResult(value=f, converged=converged)
-
-
-def phase_f(m: TwoStateModel, t: float, order: int = DEFAULT_ORDER) -> complex:
-    """Accumulated phase function f(t) at the model's finite switching rate;
-    the amplitude is ``exp(-1j * f / eps)``. The value of ``phase_series``."""
-    return phase_series(m, t, order).value
 
 
 def laurent_split(powers, divisors, jets, names):
@@ -406,17 +374,17 @@ def phase_split(m: TwoStateModel, order: int = DEFAULT_ORDER) -> PhaseSplitTwoSt
     _require_series_domain(m.delta, m.x)
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
-    table = gtilde_table(m.delta, order, 2)
+    table = gtilde_table(m.delta, order)
     n = np.arange(1, order + 1)
     powers = m.x ** (2 * n)
     f_a, de, f_b, residue = laurent_split(
-        powers, 2 * n, table.entries, ("f_a", "delta_e_a", "f_b")
+        powers, 2 * n, table, ("f_a", "delta_e_a", "f_b")
     )
-    f_c = m.eps * np.sum(powers * table.entries[:, 2] / (2 * n))
+    f_c = m.eps * np.sum(powers * table[:, 2] / (2 * n))
 
     delta, x = m.delta, m.x
-    c0 = table.values().real
-    c1 = table.slopes()
+    c0 = table[:, 0].real
+    c1 = table[:, 1]
 
     def shift_of(xx):
         return float(np.sum(xx ** (2 * n) * c0))
@@ -424,8 +392,7 @@ def phase_split(m: TwoStateModel, order: int = DEFAULT_ORDER) -> PhaseSplitTwoSt
     def fb_of(xx):
         return float((-1j * np.sum(xx ** (2 * n) * c1 / (2 * n))).real)
 
-    de_closed = delta_e_closed(delta, x)
-    norm_n = 1.0 / math.sqrt(1.0 + (de_closed / x) ** 2)
+    norm_n = exact_eigensystem(m).norm_n
     de_series = shift_of(x)
     h = 1e-5 * x
     dfb = (fb_of(x + h) - fb_of(x - h)) / (2 * h)
@@ -508,8 +475,25 @@ def evolve_two_state(
     """Integrate the interaction-picture amplitude pair (a, c) from deep in
     the switch-on tail (ramped coupling at ``start_threshold`` of the gap 2*delta)
     to ``t_end``, starting from (1, 0). The generator is anti-Hermitian, so
-    |a|**2 + |c|**2 stays at 1 within a small multiple of ``tol``."""
+    |a|**2 + |c|**2 stays at 1 within a small multiple of ``tol``.
+
+    A run whose step count would exceed ``numkit.ode.MAX_STEPS`` fails at
+    the start with an ``IntegrationError``. The count grows with the
+    rotation angle x * exp(eps * t_end) / eps, measured at about
+    0.30 * tol**-0.2 steps per radian for tol 1e-4 to 1e-12; the estimate
+    takes a third of that rate, so a run that could finish is never refused.
+    """
     t0 = switch_on_time(2 * m.delta, m.x, m.eps, start_threshold, t_end)
+    angle = ramped_coupling(m.x, m.eps, t_end, "t_end") / m.eps
+    # a tolerance that is not positive is ode_evolve's to refuse
+    steps = 0.1 * tol**-0.2 * angle if tol > 0 else 0.0
+    if steps > ode.MAX_STEPS:
+        raise IntegrationError(
+            f"step budget exhausted before the start: about {steps:.3g} steps "
+            f"(0.1 * tol**-0.2 * x * exp(eps * t_end) / eps) to t_end = {t_end:.6g} "
+            f"exceed the budget of {ode.MAX_STEPS}; raise tol or move t_end earlier",
+            time=t0,
+        )
     # w = -1j z, where z = x exp(eps t) exp(-2i delta t) is the ramped
     # coupling times the interaction-picture phase, from one exponential;
     # the second component's -1j conj(z) is -conj(w). Multiplying by -1j is

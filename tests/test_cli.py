@@ -1,5 +1,6 @@
 import argparse
 import json
+import time
 
 import numpy as np
 import pytest
@@ -216,6 +217,17 @@ def test_exit_code_integration_failure(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: integration: step budget exhausted")
 
 
+def test_exit_code_step_budget_estimate_fails_at_once(capsys):
+    # about 6.5e7 steps, 13x the budget: refused before the first step
+    started = time.perf_counter()
+    assert run("two-state", "evolve", "--eps", "0.25", "--t-end", "60") == 3
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err.startswith(
+        "error: integration: step budget exhausted before the start: "
+        "about 6.54e+07 steps (0.1 * tol**-0.2 * x * exp(eps * t_end) / eps)"
+    )
+
+
 def test_exit_code_non_finite_mu(capsys):
     assert run("two-state", "exact", "--mu", "nan") == 2
     assert "mu must be finite" in capsys.readouterr().err
@@ -297,6 +309,21 @@ def test_sweep_eps_flags_phase_recursion_past_its_reach(tmp_path):
     assert cross[2] > 0.8 and cross[3] > 0.8
 
 
+@pytest.mark.parametrize(
+    "x, verdicts",
+    [("0.9", [True, True, False, False]), ("1.5", [False] * 4)],
+    ids=["x0.9", "x1.5"],
+)
+def test_sweep_eps_reports_phase_recursion_verdict_per_row(tmp_path, x, verdicts):
+    out = tmp_path / "sweep.json"
+    assert run("two-state", "sweep-eps", "--x", x, "--out", str(out)) == 0
+    report = report_from_json(out)
+    table = report.tables[0]
+    assert table.columns[-2:] == ["max_cross_residual", "converged[phase-recursion]"]
+    assert [row[-1] for row in table.rows] == verdicts
+    assert report.flags["converged[phase-recursion]"] is all(verdicts)
+
+
 def test_trajectory_csv_schema(tmp_path):
     out = tmp_path / "traj.csv"
     assert (
@@ -310,6 +337,20 @@ def test_trajectory_csv_schema(tmp_path):
     assert lines[0] == "t,re_a,im_a,re_c,im_c,norm"
     first = [float(cell) for cell in lines[1].split(",")]
     assert first[1] == 1.0 and first[5] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_trajectory_table_rows_are_the_trajectory(tmp_path):
+    # reference: one row per time, built element by element
+    path, out = write_model(tmp_path, EMBED), tmp_path / "traj.json"
+    assert run("n-state", "evolve", "--model", str(path), "--t-end", "-2",
+               "--out", str(out)) == 0
+    traj = nstate.evolve_nstate(load_model(path), -2.0, 1e-10)
+    expected = [
+        [float(t), *(float(part) for z in state for part in (z.real, z.imag)),
+         float(norm)]
+        for t, state, norm in zip(traj.times, traj.states, traj.norms())
+    ]
+    assert report_from_json(out).tables[0].rows == expected
 
 
 def test_n_state_oracle_on_embed_file(tmp_path, capsys):
@@ -354,7 +395,7 @@ def test_n_state_recursion_slopes_are_first_order_jets(tmp_path):
     path, out = write_model(tmp_path), tmp_path / "recursion.json"
     assert run("n-state", "recursion", "--model", str(path), "--out", str(out)) == 0
     rows = np.array(report_from_json(out).tables[0].rows)
-    slopes = nstate.rs_recursion(load_model(path), 8, 1).xi_slopes()
+    slopes = nstate.rs_recursion(load_model(path), 8, 1).xi[:, 1]
     np.testing.assert_array_equal(rows[:, 3], slopes.real)
     np.testing.assert_array_equal(rows[:, 4], slopes.imag)
     assert np.any(rows[:, 3:5] != 0.0)

@@ -1,13 +1,17 @@
 import cmath
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from adiabatic_lab import nstate
+from adiabatic_lab.cli import main
 from adiabatic_lab.errors import (
     ConsistencyError,
     ContinuationError,
@@ -68,6 +72,53 @@ def test_model_rejects_degenerate_tracked_level():
             x=0.1,
             eps=0.25,
         )
+
+
+@st.composite
+def near_degenerate_levels(draw):
+    """Distinct random energies, spread 1 to 18, with a random tracked level
+    and one more level to be put next to it: ``(energies, ground_index,
+    moved)``, where ``energies[moved]`` is NaN until the test places it."""
+    gaps = draw(st.lists(st.floats(0.05, 3.0), min_size=1, max_size=6))
+    assume(sum(gaps) >= 1.0)
+    others = list(draw(st.floats(-5.0, 5.0)) + np.cumsum([0.0, *gaps]))
+    others = draw(st.permutations(others))
+    g = draw(st.integers(0, len(others) - 1))
+    moved = draw(st.integers(0, len(others)))
+    return np.insert(others, moved, np.nan), g + (g >= moved), moved
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(levels=near_degenerate_levels())
+def test_near_degenerate_tracked_level_refused_property(levels):
+    # the moved level sits between the others, so the spread and with it
+    # the floor are those of the other levels
+    energies, g, moved = levels
+    spread = np.nanmax(energies) - np.nanmin(energies)
+    floor = nstate.GAP_FLOOR_FACTOR * spread
+    side = 1.0 if energies[g] < np.nanmax(energies) else -1.0
+
+    def model_at(share):
+        e = energies.copy()
+        e[moved] = e[g] + side * share * floor
+        v = HermitianMatrix(np.ones((e.size, e.size)))
+        return e, dict(v=v, x=0.1, eps=0.25, ground_index=g)
+
+    e, fields = model_at(0.999)
+    names = f"levels {g} and {moved} are separated by"
+    with pytest.raises(DegeneracyError, match=names):
+        NStateModel(energies=e, **fields)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps({
+            "kind": "n-state", "energies": e.tolist(),
+            "v_real": fields["v"].entries.real.tolist(),
+            "v_imag": fields["v"].entries.imag.tolist(),
+            "x": 0.1, "eps": 0.25, "ground_index": g,
+        }))
+        assert main(["n-state", "oracle", "--model", str(path)]) == 4
+    e, fields = model_at(1.001)
+    assert NStateModel(energies=e, **fields).min_gap >= floor
 
 
 def test_model_rejects_flat_spectrum():
@@ -232,16 +283,16 @@ def test_recursion_arrays_read_only():
             coeffs[0, 0] = 1.0
 
 
-def test_recursion_xi_values_real_for_hermitian():
+def test_recursion_xi_real_for_hermitian():
     for seed in (1, 2, 3):
         m = random_model(seed, 8, complex_v=True)
         rs = rs_recursion(m, 10, 1)
-        assert np.abs(rs.xi_values().imag).max() <= 1e-10
+        assert np.abs(rs.xi[:, 0].imag).max() <= 1e-10
 
 
 def test_correspondence_with_two_state_recursion():
     rs = rs_recursion(two_level_embed(TWO), 16, 1)
-    xv = rs.xi_values()
+    xv = rs.xi[:, 0]
     gv = gtilde_values(TWO.delta, 0.0, 8)
     for k in range(1, 9):
         assert abs(xv[2 * k - 1] - gv[k - 1]) <= 1e-12
@@ -405,7 +456,7 @@ def test_g_split_complex_perturbation_carries_structural_phase():
         g_split(m, 10)
     # the shift itself stays real: only the finite phase is affected
     rs = rs_recursion(m, 10, 1)
-    assert np.abs(rs.xi_values().imag).max() <= 1e-12
+    assert np.abs(rs.xi[:, 0].imag).max() <= 1e-12
 
 
 def test_complex_perturbation_phase_confirmed_by_ode():
@@ -420,8 +471,8 @@ def test_complex_perturbation_phase_confirmed_by_ode():
         m = NStateModel(energies=e, v=HermitianMatrix(v), x=x, eps=eps)
         rs = rs_recursion(m, 12, 1)
         n = np.arange(1, 13)
-        g_a = float(np.sum(x**n * rs.xi_values().real / n))
-        g_b = -1j * np.sum(x**n * rs.xi_slopes() / n)
+        g_a = float(np.sum(x**n * rs.xi[:, 0].real / n))
+        g_b = -1j * np.sum(x**n * rs.xi[:, 1] / n)
         amp0 = evolve_nstate(m, 0.0, 1e-11, start_threshold=1e-9).final_state[0]
         phases.append(cmath.phase(amp0 * cmath.exp(1j * g_a / eps)))
     extrapolated = 2 * phases[1] - phases[0]  # leading-order in rate

@@ -1,13 +1,15 @@
 import cmath
 import math
+import re
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from adiabatic_lab.errors import DomainError
-from adiabatic_lab.numkit import hermitian_eig
+from adiabatic_lab.errors import DomainError, IntegrationError
+from adiabatic_lab.numkit import hermitian_eig, ode
 from adiabatic_lab.twostate import (
     TwoStateModel,
     bessel_series_a,
@@ -18,7 +20,6 @@ from adiabatic_lab.twostate import (
     gtilde_table,
     gtilde_values,
     limit_state,
-    phase_f,
     phase_series,
     phase_split,
 )
@@ -99,40 +100,37 @@ def test_gtilde_low_order_values():
 
 
 def test_gtilde_first_entry_and_slope():
-    table = gtilde_table(1.0, 3, 2)
-    assert abs(table.entries[0, 0] - (-0.5)) < 1e-14
-    assert table.slopes()[0] == pytest.approx(-0.25j, abs=1e-15)  # d/deps of -i/(2i+eps)
-    assert np.abs(table.values().imag).max() < 1e-12
+    table = gtilde_table(1.0, 3)
+    assert abs(table[0, 0] - (-0.5)) < 1e-14
+    assert table[0, 1] == pytest.approx(-0.25j, abs=1e-15)  # d/deps of -i/(2i+eps)
+    assert np.abs(table[:, 0].imag).max() < 1e-12
 
 
 def test_gtilde_table_entries_read_only():
-    table = gtilde_table(1.0, 4, 2)
-    assert table.entries.shape == (4, 3)
+    table = gtilde_table(1.0, 4)
+    assert table.shape == (4, 3)
     with pytest.raises(ValueError):
-        table.entries[0, 0] = 1.0
+        table[0, 0] = 1.0
 
 
 def test_gtilde_table_values_match_plain_recursion():
-    # the jet table's value column against the scalar recursion, at the
-    # slow-switching limit and at a finite expansion point
-    for at_eps in (0.0, 0.3):
-        table = gtilde_table(1.3, 40, 2, at_eps=at_eps)
-        np.testing.assert_allclose(
-            table.values(), gtilde_values(1.3, at_eps, 40), rtol=1e-13, atol=0
-        )
+    # the jet table's value column against the scalar recursion at the
+    # slow-switching limit
+    np.testing.assert_allclose(
+        gtilde_table(1.3, 40)[:, 0], gtilde_values(1.3, 0.0, 40), rtol=1e-13, atol=0
+    )
 
 
 def test_gtilde_slopes_match_finite_differences():
     delta, h = 1.3, 1e-5
-    table = gtilde_table(delta, 8, 1)
+    table = gtilde_table(delta, 8)
     fd = (gtilde_values(delta, h, 8) - gtilde_values(delta, -h, 8)) / (2 * h)
-    np.testing.assert_allclose(table.slopes(), fd, atol=1e-8)
+    np.testing.assert_allclose(table[:, 1], fd, atol=1e-8)
 
 
 def test_gtilde_curvature_matches_finite_differences():
     delta, h = 1.0, 1e-3
-    table = gtilde_table(delta, 6, 2)
-    c2 = table.entries[:, 2]
+    c2 = gtilde_table(delta, 6)[:, 2]
     fd = (
         gtilde_values(delta, h, 6)
         - 2 * gtilde_values(delta, 0.0, 6)
@@ -253,11 +251,11 @@ def test_bessel_divergence_locality():
 
 def test_phase_f_trivial_at_vanishing_coupling():
     m = TwoStateModel(mu=0.0, delta=1.0, x=1e-30, eps=0.25)
-    assert abs(phase_f(m, 0.0, 10)) < 1e-55
+    assert abs(phase_series(m, 0.0, 10).value) < 1e-55
 
 
 def test_phase_f_matches_bessel_series():
-    a_rec = cmath.exp(-1j * phase_f(STD, 0.0, 30) / STD.eps)
+    a_rec = cmath.exp(-1j * phase_series(STD, 0.0, 30).value / STD.eps)
     res = bessel_series_a(STD, 0.0, 60, stop_below=1e-12)
     assert abs(a_rec - res.value) < 1e-6
 
@@ -268,7 +266,7 @@ def test_phase_f_reconstruction_satisfies_amplitude_ode():
     t = -0.4
 
     def a_of(tt):
-        return cmath.exp(-1j * phase_f(STD, tt, 30) / STD.eps)
+        return cmath.exp(-1j * phase_series(STD, tt, 30).value / STD.eps)
 
     a_m, a_0, a_p = a_of(t - h), a_of(t), a_of(t + h)
     d1 = (a_p - a_m) / (2 * h)
@@ -286,7 +284,7 @@ def test_three_way_agreement_grid():
             for t in (-2.0, -1.0, 0.0):
                 a_ode = evolve_two_state(m, t, 1e-10).final_state[0]
                 a_ser = bessel_series_a(m, t, 60, stop_below=1e-12).value
-                a_rec = cmath.exp(-1j * phase_f(m, t, 60) / eps)
+                a_rec = cmath.exp(-1j * phase_series(m, t, 60).value / eps)
                 assert abs(a_ode - a_ser) < 1e-6
                 assert abs(a_ode - a_rec) < 1e-6
                 assert abs(a_ser - a_rec) < 1e-6
@@ -407,25 +405,24 @@ def test_evolve_rejects_ramp_overflow():
 
 def test_phase_f_rejects_ramp_overflow():
     with pytest.raises(DomainError, match="overflows at t = 3000"):
-        phase_f(STD, 3000.0)
+        phase_series(STD, 3000.0)
 
 
 def test_phase_f_rejects_ramp_square_overflow():
     # x * exp(eps * t) is about 1e163 here, a float; its square is not
     with pytest.raises(DomainError, match="squared .* overflows at t = 1500"):
-        phase_f(STD, 1500.0)
+        phase_series(STD, 1500.0)
 
 
 @pytest.mark.filterwarnings("error")
 def test_phase_f_rejects_overflowing_powers():
     # the squared ramp, about 3.5e216 here, is a float; its powers are not
     with pytest.raises(DomainError, match="f is not finite at t = 1000: .* order-30"):
-        phase_f(STD, 1000.0)
+        phase_series(STD, 1000.0)
 
 
 def test_phase_series_converged_inside_its_reach():
     result = phase_series(STD, 0.0)
-    assert result.value == phase_f(STD, 0.0)
     assert result.converged is True
 
 
@@ -472,6 +469,55 @@ def test_evolve_component_ratio_approaches_eigenvector():
     m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=0.05)
     final = evolve_two_state(m, 0.0, 1e-10).final_state
     assert abs(final[1] / final[0]) == pytest.approx(abs(SHIFT) / 0.5, rel=1e-2)
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.1])
+def test_evolve_step_estimate_stays_below_the_step_count(monkeypatch, eps):
+    # the up-front estimate of the step budget check against the steps
+    # taken, at the point where its rate was measured
+    m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=eps)
+    for tol in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+        for t_end in (0.0, 15.0):
+            traj = evolve_two_state(m, t_end, tol)
+            steps = traj.accepted_steps + traj.rejected_steps
+            monkeypatch.setattr(ode, "MAX_STEPS", 0)
+            with pytest.raises(IntegrationError, match="before the start") as info:
+                evolve_two_state(m, t_end, tol)
+            estimate = float(re.search(r"about (\S+) steps", str(info.value))[1])
+            assert 0 < estimate < steps
+            # a budget the run fits is not refused
+            monkeypatch.setattr(ode, "MAX_STEPS", steps)
+            assert evolve_two_state(m, t_end, tol).accepted_steps == traj.accepted_steps
+            monkeypatch.undo()
+
+
+def a0_oracle(m):
+    """a(0) = 0F1(; 1 - nu; -s**2 / 4), with nu = 1/2 - i delta / eps and
+    s = x / eps, evaluated in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        nu = mpmath.mpf(0.5) - 1j * mpmath.mpf(m.delta) / m.eps
+        s = mpmath.mpf(m.x) / m.eps
+        return complex(mpmath.hyp0f1(1 - nu, -s * s / 4))
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.05, 0.0125])
+def test_evolve_matches_arbitrary_precision_oracle(eps):
+    m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=eps)
+    ref = a0_oracle(m)
+    a0 = complex(evolve_two_state(m, 0.0, 1e-10).final_state[0])
+    assert abs(a0 - ref) <= 1e-8 * abs(ref)
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.05, 0.0125, 0.003125])
+def test_bessel_series_converged_flag_against_arbitrary_precision_oracle(eps):
+    m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=eps)
+    ref = a0_oracle(m)
+    result = bessel_series_a(m, 0.0, 4000, stop_below=1e-12)
+    error = abs(result.value - ref) / abs(ref)
+    # at the slowest rate the terms peak near 4e7, and their cancellation
+    # leaves an error near 1e-8
+    assert result.converged is (eps > 0.003125)
+    assert error <= 1e-12 if result.converged else error > 1e-12
 
 
 # ---------------------------------------------------------------------------
