@@ -19,7 +19,7 @@ from .errors import ContinuationError, DegeneracyError, DomainError
 from .numkit import HermitianMatrix, Trajectory, hermitian_eig, jet_mul, jet_recip, ode_evolve
 from .twostate import (
     DEFAULT_START_THRESHOLD, TwoStateModel, laurent_split, ramped_coupling,
-    ramped_coupling_squared, switch_on_time,
+    ramped_coupling_squared, require_step_budget, switch_on_time,
 )
 
 __all__ = [
@@ -336,8 +336,29 @@ def evolve_nstate(
 ) -> Trajectory:
     """Full Schrodinger evolution under the ramped perturbation from deep in
     the switch-on tail (ramped coupling at ``start_threshold`` of the
-    smallest gap to the tracked level), starting in the tracked basis state."""
+    smallest gap to the tracked level), starting in the tracked basis state.
+
+    A run whose step count would exceed ``numkit.ode.MAX_STEPS`` fails at
+    the start with an ``IntegrationError``. The count grows with the fastest
+    level's phase max|E_k - E_g| * (t_end - t0) plus the ramp angle
+    x * ||V|| * exp(eps * t_end) / eps (||V|| the spectral norm), measured at
+    0.012 to 0.096 * tol**-0.125 steps per radian for tol 1e-4 to 1e-12 and
+    N = 3 to 64; the estimate takes a third of the lowest rate, so a run
+    that could finish is never refused.
+    """
     t0 = switch_on_time(model.min_gap, model.x, model.eps, start_threshold, t_end)
+    phase = float(np.abs(model.energies - model.ground_energy).max()) * (t_end - t0)
+    ramp = ramped_coupling(model.x, model.eps, t_end, "t_end") / model.eps
+    angle = phase + ramp * float(np.linalg.norm(model.v.entries, 2))
+    # a tolerance that is not positive is ode_evolve's to refuse
+    steps = 0.0039 * tol**-0.125 * angle if tol > 0 else 0.0
+    require_step_budget(
+        steps,
+        "0.0039 * tol**-0.125 * (max|E_k - E_g| * (t_end - t0) "
+        "+ x * ||V|| * exp(eps * t_end) / eps)",
+        t0,
+        t_end,
+    )
     # multiplying by -1j is exact, so moving it inside the sum changes no bit
     ie = -1j * model.energies
     ivm = -1j * model.v.entries

@@ -1,38 +1,25 @@
-"""Adaptive embedded Runge-Kutta 5(4) integration for complex ODE systems.
+"""Adaptive embedded Runge-Kutta 8(5,3) integration for complex ODE systems.
 
-Dormand-Prince pair with PI step-size control (safety 0.9, growth clamped
-to [0.2, 5.0]). Suited to the smooth, non-stiff switching problems in this
-package, where a long quiescent tail benefits from aggressive step growth.
+The Dormand-Prince pair DOP853 (Hairer, Norsett & Wanner, *Solving
+Ordinary Differential Equations I*, 2nd ed., section II.10): twelve stages,
+an 8th-order update whose derivative is the next step's first stage
+(first same as last), and Hairer's error estimate built from the embedded
+5th- and 3rd-order differences. PI step-size control (safety 0.9, growth
+clamped to [0.2, 5.0]). Suited to the smooth, non-stiff switching problems
+in this package, where a long quiescent tail benefits from aggressive step
+growth; at the tolerances used here it takes several times fewer steps
+than a 5(4) pair.
 
 The states here are short vectors (2 to a few dozen entries), so a step
-costs interpreter and numpy call overhead, not arithmetic. One controller
-(step floor, step budget, PI factor, recorded trajectory) drives one of two
-kernels, which take the same trial steps from the same tableau:
-
-- ``_array_steps``, for every size but 2, makes as few numpy calls as it
-  can. One stage matrix holds y in row 0 and the stages k1..k7 below it.
-  The tableau ``_W`` has a leading column for y (1 in the stage rows, 0 in
-  the error row); its other columns are scaled by ``h`` in place once per
-  step into a persistent buffer, so each stage input is one ``dot`` of a
-  pre-sliced buffer row against a pre-sliced head of the stage matrix. The
-  input of the last stage is the 5th-order update itself
-  (first-same-as-last), one more ``dot`` gives the error vector, and the
-  error norm is one ``vdot``: 22 numpy calls a step.
-- ``_pair_steps``, for 2-vectors: the two-state route, where the
-  slow-switching limit spends its time. A numpy call on a 2-vector costs
-  about 1 us, ten complex multiply-adds on Python scalars, and a step is
-  about 65 of those against 22 calls. So this kernel unrolls the tableau
-  (unpacked from ``_W`` and ``_C``) over two Python complex numbers and
-  makes no numpy call but storing each stage input into the array that
-  the right-hand side is passed.
-
-The kernels round the stage sums differently. The error estimate cancels
-to about 1e-6 of its terms, so their error norms, and with them the step
-sizes, differ by about 1e-7 relative; the step counts of this package's
-problems are the same. Untraced on one CPU of a shared 2-core Xeon, a
-two-state step costs 20 to 23 us with the pair kernel against 28 to 39 us
-with the array kernel in the same sitting; the six right-hand-side calls
-are about a third of it.
+costs interpreter and numpy call overhead, not arithmetic. One kernel,
+``_array_steps``, serves every size. One stage matrix holds y in row 0 and
+the stages k1..k12 below it. The tableau ``_W`` has a leading column for y
+(1 in the stage and update rows, 0 in the error rows); its other columns
+are scaled by ``h`` in place once per step into a persistent buffer, so
+each stage input is one ``dot`` of a pre-sliced buffer row against a
+pre-sliced head of the stage matrix. One more ``dot`` gives the update and
+one the two error vectors; the right-hand side at an accepted update is
+the next step's first stage.
 """
 
 from __future__ import annotations
@@ -49,31 +36,111 @@ __all__ = ["Trajectory", "ode_evolve"]
 SAFETY = 0.9
 GROWTH_MIN = 0.2
 GROWTH_MAX = 5.0
-# PI controller exponents for a 5th-order propagator
-PI_ALPHA = 0.7 / 5.0
-PI_BETA = 0.4 / 5.0
+# PI controller exponents for an 8th-order propagator
+PI_ALPHA = 0.7 / 8.0
+PI_BETA = 0.4 / 8.0
 MAX_STEPS = 5_000_000
 # smallest step, relative to the larger of |t| and the span
 _H_FLOOR = 8.0 * float(np.finfo(float).eps)
 
-# stage times of stages 2 to 7, as fractions of the step
-_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-# Rows 0-5: the inputs of stages 2-7 as weights over the stage matrix
-# (y, k1, ..., k7); row 5 is also the 5th-order update (first-same-as-last).
-# Row 6: the error estimate, the difference between the 5th- and embedded
-# 4th-order weights. The leading column is y's weight and is not scaled by h.
-_W = np.array(
-    [
-        [1.0, 1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [1.0, 3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [1.0, 44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
-        [1.0, 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
-        [1.0, 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
-        [1.0, 35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-        [0.0, 71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
-    ],
-    dtype=complex,
+# Stage times of stages 2 to 12, as fractions of the step, and the inputs
+# of those stages as weights of the stages k1, k2, ... before them.
+_C = (
+    0.526001519587677318785587544488e-1,
+    0.789002279381515978178381316732e-1,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
 )
+_STAGE_WEIGHTS = (
+    {1: 5.26001519587677318785587544488e-2},
+    {1: 1.97250569845378994544595329183e-2, 2: 5.91751709536136983633785987549e-2},
+    {1: 2.95875854768068491816892993775e-2, 3: 8.87627564304205475450678981324e-2},
+    {
+        1: 2.41365134159266685502369798665e-1, 3: -8.84549479328286085344864962717e-1,
+        4: 9.24834003261792003115737966543e-1,
+    },
+    {
+        1: 3.7037037037037037037037037037e-2, 4: 1.70828608729473871279604482173e-1,
+        5: 1.25467687566822425016691814123e-1,
+    },
+    {
+        1: 3.7109375e-2, 4: 1.70252211019544039314978060272e-1,
+        5: 6.02165389804559606850219397283e-2, 6: -1.7578125e-2,
+    },
+    {
+        1: 3.70920001185047927108779319836e-2, 4: 1.70383925712239993810214054705e-1,
+        5: 1.07262030446373284651809199168e-1, 6: -1.53194377486244017527936158236e-2,
+        7: 8.27378916381402288758473766002e-3,
+    },
+    {
+        1: 6.24110958716075717114429577812e-1, 4: -3.36089262944694129406857109825,
+        5: -8.68219346841726006818189891453e-1, 6: 2.75920996994467083049415600797e1,
+        7: 2.01540675504778934086186788979e1, 8: -4.34898841810699588477366255144e1,
+    },
+    {
+        1: 4.77662536438264365890433908527e-1, 4: -2.48811461997166764192642586468,
+        5: -5.90290826836842996371446475743e-1, 6: 2.12300514481811942347288949897e1,
+        7: 1.52792336328824235832596922938e1, 8: -3.32882109689848629194453265587e1,
+        9: -2.03312017085086261358222928593e-2,
+    },
+    {
+        1: -9.3714243008598732571704021658e-1, 4: 5.18637242884406370830023853209,
+        5: 1.09143734899672957818500254654, 6: -8.14978701074692612513997267357,
+        7: -1.85200656599969598641566180701e1, 8: 2.27394870993505042818970056734e1,
+        9: 2.49360555267965238987089396762, 10: -3.0467644718982195003823669022,
+    },
+    {
+        1: 2.27331014751653820792359768449, 4: -1.05344954667372501984066689879e1,
+        5: -2.00087205822486249909675718444, 6: -1.79589318631187989172765950534e1,
+        7: 2.79488845294199600508499808837e1, 8: -2.85899827713502369474065508674,
+        9: -8.87285693353062954433549289258, 10: 1.23605671757943030647266201528e1,
+        11: 6.43392746015763530355970484046e-1,
+    },
+)
+# the 8th-order update
+_B = {
+    1: 5.42937341165687622380535766363e-2, 6: 4.45031289275240888144113950566,
+    7: 1.89151789931450038304281599044, 8: -5.8012039600105847814672114227,
+    9: 3.1116436695781989440891606237e-1, 10: -1.52160949662516078556178806805e-1,
+    11: 2.01365400804030348374776537501e-1, 12: 4.47106157277725905176885569043e-2,
+}
+# the 8th-order update less the embedded 5th-order one
+_E5 = {
+    1: 0.1312004499419488073250102996e-1, 6: -0.1225156446376204440720569753e1,
+    7: -0.4957589496572501915214079952, 8: 0.1664377182454986536961530415e1,
+    9: -0.3503288487499736816886487290, 10: 0.3341791187130174790297318841,
+    11: 0.8192320648511571246570742613e-1, 12: -0.2235530786388629525884427845e-1,
+}
+# the 8th-order update less the embedded 3rd-order one
+_E3 = {
+    **_B,
+    1: _B[1] - 0.244094488188976377952755905512,
+    9: _B[9] - 0.733846688281611857341361741547,
+    12: _B[12] - 0.220588235294117647058823529412e-1,
+}
+
+
+def _tableau():
+    """Rows 0-10: the inputs of stages 2-12 as weights over the stage
+    matrix (y, k1, ..., k12); row 11: the update; rows 12-13: the two error
+    estimates. The leading column is y's weight and is not scaled by h."""
+    w = np.zeros((14, 13), dtype=complex)
+    w[:12, 0] = 1.0
+    for row, weights in enumerate((*_STAGE_WEIGHTS, _B, _E5, _E3)):
+        for stage, weight in weights.items():
+            w[row, stage] = weight
+    w.flags.writeable = False
+    return w
+
+
+_W = _tableau()
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,22 +203,22 @@ def _initial_step(rhs, t0, t1, y0, f0, tol):
     return min(100 * h0, h1, span)
 
 
-
-
 def _array_steps(rhs, y, f0, tol):
-    """Trial Dormand-Prince steps of a state vector of any size, on one
-    stage matrix (see the module docstring).
+    """Trial DOP853 steps of a state vector of any size, on one stage matrix
+    (see the module docstring).
 
     A generator: each ``send((t, h, keep))`` first makes the previous trial
-    the current state if ``keep`` is true, then takes a trial step of size
-    ``h`` from ``t`` and yields its error norm and its 5th-order state.
+    the current state if ``keep`` is true, which takes one right-hand-side
+    call at ``t``, then takes a trial step of size ``h`` from ``t`` and
+    yields its error norm and its 8th-order state.
     """
     ay = np.abs(y)
-    # err_norm = sqrt(q.q / n) / tol, q = err / (1 + max(|y|, |y_new|))
-    norm_scale = 1.0 / (y.size * tol * tol)
+    # err_norm = n5 / sqrt((n5 + 0.01 n3) n) / tol, with n5 and n3 the
+    # squared norms of the error vectors over 1 + max(|y|, |y_new|)
+    norm_scale = 1.0 / (tol * math.sqrt(y.size))
     mean = np.full(y.size, 1.0 / y.size)
-    # stage matrix: y, then the stages k1..k7
-    k = np.empty((8, y.size), dtype=complex)
+    # stage matrix: y, then the stages k1..k12
+    k = np.empty((13, y.size), dtype=complex)
     k[0] = y
     k[1] = f0
     # the tableau with its h-scaled columns, rescaled in place every step
@@ -160,124 +227,35 @@ def _array_steps(rhs, y, f0, tol):
     w_h = _W[:, 1:]
     # each stage input: a row of hw against the rows of k it weights
     stage_rows = [(hw[i, : i + 2], k[: i + 2], c) for i, c in enumerate(_C)]
-    err_row = hw_scaled[6]
+    update_row = hw[11]
+    err_rows = hw_scaled[12:]
     stages = k[1:]
 
     t, h, _ = yield
     while True:
         np.multiply(w_h, h, hw_scaled)
         for i, (row, head, c) in enumerate(stage_rows, start=2):
-            y_stage = row.dot(head)
-            k[i] = rhs(t + c * h, y_stage)
-        # the input of the last stage is the 5th-order update
-        y_new = y_stage
-        err = err_row.dot(stages)
+            k[i] = rhs(t + c * h, row.dot(head))
+        y_new = update_row.dot(k)
         ay_new = np.abs(y_new)
         scale = 1.0 + np.maximum(ay, ay_new)
         # a non-finite state is rejected; the mean of the scale cannot overflow
         if scale.dot(mean) < math.inf:
-            q = err / scale
-            err_norm = math.sqrt(np.vdot(q, q).real * norm_scale)
+            q5, q3 = err_rows.dot(stages) / scale
+            # Python floats, which give NaN for inf / inf without a warning
+            n5 = float(np.vdot(q5, q5).real)
+            n3 = float(np.vdot(q3, q3).real)
+            # n5 = 0 would divide 0 by 0 if n3 = 0 too; an infinite n5
+            # gives NaN, which is rejected
+            err_norm = n5 * norm_scale / math.sqrt(n5 + 0.01 * n3) if n5 else 0.0
         else:
             err_norm = math.inf
         t, h, keep = yield err_norm, y_new
         if keep:
-            # k7 was evaluated at the end of the step: the next first stage
+            # the derivative at the accepted state is the next first stage
             k[0] = y_new
-            k[1] = k[7]
+            k[1] = rhs(t, y_new)
             ay = ay_new
-
-
-def _pair_steps(rhs, y, f0, tol):
-    """Trial Dormand-Prince steps of a 2-vector on Python complex scalars.
-
-    The stage sums, update, error vector and error norm of ``_array_steps``,
-    unrolled over the two components; the only numpy work in a step is
-    storing each stage input into the one array ``rhs`` is passed, and
-    converting what ``rhs`` returns if it is not a tuple. Same protocol, but
-    the yielded state is a tuple.
-    """
-    # _W's weights of k1..k7 row by row, zero weights dropped; each sum of
-    # them is scaled by h
-    (
-        (a21, *_),
-        (a31, a32, *_),
-        (a41, a42, a43, *_),
-        (a51, a52, a53, a54, *_),
-        (a61, a62, a63, a64, a65, *_),
-        (b1, _, b3, b4, b5, b6, _),
-        (e1, _, e3, e4, e5, e6, e7),
-    ) = _W[:, 1:].tolist()
-    c2, c3, c4, c5, c6, c7 = _C
-    inf = math.inf
-    norm_scale = 0.5 / (tol * tol)
-    y_stage = np.empty(2, dtype=complex)
-
-    def f(t, a, c):
-        y_stage[0] = a
-        y_stage[1] = c
-        k = rhs(t, y_stage)
-        # Python complex numbers, so that an array return steps exactly as
-        # a tuple return does
-        if k.__class__ is not tuple:
-            k = np.asarray(k, dtype=complex).tolist()
-        return k
-
-    a, c = y.tolist()
-    ka1, kc1 = f0.tolist()
-    # unlike abs, np.abs gives inf for a modulus past the float range
-    aa, ac = np.abs(y).tolist()
-
-    t, h, _ = yield
-    while True:
-        ka2, kc2 = f(t + c2 * h, a + h * (a21 * ka1), c + h * (a21 * kc1))
-        ka3, kc3 = f(
-            t + c3 * h,
-            a + h * (a31 * ka1 + a32 * ka2),
-            c + h * (a31 * kc1 + a32 * kc2),
-        )
-        ka4, kc4 = f(
-            t + c4 * h,
-            a + h * (a41 * ka1 + a42 * ka2 + a43 * ka3),
-            c + h * (a41 * kc1 + a42 * kc2 + a43 * kc3),
-        )
-        ka5, kc5 = f(
-            t + c5 * h,
-            a + h * (a51 * ka1 + a52 * ka2 + a53 * ka3 + a54 * ka4),
-            c + h * (a51 * kc1 + a52 * kc2 + a53 * kc3 + a54 * kc4),
-        )
-        ka6, kc6 = f(
-            t + c6 * h,
-            a + h * (a61 * ka1 + a62 * ka2 + a63 * ka3 + a64 * ka4 + a65 * ka5),
-            c + h * (a61 * kc1 + a62 * kc2 + a63 * kc3 + a64 * kc4 + a65 * kc5),
-        )
-        # the input of the last stage is the 5th-order update
-        a_new = a + h * (b1 * ka1 + b3 * ka3 + b4 * ka4 + b5 * ka5 + b6 * ka6)
-        c_new = c + h * (b1 * kc1 + b3 * kc3 + b4 * kc4 + b5 * kc5 + b6 * kc6)
-        ka7, kc7 = f(t + c7 * h, a_new, c_new)
-        ea = h * (e1 * ka1 + e3 * ka3 + e4 * ka4 + e5 * ka5 + e6 * ka6 + e7 * ka7)
-        ec = h * (e1 * kc1 + e3 * kc3 + e4 * kc4 + e5 * kc5 + e6 * kc6 + e7 * kc7)
-        try:
-            aa_new, ac_new = abs(a_new), abs(c_new)
-        except OverflowError:  # finite parts, modulus past the float range
-            aa_new = ac_new = inf
-        # a NaN in the new state fails the comparison and reaches the scale
-        sa = 1.0 + (aa if aa > aa_new else aa_new)
-        sc = 1.0 + (ac if ac > ac_new else ac_new)
-        # a non-finite state is rejected
-        if sa < inf and sc < inf:
-            qa = ea / sa
-            qc = ec / sc
-            err_norm = math.sqrt(
-                (qa.real * qa.real + qa.imag * qa.imag + qc.real * qc.real + qc.imag * qc.imag)
-                * norm_scale
-            )
-        else:
-            err_norm = inf
-        t, h, keep = yield err_norm, (a_new, c_new)
-        if keep:
-            # k7 was evaluated at the end of the step: the next first stage
-            a, c, ka1, kc1, aa, ac = a_new, c_new, ka7, kc7, aa_new, ac_new
 
 
 def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
@@ -308,8 +286,7 @@ def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
         raise IntegrationError(
             f"right-hand side or starting step is not finite at t = {t:.12g}", time=t
         )
-    # the same steps either way; a 2-vector's are cheaper without numpy
-    steps = (_pair_steps if y.size == 2 else _array_steps)(rhs, y, f0, tol)
+    steps = _array_steps(rhs, y, f0, tol)
     next(steps)
 
     times = [t]
@@ -347,7 +324,7 @@ def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
         else:
             rejected += 1
             if math.isfinite(err_norm):
-                factor = SAFETY * err_norm ** (-0.2)
+                factor = SAFETY * err_norm ** (-1 / 8)
             else:
                 factor = GROWTH_MIN
             h *= min(1.0, max(GROWTH_MIN, factor))

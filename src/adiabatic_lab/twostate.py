@@ -466,6 +466,19 @@ def switch_on_time(
     return t0
 
 
+def require_step_budget(steps: float, formula: str, t0: float, t_end: float) -> None:
+    """Raise an ``IntegrationError`` at ``t0`` if ``steps``, an up-front
+    estimate of a run's step count given by ``formula``, exceeds
+    ``numkit.ode.MAX_STEPS`` (read at call time)."""
+    if steps > ode.MAX_STEPS:
+        raise IntegrationError(
+            f"step budget exhausted before the start: about {steps:.3g} steps "
+            f"({formula}) to t_end = {t_end:.6g} exceed the budget of "
+            f"{ode.MAX_STEPS}; raise tol or move t_end earlier",
+            time=t0,
+        )
+
+
 def evolve_two_state(
     m: TwoStateModel,
     t_end: float,
@@ -473,41 +486,45 @@ def evolve_two_state(
     start_threshold: float = DEFAULT_START_THRESHOLD,
 ) -> Trajectory:
     """Integrate the interaction-picture amplitude pair (a, c) from deep in
-    the switch-on tail (ramped coupling at ``start_threshold`` of the gap 2*delta)
-    to ``t_end``, starting from (1, 0). The generator is anti-Hermitian, so
+    the switch-on tail (ramped coupling at ``start_threshold`` of the gap
+    2*delta) to ``t_end``. The generator is anti-Hermitian, so
     |a|**2 + |c|**2 stays at 1 within a small multiple of ``tol``.
+
+    The pair is integrated in the frame where the tracked level stands
+    still, y' = -i [[0, lam], [lam, 2 delta]] y with lam = x * exp(eps * t),
+    whose second component is exp(-2i delta t) c, from the first-order
+    switch-on state (1, -i lam / (eps + 2i delta)): the tail solution of
+    that component's own equation at a = 1, so the start misses the exact
+    state by O(start_threshold**2). The returned states carry c itself.
 
     A run whose step count would exceed ``numkit.ode.MAX_STEPS`` fails at
     the start with an ``IntegrationError``. The count grows with the
     rotation angle x * exp(eps * t_end) / eps, measured at about
-    0.30 * tol**-0.2 steps per radian for tol 1e-4 to 1e-12; the estimate
+    0.20 * tol**-0.125 steps per radian for tol 1e-4 to 1e-12; the estimate
     takes a third of that rate, so a run that could finish is never refused.
     """
     t0 = switch_on_time(2 * m.delta, m.x, m.eps, start_threshold, t_end)
     angle = ramped_coupling(m.x, m.eps, t_end, "t_end") / m.eps
     # a tolerance that is not positive is ode_evolve's to refuse
-    steps = 0.1 * tol**-0.2 * angle if tol > 0 else 0.0
-    if steps > ode.MAX_STEPS:
-        raise IntegrationError(
-            f"step budget exhausted before the start: about {steps:.3g} steps "
-            f"(0.1 * tol**-0.2 * x * exp(eps * t_end) / eps) to t_end = {t_end:.6g} "
-            f"exceed the budget of {ode.MAX_STEPS}; raise tol or move t_end earlier",
-            time=t0,
-        )
-    # w = -1j z, where z = x exp(eps t) exp(-2i delta t) is the ramped
-    # coupling times the interaction-picture phase, from one exponential;
-    # the second component's -1j conj(z) is -conj(w). Multiplying by -1j is
-    # exact, so w rounds as -1j * (x * exp(...)) does.
+    steps = 0.068 * tol**-0.125 * angle if tol > 0 else 0.0
+    require_step_budget(
+        steps, "0.068 * tol**-0.125 * x * exp(eps * t_end) / eps", t0, t_end
+    )
+    # multiplying by -1j is exact, so w rounds as -1j * lam does
     ix = -1j * m.x
-    rate = complex(m.eps, -2.0 * m.delta)
+    i2d = -2j * m.delta
+    eps = m.eps
 
     def rhs(t, y):
-        w = ix * cmath.exp(rate * t)
+        w = ix * math.exp(eps * t)
         a, c = y.tolist()
-        return (w * c, -w.conjugate() * a)
+        return (w * c, w * a + i2d * c)
 
-    y0 = np.array([1.0, 0.0], dtype=complex)
-    return ode_evolve(rhs, y0, t0, t_end, tol)
+    y0 = np.array([1.0, ix * math.exp(eps * t0) / complex(eps, 2.0 * m.delta)])
+    traj = ode_evolve(rhs, y0, t0, t_end, tol)
+    states = traj.states.copy()
+    states[:, 1] *= np.exp(2j * m.delta * traj.times)
+    return Trajectory(traj.times, states, traj.accepted_steps, traj.rejected_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,13 +222,27 @@ def test_exit_code_integration_failure(monkeypatch, capsys):
 
 
 def test_exit_code_step_budget_estimate_fails_at_once(capsys):
-    # about 6.5e7 steps, 13x the budget: refused before the first step
+    # about 7.9e6 steps, 1.6x the budget: refused before the first step
     started = time.perf_counter()
     assert run("two-state", "evolve", "--eps", "0.25", "--t-end", "60") == 3
     assert time.perf_counter() - started < 1.0
     assert capsys.readouterr().err.startswith(
         "error: integration: step budget exhausted before the start: "
-        "about 6.54e+07 steps (0.1 * tol**-0.2 * x * exp(eps * t_end) / eps)"
+        "about 7.91e+06 steps (0.068 * tol**-0.125 * x * exp(eps * t_end) / eps)"
+    )
+
+
+def test_exit_code_n_state_step_budget_estimate_fails_at_once(tmp_path, capsys):
+    # about 4.2e7 steps, 8x the budget: refused before the first step
+    path = tmp_path / "model.json"
+    save_model(generate_nstate_model(seed=7, levels=6), path)
+    started = time.perf_counter()
+    assert run("n-state", "evolve", "--model", str(path), "--t-end", "80") == 3
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err.startswith(
+        "error: integration: step budget exhausted before the start: about 4.24e+07 steps "
+        "(0.0039 * tol**-0.125 * (max|E_k - E_g| * (t_end - t0) "
+        "+ x * ||V|| * exp(eps * t_end) / eps)) to t_end = 80 "
     )
 
 
@@ -565,3 +583,22 @@ def test_parser_surface():
                 flags[option] = (action.type, action.default, choices, action.required)
             seen[(group, command)] = flags
     assert seen == EXPECTED_FLAGS
+
+
+def test_cli_imports_no_scipy_or_mpmath(tmp_path):
+    # the ODE tableau is typed in: numpy is the only runtime dependency
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys, adiabatic_lab.cli; "
+        "print(sorted(n for n in sys.modules if n.split('.')[0] in ('scipy', 'mpmath')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -17,9 +18,10 @@ from adiabatic_lab.errors import (
     ContinuationError,
     DegeneracyError,
     DomainError,
+    IntegrationError,
 )
 from adiabatic_lab.modelio import generate_nstate_model
-from adiabatic_lab.numkit import HermitianMatrix, jet_mul, jet_recip
+from adiabatic_lab.numkit import HermitianMatrix, jet_mul, jet_recip, ode
 from adiabatic_lab.nstate import (
     NStateModel,
     assemble_state,
@@ -561,63 +563,90 @@ def _pinned_n32_model():
 
 # final states recorded with the step-size controller's decisions
 PINNED_N6 = [
-    0.8919733743719458 + 0.4485138784459972j,
-    -0.03851245274722773 - 0.028430188761324658j,
-    -0.024483814918164433 - 0.015331300322664046j,
-    -0.0036324896579073567 - 0.002216032139616494j,
-    -0.0033451097877610072 - 0.0017862728221079806j,
-    -0.006803495657361558 - 0.0037464353554137026j,
+    0.891973374372784 + 0.448513878485797j,
+    -0.03851245275095324 - 0.02843018873443767j,
+    -0.0244838149222209 - 0.015331300455297937j,
+    -0.0036324896334597057 - 0.0022160323073629096j,
+    -0.0033451100503746646 - 0.0017862721998316109j,
+    -0.006803495576569378 - 0.0037464301257382157j,
 ]
 PINNED_N32 = [
-    0.8920248641166557 + 0.44773464395826784j,
-    0.033412870362899624 + 0.024746142008356863j,
-    -0.003011684254462436 - 0.0019802047782778685j,
-    0.021004829243094273 + 0.012217868034518789j,
-    0.020734485560791563 + 0.011645580285699132j,
-    -0.023924400873016678 - 0.012987631580612608j,
-    0.003627590442974077 + 0.0020560252368046704j,
-    -0.005854764300301854 - 0.003182741276067317j,
-    -0.004228115241967089 - 0.002240960006867376j,
-    -0.002492248721985146 - 0.0013588336206861167j,
-    0.00013852489148193117 + 0.00010745533413339366j,
-    0.0012285013714955061 + 0.000703674905432067j,
-    -0.0014853504787374736 - 0.0007357956968171861j,
-    -0.001209323294838733 - 0.0006042579267877925j,
-    0.00011469386709813443 + 6.708232737069851e-05j,
-    -0.0027362057542698786 - 0.0014351115309365048j,
-    -0.0006514100534351808 - 0.0003787832695412637j,
-    0.0022707920968108894 + 0.001169236967010486j,
-    4.58873069000386e-05 + 9.092725213905747e-06j,
-    -0.005804045857191966 - 0.0029923602139343927j,
-    0.0001431356539984253 + 7.554973069944173e-05j,
-    7.70162057742007e-05 + 3.851917567947913e-05j,
-    8.251233549246379e-05 + 4.047088841747622e-05j,
-    0.0008861695735606296 + 0.0004315743736125811j,
-    0.002093136859993371 + 0.0010579670881028216j,
-    0.001557898511163263 + 0.0007885835997448707j,
-    0.0021989855806868793 + 0.0011439795163442313j,
-    -0.0012848645739015937 - 0.0006468821720919492j,
-    -0.0009908578363501945 - 0.000499715215178552j,
-    0.0002683552042163794 + 0.00014736850528417763j,
-    -0.0015168527468838065 - 0.0007899841905930579j,
-    0.002146201193695826 + 0.0010867029615774597j,
+    0.8920248642280171 + 0.4477346438707999j,
+    0.033412870375552205 + 0.024746142038051325j,
+    -0.003011684290283194 - 0.0019802047536865994j,
+    0.021004829215808183 + 0.012217868040820088j,
+    0.020734485579312543 + 0.011645580262874251j,
+    -0.02392440090082321 - 0.01298763157480365j,
+    0.0036275905282894694 + 0.0020560251855397532j,
+    -0.005854764235684246 - 0.003182741322809864j,
+    -0.004228115193489362 - 0.002240960064094914j,
+    -0.002492248639915458 - 0.0013588336948601892j,
+    0.00013852491214247682 + 0.0001074553323431196j,
+    0.0012285013378898662 + 0.0007036749958737781j,
+    -0.0014853505326670056 - 0.0007357955809565636j,
+    -0.0012093232470178242 - 0.0006042579631066543j,
+    0.00011469383661368766 + 6.708227947721973e-05j,
+    -0.002736205746923193 - 0.0014351115948835994j,
+    -0.0006514101973828752 - 0.0003787832354435828j,
+    0.00227079186045655 + 0.0011692373208204185j,
+    4.5887117356619624e-05 + 9.092946874199376e-06j,
+    -0.005804045368635717 - 0.0029923593609233455j,
+    0.00014313566950517324 + 7.554979034576358e-05j,
+    7.701632899415247e-05 + 3.8519029879307824e-05j,
+    8.251258624061844e-05 + 4.0470601402670574e-05j,
+    0.0008861697077246132 + 0.0004315741667961807j,
+    0.0020931378863211394 + 0.0010579668083004832j,
+    0.0015578982206008204 + 0.0007885832725449069j,
+    0.002198985046571167 + 0.0011439790120584198j,
+    -0.0012848629876145142 - 0.000646883709518973j,
+    -0.000990858901771169 - 0.0004997162470887421j,
+    0.00026835367599241047 + 0.0001473692147898583j,
+    -0.0015168411141003363 - 0.0007899816899106948j,
+    0.002146164722058294 + 0.0010867418223137427j,
 ]
 
 
 @pytest.mark.parametrize(
-    "make_model, accepted, pinned",
+    "make_model, steps, pinned",
     [
-        (lambda: generate_nstate_model(seed=7, levels=6), 453, PINNED_N6),
-        (_pinned_n32_model, 2379, PINNED_N32),
+        (lambda: generate_nstate_model(seed=7, levels=6), (234, 2), PINNED_N6),
+        (_pinned_n32_model, (788, 0), PINNED_N32),
     ],
     ids=["gen-seed7-N6", "rng-seed11-N32"],
 )
-def test_evolve_step_counts_and_final_state_pinned(make_model, accepted, pinned):
-    # the step-size controller's decisions and the state they lead to
+def test_evolve_step_counts_and_final_state_pinned(make_model, steps, pinned):
+    # the step-size controller's decisions (accepted, rejected) and the
+    # state they lead to
     traj = evolve_nstate(make_model(), 0.0, 1e-10)
-    assert (traj.accepted_steps, traj.rejected_steps) == (accepted, 0)
+    assert (traj.accepted_steps, traj.rejected_steps) == steps
     ref = np.array(pinned)
     assert np.abs(traj.final_state - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize(
+    "make_model",
+    [lambda: generate_nstate_model(seed=7, levels=6), _pinned_n32_model],
+    ids=["gen-seed7-N6", "rng-seed11-N32"],
+)
+def test_evolve_step_estimate_stays_below_the_step_count(monkeypatch, make_model):
+    # the up-front estimate of the step budget check against the steps
+    # taken, in the tail (t_end 0, where the fastest level's phase carries
+    # it) and on a long ramp (t_end 20)
+    model = make_model()
+    for tol in (1e-4, 1e-12):
+        for t_end in (0.0, 20.0):
+            traj = evolve_nstate(model, t_end, tol)
+            steps = traj.accepted_steps + traj.rejected_steps
+            monkeypatch.setattr(ode, "MAX_STEPS", 0)
+            with pytest.raises(IntegrationError, match="before the start") as info:
+                evolve_nstate(model, t_end, tol)
+            assert info.value.time == traj.times[0]
+            estimate = float(re.search(r"about (\S+) steps", str(info.value))[1])
+            assert 0 < estimate < steps
+            # a budget the run fits is not refused
+            monkeypatch.setattr(ode, "MAX_STEPS", steps)
+            assert evolve_nstate(model, t_end, tol).accepted_steps == traj.accepted_steps
+            monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------
