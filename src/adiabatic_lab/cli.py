@@ -238,7 +238,7 @@ def _cmd_two_phase(model, args) -> dict:
                 "phase-split",
                 ["f_a", "delta_e_a", "f_b", "f_c", "order", "eps_used"],
                 [[split.f_a, split.delta_e_a, split.f_b, split.f_c,
-                  split.truncation_order, split.eps_used]],
+                  args.order, model.eps]],
             )
         ],
     )
@@ -382,7 +382,7 @@ def _cmd_n_split(model, args) -> dict:
             Table(
                 "split",
                 ["g_a", "delta_e", "g_b", "order", "last_term_magnitude"],
-                [[split.g_a, split.delta_e, split.g_b, split.order,
+                [[split.g_a, split.delta_e, split.g_b, args.order,
                   split.last_term_magnitude]],
             )
         ],

@@ -270,7 +270,6 @@ class GSplit:
     g_a: float
     delta_e: float
     g_b: float
-    order: int
     last_term_magnitude: float
     max_imag_residue: float
 
@@ -283,15 +282,13 @@ class AssembledState:
 
 
 def _split_from(rs: RsExpansion, model: NStateModel) -> GSplit:
-    order = len(rs.xi)
-    n = np.arange(1, order + 1)
+    n = np.arange(1, len(rs.xi) + 1)
     powers = model.x**n
     g_a, de, g_b, residue = laurent_split(powers, n, rs.xi, ("g_a", "delta_e", "g_b"))
     return GSplit(
         g_a=g_a,
         delta_e=de,
         g_b=g_b,
-        order=order,
         last_term_magnitude=float(abs(powers[-1] * rs.xi[-1, 0])),
         max_imag_residue=residue,
     )
@@ -340,22 +337,23 @@ def evolve_nstate(
 
     A run whose step count would exceed ``numkit.ode.MAX_STEPS`` fails at
     the start with an ``IntegrationError``. The count grows with the fastest
-    level's phase max|E_k - E_g| * (t_end - t0) plus the ramp angle
+    level's phase max|E_k - E_g| * (t_end - t0), measured at 0.012 to 0.058
+    * tol**-0.125 steps per radian, plus the ramp angle
     x * ||V|| * exp(eps * t_end) / eps (||V|| the spectral norm), measured at
-    0.012 to 0.096 * tol**-0.125 steps per radian for tol 1e-4 to 1e-12 and
-    N = 3 to 64; the estimate takes a third of the lowest rate, so a run
-    that could finish is never refused.
+    0.042 to 0.20 * tol**-0.125, for tol 1e-4 to 1e-12 and N = 3 to 64; the
+    estimate takes a third of each term's lowest rate, so a run that could
+    finish is never refused.
     """
     t0 = switch_on_time(model.min_gap, model.x, model.eps, start_threshold, t_end)
     phase = float(np.abs(model.energies - model.ground_energy).max()) * (t_end - t0)
     ramp = ramped_coupling(model.x, model.eps, t_end, "t_end") / model.eps
-    angle = phase + ramp * float(np.linalg.norm(model.v.entries, 2))
+    ramp *= float(np.linalg.norm(model.v.entries, 2))
     # a tolerance that is not positive is ode_evolve's to refuse
-    steps = 0.0039 * tol**-0.125 * angle if tol > 0 else 0.0
+    steps = tol**-0.125 * (0.0039 * phase + 0.014 * ramp) if tol > 0 else 0.0
     require_step_budget(
         steps,
-        "0.0039 * tol**-0.125 * (max|E_k - E_g| * (t_end - t0) "
-        "+ x * ||V|| * exp(eps * t_end) / eps)",
+        "tol**-0.125 * (0.0039 * max|E_k - E_g| * (t_end - t0) "
+        "+ 0.014 * x * ||V|| * exp(eps * t_end) / eps)",
         t0,
         t_end,
     )

@@ -11,15 +11,16 @@ growth; at the tolerances used here it takes several times fewer steps
 than a 5(4) pair.
 
 The states here are short vectors (2 to a few dozen entries), so a step
-costs interpreter and numpy call overhead, not arithmetic. One kernel,
-``_array_steps``, serves every size. One stage matrix holds y in row 0 and
-the stages k1..k12 below it. The tableau ``_W`` has a leading column for y
-(1 in the stage and update rows, 0 in the error rows); its other columns
-are scaled by ``h`` in place once per step into a persistent buffer, so
-each stage input is one ``dot`` of a pre-sliced buffer row against a
-pre-sliced head of the stage matrix. One more ``dot`` gives the update and
-one the two error vectors; the right-hand side at an accepted update is
-the next step's first stage.
+costs interpreter and numpy call overhead, not arithmetic. ``ode_evolve``
+is one loop over trial steps, for a state of any size. One stage matrix
+holds y in row 0 and the stages k1..k12 below it. The tableau ``_W`` has a
+leading column for y (1 in the stage and update rows, 0 in the error rows);
+its other columns are scaled by ``h`` in place once per step into a
+persistent buffer, so each stage input is one ``dot`` of a pre-sliced
+buffer row against a pre-sliced head of the stage matrix. One more ``dot``
+gives the update and one the two error vectors; the right-hand side at an
+accepted update is the next trial's first stage, evaluated when that
+trial starts.
 """
 
 from __future__ import annotations
@@ -203,61 +204,6 @@ def _initial_step(rhs, t0, t1, y0, f0, tol):
     return min(100 * h0, h1, span)
 
 
-def _array_steps(rhs, y, f0, tol):
-    """Trial DOP853 steps of a state vector of any size, on one stage matrix
-    (see the module docstring).
-
-    A generator: each ``send((t, h, keep))`` first makes the previous trial
-    the current state if ``keep`` is true, which takes one right-hand-side
-    call at ``t``, then takes a trial step of size ``h`` from ``t`` and
-    yields its error norm and its 8th-order state.
-    """
-    ay = np.abs(y)
-    # err_norm = n5 / sqrt((n5 + 0.01 n3) n) / tol, with n5 and n3 the
-    # squared norms of the error vectors over 1 + max(|y|, |y_new|)
-    norm_scale = 1.0 / (tol * math.sqrt(y.size))
-    mean = np.full(y.size, 1.0 / y.size)
-    # stage matrix: y, then the stages k1..k12
-    k = np.empty((13, y.size), dtype=complex)
-    k[0] = y
-    k[1] = f0
-    # the tableau with its h-scaled columns, rescaled in place every step
-    hw = _W.copy()
-    hw_scaled = hw[:, 1:]
-    w_h = _W[:, 1:]
-    # each stage input: a row of hw against the rows of k it weights
-    stage_rows = [(hw[i, : i + 2], k[: i + 2], c) for i, c in enumerate(_C)]
-    update_row = hw[11]
-    err_rows = hw_scaled[12:]
-    stages = k[1:]
-
-    t, h, _ = yield
-    while True:
-        np.multiply(w_h, h, hw_scaled)
-        for i, (row, head, c) in enumerate(stage_rows, start=2):
-            k[i] = rhs(t + c * h, row.dot(head))
-        y_new = update_row.dot(k)
-        ay_new = np.abs(y_new)
-        scale = 1.0 + np.maximum(ay, ay_new)
-        # a non-finite state is rejected; the mean of the scale cannot overflow
-        if scale.dot(mean) < math.inf:
-            q5, q3 = err_rows.dot(stages) / scale
-            # Python floats, which give NaN for inf / inf without a warning
-            n5 = float(np.vdot(q5, q5).real)
-            n3 = float(np.vdot(q3, q3).real)
-            # n5 = 0 would divide 0 by 0 if n3 = 0 too; an infinite n5
-            # gives NaN, which is rejected
-            err_norm = n5 * norm_scale / math.sqrt(n5 + 0.01 * n3) if n5 else 0.0
-        else:
-            err_norm = math.inf
-        t, h, keep = yield err_norm, y_new
-        if keep:
-            # the derivative at the accepted state is the next first stage
-            k[0] = y_new
-            k[1] = rhs(t, y_new)
-            ay = ay_new
-
-
 def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
     """Integrate ``y' = rhs(t, y)`` from t0 to t1, recording every accepted step.
 
@@ -286,8 +232,24 @@ def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
         raise IntegrationError(
             f"right-hand side or starting step is not finite at t = {t:.12g}", time=t
         )
-    steps = _array_steps(rhs, y, f0, tol)
-    next(steps)
+    ay = np.abs(y)
+    # err_norm = n5 / sqrt((n5 + 0.01 n3) n) / tol, with n5 and n3 the
+    # squared norms of the error vectors over 1 + max(|y|, |y_new|)
+    norm_scale = 1.0 / (tol * math.sqrt(y.size))
+    mean = np.full(y.size, 1.0 / y.size)
+    # stage matrix: y, then the stages k1..k12
+    k = np.empty((13, y.size), dtype=complex)
+    k[0] = y
+    k[1] = f0
+    # the tableau with its h-scaled columns, rescaled in place every step
+    hw = _W.copy()
+    hw_scaled = hw[:, 1:]
+    w_h = _W[:, 1:]
+    # each stage input: a row of hw against the rows of k it weights
+    stage_rows = [(hw[i, : i + 2], k[: i + 2], c) for i, c in enumerate(_C)]
+    update_row = hw[11]
+    err_rows = hw_scaled[12:]
+    stages = k[1:]
 
     times = [t]
     states = [y]
@@ -295,7 +257,8 @@ def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
     rejected = 0
     err_prev = 1e-4
     span = abs(t1 - t0)
-    keep = False
+    # no trial yet, so none to accept
+    err_norm = math.inf
 
     while t < t1:
         h = min(h, t1 - t)
@@ -307,10 +270,32 @@ def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
             raise IntegrationError(
                 f"step budget exhausted at t = {t:.12g}", time=t
             )
+        if err_norm <= 1.0:
+            # the last trial was accepted: the derivative at its state is
+            # this trial's first stage
+            k[0] = y_new
+            k[1] = rhs(t, y_new)
+            ay = ay_new
 
-        err_norm, y_new = steps.send((t, h, keep))
-        keep = err_norm <= 1.0
-        if keep:
+        np.multiply(w_h, h, hw_scaled)
+        for i, (row, head, c) in enumerate(stage_rows, start=2):
+            k[i] = rhs(t + c * h, row.dot(head))
+        y_new = update_row.dot(k)
+        ay_new = np.abs(y_new)
+        scale = 1.0 + np.maximum(ay, ay_new)
+        # a non-finite state is rejected; the mean of the scale cannot overflow
+        if scale.dot(mean) < math.inf:
+            q5, q3 = err_rows.dot(stages) / scale
+            # Python floats, which give NaN for inf / inf without a warning
+            n5 = float(np.vdot(q5, q5).real)
+            n3 = float(np.vdot(q3, q3).real)
+            # n5 = 0 would divide 0 by 0 if n3 = 0 too; an infinite n5
+            # gives NaN, which is rejected
+            err_norm = n5 * norm_scale / math.sqrt(n5 + 0.01 * n3) if n5 else 0.0
+        else:
+            err_norm = math.inf
+
+        if err_norm <= 1.0:
             t += h
             times.append(t)
             states.append(y_new)

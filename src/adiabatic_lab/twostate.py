@@ -122,8 +122,6 @@ class PhaseSplitTwoState:
     delta_e_a: float
     f_b: float
     f_c: float
-    truncation_order: int
-    eps_used: float
     max_imag_residue: float
     norm_n: float
     normalization_residual: float
@@ -402,8 +400,6 @@ def phase_split(m: TwoStateModel, order: int = DEFAULT_ORDER) -> PhaseSplitTwoSt
         delta_e_a=de,
         f_b=f_b,
         f_c=float(f_c.real),
-        truncation_order=order,
-        eps_used=m.eps,
         max_imag_residue=residue,
         norm_n=norm_n,
         normalization_residual=abs(math.exp(f_b) - norm_n),

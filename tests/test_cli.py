@@ -233,16 +233,23 @@ def test_exit_code_step_budget_estimate_fails_at_once(capsys):
 
 
 def test_exit_code_n_state_step_budget_estimate_fails_at_once(tmp_path, capsys):
-    # about 4.2e7 steps, 8x the budget: refused before the first step
+    # about 1.5e8 steps at t_end 80 and 1.2e7 at 70, 30x and 2.5x the
+    # budget: refused before the first step
     path = tmp_path / "model.json"
     save_model(generate_nstate_model(seed=7, levels=6), path)
     started = time.perf_counter()
     assert run("n-state", "evolve", "--model", str(path), "--t-end", "80") == 3
     assert time.perf_counter() - started < 1.0
     assert capsys.readouterr().err.startswith(
-        "error: integration: step budget exhausted before the start: about 4.24e+07 steps "
-        "(0.0039 * tol**-0.125 * (max|E_k - E_g| * (t_end - t0) "
-        "+ x * ||V|| * exp(eps * t_end) / eps)) to t_end = 80 "
+        "error: integration: step budget exhausted before the start: about 1.52e+08 steps "
+        "(tol**-0.125 * (0.0039 * max|E_k - E_g| * (t_end - t0) "
+        "+ 0.014 * x * ||V|| * exp(eps * t_end) / eps)) to t_end = 80 "
+    )
+    started = time.perf_counter()
+    assert run("n-state", "evolve", "--model", str(path), "--t-end", "70") == 3
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err.startswith(
+        "error: integration: step budget exhausted before the start: about 1.25e+07 steps "
     )
 
 

@@ -511,6 +511,46 @@ def test_assemble_norm_identity_on_random_models():
         assert np.linalg.norm(res.state) == pytest.approx(1.0, abs=1e-8)
 
 
+@st.composite
+def weakly_coupled_real_models(draw):
+    """Real symmetric models with 2 to 5 levels, gaps 0.5 to 1.5 and any
+    tracked level, coupled at x = s * min_gap / ||V||_2 for s in [0.01, 0.1]."""
+    levels = draw(st.integers(2, 5))
+    gaps = draw(st.lists(st.floats(0.5, 1.5), min_size=levels - 1, max_size=levels - 1))
+    entries = st.lists(st.floats(-1.0, 1.0), min_size=levels * levels, max_size=levels * levels)
+    a = np.array(draw(entries)).reshape(levels, levels)
+    v = (a + a.T) / 2
+    v_norm = float(np.linalg.norm(v, 2))
+    # a V near zero would put x**n out of range long before x**n * xi_n
+    assume(v_norm >= 0.1)
+    energies = np.concatenate([[0.0], np.cumsum(gaps)])
+    ground_index = draw(st.integers(0, levels - 1))
+    min_gap = float(np.delete(np.abs(energies - energies[ground_index]), ground_index).min())
+    return NStateModel(
+        energies=energies,
+        v=HermitianMatrix(v),
+        x=draw(st.floats(0.01, 0.1)) * min_gap / v_norm,
+        eps=0.25,
+        ground_index=ground_index,
+    )
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(model=weakly_coupled_real_models())
+def test_split_and_assembled_state_match_exact_diagonalization_property(model):
+    g = model.ground_index
+    res = assemble_state(model, 20)
+    shift = oracle_shift(model)
+    assert abs(np.linalg.norm(res.state) - 1.0) <= 1e-12
+    # both vectors in the gauge where the tracked component is real and positive
+    w, vecs = np.linalg.eigh(model.hamiltonian())
+    vec = vecs[:, np.argmax(np.abs(vecs[g]))]
+    state = res.state * (abs(res.state[g]) / res.state[g])
+    assert np.abs(state - vec * (abs(vec[g]) / vec[g])).max() <= 1e-12
+    assert abs(g_split(model, 20).delta_e - shift) <= 1e-12
+    assert abs(res.energy - model.ground_energy - shift) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # evolution oracle
 
@@ -623,6 +663,24 @@ def test_evolve_step_counts_and_final_state_pinned(make_model, steps, pinned):
     assert np.abs(traj.final_state - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_evolve_right_hand_side_calls_pinned(monkeypatch):
+    # one call at the start, one to size the first step, eleven per trial
+    # step and one per accepted step but the last (first same as last)
+    calls = []
+
+    def counting(rhs, *args):
+        def counted(t, y):
+            calls.append(t)
+            return rhs(t, y)
+
+        return ode.ode_evolve(counted, *args)
+
+    monkeypatch.setattr(nstate, "ode_evolve", counting)
+    traj = evolve_nstate(generate_nstate_model(seed=7, levels=6), 0.0, 1e-10)
+    assert (traj.accepted_steps, traj.rejected_steps, len(calls)) == (234, 2, 2831)
+    assert len(calls) == 1 + 12 * traj.accepted_steps + 11 * traj.rejected_steps
+
+
 @pytest.mark.parametrize(
     "make_model",
     [lambda: generate_nstate_model(seed=7, levels=6), _pinned_n32_model],
@@ -647,6 +705,19 @@ def test_evolve_step_estimate_stays_below_the_step_count(monkeypatch, make_model
             monkeypatch.setattr(ode, "MAX_STEPS", steps)
             assert evolve_nstate(model, t_end, tol).accepted_steps == traj.accepted_steps
             monkeypatch.undo()
+
+
+def test_evolve_step_estimate_follows_a_ramp_that_carries_the_steps(monkeypatch):
+    # at t_end 30 the ramp angle is about 3.4x the phase and the run takes
+    # 6,860 steps; one rate for both terms estimated 205 of them, 33x low
+    model = generate_nstate_model(seed=7, levels=6)
+    traj = evolve_nstate(model, 30.0, 1e-10)
+    steps = traj.accepted_steps + traj.rejected_steps
+    monkeypatch.setattr(ode, "MAX_STEPS", 0)
+    with pytest.raises(IntegrationError, match="before the start") as info:
+        evolve_nstate(model, 30.0, 1e-10)
+    estimate = float(re.search(r"about (\S+) steps", str(info.value))[1])
+    assert steps / 12 <= estimate < steps
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,8 @@ def test_non_finite_start_state_raises_at_once(monkeypatch):
         ode_evolve(rhs, np.array([np.nan + 0j]), 0.0, 1.0, 1e-10)
 
 
-def test_nan_after_start_underflows_within_a_few_dozen_steps(monkeypatch):
+@pytest.mark.parametrize("y0", [[1.0 + 0j], [1.0 + 0j, 0.5j]], ids=["size1", "size2"])
+def test_nan_after_start_underflows_within_a_few_dozen_steps(monkeypatch, y0):
     monkeypatch.setattr(ode, "MAX_STEPS", 1000)
     calls = []
 
@@ -108,36 +109,16 @@ def test_nan_after_start_underflows_within_a_few_dozen_steps(monkeypatch):
         return -y if t == 0.0 else np.full_like(y, np.nan)
 
     with pytest.raises(IntegrationError, match="underflow"):
-        ode_evolve(rhs, np.array([1.0 + 0j]), 0.0, 1.0, 1e-10)
+        ode_evolve(rhs, np.array(y0), 0.0, 1.0, 1e-10)
     assert len(calls) < 7 * 40
 
 
-def test_nan_after_start_underflows_within_a_few_dozen_steps_pair(monkeypatch):
-    monkeypatch.setattr(ode, "MAX_STEPS", 1000)
-    calls = []
-
-    def rhs(t, y):
-        calls.append(t)
-        return -y if t == 0.0 else np.full_like(y, np.nan)
-
-    with pytest.raises(IntegrationError, match="underflow"):
-        ode_evolve(rhs, np.array([1.0 + 0j, 0.5j]), 0.0, 1.0, 1e-10)
-    assert len(calls) < 7 * 40
-
-
-def test_step_budget_exhausted(monkeypatch):
+@pytest.mark.parametrize("y0", [[1.0 + 0j], [1.0 + 0j, 0j]], ids=["size1", "size2"])
+def test_step_budget_exhausted(monkeypatch, y0):
     monkeypatch.setattr(ode, "MAX_STEPS", 10)
     rhs = lambda t, y: 1j * y
     with pytest.raises(IntegrationError, match="step budget exhausted") as excinfo:
-        ode_evolve(rhs, np.array([1.0 + 0j]), 0.0, 100.0, 1e-10)
-    assert 0.0 < excinfo.value.time < 100.0
-
-
-def test_step_budget_exhausted_pair(monkeypatch):
-    monkeypatch.setattr(ode, "MAX_STEPS", 10)
-    rhs = lambda t, y: 1j * y
-    with pytest.raises(IntegrationError, match="step budget exhausted") as excinfo:
-        ode_evolve(rhs, np.array([1.0 + 0j, 0j]), 0.0, 100.0, 1e-10)
+        ode_evolve(rhs, np.array(y0), 0.0, 100.0, 1e-10)
     assert 0.0 < excinfo.value.time < 100.0
 
 
@@ -201,35 +182,28 @@ def test_large_finite_state_accepted():
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-def test_overflowing_state_never_accepted():
+@pytest.mark.parametrize(
+    "y0, lo, hi",
+    [
+        ([1e308 + 0j], 0.7, 0.8),
+        ([1e308 + 0j, 1e308 + 0j], 0.7, 0.8),
+        # |y| = 1e308 sqrt((1 + t)**2 + 1) overflows at t = 0.494, its parts at 0.798
+        ([1e308 + 1e308j, 1e308 + 1e308j], 0.49, 0.5),
+    ],
+    ids=["single", "parts", "modulus"],
+)
+def test_overflowing_state_never_accepted(y0, lo, hi):
     # y = 1e308 (1 + t) overflows at t ~ 0.8 while the error estimate of a
     # constant right-hand side stays finite; the step must still be rejected.
     # The update's weights of both signs exceed 1, so an overflowing update
     # can sum +inf and -inf to NaN.
     rhs = lambda t, y: np.full_like(y, 1e308)
     with pytest.raises(IntegrationError, match="underflow") as excinfo:
-        ode_evolve(rhs, np.array([1e308 + 0j]), 0.0, 2.0, 1e-10)
-    assert 0.7 < excinfo.value.time < 0.8
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-@pytest.mark.parametrize(
-    "y0, lo, hi",
-    [
-        ([1e308 + 0j, 1e308 + 0j], 0.7, 0.8),
-        # |y| = 1e308 sqrt((1 + t)**2 + 1) overflows at t = 0.494, its parts at 0.798
-        ([1e308 + 1e308j, 1e308 + 1e308j], 0.49, 0.5),
-    ],
-    ids=["parts", "modulus"],
-)
-def test_overflowing_state_never_accepted_pair(y0, lo, hi):
-    rhs = lambda t, y: np.full_like(y, 1e308)
-    with pytest.raises(IntegrationError, match="underflow") as excinfo:
         ode_evolve(rhs, np.array(y0), 0.0, 2.0, 1e-10)
     assert lo < excinfo.value.time < hi
 
 
-@pytest.mark.parametrize("size", [2, 3], ids=["pair", "array"])
+@pytest.mark.parametrize("size", [2, 3], ids=["size2", "size3"])
 def test_overflowing_starting_derivative_fails_at_t0(size):
     # the zero component's error scale is tol, so the scaled size of the
     # derivative overflows and no starting step can be sized
@@ -243,22 +217,20 @@ def test_overflowing_starting_derivative_fails_at_t0(size):
     assert excinfo.value.time == 0.0
 
 
-def _fixed_step_error(n):
-    """Error at t = 2 of ``n`` equal steps of the kernel on y' = (i + 0.3 t) y,
-    y(0) = 1, whose solution is exp(i t + 0.15 t**2)."""
+def test_kernel_is_eighth_order(monkeypatch):
+    # n equal steps on y' = (i + 0.3 t) y, y(0) = 1, whose solution is
+    # exp(i t + 0.15 t**2): the step is pinned by the starting step, growth
+    # clamped to 1 and a tolerance no error exceeds. Each halving of the
+    # step must cut the error at t = 2 by nearly 2**8 = 256.
+    monkeypatch.setattr(ode, "GROWTH_MIN", 1.0)
+    monkeypatch.setattr(ode, "GROWTH_MAX", 1.0)
     rhs = lambda t, y: (1j + 0.3 * t) * y
-    h = 2.0 / n
-    y = np.array([1.0 + 0j])
-    steps = ode._array_steps(rhs, y, rhs(0.0, y), 1e-10)
-    next(steps)
-    for i in range(n):
-        _, y = steps.send((i * h, h, i > 0))
-    return abs(y[0] - np.exp(2j + 0.6))
-
-
-def test_kernel_is_eighth_order():
-    # each halving of the step must cut the error by nearly 2**8 = 256
-    errors = [_fixed_step_error(n) for n in (4, 8, 16)]
+    errors = []
+    for n in (4, 8, 16):
+        monkeypatch.setattr(ode, "_initial_step", lambda *args: 2.0 / n)
+        traj = ode_evolve(rhs, np.array([1.0 + 0j]), 0.0, 2.0, 1e300)
+        assert (traj.accepted_steps, traj.rejected_steps) == (n, 0)
+        errors.append(abs(traj.final_state[0] - np.exp(2j + 0.6)))
     for coarse, fine in zip(errors, errors[1:]):
         assert coarse / fine >= 200
 
