@@ -238,18 +238,21 @@ def rs_recursion(
     # m = 1 .. n-1; all n-1 products are one broadcast jet_mul
     stack = np.empty((order, dim, k1), dtype=complex)
     v_row = vm[g : g + 1]
-    for n in range(2, order + 1):
-        # the same matrix products as np.tensordot, without its reshaping cost
-        xi[n - 1] = v_row.dot(phi[n - 2])
-        stack[0] = vm.dot(phi[n - 2])
-        stack[0, g] = 0.0
-        stack[1:n] = jet_mul(xi[n - 2 :: -1, None, :], phi[: n - 1])
-        # an axis-0 reduction subtracts the products one at a time in order
-        # of m, an accumulation order that keeps the rounding of the
-        # Hermitian-case residues small
-        bracket = np.subtract.reduce(stack[:n], axis=0)
-        phi[n - 1] = -jet_mul(recip[n - 1], bracket)
-        phi[n - 1, g] = 0.0
+    # terms past the range of doubles come out non-finite, without a
+    # warning; laurent_split rejects them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(2, order + 1):
+            # the same matrix products as np.tensordot, without its reshaping cost
+            xi[n - 1] = v_row.dot(phi[n - 2])
+            stack[0] = vm.dot(phi[n - 2])
+            stack[0, g] = 0.0
+            stack[1:n] = jet_mul(xi[n - 2 :: -1, None, :], phi[: n - 1])
+            # an axis-0 reduction subtracts the products one at a time in order
+            # of m, an accumulation order that keeps the rounding of the
+            # Hermitian-case residues small
+            bracket = np.subtract.reduce(stack[:n], axis=0)
+            phi[n - 1] = -jet_mul(recip[n - 1], bracket)
+            phi[n - 1, g] = 0.0
 
     xi.flags.writeable = False
     phi.flags.writeable = False
@@ -283,7 +286,8 @@ class AssembledState:
 
 def _split_from(rs: RsExpansion, model: NStateModel) -> GSplit:
     n = np.arange(1, len(rs.xi) + 1)
-    powers = model.x**n
+    with np.errstate(over="ignore"):
+        powers = model.x**n
     g_a, de, g_b, residue = laurent_split(powers, n, rs.xi, ("g_a", "delta_e", "g_b"))
     return GSplit(
         g_a=g_a,

@@ -21,16 +21,21 @@ __all__ = ["jet_mul", "jet_recip"]
 
 
 def jet_mul(a, b) -> np.ndarray:
-    """Cauchy product truncated at the shared order."""
+    """Cauchy product truncated at the shared order.
+
+    Coefficient k is ``sum_j a_j * b_{k-j}``, added in order of j: the
+    order ``np.sum`` uses for up to three terms.
+    """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape[-1] != b.shape[-1]:
-        raise ValueError(
-            f"jet order mismatch: {a.shape[-1] - 1} vs {b.shape[-1] - 1}"
-        )
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    for k in range(a.shape[-1]):
-        out[..., k] = np.sum(a[..., : k + 1] * b[..., k::-1], axis=-1)
+    size = a.shape[-1]
+    if size != b.shape[-1]:
+        raise ValueError(f"jet order mismatch: {size - 1} vs {b.shape[-1] - 1}")
+    # outer[..., j, l] = a_j * b_l
+    outer = a[..., :, None] * b[..., None, :]
+    out = outer[..., 0, :].copy()
+    for j in range(1, size):
+        out[..., j:] += outer[..., j, : size - j]
     return out
 
 

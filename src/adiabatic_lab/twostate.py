@@ -180,7 +180,9 @@ def gtilde_table(delta: float, order: int) -> np.ndarray:
 
     Entry n solves: first entry = -i / (2i*delta + rate); entry n =
     i * sum_{m<n} entry_{n-m} * entry_m / (2i*delta + (2n-1)*rate).
-    Denominators never vanish for delta > 0.
+    Denominators never vanish for delta > 0. Entries past the range of
+    doubles come out non-finite, without a warning; ``laurent_split``
+    rejects them.
     """
     if not delta > 0:
         raise DomainError(f"delta must be > 0, got {delta}")
@@ -190,12 +192,26 @@ def gtilde_table(delta: float, order: int) -> np.ndarray:
     den[:, 0] = 2j * delta
     den[:, 1] = 2 * np.arange(1, order + 1) - 1
     recip = jet_recip(den)
+    # the product of a jet with i / den_n is linear in the jet: the jet's
+    # coefficient row times an upper-triangular Toeplitz matrix, whose row j
+    # is i / den_n shifted right by j
+    toeplitz = jet_mul(np.eye(3), 1j * recip[:, None, :])
     entries = np.empty_like(den)
     entries[0] = -1j * recip[0]
-    for n in range(2, order + 1):
-        # sum over m of entry_{n-m} * entry_m, accumulated in order of m
-        conv = jet_mul(entries[n - 2 :: -1], entries[: n - 1]).sum(axis=0)
-        entries[n - 1] = 1j * jet_mul(conv, recip[n - 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(2, order + 1):
+            # pair[j, l] = sum over m of coefficient j of entry_{n-m} times
+            # coefficient l of entry_m; the jet coefficients of the sum of
+            # products are its anti-diagonal sums
+            pair = entries[n - 2 :: -1].T @ entries[: n - 1]
+            conv = np.array(
+                [
+                    pair[0, 0],
+                    pair[0, 1] + pair[1, 0],
+                    pair[0, 2] + pair[1, 1] + pair[2, 0],
+                ]
+            )
+            entries[n - 1] = conv @ toeplitz[n - 1]
     entries.flags.writeable = False
     return entries
 
@@ -343,13 +359,26 @@ def laurent_split(powers, divisors, jets, names):
     log-magnitude ``-1j * sum powers * c_1 / divisors`` (real parts, in that
     order) and the largest imaginary residue among them. Raises
     ConsistencyError, naming the quantity from ``names``, when that residue
-    exceeds IMAG_GATE.
+    exceeds IMAG_GATE, and DomainError, naming the first order whose term
+    is not finite, when the jets or any of the three sums are not finite:
+    the recursion or the powers of the coupling have left the range of
+    doubles. Nothing here warns; callers compute ``powers`` and ``jets``
+    under ``np.errstate`` too.
     """
-    parts = (
-        np.sum(powers * jets[:, 0] / divisors),
-        np.sum(powers * jets[:, 0]),
-        -1j * np.sum(powers * jets[:, 1] / divisors),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = (
+            np.sum(powers * jets[:, 0] / divisors),
+            np.sum(powers * jets[:, 0]),
+            -1j * np.sum(powers * jets[:, 1] / divisors),
+        )
+        if not (np.isfinite(jets).all() and np.isfinite(parts).all()):
+            finite = np.isfinite(powers[:, None] * jets).all(axis=1)
+            first = int(np.argmin(finite)) + 1 if not finite.all() else len(finite)
+            raise DomainError(
+                f"phase-recursion terms are not finite from order {first} of "
+                f"{len(finite)}: the recursion or the powers of the coupling "
+                "overflow; lower the order"
+            )
     residues = [abs(p.imag) for p in parts]
     worst = int(np.argmax(residues))
     if residues[worst] > IMAG_GATE:
@@ -374,7 +403,8 @@ def phase_split(m: TwoStateModel, order: int = DEFAULT_ORDER) -> PhaseSplitTwoSt
         raise DomainError(f"order must be >= 1, got {order}")
     table = gtilde_table(m.delta, order)
     n = np.arange(1, order + 1)
-    powers = m.x ** (2 * n)
+    with np.errstate(over="ignore"):
+        powers = m.x ** (2 * n)
     f_a, de, f_b, residue = laurent_split(
         powers, 2 * n, table, ("f_a", "delta_e_a", "f_b")
     )

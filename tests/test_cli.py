@@ -215,6 +215,31 @@ def test_exit_code_phase_recursion_not_finite(capsys, argv):
     assert "ramped coupling" in err
 
 
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        # the jet table overflows
+        (["two-state", "phase", "--delta", "0.001", "--x", "0.0009",
+          "--order", "200"], 51),
+        # x**(2n) overflows
+        (["two-state", "phase", "--delta", "100", "--x", "50", "--order", "200"], 91),
+        # the projector recursion overflows
+        (["n-state", "split", "--order", "1200"], 626),
+    ],
+    ids=["table", "powers", "n-state"],
+)
+def test_exit_code_split_not_finite(tmp_path, capsys, argv, first):
+    if argv[0] == "n-state":
+        path = tmp_path / "gen.json"
+        save_model(generate_nstate_model(seed=3, levels=5, x=0.5), path)
+        argv = [*argv, "--model", str(path)]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"phase-recursion terms are not finite from order {first} of " in err
+    assert "RuntimeWarning" not in err
+
 def test_exit_code_integration_failure(monkeypatch, capsys):
     monkeypatch.setattr(ode, "MAX_STEPS", 50)
     assert run("two-state", "evolve", "--eps", "0.05") == 3

@@ -105,3 +105,39 @@ def test_mul_associative_and_distributive_random():
         dist_l = jet_mul(a, b + c)
         dist_r = jet_mul(a, b) + jet_mul(a, c)
         np.testing.assert_allclose(dist_l, dist_r, atol=1e-12)
+
+
+def jet_mul_loop(a, b):
+    """Reference product: one ``np.sum`` over the terms of each coefficient."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    for k in range(a.shape[-1]):
+        out[..., k] = np.sum(a[..., : k + 1] * b[..., k::-1], axis=-1)
+    return out
+
+
+def random_complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_mul_bit_identical_to_summed_loop(order):
+    # the shapes the recursions pass: scalar jets, an (n, K+1) table times
+    # one jet or another table, and the projector recursion's broadcast of
+    # (n-1, 1, K+1) phase jets against (n-1, N, K+1) vector jets
+    rng = np.random.default_rng(40 + order)
+    k1 = order + 1
+    shapes = [
+        ((k1,), (k1,)),
+        ((17, k1), (k1,)),
+        ((17, k1), (17, k1)),
+        ((29, 1, k1), (29, 8, k1)),
+        ((5, 1, k1), (5, 64, k1)),
+    ]
+    for shape_a, shape_b in shapes:
+        for _ in range(20):
+            a = random_complex(rng, shape_a) * 10.0 ** rng.integers(-8, 8)
+            b = random_complex(rng, shape_b)
+            np.testing.assert_array_equal(jet_mul(a, b), jet_mul_loop(a, b))
+            np.testing.assert_array_equal(jet_mul(b, a), jet_mul_loop(b, a))

@@ -6,10 +6,12 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from adiabatic_lab.errors import DomainError, IntegrationError
-from adiabatic_lab.numkit import hermitian_eig, ode
+from adiabatic_lab.numkit import hermitian_eig, jet_mul, jet_recip, ode
 from adiabatic_lab.twostate import (
     TwoStateModel,
     bessel_series_a,
@@ -137,6 +139,70 @@ def test_gtilde_curvature_matches_finite_differences():
         + gtilde_values(delta, -h, 6)
     ) / (h * h)
     np.testing.assert_allclose(2 * c2, fd, rtol=1e-4, atol=1e-10)
+
+
+def gtilde_table_loop(delta, order):
+    """Reference table: two general jet products per order, the sum of
+    products accumulated in order of m."""
+    den = np.zeros((order, 3), dtype=complex)
+    den[:, 0] = 2j * delta
+    den[:, 1] = 2 * np.arange(1, order + 1) - 1
+    recip = jet_recip(den)
+    entries = np.empty_like(den)
+    entries[0] = -1j * recip[0]
+    for n in range(2, order + 1):
+        conv = jet_mul(entries[n - 2 :: -1], entries[: n - 1]).sum(axis=0)
+        entries[n - 1] = 1j * jet_mul(conv, recip[n - 1])
+    return entries
+
+
+def gtilde_table_mp(delta, order):
+    """The jet table in 40-digit arithmetic, on (value, slope, half
+    curvature) triples, rounded to doubles at the end."""
+    with mpmath.workdps(40):
+        r0 = 1 / (2j * mpmath.mpf(delta))
+
+        def mul(a, b):
+            return [
+                a[0] * b[0],
+                a[0] * b[1] + a[1] * b[0],
+                a[0] * b[2] + a[1] * b[1] + a[2] * b[0],
+            ]
+
+        # -i / (2i delta + u) as a jet in u
+        entries = [[-1j * r0, 1j * r0 * r0, -1j * r0 * r0 * r0]]
+        for n in range(2, order + 1):
+            # i / (2i delta + (2n-1) u) as a jet in u
+            q = (2 * n - 1) * r0
+            recip = [1j * r0, -1j * r0 * q, 1j * r0 * q * q]
+            # the sum over m is symmetric under m -> n - m: twice the half
+            # below n / 2, plus the middle product when n is even
+            conv = [mpmath.mpc(0)] * 3
+            for m in range(1, (n + 1) // 2):
+                pair = mul(entries[n - m - 1], entries[m - 1])
+                conv = [c + t for c, t in zip(conv, pair)]
+            conv = [2 * c for c in conv]
+            if n % 2 == 0:
+                mid = entries[n // 2 - 1]
+                conv = [c + t for c, t in zip(conv, mul(mid, mid))]
+            entries.append(mul(conv, recip))
+        return np.array([[complex(c) for c in e] for e in entries])
+
+
+@pytest.mark.parametrize("delta, order", [(1.0, 200), (0.7, 200), (1.3, 120)])
+def test_gtilde_table_against_arbitrary_precision_recursion(delta, order):
+    ref = gtilde_table_mp(delta, order)
+    got = gtilde_table(delta, order)
+    assert (np.abs(got - ref) / np.abs(ref)).max() <= 5e-14
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(delta=st.floats(0.3, 3.0), order=st.integers(1, 200))
+def test_gtilde_table_matches_two_product_loop_property(delta, order):
+    ref = gtilde_table_loop(delta, order)
+    got = gtilde_table(delta, order)
+    assert (np.abs(got - ref) / np.abs(ref)).max() <= 1e-13
+    np.testing.assert_array_equal(gtilde_table(delta, order), got)
 
 
 def test_gtilde_values_match_series_coefficients_of_closed_form():
