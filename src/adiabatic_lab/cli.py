@@ -351,11 +351,19 @@ def _cmd_n_dyson(model, args) -> dict:
 
 def _cmd_n_recursion(model, args) -> dict:
     rs = nstate.rs_recursion(model, args.order, 1)
-    rows = [
-        [n, *_split_complex(value), *_split_complex(slope),
-         float(np.linalg.norm(rs.phi_n(n)))]
-        for n, (value, slope) in enumerate(rs.xi, 1)
-    ]
+    with np.errstate(over="ignore"):
+        rows = [
+            [n, *_split_complex(value), *_split_complex(slope),
+             float(np.linalg.norm(rs.phi_n(n)))]
+            for n, (value, slope) in enumerate(rs.xi, 1)
+        ]
+    finite = np.isfinite([row[1:] for row in rows]).all(axis=1)
+    if not finite.all():
+        raise DomainError(
+            f"phase-recursion terms are not finite from order "
+            f"{int(np.argmin(finite)) + 1} of {args.order}: the recursion overflows; "
+            "lower the order"
+        )
     return dict(
         tables=[
             Table(

@@ -2,18 +2,18 @@
 
 Files are human-writable JSON. Complex matrices are split into real and
 imaginary parts (row-major nested lists) to avoid ad-hoc complex literals.
+This module checks JSON types only; the model types check the numbers
+(finiteness, signs, shapes, sizes, Hermiticity).
 """
 
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
 from .errors import DomainError
 from .nstate import NStateModel
-from .numkit import HermitianMatrix
 from .rng import random_hermitian_model_arrays
 from .twostate import TwoStateModel
 
@@ -30,86 +30,68 @@ class ModelFileError(DomainError):
     """Model file is syntactically or semantically invalid."""
 
 
-def _finite_number(value):
-    # JSON admits NaN, Infinity and integers too large for a float; booleans
-    # are ints to Python
-    try:
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        return False
-
-
-def _require(mapping, key, kind, where):
+def _field(mapping, key, where):
     if key not in mapping:
         raise ModelFileError(f"{where}: missing required field '{key}'")
-    value = mapping[key]
-    if kind is float:
-        if not _finite_number(value):
-            raise ModelFileError(f"{where}: field '{key}' must be a finite number")
-        return float(value)
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ModelFileError(f"{where}: field '{key}' must be an integer")
-        return value
-    return value
+    return mapping[key]
 
 
-def _array(raw, name, where):
-    """Nested lists of finite JSON numbers as a float array."""
-
-    def numeric(value):
-        return all(map(numeric, value)) if isinstance(value, list) else _finite_number(value)
-
-    if not numeric(raw):
-        raise ModelFileError(f"{where}: field '{name}' must hold only finite numbers")
+def _number(mapping, key, where):
+    """A JSON int or float that fits in a double, as a float; NaN and
+    Infinity are left to the model types."""
+    value = _field(mapping, key, where)
     try:
-        return np.array(raw, dtype=float)
+        # the exact type, because a bool is an int to Python
+        if type(value) in (int, float):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ModelFileError(f"{where}: field '{key}' must be a finite number")
+
+
+def _numbers(mapping, key, where):
+    """A list, or a list of lists, of JSON ints and floats as a float array."""
+    raw = _field(mapping, key, where)
+    rows = raw if isinstance(raw, list) and all(isinstance(r, list) for r in raw) else [raw]
+    try:
+        if all(isinstance(r, list) and all(type(v) in (int, float) for v in r) for r in rows):
+            return np.array(raw, dtype=float)
     except ValueError as exc:
-        raise ModelFileError(f"{where}: field '{name}' is ragged: {exc}") from None
+        raise ModelFileError(f"{where}: field '{key}' is ragged: {exc}") from None
+    except OverflowError:
+        pass
+    raise ModelFileError(f"{where}: field '{key}' must hold only finite numbers")
 
 
-def _matrix(raw, name, where):
-    arr = _array(raw, name, where)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ModelFileError(
-            f"{where}: field '{name}' must be a square row-major matrix, "
-            f"got shape {arr.shape}"
-        )
-    return arr
-
-
-def _model_from_dict(data, where="model file"):
+def _model_from_dict(data, where):
     if not isinstance(data, dict):
         raise ModelFileError(f"{where}: top level must be a JSON object")
     kind = data.get("kind")
     if kind == "two-state":
         return TwoStateModel(
-            mu=_require(data, "mu", float, where),
-            delta=_require(data, "delta", float, where),
-            x=_require(data, "x", float, where),
-            eps=_require(data, "eps", float, where),
+            **{key: _number(data, key, where) for key in ("mu", "delta", "x", "eps")}
         )
     if kind == "n-state":
-        energies = _array(_require(data, "energies", list, where), "energies", where)
-        v_real = _matrix(_require(data, "v_real", list, where), "v_real", where)
-        v_imag = _matrix(_require(data, "v_imag", list, where), "v_imag", where)
+        energies = _numbers(data, "energies", where)
+        v_real = _numbers(data, "v_real", where)
+        v_imag = _numbers(data, "v_imag", where)
+        # numpy would broadcast a mismatch away
         if v_real.shape != v_imag.shape:
             raise ModelFileError(
                 f"{where}: v_real {v_real.shape} and v_imag {v_imag.shape} differ"
             )
-        if v_real.shape[0] != energies.size:
-            raise ModelFileError(
-                f"{where}: {energies.size} energies but perturbation is "
-                f"{v_real.shape[0]}x{v_real.shape[0]}"
-            )
+        ground_index = data.get("ground_index", 0)
+        if type(ground_index) is not int:
+            raise ModelFileError(f"{where}: field 'ground_index' must be an integer")
+        # 1j * inf warns; HermitianMatrix rejects the entry as not finite
+        with np.errstate(invalid="ignore"):
+            v = v_real + 1j * v_imag
         return NStateModel(
             energies=energies,
-            v=HermitianMatrix(v_real + 1j * v_imag),
-            x=_require(data, "x", float, where),
-            eps=_require(data, "eps", float, where),
-            ground_index=(
-                _require(data, "ground_index", int, where) if "ground_index" in data else 0
-            ),
+            v=v,
+            x=_number(data, "x", where),
+            eps=_number(data, "eps", where),
+            ground_index=ground_index,
         )
     raise ModelFileError(
         f"{where}: field 'kind' must be 'two-state' or 'n-state', got {kind!r}"
@@ -182,6 +164,4 @@ def generate_nstate_model(
         gaps = np.abs(energies - energies[0])
         gaps[0] = np.inf
         x = 0.05 * float(gaps.min())
-    return NStateModel(
-        energies=energies, v=HermitianMatrix(v), x=x, eps=eps, ground_index=0
-    )
+    return NStateModel(energies=energies, v=v, x=x, eps=eps, ground_index=0)

@@ -65,13 +65,13 @@ class NStateModel:
             raise DomainError(
                 f"perturbation is {v.dim}x{v.dim} but there are {e.size} levels"
             )
+        # HermitianMatrix has checked the perturbation's entries
+        if not np.isfinite(np.append(e, (self.x, self.eps))).all():
+            raise DomainError("energies, x and eps must be finite")
         if not self.x > 0:
             raise DomainError(f"coupling x must be > 0, got {self.x}")
         if not self.eps > 0:
             raise DomainError(f"switching rate eps must be > 0, got {self.eps}")
-        values = np.concatenate([e, v.entries.ravel(), [self.x, self.eps]])
-        if not np.isfinite(values).all():
-            raise DomainError("energies, perturbation, x and eps must be finite")
         g = self.ground_index
         if not 0 <= g < e.size:
             raise DomainError(f"ground_index {g} out of range for {e.size} levels")

@@ -21,16 +21,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _jsonable(value):
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 @dataclass
 class Table:
     """Named table with a header row; cells are scalars (complex values are
@@ -53,14 +43,13 @@ class RunReport:
     def to_dict(self) -> dict:
         return {
             "command": self.command,
-            "parameters": _jsonable(self.parameters),
+            "parameters": self.parameters,
             "tables": [
-                {"name": t.name, "columns": list(t.columns), "rows": _jsonable(t.rows)}
-                for t in self.tables
+                {"name": t.name, "columns": t.columns, "rows": t.rows} for t in self.tables
             ],
-            "values": _jsonable(self.values),
-            "residuals": _jsonable(self.residuals),
-            "flags": _jsonable(self.flags),
+            "values": self.values,
+            "residuals": self.residuals,
+            "flags": self.flags,
         }
 
 

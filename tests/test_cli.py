@@ -157,17 +157,55 @@ def test_exit_code_non_integer_ground_index(tmp_path, capsys, index):
         (EMBED, {"energies": ["a", 1]}),
         (EMBED, {"energies": [-1.0, float("nan")]}),
         (EMBED, {"v_real": [[0.0, float("inf")], [float("inf"), 0.0]]}),
+        (EMBED, {"v_imag": [[0.0, float("inf")], [-float("inf"), 0.0]]}),
         (EMBED, {"x": float("inf")}),
         (TWO, {"mu": float("nan")}),
         (TWO, {"eps": 10**400}),
     ],
-    ids=["string-energy", "nan-energy", "inf-v_real", "inf-x", "nan-mu", "huge-int-eps"],
+    ids=["string-energy", "nan-energy", "inf-v_real", "inf-v_imag", "inf-x", "nan-mu",
+         "huge-int-eps"],
 )
 def test_exit_code_model_numbers_not_finite(tmp_path, capsys, base, fields):
     path = write_model(tmp_path, base, **fields)
     group = "n-state oracle" if base is EMBED else "two-state exact"
     assert run(*group.split(), "--model", str(path)) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "base, fields",
+    [
+        (EMBED, {"energies": [-1.0, True]}),
+        (EMBED, {"v_real": [[0.0, "1.0"], [1.0, 0.0]]}),
+        (EMBED, {"energies": [None, 1.0]}),
+        (EMBED, {"v_real": [[0.0, 1.0], [1.0]]}),
+        (EMBED, {"v_real": [[[0.0], [1.0]], [[1.0], [0.0]]]}),
+        (EMBED, {"v_real": [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]],
+                 "v_imag": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}),
+        (EMBED, {"v_imag": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}),
+        (EMBED, {"energies": [-1.0, 0.0, 1.0]}),
+        (EMBED, {"x": float("nan")}),
+        (EMBED, {"x": float("inf")}),
+        (TWO, {"delta": float("nan")}),
+        (TWO, {"eps": float("inf")}),
+        (EMBED, {"energies": [-1.0, 10**400]}),
+        (EMBED, {"energies": 1.0}),
+        (EMBED, {"ground_index": 5}),
+        (EMBED, {"x": True}),
+        (EMBED, {"x": [0.5]}),
+        (EMBED, {"v_real": [[0.0, 1.0], [0.5, 0.0]]}),
+    ],
+    ids=["bool-energy", "string-v_real", "null-energy", "ragged-v_real",
+         "nested-v_real", "non-square-v", "v-parts-differ", "size-mismatch",
+         "nan-x", "inf-x", "nan-delta", "inf-eps", "huge-int-energy",
+         "scalar-energies", "ground-index-range", "bool-x", "list-x",
+         "non-hermitian-v"],
+)
+def test_malformed_model_file_exits_2_naming_the_file(tmp_path, capsys, base, fields):
+    path = write_model(tmp_path, base, **fields)
+    group = "n-state oracle" if base is EMBED else "two-state exact"
+    assert run(*group.split(), "--model", str(path)) == 2
+    assert str(path) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -227,8 +265,10 @@ def test_exit_code_phase_recursion_not_finite(capsys, argv):
         (["two-state", "phase", "--delta", "100", "--x", "50", "--order", "200"], 91),
         # the projector recursion overflows
         (["n-state", "split", "--order", "1200"], 626),
+        # its correction vector's norm overflows first
+        (["n-state", "recursion", "--order", "1200"], 321),
     ],
-    ids=["table", "powers", "n-state"],
+    ids=["table", "powers", "n-state", "n-state-recursion"],
 )
 def test_exit_code_split_not_finite(tmp_path, capsys, argv, first):
     if argv[0] == "n-state":
@@ -239,6 +279,7 @@ def test_exit_code_split_not_finite(tmp_path, capsys, argv, first):
     err = capsys.readouterr().err
     assert f"phase-recursion terms are not finite from order {first} of " in err
     assert "RuntimeWarning" not in err
+    assert len(err.splitlines()) == 1
 
 def test_exit_code_integration_failure(monkeypatch, capsys):
     monkeypatch.setattr(ode, "MAX_STEPS", 50)

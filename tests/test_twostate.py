@@ -411,6 +411,13 @@ def test_fb_identity_on_grid():
         assert res.rate_balance_residual <= 1e-6
 
 
+def test_rate_balance_from_exact_derivatives():
+    # the coupling derivatives are exact, so at order 200 only rounding is left
+    for x in (0.1, 0.3, 0.5, 0.7):
+        res = phase_split(TwoStateModel(mu=0.0, delta=1.0, x=x, eps=0.25), 200)
+        assert res.rate_balance_residual <= 1e-14
+
+
 def test_fb_identity_weak_coupling():
     res = phase_split(TwoStateModel(mu=0.0, delta=1.0, x=1e-6, eps=0.25), 10)
     assert math.exp(res.f_b) == pytest.approx(1.0, abs=1e-11)
