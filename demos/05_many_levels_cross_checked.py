@@ -29,16 +29,16 @@ print("energies:", np.array2string(model.energies, precision=4))
 
 # 1. Dyson cross-check at finite rate
 vec_dyson = dyson2(model, 0.0)
-rs = rs_recursion(model, 2, 0, at_eps=model.eps)
-a1 = rs.xi[0, 0] / model.eps
-a2 = rs.xi[1, 0] / (2 * model.eps)
+xi, phi = rs_recursion(model, 2, 0, at_eps=model.eps)
+a1 = xi[0, 0] / model.eps
+a2 = xi[1, 0] / (2 * model.eps)
 eg = np.zeros(model.dim, dtype=complex)
 eg[0] = 1.0
 vec_rec = (
     eg
-    + model.x * (rs.phi_n(1) - 1j * a1 * eg)
+    + model.x * (phi[0, :, 0] - 1j * a1 * eg)
     + model.x**2
-    * (rs.phi_n(2) - 1j * a1 * rs.phi_n(1) + (-1j * a2 - a1 * a1 / 2) * eg)
+    * (phi[1, :, 0] - 1j * a1 * phi[0, :, 0] + (-1j * a2 - a1 * a1 / 2) * eg)
 )
 print(f"\n1. Dyson vs recursion at finite rate: max diff {np.abs(vec_dyson - vec_rec).max():.2e}")
 

@@ -115,10 +115,7 @@ def _parse_eps_grid(text: str):
 
 
 def _trajectory_table(traj, labels) -> Table:
-    columns = ["t"]
-    for lab in labels:
-        columns += [f"re_{lab}", f"im_{lab}"]
-    columns.append("norm")
+    columns = ["t", *(f"{part}_{lab}" for lab in labels for part in ("re", "im")), "norm"]
     # a complex array viewed as floats holds re and im side by side
     rows = np.column_stack([traj.times, traj.states.view(float), traj.norms()])
     return Table("trajectory", columns, rows.tolist())
@@ -335,27 +332,25 @@ def _cmd_two_sweep(base, args) -> dict:
 # n-state subcommands
 
 
+def _state_table(route, vec) -> Table:
+    columns = ["component", f"re[{route}]", f"im[{route}]", f"abs[{route}]"]
+    return Table("state", columns, _complex_rows(range(vec.size), vec))
+
+
 def _cmd_n_dyson(model, args) -> dict:
-    vec = nstate.dyson2(model, args.t)
     return dict(
-        tables=[
-            Table(
-                "state",
-                ["component", "re[dyson2]", "im[dyson2]", "abs[dyson2]"],
-                _complex_rows(range(vec.size), vec),
-            )
-        ],
+        tables=[_state_table("dyson2", nstate.dyson2(model, args.t))],
         values={"free_phase_energy": model.ground_energy},
     )
 
 
 def _cmd_n_recursion(model, args) -> dict:
-    rs = nstate.rs_recursion(model, args.order, 1)
+    xi, phi = nstate.rs_recursion(model, args.order, 1)
     with np.errstate(over="ignore"):
         rows = [
             [n, *_split_complex(value), *_split_complex(slope),
-             float(np.linalg.norm(rs.phi_n(n)))]
-            for n, (value, slope) in enumerate(rs.xi, 1)
+             float(np.linalg.norm(phi[n - 1, :, 0]))]
+            for n, (value, slope) in enumerate(xi, 1)
         ]
     finite = np.isfinite([row[1:] for row in rows]).all(axis=1)
     if not finite.all():
@@ -400,14 +395,7 @@ def _cmd_n_split(model, args) -> dict:
 def _cmd_n_assemble(model, args) -> dict:
     assembled = nstate.assemble_state(model, args.order)
     return dict(
-        tables=[
-            Table(
-                "state",
-                ["component", "re[phase-recursion]", "im[phase-recursion]",
-                 "abs[phase-recursion]"],
-                _complex_rows(range(assembled.state.size), assembled.state),
-            )
-        ],
+        tables=[_state_table("phase-recursion", assembled.state)],
         values={
             "energy[phase-recursion]": assembled.energy,
             "norm[phase-recursion]": float(np.linalg.norm(assembled.state)),
@@ -440,17 +428,14 @@ def _cmd_n_compare(model, args) -> dict:
     assembled = nstate.assemble_state(model, args.order)
     split = assembled.split
     shift_oracle = nstate.oracle_shift(model)
-    traj = nstate.evolve_nstate(model, 0.0, args.tol)
-    psi = traj.final_state
+    psi = nstate.evolve_nstate(model, 0.0, args.tol).final_state
     g = model.ground_index
     rows = []
-    ratio_resid = 0.0
     for comp in range(model.dim):
         if comp == g:
             continue
         r_ode = abs(psi[comp] / psi[g])
         r_rec = abs(assembled.state[comp] / assembled.state[g])
-        ratio_resid = max(ratio_resid, abs(r_ode - r_rec))
         rows.append([comp, r_ode, r_rec, abs(r_ode - r_rec)])
     return dict(
         values={
@@ -462,7 +447,7 @@ def _cmd_n_compare(model, args) -> dict:
             "delta_e[phase-recursion]-vs-shift[oracle]": abs(
                 split.delta_e - shift_oracle
             ),
-            "max_component_ratio[ode]-vs-[phase-recursion]": ratio_resid,
+            "max_component_ratio[ode]-vs-[phase-recursion]": max(r[3] for r in rows),
         },
         tables=[
             Table(

@@ -24,7 +24,6 @@ from .twostate import (
 
 __all__ = [
     "NStateModel",
-    "RsExpansion",
     "GSplit",
     "AssembledState",
     "two_level_embed",
@@ -173,30 +172,16 @@ def dyson2(model: NStateModel, t: float) -> np.ndarray:
 # projector recursion
 
 
-@dataclass(frozen=True, eq=False)
-class RsExpansion:
-    """Phase coefficients (scalar jets) and orthogonal correction vectors
-    (one jet per component) from the projector recursion.
-
-    ``xi[n-1, k]`` is the k-th jet coefficient of the order-n phase
-    coefficient and ``phi[n-1, :, k]`` that of the order-n correction
-    vector, whose tracked component is identically zero by construction.
-    Both arrays are read-only. Jets are expanded around the ``at_eps`` of
-    ``rs_recursion`` (0 for the slow-switching limit).
-    """
-
-    xi: np.ndarray
-    phi: np.ndarray
-
-    def phi_n(self, n: int) -> np.ndarray:
-        """Order-n correction vector at the expansion point (1-based)."""
-        return self.phi[n - 1, :, 0]
-
-
 def rs_recursion(
     model: NStateModel, order: int, jet_order: int, at_eps: float = 0.0
-) -> RsExpansion:
+) -> tuple[np.ndarray, np.ndarray]:
     """Run the projector recursion to ``order`` powers of the coupling.
+
+    Returns the read-only pair ``(xi, phi)``: ``xi[n-1, k]`` is the k-th jet
+    coefficient of the order-n phase coefficient and ``phi[n-1, :, k]`` that
+    of the order-n correction vector, whose tracked component is zero by
+    construction. Jets are expanded around ``at_eps`` (0 for the
+    slow-switching limit).
 
     The resolvent at order n divides component k by
     ``(E_k - E_g) - 1j * n * rate``; the n-fold rate follows from the n-th
@@ -256,7 +241,7 @@ def rs_recursion(
 
     xi.flags.writeable = False
     phi.flags.writeable = False
-    return RsExpansion(xi=xi, phi=phi)
+    return xi, phi
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +269,16 @@ class AssembledState:
     energy: float
 
 
-def _split_from(rs: RsExpansion, model: NStateModel) -> GSplit:
-    n = np.arange(1, len(rs.xi) + 1)
+def _split_from(xi: np.ndarray, model: NStateModel) -> GSplit:
+    n = np.arange(1, len(xi) + 1)
     with np.errstate(over="ignore"):
         powers = model.x**n
-    g_a, de, g_b, residue = laurent_split(powers, n, rs.xi, ("g_a", "delta_e", "g_b"))
+    g_a, de, g_b, residue = laurent_split(powers, n, xi, ("g_a", "delta_e", "g_b"))
     return GSplit(
         g_a=g_a,
         delta_e=de,
         g_b=g_b,
-        last_term_magnitude=float(abs(powers[-1] * rs.xi[-1, 0])),
+        last_term_magnitude=float(abs(powers[-1] * xi[-1, 0])),
         max_imag_residue=residue,
     )
 
@@ -305,21 +290,30 @@ def g_split(model: NStateModel, order: int) -> GSplit:
     Accepts any coupling; convergence is the caller's concern and can be
     judged from ``last_term_magnitude``.
     """
-    return _split_from(rs_recursion(model, order, 1), model)
+    return _split_from(rs_recursion(model, order, 1)[0], model)
 
 
 def assemble_state(model: NStateModel, order: int) -> AssembledState:
     """Slow-switching limit state with the divergent phase factor dropped
     (its coefficient is reported in the split). The time dependence
-    ``exp(-1j * (E_g + shift) * t)`` is left to the caller via ``energy``."""
-    rs = rs_recursion(model, order, 1)
-    split = _split_from(rs, model)
-    correction = np.zeros(model.dim, dtype=complex)
-    for n in range(1, order + 1):
-        correction += model.x**n * rs.phi_n(n)
+    ``exp(-1j * (E_g + shift) * t)`` is left to the caller via ``energy``.
+    A ``DomainError`` if ``exp(g_b)`` is not a finite, positive double."""
+    xi, phi = rs_recursion(model, order, 1)
+    split = _split_from(xi, model)
+    try:
+        norm = math.exp(split.g_b)
+    except OverflowError:
+        norm = math.inf
+    if not 0.0 < norm < math.inf:
+        raise DomainError(
+            f"exp(g_b) is not a finite positive double: g_b = {split.g_b:.6g} at "
+            f"order {order}; the phase-recursion series does not converge here"
+        )
     state = np.zeros(model.dim, dtype=complex)
     state[model.ground_index] = 1.0
-    state = math.exp(split.g_b) * (state + correction)
+    for n in range(1, order + 1):
+        state += model.x**n * phi[n - 1, :, 0]
+    state *= norm
     return AssembledState(
         state=state, split=split, energy=model.ground_energy + split.delta_e
     )

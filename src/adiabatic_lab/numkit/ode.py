@@ -166,10 +166,6 @@ class Trajectory:
         object.__setattr__(self, "states", y)
 
     @property
-    def final_time(self) -> float:
-        return float(self.times[-1])
-
-    @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 

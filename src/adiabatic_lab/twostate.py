@@ -218,16 +218,18 @@ def gtilde_table(delta: float, order: int) -> np.ndarray:
 
 def gtilde_values(delta: float, eps: float, order: int) -> np.ndarray:
     """Phase-recursion coefficients evaluated exactly at a finite switching
-    rate (plain complex recursion; equivalent to order-0 jets anchored there)."""
+    rate (plain complex recursion; equivalent to order-0 jets anchored there).
+    Entries past the range of doubles come out non-finite, without a warning."""
     if not delta > 0:
         raise DomainError(f"delta must be > 0, got {delta}")
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
     g = np.zeros(order + 1, dtype=complex)  # g[0] unused; 1-based
     g[1] = -1j / (2j * delta + eps)
-    for n in range(2, order + 1):
-        conv = np.dot(g[1:n], g[n - 1 : 0 : -1])
-        g[n] = 1j * conv / (2j * delta + (2 * n - 1) * eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(2, order + 1):
+            conv = np.dot(g[1:n], g[n - 1 : 0 : -1])
+            g[n] = 1j * conv / (2j * delta + (2 * n - 1) * eps)
     return g[1:]
 
 
@@ -247,14 +249,21 @@ def delta_e_series(delta: float, x: float, order: int = DEFAULT_ORDER):
     """Partial sums of the level-shift power series in the coupling.
 
     Returns ``(partial_sums, value)`` where ``partial_sums[n-1]`` holds the
-    series through the 2n-th power of x and ``value`` is the last one.
+    series through the 2n-th power of x and ``value`` is the last one. A
+    ``DomainError`` names the first order whose partial sum is not finite.
     """
     if not x > 0:
         raise DomainError(f"x must be > 0, got {x}")
     _require_series_domain(delta, x)
     g0 = gtilde_values(delta, 0.0, order).real
-    powers = x ** (2 * np.arange(1, order + 1))
-    partial = np.cumsum(powers * g0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        partial = np.cumsum(x ** (2 * np.arange(1, order + 1)) * g0)
+    finite = np.isfinite(partial)
+    if not finite.all():
+        raise DomainError(
+            f"level-shift series is not finite from order {int(np.argmin(finite)) + 1} "
+            f"of {order}: the recursion or the powers of the coupling overflow; lower the order"
+        )
     return partial, float(partial[-1])
 
 
@@ -272,8 +281,9 @@ def bessel_series_a(
 
     The k-th term carries the k-th inverse power of the switching rate, so
     for slow switching the magnitudes grow before (if ever) decaying; they
-    are returned for divergence diagnostics. Overflow before convergence is
-    not an error: the partial value is returned flagged non-converged.
+    are returned for divergence diagnostics. ``converged`` says that the
+    last term and the cancellation bound 2**-53 * (largest term) are each at
+    most 1e-12 * max(1, |a|); on overflow the partial sum is returned unconverged.
     """
     if terms < 1:
         raise DomainError(f"need at least one term, got {terms}")
@@ -320,14 +330,11 @@ def phase_series(
     (the amplitude is ``exp(-1j * f / eps)``), and whether its truncated
     series in powers of the squared ramped coupling has converged.
 
-    ``converged`` is the rule of ``bessel_series_a`` applied to this series:
-    the last two terms must shrink, and the geometric tail they start must
-    be at most 1e-12 * max(1, |f|). A ``DomainError`` if the sum is not
-    finite: the powers of the squared ramped coupling can overflow even
-    where the square itself does not.
+    ``converged`` says that the last two terms shrink and that the geometric
+    tail they start is at most 1e-12 * max(1, |f|). A ``DomainError`` if the
+    sum is not finite: the powers of the squared ramped coupling can overflow
+    even where the square itself does not.
     """
-    if order < 1:
-        raise DomainError(f"order must be >= 1, got {order}")
     g = gtilde_values(m.delta, m.eps, order)
     lam2 = ramped_coupling_squared(m.x, m.eps, t)
     n = np.arange(1, order + 1)
@@ -399,8 +406,6 @@ def phase_split(m: TwoStateModel, order: int = DEFAULT_ORDER) -> PhaseSplitTwoSt
     derivatives in the coupling are taken term by term from the same table.
     """
     _require_series_domain(m.delta, m.x)
-    if order < 1:
-        raise DomainError(f"order must be >= 1, got {order}")
     table = gtilde_table(m.delta, order)
     n = np.arange(1, order + 1)
     with np.errstate(over="ignore"):
@@ -464,8 +469,8 @@ def switch_on_time(
     gap: float, x: float, eps: float, threshold: float, t_end: float
 ) -> float:
     """Start time at which the ramped coupling is ``threshold`` of the gap;
-    the threshold must lie in (0, 1e-4], the start must precede ``t_end``,
-    and the coupling at ``t_end`` must be a finite float."""
+    the threshold must lie in (0, 1e-4] and the start must precede
+    ``t_end``."""
     if not 0 < threshold <= 1e-4:
         raise DomainError(f"start_threshold must be in (0, 1e-4], got {threshold}")
     t0 = math.log(gap * threshold / x) / eps
@@ -474,7 +479,6 @@ def switch_on_time(
             f"switch-on start t0 = {t0:.6g} is not before t_end = {t_end:.6g}; "
             "lower start_threshold or move t_end"
         )
-    ramped_coupling(x, eps, t_end, "t_end")
     return t0
 
 

@@ -147,12 +147,12 @@ def test_criterion_8_dyson_recursion_equivalence():
         v = (a + a.conj().T) / 2
         model = NStateModel(energies=energies, v=HermitianMatrix(v), x=0.1, eps=0.3)
         for t in (-1.0, 0.0):
-            rs = rs_recursion(model, 2, 0, at_eps=model.eps)
+            xi, phi = rs_recursion(model, 2, 0, at_eps=model.eps)
             ramp = math.exp(model.eps * t)
-            a1 = ramp * rs.xi[0, 0] / model.eps
-            a2 = ramp * ramp * rs.xi[1, 0] / (2 * model.eps)
-            b1 = ramp * rs.phi_n(1)
-            b2 = ramp * ramp * rs.phi_n(2)
+            a1 = ramp * xi[0, 0] / model.eps
+            a2 = ramp * ramp * xi[1, 0] / (2 * model.eps)
+            b1 = ramp * phi[0, :, 0]
+            b2 = ramp * ramp * phi[1, :, 0]
             eg = np.zeros(4, dtype=complex)
             eg[0] = 1.0
             rec = (
@@ -166,8 +166,8 @@ def test_criterion_8_dyson_recursion_equivalence():
 
 
 def test_criterion_9_two_formulations_correspond():
-    rs = rs_recursion(two_level_embed(STD), 16, 1)
-    xv = rs.xi[:, 0]
+    xi, _ = rs_recursion(two_level_embed(STD), 16, 1)
+    xv = xi[:, 0]
     gv = gtilde_values(1.0, 0.0, 8)
     even_err = max(abs(xv[2 * k - 1] - gv[k - 1]) for k in range(1, 9))
     odd_err = max(abs(xv[2 * k]) for k in range(8))
@@ -192,8 +192,8 @@ def test_criterion_10_structural_invariants():
         x=0.05,
         eps=0.25,
     )
-    rs = rs_recursion(m, 10, 2)
-    ortho = float(np.abs(rs.phi[:, m.ground_index, :]).max())
+    _, phi = rs_recursion(m, 10, 2)
+    ortho = float(np.abs(phi[:, m.ground_index, :]).max())
     details.append(f"ortho={ortho:.1e}")
     ok = ortho <= 1e-15
 

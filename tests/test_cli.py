@@ -281,6 +281,43 @@ def test_exit_code_split_not_finite(tmp_path, capsys, argv, first):
     assert "RuntimeWarning" not in err
     assert len(err.splitlines()) == 1
 
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("order", [30, 100, 300])
+@pytest.mark.parametrize("command", ["assemble", "compare"])
+def test_exit_code_assembled_norm_not_finite(tmp_path, capsys, command, order):
+    # past the recursion's radius g_b runs to +5709 (order 30), -3.2e16
+    # (order 100) and +5.5e54 (order 300): exp(g_b) overflows or is 0
+    path = tmp_path / "gen.json"
+    save_model(generate_nstate_model(seed=3, levels=5, x=0.5), path)
+    assert run("n-state", command, "--model", str(path), "--order", str(order)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: exp(g_b) is not a finite positive double: g_b = ")
+    assert f"at order {order};" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["two-state", "compare", "--delta", "0.01", "--x", "0.005", "--eps", "0.01",
+         "--order", "200"],
+        ["two-state", "sweep-eps", "--delta", "0.01", "--x", "0.005", "--order", "200",
+         "--eps-grid", "0.05:0.5:2"],
+    ],
+    ids=["compare", "sweep-eps"],
+)
+def test_exit_code_finite_rate_coefficients_not_finite(capsys, argv):
+    # the finite-rate coefficients at delta = 0.01 leave the range of doubles
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: phase function f is not finite at t = 0")
+    assert "RuntimeWarning" not in err
+    assert len(err.splitlines()) == 1
+
+
 def test_exit_code_integration_failure(monkeypatch, capsys):
     monkeypatch.setattr(ode, "MAX_STEPS", 50)
     assert run("two-state", "evolve", "--eps", "0.05") == 3
@@ -486,7 +523,7 @@ def test_n_state_recursion_slopes_are_first_order_jets(tmp_path):
     path, out = write_model(tmp_path), tmp_path / "recursion.json"
     assert run("n-state", "recursion", "--model", str(path), "--out", str(out)) == 0
     rows = np.array(report_from_json(out).tables[0].rows)
-    slopes = nstate.rs_recursion(load_model(path), 8, 1).xi[:, 1]
+    slopes = nstate.rs_recursion(load_model(path), 8, 1)[0][:, 1]
     np.testing.assert_array_equal(rows[:, 3], slopes.real)
     np.testing.assert_array_equal(rows[:, 4], slopes.imag)
     assert np.any(rows[:, 3:5] != 0.0)

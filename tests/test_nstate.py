@@ -200,12 +200,12 @@ def test_dyson2_is_term_assembly():
 def _recursion_coefficients_at_finite_rate(model, t):
     """x-polynomial coefficients of the phase-recursion state through
     second order, at the model's finite switching rate."""
-    rs = rs_recursion(model, 2, 0, at_eps=model.eps)
+    xi, phi = rs_recursion(model, 2, 0, at_eps=model.eps)
     ramp = math.exp(model.eps * t)
-    a1 = ramp * rs.xi[0, 0] / model.eps
-    a2 = ramp * ramp * rs.xi[1, 0] / (2 * model.eps)
-    b1 = ramp * rs.phi_n(1)
-    b2 = ramp * ramp * rs.phi_n(2)
+    a1 = ramp * xi[0, 0] / model.eps
+    a2 = ramp * ramp * xi[1, 0] / (2 * model.eps)
+    b1 = ramp * phi[0, :, 0]
+    b2 = ramp * ramp * phi[1, :, 0]
     eg = np.zeros(model.dim, dtype=complex)
     eg[model.ground_index] = 1.0
     c0 = eg
@@ -237,17 +237,17 @@ def test_recursion_diagonal_perturbation():
         x=0.3,
         eps=0.25,
     )
-    rs = rs_recursion(m, 6, 2)
-    assert rs.xi[0, 0] == pytest.approx(0.7, abs=1e-15)
+    xi, phi = rs_recursion(m, 6, 2)
+    assert xi[0, 0] == pytest.approx(0.7, abs=1e-15)
     for n in range(2, 7):
-        assert abs(rs.xi[n - 1, 0]) < 1e-15
-    assert np.abs(rs.phi).max() == 0.0
+        assert abs(xi[n - 1, 0]) < 1e-15
+    assert np.abs(phi).max() == 0.0
 
 
 def test_recursion_two_level_embed_second_order():
-    rs = rs_recursion(two_level_embed(TWO), 2, 1)
-    assert rs.xi[0, 0] == 0.0
-    assert rs.xi[1, 0] == pytest.approx(-0.5, abs=1e-15)
+    xi, _ = rs_recursion(two_level_embed(TWO), 2, 1)
+    assert xi[0, 0] == 0.0
+    assert xi[1, 0] == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_recursion_matches_direct_double_sum():
@@ -255,7 +255,7 @@ def test_recursion_matches_direct_double_sum():
     # in the slow-switching limit
     m = random_model(17, 3, complex_v=True)
     e, vm, g = m.energies, m.v.entries, 0
-    rs = rs_recursion(m, 2, 0, at_eps=0.0)
+    _, phi = rs_recursion(m, 2, 0, at_eps=0.0)
     expected = np.zeros(3, dtype=complex)
     for n in range(3):
         if n == g:
@@ -267,20 +267,20 @@ def test_recursion_matches_direct_double_sum():
                 (e[n] - e[g]) * (e[mm] - e[g])
             )
         expected[n] -= vm[n, g] * vm[g, g] / (e[n] - e[g]) ** 2
-    np.testing.assert_allclose(rs.phi_n(2), expected, atol=1e-14)
+    np.testing.assert_allclose(phi[1, :, 0], expected, atol=1e-14)
 
 
 def test_recursion_orthogonality_exact():
     m = random_model(23, 6, complex_v=True)
-    rs = rs_recursion(m, 10, 2)
-    assert np.abs(rs.phi[:, m.ground_index, :]).max() == 0.0
+    _, phi = rs_recursion(m, 10, 2)
+    assert np.abs(phi[:, m.ground_index, :]).max() == 0.0
 
 
 def test_recursion_arrays_read_only():
-    rs = rs_recursion(random_model(5, 4), 6, 2)
-    assert rs.xi.shape == (6, 3)
-    assert rs.phi.shape == (6, 4, 3)
-    for coeffs in (rs.xi, rs.phi):
+    xi, phi = rs_recursion(random_model(5, 4), 6, 2)
+    assert xi.shape == (6, 3)
+    assert phi.shape == (6, 4, 3)
+    for coeffs in (xi, phi):
         with pytest.raises(ValueError):
             coeffs[0, 0] = 1.0
 
@@ -288,13 +288,13 @@ def test_recursion_arrays_read_only():
 def test_recursion_xi_real_for_hermitian():
     for seed in (1, 2, 3):
         m = random_model(seed, 8, complex_v=True)
-        rs = rs_recursion(m, 10, 1)
-        assert np.abs(rs.xi[:, 0].imag).max() <= 1e-10
+        xi, _ = rs_recursion(m, 10, 1)
+        assert np.abs(xi[:, 0].imag).max() <= 1e-10
 
 
 def test_correspondence_with_two_state_recursion():
-    rs = rs_recursion(two_level_embed(TWO), 16, 1)
-    xv = rs.xi[:, 0]
+    xi, _ = rs_recursion(two_level_embed(TWO), 16, 1)
+    xv = xi[:, 0]
     gv = gtilde_values(TWO.delta, 0.0, 8)
     for k in range(1, 9):
         assert abs(xv[2 * k - 1] - gv[k - 1]) <= 1e-12
@@ -335,10 +335,10 @@ def _recursion_term_by_term(model, order, jet_order, at_eps):
 
 
 def _assert_recursion_matches_reference(model, order, jet_order, at_eps):
-    rs = rs_recursion(model, order, jet_order, at_eps)
-    xi, phi = _recursion_term_by_term(model, order, jet_order, at_eps)
-    assert np.array_equal(rs.xi, xi)
-    assert np.array_equal(rs.phi, phi)
+    xi, phi = rs_recursion(model, order, jet_order, at_eps)
+    xi_ref, phi_ref = _recursion_term_by_term(model, order, jet_order, at_eps)
+    assert np.array_equal(xi, xi_ref)
+    assert np.array_equal(phi, phi_ref)
 
 
 @pytest.mark.parametrize("complex_v", [False, True], ids=["real", "complex"])
@@ -457,8 +457,8 @@ def test_g_split_complex_perturbation_carries_structural_phase():
     with pytest.raises(ConsistencyError, match="g_b"):
         g_split(m, 10)
     # the shift itself stays real: only the finite phase is affected
-    rs = rs_recursion(m, 10, 1)
-    assert np.abs(rs.xi[:, 0].imag).max() <= 1e-12
+    xi, _ = rs_recursion(m, 10, 1)
+    assert np.abs(xi[:, 0].imag).max() <= 1e-12
 
 
 def test_complex_perturbation_phase_confirmed_by_ode():
@@ -471,10 +471,10 @@ def test_complex_perturbation_phase_confirmed_by_ode():
     rates = (0.1, 0.05)
     for eps in rates:
         m = NStateModel(energies=e, v=HermitianMatrix(v), x=x, eps=eps)
-        rs = rs_recursion(m, 12, 1)
+        xi, _ = rs_recursion(m, 12, 1)
         n = np.arange(1, 13)
-        g_a = float(np.sum(x**n * rs.xi[:, 0].real / n))
-        g_b = -1j * np.sum(x**n * rs.xi[:, 1] / n)
+        g_a = float(np.sum(x**n * xi[:, 0].real / n))
+        g_b = -1j * np.sum(x**n * xi[:, 1] / n)
         amp0 = evolve_nstate(m, 0.0, 1e-11, start_threshold=1e-9).final_state[0]
         phases.append(cmath.phase(amp0 * cmath.exp(1j * g_a / eps)))
     extrapolated = 2 * phases[1] - phases[0]  # leading-order in rate
@@ -581,10 +581,10 @@ def test_evolve_component_ratios_converge_to_recursion():
     residuals = []
     for eps in (0.2, 0.1, 0.05):
         m = NStateModel(energies=energies, v=HermitianMatrix(v), x=0.08, eps=eps)
-        rs = rs_recursion(m, 10, 1)
+        _, phi = rs_recursion(m, 10, 1)
         target = np.zeros(4, dtype=complex)
         for n in range(1, 11):
-            target += m.x**n * rs.phi_n(n)
+            target += m.x**n * phi[n - 1, :, 0]
         psi = evolve_nstate(m, 0.0, 1e-10).final_state
         residuals.append(
             max(

@@ -13,7 +13,7 @@ def test_exact_oscillator():
     rhs = lambda t, y: 1j * omega * y
     traj = ode_evolve(rhs, np.array([1.0 + 0j]), 0.0, 5.0, 1e-10)
     assert abs(traj.final_state[0] - np.exp(1j * omega * 5.0)) < 1e-8
-    assert traj.final_time == 5.0
+    assert traj.times[-1] == 5.0
     assert traj.accepted_steps == traj.times.size - 1
 
 

@@ -252,6 +252,13 @@ def test_delta_e_series_domain_error():
         delta_e_series(3.0, 4.0, 10)
 
 
+@pytest.mark.filterwarnings("error")
+def test_delta_e_series_not_finite_is_a_domain_error():
+    # the coefficients scale as delta**(1 - 2n) and overflow at delta = 0.01
+    with pytest.raises(DomainError, match="not finite from order 79 of 200"):
+        delta_e_series(0.01, 0.005, 200)
+
+
 # ---------------------------------------------------------------------------
 # divergent amplitude series
 
