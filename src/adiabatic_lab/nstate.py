@@ -127,35 +127,19 @@ def two_level_embed(m: TwoStateModel) -> NStateModel:
 def dyson2_terms(model: NStateModel, t: float):
     """Coefficient vectors of the zeroth, first and second power of the
     coupling in the second-order Dyson expansion (free phase omitted)."""
-    e = model.energies
     g = model.ground_index
     vm = model.v.entries
     eps = model.eps
-    dim = model.dim
     ramp = ramped_coupling(1.0, eps, t)
     ramp2 = ramped_coupling_squared(1.0, eps, t)
-
-    others = np.array([n for n in range(dim) if n != g])
-    de = e[others] - e[g]
-    d1 = 1j * de + eps  # first-order denominators
-    d2 = 1j * de + 2 * eps  # second-order outer denominators
-    vgg = vm[g, g]
-
-    zeroth = np.zeros(dim, dtype=complex)
+    # first-order and second-order outer denominators; at the tracked level
+    # they are eps and 2 * eps, its own
+    d1 = 1j * (model.energies - model.ground_energy) + eps
+    d2 = d1 + eps
+    zeroth = np.zeros(model.dim, dtype=complex)
     zeroth[g] = 1.0
-
-    first = np.zeros(dim, dtype=complex)
-    first[g] = vgg / eps
-    first[others] = vm[others, g] / d1
-    first *= -1j * ramp
-
-    second = np.zeros(dim, dtype=complex)
-    second[g] = vgg * vgg / (2 * eps * eps)
-    second[g] += np.sum(vm[g, others] * vm[others, g] / (2 * eps * d1))
-    second[others] = vm[others, g] * vgg / (d2 * eps)
-    second[others] += (vm[np.ix_(others, others)] @ (vm[others, g] / d1)) / d2
-    second *= -ramp2
-
+    first = -1j * ramp * vm[:, g] / d1
+    second = -ramp2 * (vm @ (vm[:, g] / d1)) / d2
     return zeroth, first, second
 
 

@@ -172,24 +172,23 @@ def exact_eigensystem(m: TwoStateModel) -> TwoStateEigensystem:
 # phase-function recursion coefficients
 
 
-def gtilde_table(delta: float, order: int) -> np.ndarray:
-    """First ``order`` phase-recursion coefficients as second-order jets in
-    the switching rate around the slow-switching limit 0: a read-only
-    ``(order, 3)`` array whose row k (value, slope, half curvature)
-    multiplies the (k+1)-th even power of the ramped coupling.
+def gtilde_table(order: int) -> np.ndarray:
+    """First ``order`` phase-recursion coefficients in units of the half-gap
+    delta, as second-order jets in the rate r = eps / delta around the
+    slow-switching limit 0: a read-only ``(order, 3)`` array whose row n-1
+    (value, slope, half curvature) multiplies (x / delta)**(2n); in absolute
+    units entry n is delta**(1 - 2n) times as large.
 
-    Entry n solves: first entry = -i / (2i*delta + rate); entry n =
-    i * sum_{m<n} entry_{n-m} * entry_m / (2i*delta + (2n-1)*rate).
-    Denominators never vanish for delta > 0. Entries past the range of
-    doubles come out non-finite, without a warning; ``laurent_split``
-    rejects them.
+    Entry n solves: first entry = -i / (2i + r); entry n =
+    i * sum_{m<n} entry_{n-m} * entry_m / (2i + (2n-1) * r). No denominator
+    is below 2 in magnitude at a real r, so entry n is at most
+    |binom(1/2, n)| <= 1/2, its value at r = 0; slope and curvature grow as
+    a power of n.
     """
-    if not delta > 0:
-        raise DomainError(f"delta must be > 0, got {delta}")
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
     den = np.zeros((order, 3), dtype=complex)
-    den[:, 0] = 2j * delta
+    den[:, 0] = 2j
     den[:, 1] = 2 * np.arange(1, order + 1) - 1
     recip = jet_recip(den)
     # the product of a jet with i / den_n is linear in the jet: the jet's
@@ -198,38 +197,34 @@ def gtilde_table(delta: float, order: int) -> np.ndarray:
     toeplitz = jet_mul(np.eye(3), 1j * recip[:, None, :])
     entries = np.empty_like(den)
     entries[0] = -1j * recip[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(2, order + 1):
-            # pair[j, l] = sum over m of coefficient j of entry_{n-m} times
-            # coefficient l of entry_m; the jet coefficients of the sum of
-            # products are its anti-diagonal sums
-            pair = entries[n - 2 :: -1].T @ entries[: n - 1]
-            conv = np.array(
-                [
-                    pair[0, 0],
-                    pair[0, 1] + pair[1, 0],
-                    pair[0, 2] + pair[1, 1] + pair[2, 0],
-                ]
-            )
-            entries[n - 1] = conv @ toeplitz[n - 1]
+    for n in range(2, order + 1):
+        # pair[j, l] = sum over m of coefficient j of entry_{n-m} times
+        # coefficient l of entry_m; the jet coefficients of the sum of
+        # products are its anti-diagonal sums
+        pair = entries[n - 2 :: -1].T @ entries[: n - 1]
+        conv = np.array(
+            [
+                pair[0, 0],
+                pair[0, 1] + pair[1, 0],
+                pair[0, 2] + pair[1, 1] + pair[2, 0],
+            ]
+        )
+        entries[n - 1] = conv @ toeplitz[n - 1]
     entries.flags.writeable = False
     return entries
 
 
-def gtilde_values(delta: float, eps: float, order: int) -> np.ndarray:
-    """Phase-recursion coefficients evaluated exactly at a finite switching
-    rate (plain complex recursion; equivalent to order-0 jets anchored there).
-    Entries past the range of doubles come out non-finite, without a warning."""
-    if not delta > 0:
-        raise DomainError(f"delta must be > 0, got {delta}")
+def gtilde_values(rate: float, order: int) -> np.ndarray:
+    """The coefficients of ``gtilde_table``, evaluated exactly at the rate
+    r = eps / delta (plain complex recursion; equivalent to order-0 jets
+    anchored there); at a real rate each is at most 1/2 in magnitude."""
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
     g = np.zeros(order + 1, dtype=complex)  # g[0] unused; 1-based
-    g[1] = -1j / (2j * delta + eps)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(2, order + 1):
-            conv = np.dot(g[1:n], g[n - 1 : 0 : -1])
-            g[n] = 1j * conv / (2j * delta + (2 * n - 1) * eps)
+    g[1] = -1j / (2j + rate)
+    for n in range(2, order + 1):
+        conv = np.dot(g[1:n], g[n - 1 : 0 : -1])
+        g[n] = 1j * conv / (2j + (2 * n - 1) * rate)
     return g[1:]
 
 
@@ -249,21 +244,13 @@ def delta_e_series(delta: float, x: float, order: int = DEFAULT_ORDER):
     """Partial sums of the level-shift power series in the coupling.
 
     Returns ``(partial_sums, value)`` where ``partial_sums[n-1]`` holds the
-    series through the 2n-th power of x and ``value`` is the last one. A
-    ``DomainError`` names the first order whose partial sum is not finite.
+    series through the 2n-th power of x and ``value`` is the last one.
     """
     if not x > 0:
         raise DomainError(f"x must be > 0, got {x}")
     _require_series_domain(delta, x)
-    g0 = gtilde_values(delta, 0.0, order).real
-    with np.errstate(over="ignore", invalid="ignore"):
-        partial = np.cumsum(x ** (2 * np.arange(1, order + 1)) * g0)
-    finite = np.isfinite(partial)
-    if not finite.all():
-        raise DomainError(
-            f"level-shift series is not finite from order {int(np.argmin(finite)) + 1} "
-            f"of {order}: the recursion or the powers of the coupling overflow; lower the order"
-        )
+    g0 = gtilde_values(0.0, order).real
+    partial = delta * np.cumsum((x / delta) ** (2 * np.arange(1, order + 1)) * g0)
     return partial, float(partial[-1])
 
 
@@ -335,11 +322,12 @@ def phase_series(
     sum is not finite: the powers of the squared ramped coupling can overflow
     even where the square itself does not.
     """
-    g = gtilde_values(m.delta, m.eps, order)
+    g = gtilde_values(m.eps / m.delta, order)
     lam2 = ramped_coupling_squared(m.x, m.eps, t)
+    u = lam2 / m.delta / m.delta  # delta**2 can underflow to 0
     n = np.arange(1, order + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = lam2**n / (2 * n) * g
+        terms = m.delta * u**n / (2 * n) * g
         f = complex(np.sum(terms))
         mags = np.abs(terms)
     if not cmath.isfinite(f):
@@ -368,9 +356,11 @@ def laurent_split(powers, divisors, jets, names):
     ConsistencyError, naming the quantity from ``names``, when that residue
     exceeds IMAG_GATE, and DomainError, naming the first order whose term
     is not finite, when the jets or any of the three sums are not finite:
-    the recursion or the powers of the coupling have left the range of
-    doubles. Nothing here warns; callers compute ``powers`` and ``jets``
-    under ``np.errstate`` too.
+    the N-state recursion or the powers of its coupling have left the range
+    of doubles. Nothing here warns; a caller whose ``powers`` or ``jets``
+    can overflow computes them under ``np.errstate`` too. ``phase_split``
+    passes powers of x / delta and coefficients in units of delta, so the
+    residue of its first two sums is in units of delta.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         parts = (
@@ -406,18 +396,18 @@ def phase_split(m: TwoStateModel, order: int = DEFAULT_ORDER) -> PhaseSplitTwoSt
     derivatives in the coupling are taken term by term from the same table.
     """
     _require_series_domain(m.delta, m.x)
-    table = gtilde_table(m.delta, order)
+    table = gtilde_table(order)
     n = np.arange(1, order + 1)
-    with np.errstate(over="ignore"):
-        powers = m.x ** (2 * n)
+    delta, x = m.delta, m.x
+    powers = (x / delta) ** (2 * n)
     f_a, de, f_b, residue = laurent_split(
         powers, 2 * n, table, ("f_a", "delta_e_a", "f_b")
     )
-    f_c = m.eps * np.sum(powers * table[:, 2] / (2 * n))
+    f_a, de = delta * f_a, delta * de
+    f_c = m.eps / delta * np.sum(powers * table[:, 2] / (2 * n))
 
-    # d/dx of the sums over x**(2n), term by term
-    delta, x = m.delta, m.x
-    dde = float(np.sum(2 * n * powers * table[:, 0]).real) / x
+    # d/dx of the sums over (x / delta)**(2n), term by term
+    dde = delta * float(np.sum(2 * n * powers * table[:, 0]).real) / x
     dfb = float((-1j * np.sum(powers * table[:, 1])).real) / x
     norm_n = exact_eigensystem(m).norm_n
     return PhaseSplitTwoState(

@@ -168,7 +168,7 @@ def test_criterion_8_dyson_recursion_equivalence():
 def test_criterion_9_two_formulations_correspond():
     xi, _ = rs_recursion(two_level_embed(STD), 16, 1)
     xv = xi[:, 0]
-    gv = gtilde_values(1.0, 0.0, 8)
+    gv = gtilde_values(0.0, 8)
     even_err = max(abs(xv[2 * k - 1] - gv[k - 1]) for k in range(1, 9))
     odd_err = max(abs(xv[2 * k]) for k in range(8))
     ok = even_err <= 1e-12 and odd_err <= 1e-12

@@ -258,24 +258,17 @@ def test_exit_code_phase_recursion_not_finite(capsys, argv):
 @pytest.mark.parametrize(
     "argv, first",
     [
-        # the jet table overflows
-        (["two-state", "phase", "--delta", "0.001", "--x", "0.0009",
-          "--order", "200"], 51),
-        # x**(2n) overflows
-        (["two-state", "phase", "--delta", "100", "--x", "50", "--order", "200"], 91),
         # the projector recursion overflows
         (["n-state", "split", "--order", "1200"], 626),
         # its correction vector's norm overflows first
         (["n-state", "recursion", "--order", "1200"], 321),
     ],
-    ids=["table", "powers", "n-state", "n-state-recursion"],
+    ids=["n-state", "n-state-recursion"],
 )
 def test_exit_code_split_not_finite(tmp_path, capsys, argv, first):
-    if argv[0] == "n-state":
-        path = tmp_path / "gen.json"
-        save_model(generate_nstate_model(seed=3, levels=5, x=0.5), path)
-        argv = [*argv, "--model", str(path)]
-    assert run(*argv) == 2
+    path = tmp_path / "gen.json"
+    save_model(generate_nstate_model(seed=3, levels=5, x=0.5), path)
+    assert run(*argv, "--model", str(path)) == 2
     err = capsys.readouterr().err
     assert f"phase-recursion terms are not finite from order {first} of " in err
     assert "RuntimeWarning" not in err
@@ -300,6 +293,27 @@ def test_exit_code_assembled_norm_not_finite(tmp_path, capsys, command, order):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
+    "delta, x",
+    [
+        # in absolute units the jet table would overflow from order 51
+        ("0.001", "0.0009"),
+        # and x**(2n) from order 91
+        ("100", "50"),
+    ],
+    ids=["table", "powers"],
+)
+def test_two_state_phase_far_from_unit_delta(tmp_path, delta, x):
+    out = tmp_path / "phase.json"
+    argv = ["two-state", "phase", "--delta", delta, "--x", x, "--order", "200"]
+    assert run(*argv, "--out", str(out)) == 0
+    values = report_from_json(out).values
+    shift = twostate.delta_e_closed(float(delta), float(x))
+    assert abs(values["delta_e_a[phase-recursion]"] - shift) <= 1e-14 * abs(shift)
+    assert abs(values["exp_f_b[phase-recursion]"] - values["norm_n[exact]"]) <= 1e-14
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
     "argv",
     [
         ["two-state", "compare", "--delta", "0.01", "--x", "0.005", "--eps", "0.01",
@@ -309,13 +323,18 @@ def test_exit_code_assembled_norm_not_finite(tmp_path, capsys, command, order):
     ],
     ids=["compare", "sweep-eps"],
 )
-def test_exit_code_finite_rate_coefficients_not_finite(capsys, argv):
-    # the finite-rate coefficients at delta = 0.01 leave the range of doubles
-    assert run(*argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: phase function f is not finite at t = 0")
-    assert "RuntimeWarning" not in err
-    assert len(err.splitlines()) == 1
+def test_finite_rate_coefficients_at_small_delta(tmp_path, argv):
+    # in absolute units the finite-rate coefficients at delta = 0.01 would
+    # leave the range of doubles
+    out = tmp_path / "report.json"
+    assert run(*argv, "--out", str(out)) == 0
+    report = report_from_json(out)
+    if argv[1] == "compare":
+        cross = [report.values["max_cross_residual"]]
+    else:
+        cross = [row[4] for row in report.tables[0].rows]
+    assert max(cross) <= 1e-9
+    assert report.flags["converged[phase-recursion]"] is True
 
 
 def test_exit_code_integration_failure(monkeypatch, capsys):

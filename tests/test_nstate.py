@@ -295,7 +295,7 @@ def test_recursion_xi_real_for_hermitian():
 def test_correspondence_with_two_state_recursion():
     xi, _ = rs_recursion(two_level_embed(TWO), 16, 1)
     xv = xi[:, 0]
-    gv = gtilde_values(TWO.delta, 0.0, 8)
+    gv = gtilde_values(0.0, 8)
     for k in range(1, 9):
         assert abs(xv[2 * k - 1] - gv[k - 1]) <= 1e-12
         assert abs(xv[2 * k - 2]) <= 1e-12 or k == 1  # odd orders vanish

@@ -97,19 +97,19 @@ def test_exact_eigensystem_against_eigensolver(mu, delta, x):
 
 
 def test_gtilde_low_order_values():
-    g = gtilde_values(1.0, 0.0, 4)
+    g = gtilde_values(0.0, 4)
     np.testing.assert_allclose(g, [-0.5, 0.125, -0.0625, 0.0390625], atol=1e-15)
 
 
 def test_gtilde_first_entry_and_slope():
-    table = gtilde_table(1.0, 3)
+    table = gtilde_table(3)
     assert abs(table[0, 0] - (-0.5)) < 1e-14
     assert table[0, 1] == pytest.approx(-0.25j, abs=1e-15)  # d/deps of -i/(2i+eps)
     assert np.abs(table[:, 0].imag).max() < 1e-12
 
 
 def test_gtilde_table_entries_read_only():
-    table = gtilde_table(1.0, 4)
+    table = gtilde_table(4)
     assert table.shape == (4, 3)
     with pytest.raises(ValueError):
         table[0, 0] = 1.0
@@ -119,33 +119,31 @@ def test_gtilde_table_values_match_plain_recursion():
     # the jet table's value column against the scalar recursion at the
     # slow-switching limit
     np.testing.assert_allclose(
-        gtilde_table(1.3, 40)[:, 0], gtilde_values(1.3, 0.0, 40), rtol=1e-13, atol=0
+        gtilde_table(40)[:, 0], gtilde_values(0.0, 40), rtol=1e-13, atol=0
     )
 
 
 def test_gtilde_slopes_match_finite_differences():
-    delta, h = 1.3, 1e-5
-    table = gtilde_table(delta, 8)
-    fd = (gtilde_values(delta, h, 8) - gtilde_values(delta, -h, 8)) / (2 * h)
+    h = 1e-5
+    table = gtilde_table(8)
+    fd = (gtilde_values(h, 8) - gtilde_values(-h, 8)) / (2 * h)
     np.testing.assert_allclose(table[:, 1], fd, atol=1e-8)
 
 
 def test_gtilde_curvature_matches_finite_differences():
-    delta, h = 1.0, 1e-3
-    c2 = gtilde_table(delta, 6)[:, 2]
-    fd = (
-        gtilde_values(delta, h, 6)
-        - 2 * gtilde_values(delta, 0.0, 6)
-        + gtilde_values(delta, -h, 6)
-    ) / (h * h)
+    h = 1e-3
+    c2 = gtilde_table(6)[:, 2]
+    fd = (gtilde_values(h, 6) - 2 * gtilde_values(0.0, 6) + gtilde_values(-h, 6)) / (
+        h * h
+    )
     np.testing.assert_allclose(2 * c2, fd, rtol=1e-4, atol=1e-10)
 
 
-def gtilde_table_loop(delta, order):
+def gtilde_table_loop(order):
     """Reference table: two general jet products per order, the sum of
     products accumulated in order of m."""
     den = np.zeros((order, 3), dtype=complex)
-    den[:, 0] = 2j * delta
+    den[:, 0] = 2j
     den[:, 1] = 2 * np.arange(1, order + 1) - 1
     recip = jet_recip(den)
     entries = np.empty_like(den)
@@ -156,11 +154,11 @@ def gtilde_table_loop(delta, order):
     return entries
 
 
-def gtilde_table_mp(delta, order):
+def gtilde_table_mp(order):
     """The jet table in 40-digit arithmetic, on (value, slope, half
     curvature) triples, rounded to doubles at the end."""
     with mpmath.workdps(40):
-        r0 = 1 / (2j * mpmath.mpf(delta))
+        r0 = 1 / mpmath.mpc(0, 2)
 
         def mul(a, b):
             return [
@@ -169,10 +167,10 @@ def gtilde_table_mp(delta, order):
                 a[0] * b[2] + a[1] * b[1] + a[2] * b[0],
             ]
 
-        # -i / (2i delta + u) as a jet in u
+        # -i / (2i + r) as a jet in r
         entries = [[-1j * r0, 1j * r0 * r0, -1j * r0 * r0 * r0]]
         for n in range(2, order + 1):
-            # i / (2i delta + (2n-1) u) as a jet in u
+            # i / (2i + (2n-1) r) as a jet in r
             q = (2 * n - 1) * r0
             recip = [1j * r0, -1j * r0 * q, 1j * r0 * q * q]
             # the sum over m is symmetric under m -> n - m: twice the half
@@ -189,34 +187,31 @@ def gtilde_table_mp(delta, order):
         return np.array([[complex(c) for c in e] for e in entries])
 
 
-@pytest.mark.parametrize("delta, order", [(1.0, 200), (0.7, 200), (1.3, 120)])
-def test_gtilde_table_against_arbitrary_precision_recursion(delta, order):
-    ref = gtilde_table_mp(delta, order)
-    got = gtilde_table(delta, order)
+def test_gtilde_table_against_arbitrary_precision_recursion():
+    ref = gtilde_table_mp(200)
+    got = gtilde_table(200)
     assert (np.abs(got - ref) / np.abs(ref)).max() <= 5e-14
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(delta=st.floats(0.3, 3.0), order=st.integers(1, 200))
-def test_gtilde_table_matches_two_product_loop_property(delta, order):
-    ref = gtilde_table_loop(delta, order)
-    got = gtilde_table(delta, order)
+@given(order=st.integers(1, 200))
+def test_gtilde_table_matches_two_product_loop_property(order):
+    ref = gtilde_table_loop(order)
+    got = gtilde_table(order)
     assert (np.abs(got - ref) / np.abs(ref)).max() <= 1e-13
-    np.testing.assert_array_equal(gtilde_table(delta, order), got)
+    np.testing.assert_array_equal(gtilde_table(order), got)
 
 
 def test_gtilde_values_match_series_coefficients_of_closed_form():
-    # coefficient of x**(2n) in delta - sqrt(delta**2 + x**2) is
-    # -binom(1/2, n) * delta**(1 - 2n), computed in exact rational arithmetic
-    for delta in (1.0, 2.0):
-        g = gtilde_values(delta, 0.0, 10).real
-        for n in range(1, 11):
-            binom = Fraction(1)
-            for k in range(n):
-                binom *= Fraction(1, 2) - k
-            binom /= math.factorial(n)
-            expected = -float(binom) * delta ** (1 - 2 * n)
-            assert g[n - 1] == pytest.approx(expected, rel=1e-10)
+    # coefficient of (x / delta)**(2n) in (delta - sqrt(delta**2 + x**2)) / delta
+    # is -binom(1/2, n), computed in exact rational arithmetic
+    g = gtilde_values(0.0, 10).real
+    for n in range(1, 11):
+        binom = Fraction(1)
+        for k in range(n):
+            binom *= Fraction(1, 2) - k
+        binom /= math.factorial(n)
+        assert g[n - 1] == pytest.approx(-float(binom), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +248,39 @@ def test_delta_e_series_domain_error():
 
 
 @pytest.mark.filterwarnings("error")
-def test_delta_e_series_not_finite_is_a_domain_error():
-    # the coefficients scale as delta**(1 - 2n) and overflow at delta = 0.01
-    with pytest.raises(DomainError, match="not finite from order 79 of 200"):
-        delta_e_series(0.01, 0.005, 200)
+def test_delta_e_series_at_small_delta_matches_closed_form():
+    # in absolute units coefficient n would be delta**(1 - 2n), past the
+    # range of doubles from order 79 at delta = 0.01
+    _, value = delta_e_series(0.01, 0.005, 200)
+    ref = delta_e_closed(0.01, 0.005)
+    assert abs(value - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ratio", [0.5, 0.9])
+@pytest.mark.parametrize("delta", [0.001, 0.7, 1.3, 100.0])
+def test_phase_split_scales_with_delta(delta, ratio):
+    # the recursions run in units of delta; every result must come out in
+    # absolute units at any delta, far from 1 included
+    x = ratio * delta
+    m = TwoStateModel(mu=0.0, delta=delta, x=x, eps=0.01 * delta)
+    split = phase_split(m, 200)
+    ref = delta_e_closed(delta, x)
+    assert abs(split.delta_e_a - ref) <= 1e-14 * abs(ref)
+    _, value = delta_e_series(delta, x, 200)
+    assert abs(value - ref) <= 1e-14 * abs(ref)
+    assert abs(math.exp(split.f_b) - exact_eigensystem(m).norm_n) <= 1e-14
+    # the balance of the coupling derivatives is in units of delta
+    assert split.rate_balance_residual <= 1e-14 * delta
+    # quad_f_a's absolute tolerance, in units of delta
+    f_a, _ = quad(
+        lambda s: delta_e_closed(delta, s) / s, 0.0, x, epsabs=1e-14 * delta, epsrel=1e-14
+    )
+    assert abs(split.f_a - f_a) <= 1e-12 * abs(f_a)
+    # the finite-rate phase function is f_a + eps * (i f_b + f_c) + O(eps**3);
+    # its real part gives f_c to O((eps / delta)**2), 3.8e-5 relative here
+    f = phase_series(m, 0.0, 200).value
+    assert abs((f.real - split.f_a) / m.eps - split.f_c) <= 1e-3 * abs(split.f_c)
 
 
 # ---------------------------------------------------------------------------
