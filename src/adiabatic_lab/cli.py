@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import itertools
 import logging
 import math
@@ -294,10 +295,11 @@ def _cmd_two_sweep(base, args) -> dict:
             model, 0.0, args.tol, args.order, args.terms
         )
         # the terms rise to one peak and then fall, so the series summed to
-        # its 1e-12 stop has already passed the largest term
+        # its 1e-12 stop has already passed the largest term; a row whose
+        # series stopped at --terms first reads converged[bessel-series] false
         abs_a0 = abs(amps["ode"])
         rows.append([eps, series.max_term, abs_a0, abs(abs_a0 - limit),
-                     max(residuals.values()), converged])
+                     max(residuals.values()), bool(series.converged), converged])
     max_terms = [r[1] for r in rows]
     errors = [r[3] for r in rows]
     return dict(
@@ -310,6 +312,7 @@ def _cmd_two_sweep(base, args) -> dict:
                     "abs_a0[ode]",
                     "abs_a0_error_vs_limit[ode]",
                     "max_cross_residual",
+                    "converged[bessel-series]",
                     "converged[phase-recursion]",
                 ],
                 rows,
@@ -323,7 +326,8 @@ def _cmd_two_sweep(base, args) -> dict:
             "ode_error_monotone_decreasing": all(
                 b < a for a, b in zip(errors, errors[1:])
             ),
-            "converged[phase-recursion]": all(r[5] for r in rows),
+            "converged[bessel-series]": all(r[5] for r in rows),
+            "converged[phase-recursion]": all(r[6] for r in rows),
         },
     )
 
@@ -529,7 +533,17 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole ``adiabatic-lab`` argument tree, built on the first call and
+    shared by every later one in the process.
+
+    Each subcommand's defaults carry its handler, its model loader and the
+    ``echo`` list of flags ``_parameters`` reports; they are bound at the
+    first build. ``parse_args`` returns a fresh namespace and leaves the
+    tree as it was, so sharing it is safe as long as callers do not mutate
+    the returned parser.
+    """
     parser = argparse.ArgumentParser(
         prog="adiabatic-lab",
         description="Switched-coupling perturbation experiments: exact, series, "
@@ -552,6 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit code. The parser is built on the
+    first call in a process and reused by later ones."""
     level = os.environ.get("ADIABATIC_LAB_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = build_parser().parse_args(argv)

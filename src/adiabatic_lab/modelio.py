@@ -8,6 +8,7 @@ This module checks JSON types only; the model types check the numbers
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -52,14 +53,17 @@ def _number(mapping, key, where):
 def _numbers(mapping, key, where):
     """A list, or a list of lists, of JSON ints and floats as a float array."""
     raw = _field(mapping, key, where)
-    rows = raw if isinstance(raw, list) and all(isinstance(r, list) for r in raw) else [raw]
-    try:
-        if all(isinstance(r, list) and all(type(v) in (int, float) for v in r) for r in rows):
-            return np.array(raw, dtype=float)
-    except ValueError as exc:
-        raise ModelFileError(f"{where}: field '{key}' is ragged: {exc}") from None
-    except OverflowError:
-        pass
+    if isinstance(raw, list):
+        rows = raw if all(isinstance(r, list) for r in raw) else [raw]
+        try:
+            # the exact types, because a bool is an int to Python; one
+            # C-level pass over every entry
+            if set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+                return np.array(raw, dtype=float)
+        except ValueError as exc:
+            raise ModelFileError(f"{where}: field '{key}' is ragged: {exc}") from None
+        except OverflowError:
+            pass
     raise ModelFileError(f"{where}: field '{key}' must hold only finite numbers")
 
 

@@ -46,6 +46,12 @@ def write_model(tmp_path, base=EMBED, **fields):
     return path
 
 
+def column(table, name):
+    """The entries of the column called ``name``, one per row."""
+    index = table.columns.index(name)
+    return [row[index] for row in table.rows]
+
+
 # ---------------------------------------------------------------------------
 # model files
 
@@ -332,7 +338,7 @@ def test_finite_rate_coefficients_at_small_delta(tmp_path, argv):
     if argv[1] == "compare":
         cross = [report.values["max_cross_residual"]]
     else:
-        cross = [row[4] for row in report.tables[0].rows]
+        cross = column(report.tables[0], "max_cross_residual")
     assert max(cross) <= 1e-9
     assert report.flags["converged[phase-recursion]"] is True
 
@@ -427,7 +433,7 @@ def test_sweep_eps_verdicts_computed(tmp_path):
     report = report_from_json(out)
     assert report.flags["max_term_monotone_increasing"] is True
     assert report.flags["ode_error_monotone_decreasing"] is True
-    eps_column = [row[0] for row in report.tables[0].rows]
+    eps_column = column(report.tables[0], "eps")
     np.testing.assert_allclose(eps_column, [0.5, 0.25, 0.125, 0.0625])
 
 
@@ -452,7 +458,7 @@ def test_sweep_eps_flags_phase_recursion_past_its_reach(tmp_path):
     assert run("two-state", "sweep-eps", "--x", "1.5", "--out", str(out)) == 0
     report = report_from_json(out)
     assert report.flags["converged[phase-recursion]"] is False
-    cross = [row[4] for row in report.tables[0].rows]
+    cross = column(report.tables[0], "max_cross_residual")
     assert cross[2] > 0.8 and cross[3] > 0.8
 
 
@@ -465,10 +471,37 @@ def test_sweep_eps_reports_phase_recursion_verdict_per_row(tmp_path, x, verdicts
     out = tmp_path / "sweep.json"
     assert run("two-state", "sweep-eps", "--x", x, "--out", str(out)) == 0
     report = report_from_json(out)
-    table = report.tables[0]
-    assert table.columns[-2:] == ["max_cross_residual", "converged[phase-recursion]"]
-    assert [row[-1] for row in table.rows] == verdicts
+    assert column(report.tables[0], "converged[phase-recursion]") == verdicts
     assert report.flags["converged[phase-recursion]"] is all(verdicts)
+
+
+@pytest.mark.parametrize(
+    "grid, verdicts",
+    [("0.05:0.25:3", [True, True, False]), ("0.5:0.5:4", [True] * 4)],
+    ids=["truncated-at-0.003125", "default-grid"],
+)
+def test_sweep_eps_reports_bessel_series_verdict_per_row(tmp_path, grid, verdicts):
+    # at eps = 0.003125 the series stops at --terms 60, before its 1e-12
+    # stop, and max_cross_residual carries the truncation (about 2.9e-5)
+    out = tmp_path / "sweep.json"
+    argv = ["two-state", "sweep-eps", "--delta", "1", "--x", "0.5", "--eps-grid", grid]
+    assert run(*argv, "--out", str(out)) == 0
+    report = report_from_json(out)
+    table = report.tables[0]
+    assert table.columns == [
+        "eps",
+        "max_term_magnitude[bessel-series]",
+        "abs_a0[ode]",
+        "abs_a0_error_vs_limit[ode]",
+        "max_cross_residual",
+        "converged[bessel-series]",
+        "converged[phase-recursion]",
+    ]
+    assert column(table, "converged[bessel-series]") == verdicts
+    assert report.flags["converged[bessel-series]"] is all(verdicts)
+    assert column(table, "converged[phase-recursion]") == [True] * len(verdicts)
+    if not all(verdicts):
+        assert column(table, "max_cross_residual")[-1] > 1e-6
 
 
 def test_trajectory_csv_schema(tmp_path):
@@ -712,6 +745,73 @@ def test_parser_surface():
                 flags[option] = (action.type, action.default, choices, action.required)
             seen[(group, command)] = flags
     assert seen == EXPECTED_FLAGS
+
+
+def test_main_builds_the_parser_once_per_process(tmp_path, monkeypatch):
+    # one tree is 17 parsers: the root, two groups and 14 subcommands
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    model = tmp_path / "gen.json"
+    calls = [
+        (["two-state", "phase", "--order", "20"], 0),
+        (["n-state", "gen", "--seed", "1", "--levels", "3", "--out", str(model)], 0),
+        (["n-state", "oracle", "--model", str(model)], 0),
+        (["n-state", "split"], 2),  # domain error: no --model
+    ]
+    per_call = []
+    for argv, code in calls:
+        before = len(built)
+        assert main(argv) == code
+        per_call.append(len(built) - before)
+    before = len(built)
+    with pytest.raises(SystemExit) as exc:
+        main(["two-state", "phase", "--order", "abc"])
+    assert exc.value.code == 2
+    per_call.append(len(built) - before)
+    assert sum(per_call) <= 17
+    assert per_call[1:] == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["two-state", "phase", "--delta", "2", "--x", "0.7", "--eps", "0.1",
+          "--order", "40", "--format", "csv"],
+         ["two-state", "phase"]),
+        (["n-state", "recursion", "--order", "3", "--format", "csv"],
+         ["n-state", "recursion"]),
+    ],
+    ids=["two-state-phase", "n-state-recursion"],
+)
+def test_back_to_back_calls_match_a_fresh_process(tmp_path, capsys, first, second):
+    # a call with non-default flags leaves nothing behind for the next one
+    model = write_model(tmp_path)
+    if first[0] == "n-state":
+        first, second = [*first, "--model", str(model)], [*second, "--model", str(model)]
+    assert main([*first, "--out", str(tmp_path / "first.csv")]) == 0
+    capsys.readouterr()
+    code = main([*second, "--out", str(tmp_path / "in_process.json")])
+    stdout = capsys.readouterr().out
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    fresh = subprocess.run(
+        [sys.executable, "-m", "adiabatic_lab.cli", *second,
+         "--out", str(tmp_path / "fresh.json")],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (code, stdout) == (fresh.returncode, fresh.stdout)
+    assert (tmp_path / "in_process.json").read_bytes() == (
+        tmp_path / "fresh.json"
+    ).read_bytes()
 
 
 def test_cli_imports_no_scipy_or_mpmath(tmp_path):
