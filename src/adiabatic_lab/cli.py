@@ -195,7 +195,7 @@ def _cmd_two_evolve(model, args) -> dict:
 
 
 def _cmd_two_series(model, args) -> dict:
-    result = twostate.bessel_series_a(model, args.t, args.terms)
+    result = twostate.bessel_series_a(model, args.t)
     re, im = _split_complex(result.value)
     return dict(
         values={
@@ -242,7 +242,7 @@ def _cmd_two_phase(model, args) -> dict:
     )
 
 
-def _three_way(model, t, tol, order, terms):
+def _three_way(model, t, tol, order):
     """The amplitude a(t) by the ODE, Bessel-series and phase-recursion
     routes, keyed by route; their pairwise residuals; the series result; and
     whether the phase recursion converged."""
@@ -258,7 +258,7 @@ def _three_way(model, t, tol, order, terms):
             f"order-{order} series"
         )
     traj = twostate.evolve_two_state(model, t, tol)
-    series = twostate.bessel_series_a(model, t, terms, stop_below=1e-12)
+    series = twostate.bessel_series_a(model, t)
     amps = {
         "ode": complex(traj.final_state[0]),
         "bessel-series": series.value,
@@ -270,9 +270,7 @@ def _three_way(model, t, tol, order, terms):
 
 
 def _cmd_two_compare(model, args) -> dict:
-    amps, residuals, series, rec_converged = _three_way(
-        model, args.t, args.tol, args.order, args.terms
-    )
+    amps, residuals, series, converged = _three_way(model, args.t, args.tol, args.order)
     rows = _complex_rows(amps, amps.values())
     return dict(
         tables=[Table("methods", ["method", "re", "im", "abs"], rows)],
@@ -280,7 +278,7 @@ def _cmd_two_compare(model, args) -> dict:
         values={"max_cross_residual": max(residuals.values())},
         flags={
             "converged[bessel-series]": bool(series.converged),
-            "converged[phase-recursion]": rec_converged,
+            "converged[phase-recursion]": converged,
         },
     )
 
@@ -291,12 +289,10 @@ def _cmd_two_sweep(base, args) -> dict:
     rows = []
     for eps in grid:
         model = twostate.TwoStateModel(mu=base.mu, delta=base.delta, x=base.x, eps=eps)
-        amps, residuals, series, converged = _three_way(
-            model, 0.0, args.tol, args.order, args.terms
-        )
+        amps, residuals, series, converged = _three_way(model, 0.0, args.tol, args.order)
         # the terms rise to one peak and then fall, so the series summed to
-        # its 1e-12 stop has already passed the largest term; a row whose
-        # series stopped at --terms first reads converged[bessel-series] false
+        # its own stop has already passed the largest term; a row whose
+        # cancellation costs more than 1e-12 reads converged[bessel-series] false
         abs_a0 = abs(amps["ode"])
         rows.append([eps, series.max_term, abs_a0, abs(abs_a0 - limit),
                      max(residuals.values()), bool(series.converged), converged])
@@ -425,7 +421,9 @@ def _cmd_n_evolve(model, args) -> dict:
 
 
 def _cmd_n_oracle(model, args) -> dict:
-    return dict(values={"shift[oracle]": nstate.oracle_shift(model)})
+    shift = nstate.oracle_shift(model)
+    table = Table("shift", ["shift[oracle]"], [[shift]])
+    return dict(values={"shift[oracle]": shift}, tables=[table])
 
 
 def _cmd_n_compare(model, args) -> dict:
@@ -485,7 +483,6 @@ _FLAGS = {
     "--t-end": {"type": float, "default": 0.0},
     "--tol": {"type": float, "default": 1e-10},
     "--start-threshold": {"type": float, "default": twostate.DEFAULT_START_THRESHOLD},
-    "--terms": {"type": int, "default": 60},
     "--order": {"type": int, "default": twostate.DEFAULT_ORDER},
     "--eps-grid": {"default": "0.5:0.5:4", "help": "start:factor:count"},
     "--seed": {"type": int, "required": True},
@@ -505,14 +502,13 @@ _COMMANDS = {
     "two-state": ("exactly solvable two-level model", _two_state_model, [
         ("exact", "closed-form eigensystem", _cmd_two_exact, _TWO),
         ("evolve", "integrate the amplitude pair", _cmd_two_evolve, _TWO + _EVOLVE),
-        ("series", "divergent amplitude series", _cmd_two_series,
-         _TWO + ("--t", "--terms")),
+        ("series", "divergent amplitude series", _cmd_two_series, _TWO + ("--t",)),
         ("phase", "phase split and normalization identity", _cmd_two_phase,
          _TWO + ("--order",)),
         ("compare", "all three routes at one point", _cmd_two_compare,
-         _TWO + ("--t", "--tol", "--order", "--terms")),
+         _TWO + ("--t", "--tol", "--order")),
         ("sweep-eps", "compare over a geometric switching-rate grid", _cmd_two_sweep,
-         _TWO + ("--eps-grid", "--tol", "--order", "--terms")),
+         _TWO + ("--eps-grid", "--tol", "--order")),
     ]),
     "n-state": ("general finite level count", _n_state_model, [
         ("dyson", "second-order Dyson state", _cmd_n_dyson, _N + ("--t",)),

@@ -14,6 +14,7 @@ every series route is tested against.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -259,20 +260,20 @@ def delta_e_series(delta: float, x: float, order: int = DEFAULT_ORDER):
 
 
 def bessel_series_a(
-    m: TwoStateModel,
-    t: float,
-    terms: int,
-    stop_below: float | None = None,
+    m: TwoStateModel, t: float, terms: int | None = None
 ) -> BesselSeriesResult:
     """Series for the surviving amplitude a(t), summed by term-ratio recursion.
 
     The k-th term carries the k-th inverse power of the switching rate, so
-    for slow switching the magnitudes grow before (if ever) decaying; they
-    are returned for divergence diagnostics. ``converged`` says that the
-    last term and the cancellation bound 2**-53 * (largest term) are each at
-    most 1e-12 * max(1, |a|); on overflow the partial sum is returned unconverged.
+    for slow switching the magnitudes grow before they decay; they are
+    returned for divergence diagnostics. The sum stops at the first term of
+    at most 1e-12 * max(1, |a|), at a term above 1e250 or not finite, or
+    after ``terms`` terms if given; past the peak the term ratio
+    |z| / (k |k - nu|) falls toward 0, so it always stops. ``converged``
+    says that the last term and the cancellation bound 2**-53 * (largest
+    term) are each within that target.
     """
-    if terms < 1:
+    if terms is not None and terms < 1:
         raise DomainError(f"need at least one term, got {terms}")
     s = ramped_coupling(m.x, m.eps, t) / m.eps
     z = -0.25 * s * s
@@ -281,7 +282,7 @@ def bessel_series_a(
     term = 1.0 + 0.0j
     mags = []
     converged = True
-    for k in range(1, terms + 1):
+    for k in itertools.count(1) if terms is None else range(1, terms + 1):
         term = term * z / (k * (k - nu))
         mag = abs(term)
         if not math.isfinite(mag):
@@ -292,13 +293,12 @@ def bessel_series_a(
             converged = False
             break
         value += term
-        if stop_below is not None and mag < stop_below:
+        if mag <= 1e-12 * max(1.0, abs(value)):
             break
-    if converged and mags:
-        # the last term must be small, and so must the rounding error left
-        # by cancellation among the largest terms
-        target = 1e-12 * max(1.0, abs(value))
-        converged = mags[-1] <= target and max(mags) * 2.0**-53 <= target
+    # the last term must be small, and so must the rounding error left by
+    # cancellation among the largest terms
+    target = 1e-12 * max(1.0, abs(value))
+    converged = converged and mags[-1] <= target and max(mags) * 2.0**-53 <= target
     return BesselSeriesResult(
         value=complex(value),
         term_magnitudes=np.array(mags),

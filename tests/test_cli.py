@@ -343,6 +343,40 @@ def test_finite_rate_coefficients_at_small_delta(tmp_path, argv):
     assert report.flags["converged[phase-recursion]"] is True
 
 
+@pytest.mark.parametrize(
+    "command, base, message",
+    [
+        ("two-state exact", EMBED, "is not a two-state model file"),
+        ("n-state oracle", TWO, "is not an n-state model file"),
+    ],
+    ids=["n-state-file-to-two-state", "two-state-file-to-n-state"],
+)
+def test_exit_code_model_file_of_the_wrong_kind(tmp_path, capsys, command, base, message):
+    path = write_model(tmp_path, base)
+    assert run(*command.split(), "--model", str(path)) == 2
+    assert capsys.readouterr().err == f"error: {path} {message}\n"
+
+
+def test_exit_code_gen_without_out(capsys):
+    assert run("n-state", "gen", "--seed", "1", "--levels", "3") == 2
+    assert capsys.readouterr().err == "error: n-state gen needs --out FILE for the model\n"
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("0.5:0.5", "--eps-grid must be start:factor:count, got '0.5:0.5'"),
+        ("a:b:c", "--eps-grid must be start:factor:count, got 'a:b:c'"),
+        ("0:0.5:4", "--eps-grid values out of range: '0:0.5:4'"),
+        ("0.5:0.5:0", "--eps-grid values out of range: '0.5:0.5:0'"),
+    ],
+    ids=["two-fields", "not-numbers", "zero-start", "zero-count"],
+)
+def test_exit_code_malformed_eps_grid(capsys, grid, message):
+    assert run("two-state", "sweep-eps", "--eps-grid", grid) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_exit_code_integration_failure(monkeypatch, capsys):
     monkeypatch.setattr(ode, "MAX_STEPS", 50)
     assert run("two-state", "evolve", "--eps", "0.05") == 3
@@ -481,8 +515,9 @@ def test_sweep_eps_reports_phase_recursion_verdict_per_row(tmp_path, x, verdicts
     ids=["truncated-at-0.003125", "default-grid"],
 )
 def test_sweep_eps_reports_bessel_series_verdict_per_row(tmp_path, grid, verdicts):
-    # at eps = 0.003125 the series stops at --terms 60, before its 1e-12
-    # stop, and max_cross_residual carries the truncation (about 2.9e-5)
+    # at eps = 0.003125 the terms peak near 4.3e7, so cancellation leaves
+    # about 1e-8 of rounding: the series runs to its own stop and is
+    # flagged, and max_cross_residual carries only that rounding
     out = tmp_path / "sweep.json"
     argv = ["two-state", "sweep-eps", "--delta", "1", "--x", "0.5", "--eps-grid", grid]
     assert run(*argv, "--out", str(out)) == 0
@@ -501,7 +536,7 @@ def test_sweep_eps_reports_bessel_series_verdict_per_row(tmp_path, grid, verdict
     assert report.flags["converged[bessel-series]"] is all(verdicts)
     assert column(table, "converged[phase-recursion]") == [True] * len(verdicts)
     if not all(verdicts):
-        assert column(table, "max_cross_residual")[-1] > 1e-6
+        assert column(table, "max_cross_residual")[-1] <= 3e-8
 
 
 def test_trajectory_csv_schema(tmp_path):
@@ -549,6 +584,69 @@ def test_n_state_oracle_on_embed_file(tmp_path, capsys):
     )
     assert run("n-state", "oracle", "--model", str(path)) == 0
     assert "-0.118033988749894" in capsys.readouterr().out
+
+
+def test_two_state_model_file_replaces_inline_flags(tmp_path):
+    path = write_model(tmp_path, TWO, mu=0.1, delta=1.5, x=0.4, eps=0.2)
+    out = tmp_path / "exact.json"
+    argv = ["--model", str(path), "--delta", "9", "--x", "9", "--out", str(out)]
+    assert run("two-state", "exact", *argv) == 0
+    report = report_from_json(out)
+    assert report.parameters == {
+        "model": str(path), "mu": 0.1, "delta": 1.5, "x": 0.4, "eps": 0.2
+    }
+    es = twostate.exact_eigensystem(TwoStateModel(mu=0.1, delta=1.5, x=0.4, eps=0.2))
+    assert report.values["delta_e[exact]"] == es.delta_e
+    assert report.values["e0[exact]"] == es.e0
+
+
+def test_two_state_series_report_is_the_library_result(tmp_path):
+    out = tmp_path / "series.json"
+    argv = ["--delta", "1", "--x", "0.5", "--eps", "0.1", "--t", "-0.5"]
+    assert run("two-state", "series", *argv, "--out", str(out)) == 0
+    report = report_from_json(out)
+    model = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=0.1)
+    result = twostate.bessel_series_a(model, -0.5)
+    assert report.values == {
+        "a_re[bessel-series]": result.value.real,
+        "a_im[bessel-series]": result.value.imag,
+        "max_term_magnitude[bessel-series]": result.max_term,
+    }
+    assert report.flags == {"converged[bessel-series]": result.converged}
+    (table,) = report.tables
+    assert table.rows == [[k, m] for k, m in enumerate(result.term_magnitudes.tolist(), 1)]
+
+
+@pytest.mark.parametrize("eps", ["0.25", "0.003125"])
+def test_two_state_series_equals_compare_bessel_row(tmp_path, eps):
+    # both sum the series to its own stop, so they report the same bits
+    argv = ["--delta", "1", "--x", "0.5", "--eps", eps]
+    series, compare = tmp_path / "series.json", tmp_path / "compare.json"
+    assert run("two-state", "series", *argv, "--out", str(series)) == 0
+    assert run("two-state", "compare", *argv, "--out", str(compare)) == 0
+    values = report_from_json(series).values
+    (row,) = [r for r in report_from_json(compare).tables[0].rows if r[0] == "bessel-series"]
+    assert row[1:3] == [values["a_re[bessel-series]"], values["a_im[bessel-series]"]]
+
+
+def test_n_state_dyson_table_is_the_library_state(tmp_path):
+    path, out = write_model(tmp_path), tmp_path / "dyson.json"
+    assert run("n-state", "dyson", "--model", str(path), "--t", "-1", "--out", str(out)) == 0
+    (table,) = report_from_json(out).tables
+    state = nstate.dyson2(load_model(path), -1.0)
+    assert table.columns == ["component", "re[dyson2]", "im[dyson2]", "abs[dyson2]"]
+    assert table.rows == [
+        [k, float(z.real), float(z.imag), float(abs(z))] for k, z in enumerate(state)
+    ]
+
+
+def test_n_state_oracle_csv_holds_the_shift(tmp_path):
+    path, out = write_model(tmp_path), tmp_path / "oracle.csv"
+    argv = ["--model", str(path), "--format", "csv", "--out", str(out)]
+    assert run("n-state", "oracle", *argv) == 0
+    header, value = out.read_text().splitlines()
+    assert header == "shift[oracle]"
+    assert float(value) == nstate.oracle_shift(load_model(path))
 
 
 def test_n_state_recursion_prints_sign_note(tmp_path, capsys):
@@ -659,6 +757,17 @@ def test_emit_csv_empty_table(tmp_path):
     assert path.read_text() == "a,b\n"
 
 
+def test_emit_csv_two_tables(tmp_path):
+    # each table after a "# table:" line, the tables apart by one blank line
+    report = RunReport(
+        command="demo",
+        tables=[Table("first", ["a", "b"], [[1, 0.5]]), Table("second", ["c"], [[True], [2.5]])],
+    )
+    path = tmp_path / "two.csv"
+    emit(report, "csv", path)
+    assert path.read_text() == "# table: first\na,b\n1,0.5\n\n# table: second\nc\nTrue\n2.5\n"
+
+
 def test_emit_csv_full_precision(tmp_path):
     value = 0.1234567890123456789
     report = RunReport(command="demo", tables=[Table("t", ["v"], [[value]])])
@@ -694,18 +803,17 @@ _EVOLVE = {
 }
 _ORDER = {"--order": (int, 30, None, False)}
 _T = {"--t": (float, 0.0, None, False)}
-_TERMS = {"--terms": (int, 60, None, False)}
 EXPECTED_FLAGS = {
     ("two-state", "exact"): {**_TWO_MODEL, **_OUTPUT},
     ("two-state", "evolve"): {**_TWO_MODEL, **_OUTPUT, **_EVOLVE},
-    ("two-state", "series"): {**_TWO_MODEL, **_OUTPUT, **_T, **_TERMS},
+    ("two-state", "series"): {**_TWO_MODEL, **_OUTPUT, **_T},
     ("two-state", "phase"): {**_TWO_MODEL, **_OUTPUT, **_ORDER},
     ("two-state", "compare"): {
-        **_TWO_MODEL, **_OUTPUT, **_T, **_TOL, "--order": (int, 30, None, False), **_TERMS,
+        **_TWO_MODEL, **_OUTPUT, **_T, **_TOL, "--order": (int, 30, None, False),
     },
     ("two-state", "sweep-eps"): {
         **_TWO_MODEL, **_OUTPUT, "--eps-grid": (None, "0.5:0.5:4", None, False),
-        **_TOL, "--order": (int, 30, None, False), **_TERMS,
+        **_TOL, "--order": (int, 30, None, False),
     },
     ("n-state", "dyson"): {**_N_MODEL, **_OUTPUT, **_T},
     ("n-state", "recursion"): {**_N_MODEL, **_OUTPUT, "--order": (int, 8, None, False)},
@@ -745,6 +853,30 @@ def test_parser_surface():
                 flags[option] = (action.type, action.default, choices, action.required)
             seen[(group, command)] = flags
     assert seen == EXPECTED_FLAGS
+
+
+@pytest.mark.parametrize("command", ["series", "compare", "sweep-eps"])
+def test_bessel_series_commands_take_no_terms(capsys, command):
+    # the Bessel series stops by its own rule; no flag caps it
+    with pytest.raises(SystemExit) as exc:
+        main(["two-state", command, "--terms", "60"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --terms 60" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    sorted(" ".join(key) for key, flags in EXPECTED_FLAGS.items() if "--format" in flags),
+)
+def test_every_csv_report_has_a_header_and_a_row(tmp_path, command):
+    out = tmp_path / "report.csv"
+    argv = [*command.split(), "--format", "csv", "--out", str(out)]
+    if command.startswith("n-state"):
+        argv += ["--model", str(write_model(tmp_path))]
+    assert run(*argv) == 0
+    for block in out.read_text().split("\n\n"):
+        lines = [line for line in block.splitlines() if not line.startswith("# table: ")]
+        assert len(lines) >= 2, block
 
 
 def test_main_builds_the_parser_once_per_process(tmp_path, monkeypatch):

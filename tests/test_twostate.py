@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -328,6 +329,29 @@ def test_bessel_series_cancellation_flagged():
     assert not res.converged
 
 
+def test_bessel_series_ends_by_its_own_rule_without_a_cap():
+    # past the peak the term ratio |z| / (k |k - nu|) falls toward 0, so the
+    # uncapped sum stops at its target or at a gate: a term above 1e250 or
+    # not finite (then the following term, computed here, is above 1e250)
+    grid = itertools.product(
+        (1e-3, 1.0, 1e3),
+        (0.1, 0.5, 0.9, 2.0, 10.0, 100.0, 1000.0),
+        (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0),
+        (-50.0, 0.0, 5.0),
+    )
+    for delta, x, eps, t in grid:
+        res = bessel_series_a(TwoStateModel(mu=0.0, delta=delta, x=x, eps=eps), t)
+        mags = res.term_magnitudes
+        assert mags.size <= 2000
+        s = x * math.exp(eps * t) / eps
+        k = mags.size + 1
+        last = float(mags[-1]) if mags.size else 1.0
+        following = last * (0.25 * s * s) / (k * abs(k - (0.5 - 1j * delta / eps)))
+        at_target = mags.size > 0 and last <= 1e-12 * max(1.0, abs(res.value))
+        at_gate = not res.converged and max(last, following) > 1e250
+        assert at_target or at_gate, (delta, x, eps, t)
+
+
 def test_bessel_divergence_locality():
     # halving the switching rate doubles the worst term while the ODE
     # amplitude stays bounded
@@ -353,7 +377,7 @@ def test_phase_f_trivial_at_vanishing_coupling():
 
 def test_phase_f_matches_bessel_series():
     a_rec = cmath.exp(-1j * phase_series(STD, 0.0, 30).value / STD.eps)
-    res = bessel_series_a(STD, 0.0, 60, stop_below=1e-12)
+    res = bessel_series_a(STD, 0.0, 60)
     assert abs(a_rec - res.value) < 1e-6
 
 
@@ -380,7 +404,7 @@ def test_three_way_agreement_grid():
             m = TwoStateModel(mu=0.0, delta=1.0, x=x, eps=eps)
             for t in (-2.0, -1.0, 0.0):
                 a_ode = evolve_two_state(m, t, 1e-10).final_state[0]
-                a_ser = bessel_series_a(m, t, 60, stop_below=1e-12).value
+                a_ser = bessel_series_a(m, t, 60).value
                 a_rec = cmath.exp(-1j * phase_series(m, t, 60).value / eps)
                 assert abs(a_ode - a_ser) < 1e-6
                 assert abs(a_ode - a_rec) < 1e-6
@@ -638,7 +662,7 @@ def test_evolve_state_matches_arbitrary_precision_oracle(eps, t):
 def test_bessel_series_converged_flag_against_arbitrary_precision_oracle(eps):
     m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=eps)
     ref = a0_oracle(m)
-    result = bessel_series_a(m, 0.0, 4000, stop_below=1e-12)
+    result = bessel_series_a(m, 0.0, 4000)
     error = abs(result.value - ref) / abs(ref)
     # at the slowest rate the terms peak near 4e7, and their cancellation
     # leaves an error near 1e-8
