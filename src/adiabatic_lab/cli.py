@@ -134,7 +134,7 @@ def _print_report(report: RunReport) -> None:
     for key, value in report.flags.items():
         print(f"  flag {key} = {value}")
     for table in report.tables:
-        if table.name == "trajectory" and len(table.rows) > 12:
+        if len(table.rows) > 12:
             print(f"table {table.name}: {len(table.rows)} rows (use --out to save)")
             continue
         print(f"table {table.name}:")

@@ -21,7 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, IntegrationError
-from .numkit import Trajectory, jet_mul, jet_recip, ode, ode_evolve
+# nothing here calls jet_mul or jet_recip; both stay importable from this
+# module because bench/spans.py wraps twostate.jet_mul and
+# twostate.jet_recip by name in every traced run
+from .numkit import Trajectory, jet_mul, jet_recip, ode, ode_evolve  # noqa: F401
 
 __all__ = [
     "TwoStateModel",
@@ -185,32 +188,30 @@ def gtilde_table(order: int) -> np.ndarray:
     is below 2 in magnitude at a real r, so entry n is at most
     |binom(1/2, n)| <= 1/2, its value at r = 0; slope and curvature grow as
     a power of n.
+
+    In s = i * r the recursion is real: first entry = -1 / (2 - s), entry
+    n = sum_{m<n} entry_{n-m} * entry_m / (2 - (2n-1) * s). So each entry
+    is a real jet in s, and its coefficient k of r is i**k times its
+    coefficient k of s: columns 0 and 2 are real, column 1 imaginary. The
+    table is built in reals and its columns are multiplied by (1, i, -1)
+    once at the end.
     """
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
-    den = np.zeros((order, 3), dtype=complex)
-    den[:, 0] = 2j
-    den[:, 1] = 2 * np.arange(1, order + 1) - 1
-    recip = jet_recip(den)
-    # the product of a jet with i / den_n is linear in the jet: the jet's
-    # coefficient row times an upper-triangular Toeplitz matrix, whose row j
-    # is i / den_n shifted right by j
-    toeplitz = jet_mul(np.eye(3), 1j * recip[:, None, :])
-    entries = np.empty_like(den)
-    entries[0] = -1j * recip[0]
+    real = np.empty((order, 3))
+    real[0] = (-0.5, -0.25, -0.125)  # -1 / (2 - s) as a jet in s
     for n in range(2, order + 1):
-        # pair[j, l] = sum over m of coefficient j of entry_{n-m} times
+        # pair[j][l] = sum over m of coefficient j of entry_{n-m} times
         # coefficient l of entry_m; the jet coefficients of the sum of
         # products are its anti-diagonal sums
-        pair = entries[n - 2 :: -1].T @ entries[: n - 1]
-        conv = np.array(
-            [
-                pair[0, 0],
-                pair[0, 1] + pair[1, 0],
-                pair[0, 2] + pair[1, 1] + pair[2, 0],
-            ]
-        )
-        entries[n - 1] = conv @ toeplitz[n - 1]
+        pair = (real[n - 2 :: -1].T @ real[: n - 1]).tolist()
+        c0 = pair[0][0]
+        c1 = pair[0][1] + pair[1][0]
+        c2 = pair[0][2] + pair[1][1] + pair[2][0]
+        # times 1 / (2 - 2q s) = (1, q, q**2) / 2 as a jet in s
+        q = n - 0.5
+        real[n - 1] = (0.5 * c0, 0.5 * (c1 + q * c0), 0.5 * (c2 + q * (c1 + q * c0)))
+    entries = real * np.array([1, 1j, -1])
     entries.flags.writeable = False
     return entries
 

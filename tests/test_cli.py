@@ -617,6 +617,18 @@ def test_two_state_series_report_is_the_library_result(tmp_path):
     assert table.rows == [[k, m] for k, m in enumerate(result.term_magnitudes.tolist(), 1)]
 
 
+def test_long_tables_are_summarized_on_stdout_but_saved_whole(tmp_path, capsys):
+    # at eps 1e-4 the series runs 403 terms, up to its 1e250 gate
+    out = tmp_path / "series.json"
+    argv = ["--delta", "1", "--x", "0.5", "--eps", "1e-4", "--out", str(out)]
+    assert run("two-state", "series", *argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) < 20
+    assert "table series-terms: 403 rows (use --out to save)" in printed
+    (table,) = report_from_json(out).tables
+    assert len(table.rows) == 403
+
+
 @pytest.mark.parametrize("eps", ["0.25", "0.003125"])
 def test_two_state_series_equals_compare_bessel_row(tmp_path, eps):
     # both sum the series to its own stop, so they report the same bits

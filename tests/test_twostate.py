@@ -106,7 +106,17 @@ def test_gtilde_first_entry_and_slope():
     table = gtilde_table(3)
     assert abs(table[0, 0] - (-0.5)) < 1e-14
     assert table[0, 1] == pytest.approx(-0.25j, abs=1e-15)  # d/deps of -i/(2i+eps)
-    assert np.abs(table[:, 0].imag).max() < 1e-12
+    assert np.abs(table[:, 0].imag).max() == 0.0
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 50, 200])
+def test_gtilde_table_column_k_is_i_to_the_k_times_real(order):
+    # the recursion is real in s = i r, so coefficient k of r is i**k times
+    # a real number
+    table = gtilde_table(order)
+    assert np.all(table[:, 0].imag == 0.0)
+    assert np.all(table[:, 1].real == 0.0)
+    assert np.all(table[:, 2].imag == 0.0)
 
 
 def test_gtilde_table_entries_read_only():
@@ -439,6 +449,13 @@ def test_phase_split_reality_residues():
     for x in (0.1, 0.3, 0.5, 0.7):
         split = phase_split(TwoStateModel(mu=0.0, delta=1.0, x=x, eps=0.25), 40)
         assert split.max_imag_residue <= 1e-10
+
+
+@pytest.mark.parametrize("x", [0.3009117289037436, 0.5582751372901797, 0.8653245874281548])
+def test_phase_split_reality_residue_vanishes_at_order_200(x):
+    # the high-order-phase benchmark's seed-1 couplings at delta 1
+    split = phase_split(TwoStateModel(mu=0.0, delta=1.0, x=x, eps=0.25), 200)
+    assert split.max_imag_residue == 0.0
 
 
 def test_phase_split_remainder_scales_linearly_with_rate():
