@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContinuationError, DegeneracyError, DomainError
+from .errors import ConsistencyError, ContinuationError, DegeneracyError, DomainError
 from .numkit import HermitianMatrix, Trajectory, hermitian_eig, jet_mul, jet_recip, ode_evolve
 from .twostate import (
-    DEFAULT_START_THRESHOLD, TwoStateModel, laurent_split, ramped_coupling,
+    DEFAULT_START_THRESHOLD, TwoStateModel, ramped_coupling,
     ramped_coupling_squared, require_step_budget, switch_on_time,
 )
 
@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 GAP_FLOOR_FACTOR = 1e-8
+# an imaginary part above this on g_a, the shift or g_b aborts the split
+IMAG_GATE = 1e-9
 # an eigenvector must hold at least this probability weight on the initial
 # basis state to count as its continuation
 OVERLAP_FLOOR = 0.5
@@ -208,7 +210,7 @@ def rs_recursion(
     stack = np.empty((order, dim, k1), dtype=complex)
     v_row = vm[g : g + 1]
     # terms past the range of doubles come out non-finite, without a
-    # warning; laurent_split rejects them
+    # warning; _split_from rejects them
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(2, order + 1):
             # the same matrix products as np.tensordot, without its reshaping cost
@@ -254,16 +256,40 @@ class AssembledState:
 
 
 def _split_from(xi: np.ndarray, model: NStateModel) -> GSplit:
+    """Laurent split of the accumulated phase: g_a = sum x**n c_0 / n (to be
+    divided by the rate), the shift sum x**n c_0 and g_b = -i sum x**n c_1 / n.
+    A ``ConsistencyError`` names the quantity whose imaginary part exceeds
+    IMAG_GATE, a ``DomainError`` the first order whose term is not finite."""
     n = np.arange(1, len(xi) + 1)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         powers = model.x**n
-    g_a, de, g_b, residue = laurent_split(powers, n, xi, ("g_a", "delta_e", "g_b"))
+        parts = (
+            np.sum(powers * xi[:, 0] / n),
+            np.sum(powers * xi[:, 0]),
+            -1j * np.sum(powers * xi[:, 1] / n),
+        )
+        if not (np.isfinite(xi).all() and np.isfinite(parts).all()):
+            finite = np.isfinite(powers[:, None] * xi).all(axis=1)
+            first = int(np.argmin(finite)) + 1 if not finite.all() else len(finite)
+            raise DomainError(
+                f"phase-recursion terms are not finite from order {first} of "
+                f"{len(finite)}: the recursion or the powers of the coupling "
+                "overflow; lower the order"
+            )
+    residues = [abs(p.imag) for p in parts]
+    worst = int(np.argmax(residues))
+    if residues[worst] > IMAG_GATE:
+        name = ("g_a", "delta_e", "g_b")[worst]
+        raise ConsistencyError(
+            f"imaginary residue {residues[worst]:.3e} on {name} exceeds {IMAG_GATE:.0e}"
+        )
+    g_a, de, g_b = (float(p.real) for p in parts)
     return GSplit(
         g_a=g_a,
         delta_e=de,
         g_b=g_b,
         last_term_magnitude=float(abs(powers[-1] * xi[-1, 0])),
-        max_imag_residue=residue,
+        max_imag_residue=residues[worst],
     )
 
 
@@ -326,12 +352,11 @@ def evolve_nstate(
     estimate takes a third of each term's lowest rate, so a run that could
     finish is never refused.
     """
-    t0 = switch_on_time(model.min_gap, model.x, model.eps, start_threshold, t_end)
+    t0 = switch_on_time(model.min_gap, model.x, model.eps, start_threshold, t_end, tol)
     phase = float(np.abs(model.energies - model.ground_energy).max()) * (t_end - t0)
     ramp = ramped_coupling(model.x, model.eps, t_end, "t_end") / model.eps
     ramp *= float(np.linalg.norm(model.v.entries, 2))
-    # a tolerance that is not positive is ode_evolve's to refuse
-    steps = tol**-0.125 * (0.0039 * phase + 0.014 * ramp) if tol > 0 else 0.0
+    steps = tol**-0.125 * (0.0039 * phase + 0.014 * ramp)
     require_step_budget(
         steps,
         "tol**-0.125 * (0.0039 * max|E_k - E_g| * (t_end - t0) "

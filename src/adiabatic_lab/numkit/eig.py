@@ -20,7 +20,8 @@ HERMITICITY_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
-    """Square complex matrix validated to be Hermitian on construction."""
+    """Square complex matrix validated to be Hermitian on construction; it
+    keeps the Hermitian part of what it validated."""
 
     entries: np.ndarray
 
@@ -37,6 +38,9 @@ class HermitianMatrix:
                 f"matrix is not Hermitian: max |A - A^H| = {drift:.3e} "
                 f"exceeds {limit:.3g}"
             )
+        # exactly Hermitian (sums commute), so a matrix built from it passes
+        # this check at its own scale; halving cannot overflow as A + A^H can
+        m = m / 2 + m.conj().T / 2
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, IntegrationError
+from .errors import DomainError, IntegrationError
 # nothing here calls jet_mul or jet_recip; both stay importable from this
 # module because bench/spans.py wraps twostate.jet_mul and
 # twostate.jet_recip by name in every traced run
@@ -42,15 +42,11 @@ __all__ = [
     "phase_series",
     "ramped_coupling",
     "ramped_coupling_squared",
-    "laurent_split",
     "phase_split",
     "evolve_two_state",
     "limit_state",
 ]
 
-# imaginary parts above this on a nominally real quantity abort the run; the
-# one gate of the Laurent split for two levels and for N levels
-IMAG_GATE = 1e-9
 DEFAULT_ORDER = 30
 DEFAULT_START_THRESHOLD = 1e-8
 
@@ -346,47 +342,6 @@ def phase_series(
     return PhaseSeriesResult(value=f, converged=converged)
 
 
-def laurent_split(powers, divisors, jets, names):
-    """Laurent split of an accumulated phase ``sum powers * jet / divisors``
-    whose jets are expanded in the switching rate around 0.
-
-    Returns the divergent coefficient ``sum powers * c_0 / divisors`` (to be
-    divided by the rate), the secular shift ``sum powers * c_0``, the
-    log-magnitude ``-1j * sum powers * c_1 / divisors`` (real parts, in that
-    order) and the largest imaginary residue among them. Raises
-    ConsistencyError, naming the quantity from ``names``, when that residue
-    exceeds IMAG_GATE, and DomainError, naming the first order whose term
-    is not finite, when the jets or any of the three sums are not finite:
-    the N-state recursion or the powers of its coupling have left the range
-    of doubles. Nothing here warns; a caller whose ``powers`` or ``jets``
-    can overflow computes them under ``np.errstate`` too. ``phase_split``
-    passes powers of x / delta and coefficients in units of delta, so the
-    residue of its first two sums is in units of delta.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        parts = (
-            np.sum(powers * jets[:, 0] / divisors),
-            np.sum(powers * jets[:, 0]),
-            -1j * np.sum(powers * jets[:, 1] / divisors),
-        )
-        if not (np.isfinite(jets).all() and np.isfinite(parts).all()):
-            finite = np.isfinite(powers[:, None] * jets).all(axis=1)
-            first = int(np.argmin(finite)) + 1 if not finite.all() else len(finite)
-            raise DomainError(
-                f"phase-recursion terms are not finite from order {first} of "
-                f"{len(finite)}: the recursion or the powers of the coupling "
-                "overflow; lower the order"
-            )
-    residues = [abs(p.imag) for p in parts]
-    worst = int(np.argmax(residues))
-    if residues[worst] > IMAG_GATE:
-        raise ConsistencyError(
-            f"imaginary residue {residues[worst]:.3e} on {names[worst]} "
-            f"exceeds {IMAG_GATE:.0e}"
-        )
-    return (*(float(p.real) for p in parts), residues[worst])
-
-
 def phase_split(m: TwoStateModel, order: int = DEFAULT_ORDER) -> PhaseSplitTwoState:
     """Split the t = 0 phase-over-rate into divergent coefficient, secular
     shift, and finite log-magnitude, with a finite-rate remainder diagnostic
@@ -395,15 +350,20 @@ def phase_split(m: TwoStateModel, order: int = DEFAULT_ORDER) -> PhaseSplitTwoSt
     The remainder f_c is built from the second-order jet coefficients and is
     expected to vanish linearly with the switching rate. The identity's
     derivatives in the coupling are taken term by term from the same table.
+    Column k of the table is i**k times a real number, so the sums are real
+    and ``max_imag_residue`` is 0.0; inside x < delta no term exceeds 1/2.
     """
     _require_series_domain(m.delta, m.x)
     table = gtilde_table(order)
     n = np.arange(1, order + 1)
     delta, x = m.delta, m.x
     powers = (x / delta) ** (2 * n)
-    f_a, de, f_b, residue = laurent_split(
-        powers, 2 * n, table, ("f_a", "delta_e_a", "f_b")
+    parts = (
+        np.sum(powers * table[:, 0] / (2 * n)),
+        np.sum(powers * table[:, 0]),
+        -1j * np.sum(powers * table[:, 1] / (2 * n)),
     )
+    f_a, de, f_b = (float(p.real) for p in parts)
     f_a, de = delta * f_a, delta * de
     f_c = m.eps / delta * np.sum(powers * table[:, 2] / (2 * n))
 
@@ -416,7 +376,7 @@ def phase_split(m: TwoStateModel, order: int = DEFAULT_ORDER) -> PhaseSplitTwoSt
         delta_e_a=de,
         f_b=f_b,
         f_c=float(f_c.real),
-        max_imag_residue=residue,
+        max_imag_residue=max(abs(p.imag) for p in parts),
         norm_n=norm_n,
         normalization_residual=abs(math.exp(f_b) - norm_n),
         shift_quadratic_residual=abs(-de * de + 2 * delta * de + x * x),
@@ -457,11 +417,14 @@ def ramped_coupling_squared(x: float, eps: float, t: float) -> float:
 
 
 def switch_on_time(
-    gap: float, x: float, eps: float, threshold: float, t_end: float
+    gap: float, x: float, eps: float, threshold: float, t_end: float, tol: float
 ) -> float:
     """Start time at which the ramped coupling is ``threshold`` of the gap;
-    the threshold must lie in (0, 1e-4] and the start must precede
-    ``t_end``."""
+    the threshold must lie in (0, 1e-4], the start must precede ``t_end``,
+    and the run's tolerance ``tol`` must lie in (0, 1): at 1 and above the
+    integrator's error control is off."""
+    if not 0 < tol < 1:
+        raise DomainError(f"tol must be in (0, 1), got {tol}")
     if not 0 < threshold <= 1e-4:
         raise DomainError(f"start_threshold must be in (0, 1e-4], got {threshold}")
     t0 = math.log(gap * threshold / x) / eps
@@ -510,10 +473,9 @@ def evolve_two_state(
     0.20 * tol**-0.125 steps per radian for tol 1e-4 to 1e-12; the estimate
     takes a third of that rate, so a run that could finish is never refused.
     """
-    t0 = switch_on_time(2 * m.delta, m.x, m.eps, start_threshold, t_end)
+    t0 = switch_on_time(2 * m.delta, m.x, m.eps, start_threshold, t_end, tol)
     angle = ramped_coupling(m.x, m.eps, t_end, "t_end") / m.eps
-    # a tolerance that is not positive is ode_evolve's to refuse
-    steps = 0.068 * tol**-0.125 * angle if tol > 0 else 0.0
+    steps = 0.068 * tol**-0.125 * angle
     require_step_budget(
         steps, "0.068 * tol**-0.125 * x * exp(eps * t_end) / eps", t0, t_end
     )

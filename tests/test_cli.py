@@ -433,6 +433,69 @@ def test_exit_code_gen_domain_errors(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["0", "1", "10", "inf", "nan"])
+@pytest.mark.parametrize("command", ["two-state compare", "n-state evolve"])
+def test_exit_code_tol_outside_unit_interval(tmp_path, capsys, command, tol):
+    # from tol 1 up error control is off: at tol 10 the runs would report
+    # |a(0)| of 5.9e10 (two levels) and a final norm of 4.3e7 (six levels)
+    argv = command.split()
+    if argv[0] == "n-state":
+        path = tmp_path / "gen.json"
+        save_model(generate_nstate_model(seed=7, levels=6), path)
+        argv += ["--model", str(path)]
+    assert run(*argv, "--tol", tol) == 2
+    assert capsys.readouterr().err == f"error: tol must be in (0, 1), got {float(tol)}\n"
+    assert run(*argv, "--tol", "0.5") == 0
+
+
+@pytest.mark.parametrize(
+    "argv, model, message",
+    [
+        (["n-state", "oracle"], [1, 2], "top level must be a JSON object"),
+        (["n-state", "oracle"], {**EMBED, "energies": [1.0], "v_real": [[0.0]],
+                                 "v_imag": [[0.0]]},
+         "energies must be a 1-d sequence of length >= 2"),
+        (["n-state", "oracle"], {**EMBED, "energies": [[-1.0, 1.0]]},
+         "energies must be a 1-d sequence of length >= 2"),
+        (["n-state", "oracle"], {**EMBED, "x": 0.0}, "coupling x must be > 0, got 0.0"),
+        (["n-state", "oracle"], {**EMBED, "eps": -0.1},
+         "switching rate eps must be > 0, got -0.1"),
+        (["n-state", "split", "--order", "0"], EMBED, "order must be >= 1, got 0"),
+        (["n-state", "recursion", "--order", "0"], EMBED, "order must be >= 1, got 0"),
+        (["two-state", "phase", "--order", "0"], None, "order must be >= 1, got 0"),
+        (["two-state", "compare", "--order", "0"], None, "order must be >= 1, got 0"),
+    ],
+    ids=["top-level-list", "one-level", "energies-2d", "n-state-x-zero",
+         "n-state-eps-negative", "n-state-split-order-0", "n-state-recursion-order-0",
+         "two-state-phase-order-0", "two-state-compare-order-0"],
+)
+def test_exit_code_refusals(tmp_path, capsys, argv, model, message):
+    if model is not None:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        argv = [*argv, "--model", str(path)]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{message}\n")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda path: emit(RunReport("demo"), "xml", path), ValueError,
+         "unknown format 'xml'"),
+        (lambda path: model_to_dict(object()), TypeError, "unsupported model type"),
+    ],
+    ids=["emit-xml", "model-to-dict-object"],
+)
+def test_report_and_model_io_refusals(tmp_path, call, error, message):
+    path = tmp_path / "report.xml"
+    with pytest.raises(error, match=message):
+        call(path)
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # subcommand behavior
 
@@ -584,6 +647,26 @@ def test_n_state_oracle_on_embed_file(tmp_path, capsys):
     )
     assert run("n-state", "oracle", "--model", str(path)) == 0
     assert "-0.118033988749894" in capsys.readouterr().out
+
+
+def test_n_state_oracle_accepts_the_perturbation_the_loader_accepted(tmp_path):
+    # V's anti-Hermitian part 5e-12 passes at V's scale (limit 1e-11); H has
+    # largest entry 1 (limit 1e-12), so H built from V as given would fail
+    path = write_model(
+        tmp_path,
+        energies=[-10.0, 11.0],
+        v_real=[[10.0, 0.001], [0.001, -10.0]],
+        v_imag=[[0.0, 5e-12], [0.0, 0.0]],
+        x=1.0,
+    )
+    out = tmp_path / "oracle.json"
+    for command in ("compare", "oracle"):
+        assert run("n-state", command, "--model", str(path), "--out", str(out)) == 0
+    model = load_model(path)
+    exact = np.linalg.eigvalsh(model.hamiltonian())[0] - model.ground_energy
+    shift = report_from_json(out).values["shift[oracle]"]
+    assert shift == pytest.approx(exact, rel=1e-15, abs=0)
+    assert shift == pytest.approx(9.999999, rel=1e-7)
 
 
 def test_two_state_model_file_replaces_inline_flags(tmp_path):

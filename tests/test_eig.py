@@ -94,3 +94,18 @@ def test_hermiticity_tolerance_scales_with_entries():
     bad[0, 1] += 1e-6 * np.abs(m).max()
     with pytest.raises(DomainError, match="not Hermitian"):
         HermitianMatrix(bad)
+
+
+def test_stores_the_hermitian_part_it_validated():
+    # rounding drift at entry scale 1e5, and small entries that differ by
+    # more than a factor 2, whose midpoint rounds differently from either side
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    m = (q * rng.uniform(-1e5, 1e5, 8)) @ q.conj().T
+    m[0, 1], m[1, 0] = 3e-9 + 1e-10j, -7e-9 - 2e-10j
+    stored = HermitianMatrix(m).entries
+    assert np.array_equal(stored, stored.conj().T)
+    np.testing.assert_allclose(stored, (m + m.conj().T) / 2, rtol=1e-15, atol=0)
+    assert stored[0, 1] == pytest.approx(-2e-9 + 1.5e-10j, rel=1e-15)
+    # an exactly Hermitian input is kept bit for bit
+    assert np.array_equal(HermitianMatrix(stored).entries, stored)

@@ -276,6 +276,11 @@ def test_recursion_orthogonality_exact():
     assert np.abs(phi[:, m.ground_index, :]).max() == 0.0
 
 
+def test_recursion_rejects_a_negative_jet_order():
+    with pytest.raises(DomainError, match="jet order must be >= 0, got -1"):
+        rs_recursion(random_model(5, 4), 4, -1)
+
+
 def test_recursion_arrays_read_only():
     xi, phi = rs_recursion(random_model(5, 4), 6, 2)
     assert xi.shape == (6, 3)

@@ -466,6 +466,21 @@ def test_phase_split_remainder_scales_linearly_with_rate():
     assert 1.0 < ratio < 4.0  # linear within a factor of 2
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: delta_e_closed(0.0, 0.5), "delta must be > 0, got 0.0"),
+        (lambda: delta_e_closed(1.0, -1.0), "x must be >= 0, got -1.0"),
+        (lambda: delta_e_series(1.0, 0.0), "x must be > 0, got 0.0"),
+        (lambda: bessel_series_a(STD, 0.0, terms=0), "need at least one term, got 0"),
+    ],
+    ids=["closed-delta-zero", "closed-x-negative", "series-x-zero", "bessel-no-terms"],
+)
+def test_refusals(call, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()
+
+
 def test_phase_split_domain():
     with pytest.raises(DomainError):
         phase_split(TwoStateModel(mu=0.0, delta=1.0, x=1.5, eps=0.25), 10)
