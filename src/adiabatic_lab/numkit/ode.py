@@ -12,15 +12,26 @@ than a 5(4) pair.
 
 The states here are short vectors (2 to a few dozen entries), so a step
 costs interpreter and numpy call overhead, not arithmetic. ``ode_evolve``
-is one loop over trial steps, for a state of any size. One stage matrix
-holds y in row 0 and the stages k1..k12 below it. The tableau ``_W`` has a
-leading column for y (1 in the stage and update rows, 0 in the error rows);
-its other columns are scaled by ``h`` in place once per step into a
-persistent buffer, so each stage input is one ``dot`` of a pre-sliced
-buffer row against a pre-sliced head of the stage matrix. One more ``dot``
-gives the update and one the two error vectors; the right-hand side at an
-accepted update is the next trial's first stage, evaluated when that
+is one loop over trial steps: the step-size controller, written once, and
+a trial-step kernel chosen by the size of the state. The right-hand side
+at an accepted update is the next trial's first stage, evaluated when that
 trial starts.
+
+``_array_kernel`` takes a state of any size. One stage matrix holds y in
+row 0 and the stages k1..k12 below it. The tableau ``_W`` has a leading
+column for y (1 in the stage and update rows, 0 in the error rows); its
+other columns are scaled by ``h`` in place once per step into a persistent
+buffer, so each stage input is one ``dot`` of a pre-sliced buffer row
+against a pre-sliced head of the stage matrix. One more ``dot`` gives the
+update and one the two error vectors.
+
+``_pair_kernel`` takes a state of size 2, the two-level problems' size. It
+writes the same sums out stage by stage on two Python complex scalars; its
+only numpy work is filling the array it passes the right-hand side, and it
+takes about two thirds of the array kernel's time. It rounds differently,
+so its step grid drifts from the array kernel's in the last bits: on the
+two-level switching problems the step counts are equal and the end states
+agree to about 1e-14.
 """
 
 from __future__ import annotations
@@ -200,6 +211,263 @@ def _initial_step(rhs, t0, t1, y0, f0, tol):
     return min(100 * h0, h1, span)
 
 
+def _array_kernel(rhs, y, f0, tol):
+    """The trial step for a state of any size, on the stage matrix.
+
+    Returns ``trial(t, h, advance)``, which takes one trial step of size h
+    from the base state at t and returns its update and error norm. With
+    ``advance`` true, the last update (which the caller accepted) becomes
+    the base state first, and its derivative, this trial's first stage, is
+    evaluated then.
+    """
+    # err_norm = n5 / sqrt((n5 + 0.01 n3) n) / tol, with n5 and n3 the
+    # squared norms of the error vectors over 1 + max(|y|, |y_new|)
+    norm_scale = 1.0 / (tol * math.sqrt(y.size))
+    mean = np.full(y.size, 1.0 / y.size)
+    # stage matrix: y, then the stages k1..k12
+    k = np.empty((13, y.size), dtype=complex)
+    k[0] = y
+    k[1] = f0
+    # the tableau with its h-scaled columns, rescaled in place every step
+    hw = _W.copy()
+    hw_scaled = hw[:, 1:]
+    w_h = _W[:, 1:]
+    # each stage input: a row of hw against the rows of k it weights
+    stage_rows = [(hw[i, : i + 2], k[: i + 2], c) for i, c in enumerate(_C)]
+    update_row = hw[11]
+    err_rows = hw_scaled[12:]
+    stages = k[1:]
+    ay = np.abs(y)
+    y_new = ay_new = None
+
+    def trial(t, h, advance):
+        nonlocal ay, y_new, ay_new
+        if advance:
+            k[0] = y_new
+            k[1] = rhs(t, y_new)
+            ay = ay_new
+        np.multiply(w_h, h, hw_scaled)
+        for i, (row, head, c) in enumerate(stage_rows, start=2):
+            k[i] = rhs(t + c * h, row.dot(head))
+        y_new = update_row.dot(k)
+        ay_new = np.abs(y_new)
+        scale = 1.0 + np.maximum(ay, ay_new)
+        # a non-finite state is rejected; the mean of the scale cannot overflow
+        if not scale.dot(mean) < math.inf:
+            return y_new, math.inf
+        q5, q3 = err_rows.dot(stages) / scale
+        # Python floats, which give NaN for inf / inf without a warning
+        n5 = float(np.vdot(q5, q5).real)
+        n3 = float(np.vdot(q3, q3).real)
+        # n5 = 0 would divide 0 by 0 if n3 = 0 too; an infinite n5 gives
+        # NaN, which is rejected
+        return y_new, n5 * norm_scale / math.sqrt(n5 + 0.01 * n3) if n5 else 0.0
+
+    return trial
+
+
+def _as_pair(f):
+    """A right-hand side's value as a list of two Python complex scalars."""
+    return np.asarray(f, dtype=complex).tolist()
+
+
+def _moduli(a, c):
+    """``(abs(a), abs(c))``, with inf for a modulus past the range of doubles."""
+    try:
+        return abs(a), abs(c)
+    except OverflowError:
+        return math.inf, math.inf
+
+
+def _pair_kernel(rhs, y, f0, tol):
+    """The trial step of ``_array_kernel`` for a state of size 2, written
+    out stage by stage on the two components as Python complex scalars.
+
+    The weights are the tableau's, unpacked once as complex scalars, so that
+    each product is a full complex product, as numpy's complex tableau
+    forms it, on every Python version (3.14 changed the rules of mixed
+    float-complex products for inf and NaN), and skips the float-to-complex
+    dispatch. Each stage's derivative is scaled by h as it arrives, as the
+    array kernel's h-scaled tableau scales it, so that no stage sum of large
+    derivatives overflows where the scaled one does not. The right-hand
+    side is passed one reused array; a tuple it returns is taken as it is,
+    anything else through ``_as_pair``. A modulus past the range of doubles
+    reads as inf, so its update is rejected as a non-finite one is.
+    """
+    c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12 = _C
+    # each table's weights in the order of their stages, as typed in
+    (
+        (w2_1,),
+        (w3_1, w3_2),
+        (w4_1, w4_3),
+        (w5_1, w5_3, w5_4),
+        (w6_1, w6_4, w6_5),
+        (w7_1, w7_4, w7_5, w7_6),
+        (w8_1, w8_4, w8_5, w8_6, w8_7),
+        (w9_1, w9_4, w9_5, w9_6, w9_7, w9_8),
+        (w10_1, w10_4, w10_5, w10_6, w10_7, w10_8, w10_9),
+        (w11_1, w11_4, w11_5, w11_6, w11_7, w11_8, w11_9, w11_10),
+        (w12_1, w12_4, w12_5, w12_6, w12_7, w12_8, w12_9, w12_10, w12_11),
+        (b1, b6, b7, b8, b9, b10, b11, b12),
+        (p1, p6, p7, p8, p9, p10, p11, p12),
+        (q1, q6, q7, q8, q9, q10, q11, q12),
+    ) = [tuple(map(complex, w.values())) for w in (*_STAGE_WEIGHTS, _B, _E5, _E3)]
+    norm_scale = 1.0 / (tol * math.sqrt(2.0))
+    inf = math.inf
+    buf = np.empty(2, dtype=complex)
+    # the base state, its derivative and moduli, and the last update
+    ya, yc = y.tolist()
+    fa, fc = f0.tolist()
+    ma, mc = _moduli(ya, yc)
+    na = nc = nma = nmc = None
+
+    def trial(t, dt, advance):
+        nonlocal ya, yc, fa, fc, ma, mc, na, nc, nma, nmc
+        if advance:
+            ya, yc, ma, mc = na, nc, nma, nmc
+            buf[0] = ya
+            buf[1] = yc
+            out = rhs(t, buf)
+            fa, fc = out if type(out) is tuple else _as_pair(out)
+        # complex, so that it too multiplies as a full complex product
+        h = complex(dt)
+        k1a = h * fa
+        k1c = h * fc
+        buf[0] = ya + w2_1 * k1a
+        buf[1] = yc + w2_1 * k1c
+        out = rhs(t + c2 * dt, buf)
+        k2a, k2c = out if type(out) is tuple else _as_pair(out)
+        k2a *= h
+        k2c *= h
+        buf[0] = ya + w3_1 * k1a + w3_2 * k2a
+        buf[1] = yc + w3_1 * k1c + w3_2 * k2c
+        out = rhs(t + c3 * dt, buf)
+        k3a, k3c = out if type(out) is tuple else _as_pair(out)
+        k3a *= h
+        k3c *= h
+        buf[0] = ya + w4_1 * k1a + w4_3 * k3a
+        buf[1] = yc + w4_1 * k1c + w4_3 * k3c
+        out = rhs(t + c4 * dt, buf)
+        k4a, k4c = out if type(out) is tuple else _as_pair(out)
+        k4a *= h
+        k4c *= h
+        buf[0] = ya + w5_1 * k1a + w5_3 * k3a + w5_4 * k4a
+        buf[1] = yc + w5_1 * k1c + w5_3 * k3c + w5_4 * k4c
+        out = rhs(t + c5 * dt, buf)
+        k5a, k5c = out if type(out) is tuple else _as_pair(out)
+        k5a *= h
+        k5c *= h
+        buf[0] = ya + w6_1 * k1a + w6_4 * k4a + w6_5 * k5a
+        buf[1] = yc + w6_1 * k1c + w6_4 * k4c + w6_5 * k5c
+        out = rhs(t + c6 * dt, buf)
+        k6a, k6c = out if type(out) is tuple else _as_pair(out)
+        k6a *= h
+        k6c *= h
+        buf[0] = ya + w7_1 * k1a + w7_4 * k4a + w7_5 * k5a + w7_6 * k6a
+        buf[1] = yc + w7_1 * k1c + w7_4 * k4c + w7_5 * k5c + w7_6 * k6c
+        out = rhs(t + c7 * dt, buf)
+        k7a, k7c = out if type(out) is tuple else _as_pair(out)
+        k7a *= h
+        k7c *= h
+        buf[0] = ya + w8_1 * k1a + w8_4 * k4a + w8_5 * k5a + w8_6 * k6a + w8_7 * k7a
+        buf[1] = yc + w8_1 * k1c + w8_4 * k4c + w8_5 * k5c + w8_6 * k6c + w8_7 * k7c
+        out = rhs(t + c8 * dt, buf)
+        k8a, k8c = out if type(out) is tuple else _as_pair(out)
+        k8a *= h
+        k8c *= h
+        buf[0] = (
+            ya + w9_1 * k1a + w9_4 * k4a + w9_5 * k5a + w9_6 * k6a + w9_7 * k7a
+            + w9_8 * k8a
+        )
+        buf[1] = (
+            yc + w9_1 * k1c + w9_4 * k4c + w9_5 * k5c + w9_6 * k6c + w9_7 * k7c
+            + w9_8 * k8c
+        )
+        out = rhs(t + c9 * dt, buf)
+        k9a, k9c = out if type(out) is tuple else _as_pair(out)
+        k9a *= h
+        k9c *= h
+        buf[0] = (
+            ya + w10_1 * k1a + w10_4 * k4a + w10_5 * k5a + w10_6 * k6a + w10_7 * k7a
+            + w10_8 * k8a + w10_9 * k9a
+        )
+        buf[1] = (
+            yc + w10_1 * k1c + w10_4 * k4c + w10_5 * k5c + w10_6 * k6c + w10_7 * k7c
+            + w10_8 * k8c + w10_9 * k9c
+        )
+        out = rhs(t + c10 * dt, buf)
+        k10a, k10c = out if type(out) is tuple else _as_pair(out)
+        k10a *= h
+        k10c *= h
+        buf[0] = (
+            ya + w11_1 * k1a + w11_4 * k4a + w11_5 * k5a + w11_6 * k6a + w11_7 * k7a
+            + w11_8 * k8a + w11_9 * k9a + w11_10 * k10a
+        )
+        buf[1] = (
+            yc + w11_1 * k1c + w11_4 * k4c + w11_5 * k5c + w11_6 * k6c + w11_7 * k7c
+            + w11_8 * k8c + w11_9 * k9c + w11_10 * k10c
+        )
+        out = rhs(t + c11 * dt, buf)
+        k11a, k11c = out if type(out) is tuple else _as_pair(out)
+        k11a *= h
+        k11c *= h
+        buf[0] = (
+            ya + w12_1 * k1a + w12_4 * k4a + w12_5 * k5a + w12_6 * k6a + w12_7 * k7a
+            + w12_8 * k8a + w12_9 * k9a + w12_10 * k10a + w12_11 * k11a
+        )
+        buf[1] = (
+            yc + w12_1 * k1c + w12_4 * k4c + w12_5 * k5c + w12_6 * k6c + w12_7 * k7c
+            + w12_8 * k8c + w12_9 * k9c + w12_10 * k10c + w12_11 * k11c
+        )
+        out = rhs(t + c12 * dt, buf)
+        k12a, k12c = out if type(out) is tuple else _as_pair(out)
+        k12a *= h
+        k12c *= h
+        na = (
+            ya + b1 * k1a + b6 * k6a + b7 * k7a + b8 * k8a + b9 * k9a + b10 * k10a
+            + b11 * k11a + b12 * k12a
+        )
+        nc = (
+            yc + b1 * k1c + b6 * k6c + b7 * k7c + b8 * k8c + b9 * k9c + b10 * k10c
+            + b11 * k11c + b12 * k12c
+        )
+        nma, nmc = _moduli(na, nc)
+        # a non-finite state is rejected; the sum of two finite moduli can
+        # overflow, so each is tested
+        if not (nma < inf and nmc < inf):
+            return (na, nc), inf
+        sa = 1.0 + (nma if nma > ma else ma)
+        sc = 1.0 + (nmc if nmc > mc else mc)
+        e5a = (
+            p1 * k1a + p6 * k6a + p7 * k7a + p8 * k8a + p9 * k9a + p10 * k10a
+            + p11 * k11a + p12 * k12a
+        ) / sa
+        e5c = (
+            p1 * k1c + p6 * k6c + p7 * k7c + p8 * k8c + p9 * k9c + p10 * k10c
+            + p11 * k11c + p12 * k12c
+        ) / sc
+        e3a = (
+            q1 * k1a + q6 * k6a + q7 * k7a + q8 * k8a + q9 * k9a + q10 * k10a
+            + q11 * k11a + q12 * k12a
+        ) / sa
+        e3c = (
+            q1 * k1c + q6 * k6c + q7 * k7c + q8 * k8c + q9 * k9c + q10 * k10c
+            + q11 * k11c + q12 * k12c
+        ) / sc
+        n5 = (
+            e5a.real * e5a.real + e5a.imag * e5a.imag
+            + e5c.real * e5c.real + e5c.imag * e5c.imag
+        )
+        n3 = (
+            e3a.real * e3a.real + e3a.imag * e3a.imag
+            + e3c.real * e3c.real + e3c.imag * e3c.imag
+        )
+        # as in the array kernel: an infinite n5 gives NaN, which is rejected
+        return (na, nc), n5 * norm_scale / math.sqrt(n5 + 0.01 * n3) if n5 else 0.0
+
+    return trial
+
+
 def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
     """Integrate ``y' = rhs(t, y)`` from t0 to t1, recording every accepted step.
 
@@ -228,24 +496,7 @@ def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
         raise IntegrationError(
             f"right-hand side or starting step is not finite at t = {t:.12g}", time=t
         )
-    ay = np.abs(y)
-    # err_norm = n5 / sqrt((n5 + 0.01 n3) n) / tol, with n5 and n3 the
-    # squared norms of the error vectors over 1 + max(|y|, |y_new|)
-    norm_scale = 1.0 / (tol * math.sqrt(y.size))
-    mean = np.full(y.size, 1.0 / y.size)
-    # stage matrix: y, then the stages k1..k12
-    k = np.empty((13, y.size), dtype=complex)
-    k[0] = y
-    k[1] = f0
-    # the tableau with its h-scaled columns, rescaled in place every step
-    hw = _W.copy()
-    hw_scaled = hw[:, 1:]
-    w_h = _W[:, 1:]
-    # each stage input: a row of hw against the rows of k it weights
-    stage_rows = [(hw[i, : i + 2], k[: i + 2], c) for i, c in enumerate(_C)]
-    update_row = hw[11]
-    err_rows = hw_scaled[12:]
-    stages = k[1:]
+    trial = (_pair_kernel if y.size == 2 else _array_kernel)(rhs, y, f0, tol)
 
     times = [t]
     states = [y]
@@ -266,30 +517,8 @@ def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
             raise IntegrationError(
                 f"step budget exhausted at t = {t:.12g}", time=t
             )
-        if err_norm <= 1.0:
-            # the last trial was accepted: the derivative at its state is
-            # this trial's first stage
-            k[0] = y_new
-            k[1] = rhs(t, y_new)
-            ay = ay_new
-
-        np.multiply(w_h, h, hw_scaled)
-        for i, (row, head, c) in enumerate(stage_rows, start=2):
-            k[i] = rhs(t + c * h, row.dot(head))
-        y_new = update_row.dot(k)
-        ay_new = np.abs(y_new)
-        scale = 1.0 + np.maximum(ay, ay_new)
-        # a non-finite state is rejected; the mean of the scale cannot overflow
-        if scale.dot(mean) < math.inf:
-            q5, q3 = err_rows.dot(stages) / scale
-            # Python floats, which give NaN for inf / inf without a warning
-            n5 = float(np.vdot(q5, q5).real)
-            n3 = float(np.vdot(q3, q3).real)
-            # n5 = 0 would divide 0 by 0 if n3 = 0 too; an infinite n5
-            # gives NaN, which is rejected
-            err_norm = n5 * norm_scale / math.sqrt(n5 + 0.01 * n3) if n5 else 0.0
-        else:
-            err_norm = math.inf
+        # after an accepted trial, its update is the next trial's base state
+        y_new, err_norm = trial(t, h, err_norm <= 1.0)
 
         if err_norm <= 1.0:
             t += h

@@ -268,12 +268,19 @@ def bessel_series_a(
     after ``terms`` terms if given; past the peak the term ratio
     |z| / (k |k - nu|) falls toward 0, so it always stops. ``converged``
     says that the last term and the cancellation bound 2**-53 * (largest
-    term) are each within that target.
+    term) are each within that target. A ``DomainError`` if the series
+    argument -(x * exp(eps * t) / eps)**2 / 4 overflows, as no term can
+    then be formed.
     """
     if terms is not None and terms < 1:
         raise DomainError(f"need at least one term, got {terms}")
     s = ramped_coupling(m.x, m.eps, t) / m.eps
     z = -0.25 * s * s
+    if not math.isfinite(z):
+        raise DomainError(
+            f"squared ramped coupling over the rate (x * exp(eps * t) / eps)**2 "
+            f"overflows at t = {t:.6g}; raise eps or move t earlier"
+        )
     nu = 0.5 - 1j * m.delta / m.eps
     value = 1.0 + 0.0j
     term = 1.0 + 0.0j

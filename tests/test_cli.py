@@ -464,10 +464,14 @@ def test_exit_code_tol_outside_unit_interval(tmp_path, capsys, command, tol):
         (["n-state", "recursion", "--order", "0"], EMBED, "order must be >= 1, got 0"),
         (["two-state", "phase", "--order", "0"], None, "order must be >= 1, got 0"),
         (["two-state", "compare", "--order", "0"], None, "order must be >= 1, got 0"),
+        (["two-state", "series", "--eps", "1e-160"], None,
+         "squared ramped coupling over the rate (x * exp(eps * t) / eps)**2 overflows "
+         "at t = 0; raise eps or move t earlier"),
     ],
     ids=["top-level-list", "one-level", "energies-2d", "n-state-x-zero",
          "n-state-eps-negative", "n-state-split-order-0", "n-state-recursion-order-0",
-         "two-state-phase-order-0", "two-state-compare-order-0"],
+         "two-state-phase-order-0", "two-state-compare-order-0",
+         "two-state-series-argument-overflow"],
 )
 def test_exit_code_refusals(tmp_path, capsys, argv, model, message):
     if model is not None:

@@ -6,6 +6,7 @@ import pytest
 
 from adiabatic_lab.errors import DomainError, IntegrationError
 from adiabatic_lab.numkit import Trajectory, ode, ode_evolve
+from adiabatic_lab.twostate import TwoStateModel, evolve_two_state
 
 
 def test_exact_oscillator():
@@ -217,22 +218,63 @@ def test_overflowing_starting_derivative_fails_at_t0(size):
     assert excinfo.value.time == 0.0
 
 
-def test_kernel_is_eighth_order(monkeypatch):
-    # n equal steps on y' = (i + 0.3 t) y, y(0) = 1, whose solution is
-    # exp(i t + 0.15 t**2): the step is pinned by the starting step, growth
+@pytest.mark.parametrize(
+    "y0", [[1.0 + 0j], [1.0 + 0j, 0.5 - 2j]], ids=["size1-array", "size2-pair"]
+)
+def test_kernel_is_eighth_order(monkeypatch, y0):
+    # n equal steps on y' = (i + 0.3 t) y, y(0) = y0, whose solution is
+    # y0 exp(i t + 0.15 t**2): the step is pinned by the starting step, growth
     # clamped to 1 and a tolerance no error exceeds. Each halving of the
-    # step must cut the error at t = 2 by nearly 2**8 = 256.
+    # step must cut the error at t = 2 by nearly 2**8 = 256. Size 1 runs the
+    # array kernel and size 2 the pair kernel, whose written-out sums fail
+    # this with any weight misplaced.
     monkeypatch.setattr(ode, "GROWTH_MIN", 1.0)
     monkeypatch.setattr(ode, "GROWTH_MAX", 1.0)
     rhs = lambda t, y: (1j + 0.3 * t) * y
+    y0 = np.array(y0)
     errors = []
     for n in (4, 8, 16):
         monkeypatch.setattr(ode, "_initial_step", lambda *args: 2.0 / n)
-        traj = ode_evolve(rhs, np.array([1.0 + 0j]), 0.0, 2.0, 1e300)
+        traj = ode_evolve(rhs, y0, 0.0, 2.0, 1e300)
         assert (traj.accepted_steps, traj.rejected_steps) == (n, 0)
-        errors.append(abs(traj.final_state[0] - np.exp(2j + 0.6)))
+        errors.append(np.abs(traj.final_state - y0 * np.exp(2j + 0.6)).max())
     for coarse, fine in zip(errors, errors[1:]):
         assert coarse / fine >= 200
+
+
+def _random_pair_system(seed):
+    """y' = -i (H0 + sin(t) H1) y with random 2x2 Hermitian H0, H1, from a
+    random unit state, over [0, 10]."""
+    rng = np.random.default_rng(seed)
+    h0, h1 = (
+        (a + a.conj().T) / 2
+        for a in rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+    )
+    y0 = rng.normal(size=2) + 1j * rng.normal(size=2)
+    rhs = lambda t, y: -1j * ((h0 + math.sin(t) * h1) @ y)
+    return lambda: ode_evolve(rhs, y0 / np.linalg.norm(y0), 0.0, 10.0, 1e-10)
+
+
+def _slow_switch(eps):
+    model = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=eps)
+    return lambda: evolve_two_state(model, 0.0, 1e-10)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [*(_slow_switch(eps) for eps in (0.2, 0.05, 0.0125, 0.003125)),
+     *(_random_pair_system(seed) for seed in (0, 1))],
+    ids=["slow-0.2", "slow-0.05", "slow-0.0125", "slow-0.003125",
+         "random-0", "random-1"],
+)
+def test_pair_kernel_matches_array_kernel(monkeypatch, run):
+    # the two kernels round differently, so their step grids drift apart in
+    # the last bits; the step counts and the end states must still agree
+    pair = run()
+    monkeypatch.setattr(ode, "_pair_kernel", ode._array_kernel)
+    array = run()
+    assert pair.accepted_steps == array.accepted_steps
+    assert np.abs(pair.final_state - array.final_state).max() <= 1e-12
 
 
 def test_tableau_rows_sum_to_their_stage_times():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from adiabatic_lab import twostate
 from adiabatic_lab.errors import DomainError, IntegrationError
 from adiabatic_lab.numkit import hermitian_eig, jet_mul, jet_recip, ode
 from adiabatic_lab.twostate import (
@@ -350,10 +351,16 @@ def test_bessel_series_ends_by_its_own_rule_without_a_cap():
         (-50.0, 0.0, 5.0),
     )
     for delta, x, eps, t in grid:
-        res = bessel_series_a(TwoStateModel(mu=0.0, delta=delta, x=x, eps=eps), t)
+        model = TwoStateModel(mu=0.0, delta=delta, x=x, eps=eps)
+        s = x * math.exp(eps * t) / eps
+        if not math.isfinite(0.25 * s * s):
+            # no term can be formed (at eps 100, t 5): refused, not summed
+            with pytest.raises(DomainError, match="overflows"):
+                bessel_series_a(model, t)
+            continue
+        res = bessel_series_a(model, t)
         mags = res.term_magnitudes
         assert mags.size <= 2000
-        s = x * math.exp(eps * t) / eps
         k = mags.size + 1
         last = float(mags[-1]) if mags.size else 1.0
         following = last * (0.25 * s * s) / (k * abs(k - (0.5 - 1j * delta / eps)))
@@ -473,8 +480,13 @@ def test_phase_split_remainder_scales_linearly_with_rate():
         (lambda: delta_e_closed(1.0, -1.0), "x must be >= 0, got -1.0"),
         (lambda: delta_e_series(1.0, 0.0), "x must be > 0, got 0.0"),
         (lambda: bessel_series_a(STD, 0.0, terms=0), "need at least one term, got 0"),
+        # (x / eps)**2 overflows before any term can be formed
+        (lambda: bessel_series_a(TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=1e-160),
+                                 0.0),
+         "(x * exp(eps * t) / eps)**2 overflows at t = 0; raise eps or move t earlier"),
     ],
-    ids=["closed-delta-zero", "closed-x-negative", "series-x-zero", "bessel-no-terms"],
+    ids=["closed-delta-zero", "closed-x-negative", "series-x-zero", "bessel-no-terms",
+         "bessel-argument-overflow"],
 )
 def test_refusals(call, message):
     with pytest.raises(DomainError, match=re.escape(message)):
@@ -607,6 +619,26 @@ def test_evolve_step_counts_pinned(eps, accepted):
     m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=eps)
     traj = evolve_two_state(m, 0.0, 1e-10)
     assert (traj.accepted_steps, traj.rejected_steps) == (accepted, 0)
+
+
+def test_evolve_right_hand_side_calls_pinned(monkeypatch):
+    # the pair kernel's twin of the N-state pin: one call at the start, one
+    # to size the first step, eleven per trial step and one per accepted
+    # step but the last (first same as last)
+    calls = []
+
+    def counting(rhs, *args):
+        def counted(t, y):
+            calls.append(t)
+            return rhs(t, y)
+
+        return ode.ode_evolve(counted, *args)
+
+    monkeypatch.setattr(twostate, "ode_evolve", counting)
+    m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=0.2)
+    traj = evolve_two_state(m, 0.0, 1e-10)
+    assert (traj.accepted_steps, traj.rejected_steps, len(calls)) == (184, 0, 2209)
+    assert len(calls) == 1 + 12 * traj.accepted_steps + 11 * traj.rejected_steps
 
 
 def test_evolve_final_amplitude_pinned():
