@@ -398,7 +398,11 @@ def _cmd_n_assemble(model, args) -> dict:
         tables=[_state_table("phase-recursion", assembled.state)],
         values={
             "energy[phase-recursion]": assembled.energy,
-            "norm[phase-recursion]": float(np.linalg.norm(assembled.state)),
+            # hypot scales its arguments, so a state whose squared entries
+            # underflow (components near 1e-210 past the radius) keeps its norm
+            "norm[phase-recursion]": math.hypot(
+                *assembled.state.real, *assembled.state.imag
+            ),
             "g_a[phase-recursion]": assembled.split.g_a,
             "delta_e[phase-recursion]": assembled.split.delta_e,
             "g_b[phase-recursion]": assembled.split.g_b,

@@ -16,7 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, ContinuationError, DegeneracyError, DomainError
-from .numkit import HermitianMatrix, Trajectory, hermitian_eig, jet_mul, jet_recip, ode_evolve
+from .numkit import (
+    HermitianMatrix, Trajectory, hermitian_eig, jet_mul, jet_recip, ramp_evolve,
+)
+# unused here, but bench/spans.py patches nstate.ode_evolve by name, which
+# fails unless the name exists
+from .numkit import ode_evolve  # noqa: F401
 from .twostate import (
     DEFAULT_START_THRESHOLD, TwoStateModel, ramped_coupling,
     ramped_coupling_squared, require_step_budget, switch_on_time,
@@ -342,6 +347,10 @@ def evolve_nstate(
     """Full Schrodinger evolution under the ramped perturbation from deep in
     the switch-on tail (ramped coupling at ``start_threshold`` of the
     smallest gap to the tracked level), starting in the tracked basis state.
+    It runs on ``numkit.ode.ramp_evolve``, whose ramp kernel steps this one
+    system with no Python right-hand side; the general array kernel of
+    ``ode_evolve`` is its oracle in the tests, and the size-2 pair kernel
+    serves the two-state route only.
 
     A run whose step count would exceed ``numkit.ode.MAX_STEPS`` fails at
     the start with an ``IntegrationError``. The count grows with the fastest
@@ -364,17 +373,11 @@ def evolve_nstate(
         t0,
         t_end,
     )
-    # multiplying by -1j is exact, so moving it inside the sum changes no bit
-    ie = -1j * model.energies
-    ivm = -1j * model.v.entries
-    x, eps = model.x, model.eps
-
-    def rhs(t, y):
-        return ie * y + (x * math.exp(eps * t)) * ivm.dot(y)
-
     y0 = np.zeros(model.dim, dtype=complex)
     y0[model.ground_index] = 1.0
-    return ode_evolve(rhs, y0, t0, t_end, tol)
+    return ramp_evolve(
+        model.energies, model.v.entries, model.x, model.eps, y0, t0, t_end, tol
+    )
 
 
 def oracle_shift(model: NStateModel) -> float:

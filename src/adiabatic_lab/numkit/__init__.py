@@ -7,7 +7,7 @@ functions of their inputs, so everything here is safe to call concurrently.
 
 from .eig import HermitianMatrix, hermitian_eig
 from .jets import jet_mul, jet_recip
-from .ode import Trajectory, ode_evolve
+from .ode import Trajectory, ode_evolve, ramp_evolve
 
 __all__ = [
     "HermitianMatrix",
@@ -16,4 +16,5 @@ __all__ = [
     "jet_mul",
     "jet_recip",
     "ode_evolve",
+    "ramp_evolve",
 ]

@@ -297,6 +297,21 @@ def test_exit_code_assembled_norm_not_finite(tmp_path, capsys, command, order):
     assert len(err.splitlines()) == 1
 
 
+def test_assembled_norm_of_a_tiny_state_is_positive(tmp_path):
+    # past the recursion's radius, order 25 gives g_b = -488 and components
+    # near 1e-210, whose squares underflow; the norm must not read 0
+    model = generate_nstate_model(seed=3, levels=5, x=0.5)
+    path, out = tmp_path / "gen.json", tmp_path / "out.json"
+    save_model(model, path)
+    assert run("n-state", "assemble", "--model", str(path), "--order", "25",
+               "--out", str(out)) == 0
+    norm = report_from_json(out).values["norm[phase-recursion]"]
+    state = nstate.assemble_state(model, 25).state
+    top = np.abs(state).max()
+    assert 1e-215 < top < 1e-200
+    assert norm == pytest.approx(top * np.linalg.norm(state / top), rel=1e-15)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "delta, x",

@@ -659,31 +659,41 @@ PINNED_N32 = [
     ],
     ids=["gen-seed7-N6", "rng-seed11-N32"],
 )
-def test_evolve_step_counts_and_final_state_pinned(make_model, steps, pinned):
+def test_evolve_step_counts_and_final_state_pinned(
+    monkeypatch, make_model, steps, pinned
+):
     # the step-size controller's decisions (accepted, rejected) and the
-    # state they lead to
+    # state they lead to; a budget of four times the steps makes a wrong
+    # weight, whose error estimate shrinks the step without end, fail fast
+    monkeypatch.setattr(ode, "MAX_STEPS", 4 * sum(steps))
     traj = evolve_nstate(make_model(), 0.0, 1e-10)
     assert (traj.accepted_steps, traj.rejected_steps) == steps
     ref = np.array(pinned)
     assert np.abs(traj.final_state - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_evolve_right_hand_side_calls_pinned(monkeypatch):
-    # one call at the start, one to size the first step, eleven per trial
-    # step and one per accepted step but the last (first same as last)
-    calls = []
+def test_evolve_generator_products_pinned(monkeypatch):
+    # the ramp kernel's products of the real generator [Re V; diag(E)] with
+    # a state, which stand in for right-hand-side calls: one at the start,
+    # one to size the first step, eleven per trial step and one per
+    # accepted step but the last (first same as last). They are counted at
+    # np.dot, which the kernel looks up when it is built
+    monkeypatch.setattr(ode, "MAX_STEPS", 1000)
+    model = generate_nstate_model(seed=7, levels=6)
+    generators = []
+    dot = np.dot
 
-    def counting(rhs, *args):
-        def counted(t, y):
-            calls.append(t)
-            return rhs(t, y)
+    def counting(a, b, out=None):
+        if a.ndim == 2 and a.dtype == np.float64:
+            generators.append(a)
+        return dot(a, b, out)
 
-        return ode.ode_evolve(counted, *args)
-
-    monkeypatch.setattr(nstate, "ode_evolve", counting)
-    traj = evolve_nstate(generate_nstate_model(seed=7, levels=6), 0.0, 1e-10)
-    assert (traj.accepted_steps, traj.rejected_steps, len(calls)) == (234, 2, 2831)
-    assert len(calls) == 1 + 12 * traj.accepted_steps + 11 * traj.rejected_steps
+    monkeypatch.setattr(np, "dot", counting)
+    traj = evolve_nstate(model, 0.0, 1e-10)
+    assert (traj.accepted_steps, traj.rejected_steps, len(generators)) == (234, 2, 2831)
+    assert len(generators) == 1 + 12 * traj.accepted_steps + 11 * traj.rejected_steps
+    assert generators[0].shape == (2 * model.dim, model.dim)
+    assert all(g is generators[0] for g in generators)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from adiabatic_lab.errors import DomainError, IntegrationError
 from adiabatic_lab.numkit import Trajectory, ode, ode_evolve
@@ -261,20 +262,94 @@ def _slow_switch(eps):
 
 
 @pytest.mark.parametrize(
-    "run",
-    [*(_slow_switch(eps) for eps in (0.2, 0.05, 0.0125, 0.003125)),
-     *(_random_pair_system(seed) for seed in (0, 1))],
+    "run, budget",
+    [*((_slow_switch(eps), budget)
+       for eps, budget in ((0.2, 800), (0.05, 2200), (0.0125, 6000), (0.003125, 17000))),
+     *((_random_pair_system(seed), 300) for seed in (0, 1))],
     ids=["slow-0.2", "slow-0.05", "slow-0.0125", "slow-0.003125",
          "random-0", "random-1"],
 )
-def test_pair_kernel_matches_array_kernel(monkeypatch, run):
+def test_pair_kernel_matches_array_kernel(monkeypatch, run, budget):
     # the two kernels round differently, so their step grids drift apart in
-    # the last bits; the step counts and the end states must still agree
+    # the last bits; the step counts and the end states must still agree.
+    # The budget, about four times the steps taken, makes a wrong weight,
+    # whose error estimate shrinks the step without end, fail in seconds
+    monkeypatch.setattr(ode, "MAX_STEPS", budget)
     pair = run()
     monkeypatch.setattr(ode, "_pair_kernel", ode._array_kernel)
     array = run()
     assert pair.accepted_steps == array.accepted_steps
     assert np.abs(pair.final_state - array.final_state).max() <= 1e-12
+
+
+def _ramp_system(n, complex_v):
+    """Energies and a random Hermitian V, real or complex, of size n, with
+    the N-state switching parameters the benchmark uses."""
+    rng = np.random.default_rng(n)
+    energies = np.cumsum(rng.uniform(0.5, 1.5, n))
+    a = rng.normal(size=(n, n))
+    if complex_v:
+        a = a + 1j * rng.normal(size=(n, n))
+    return energies, (a + a.conj().T) / 2, 0.05, 0.25
+
+
+@pytest.mark.parametrize("complex_v", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [3, 8, 32, 64])
+def test_ramp_kernel_matches_array_kernel(monkeypatch, n, complex_v):
+    # the ramp kernel against the array kernel on the same system, given as
+    # a right-hand side; they round differently, so the step grids drift
+    # apart in the last bits, but the counts and end states must agree.
+    # The runs take 140 to 906 steps; the budget fails a wrong weight fast
+    monkeypatch.setattr(ode, "MAX_STEPS", 4000)
+    energies, v, x, eps = _ramp_system(n, complex_v)
+    rhs = lambda t, y: -1j * (energies * y + (x * math.exp(eps * t)) * v.dot(y))
+    y0 = np.zeros(n, dtype=complex)
+    y0[0] = 1.0
+    array = ode_evolve(rhs, y0, -60.0, 0.0, 1e-10)
+    ramp = ode.ramp_evolve(energies, v, x, eps, y0, -60.0, 0.0, 1e-10)
+    assert (ramp.accepted_steps, ramp.rejected_steps) == (
+        array.accepted_steps, array.rejected_steps
+    )
+    assert np.abs(ramp.final_state - array.final_state).max() <= 1e-12
+
+
+def test_ramp_kernel_is_eighth_order(monkeypatch):
+    # the setting of test_kernel_is_eighth_order on a ramp system with an
+    # exact solution: complex 2x2 blocks of V, each on a pair of equal
+    # energies, so that diag(E) and V commute and
+    # y(t) = expm(-i (E t + x (exp(eps t) - 1) / eps V)) y0. V need not be
+    # Hermitian here, so every block of the generator (Re V, Im V, diag(E))
+    # carries weight
+    monkeypatch.setattr(ode, "GROWTH_MIN", 1.0)
+    monkeypatch.setattr(ode, "GROWTH_MAX", 1.0)
+    rng = np.random.default_rng(5)
+    energies = np.array([0.3, 0.3, 1.1, 1.1])
+    v = np.zeros((4, 4), dtype=complex)
+    for block in (slice(0, 2), slice(2, 4)):
+        v[block, block] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    x, eps = 0.8, 0.6
+    y0 = np.array([1.0, 0.5j, -0.3, 0.2 + 0.1j])
+    ramp = x * math.expm1(2.0 * eps) / eps
+    exact = expm(-1j * (2.0 * np.diag(energies) + ramp * v)) @ y0
+    errors = []
+    for n in (4, 8, 16):
+        monkeypatch.setattr(ode, "_initial_step", lambda *args: 2.0 / n)
+        traj = ode.ramp_evolve(energies, v, x, eps, y0, 0.0, 2.0, 1e300)
+        assert (traj.accepted_steps, traj.rejected_steps) == (n, 0)
+        errors.append(np.abs(traj.final_state - exact).max())
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse / fine >= 200
+
+
+@pytest.mark.parametrize(
+    "energies, v, y0",
+    [(np.zeros(3), np.eye(2), np.ones(3)), (np.zeros(3), np.eye(3), np.ones(2)),
+     (np.zeros((3, 1)), np.eye(3), np.ones(3))],
+    ids=["v", "y0", "energies"],
+)
+def test_ramp_evolve_rejects_mismatched_shapes(energies, v, y0):
+    with pytest.raises(DomainError, match="N x N"):
+        ode.ramp_evolve(energies, v, 0.1, 0.25, y0, 0.0, 1.0, 1e-8)
 
 
 def test_tableau_rows_sum_to_their_stage_times():

@@ -614,17 +614,21 @@ def test_phase_series_convergence_needs_a_second_term():
 @pytest.mark.parametrize(
     "eps, accepted", [(0.2, 184), (0.05, 529), (0.0125, 1472), (0.003125, 4266)]
 )
-def test_evolve_step_counts_pinned(eps, accepted):
-    # the step-size controller's decisions, fixed on this grid
+def test_evolve_step_counts_pinned(monkeypatch, eps, accepted):
+    # the step-size controller's decisions, fixed on this grid; a budget of
+    # four times the steps makes a wrong weight, whose error estimate
+    # shrinks the step without end, fail fast
+    monkeypatch.setattr(ode, "MAX_STEPS", 4 * accepted)
     m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=eps)
     traj = evolve_two_state(m, 0.0, 1e-10)
     assert (traj.accepted_steps, traj.rejected_steps) == (accepted, 0)
 
 
 def test_evolve_right_hand_side_calls_pinned(monkeypatch):
-    # the pair kernel's twin of the N-state pin: one call at the start, one
-    # to size the first step, eleven per trial step and one per accepted
-    # step but the last (first same as last)
+    # the pair kernel's twin of the N-state generator-product pin: one call
+    # at the start, one to size the first step, eleven per trial step and
+    # one per accepted step but the last (first same as last)
+    monkeypatch.setattr(ode, "MAX_STEPS", 800)
     calls = []
 
     def counting(rhs, *args):
