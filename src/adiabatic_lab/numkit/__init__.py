@@ -7,14 +7,14 @@ functions of their inputs, so everything here is safe to call concurrently.
 
 from .eig import HermitianMatrix, hermitian_eig
 from .jets import jet_mul, jet_recip
-from .ode import Trajectory, ode_evolve, ramp_evolve
+from .ode import Ramp, Trajectory, ode_evolve
 
 __all__ = [
     "HermitianMatrix",
+    "Ramp",
     "Trajectory",
     "hermitian_eig",
     "jet_mul",
     "jet_recip",
     "ode_evolve",
-    "ramp_evolve",
 ]

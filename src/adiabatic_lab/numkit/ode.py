@@ -11,18 +11,18 @@ growth; at the tolerances used here it takes several times fewer steps
 than a 5(4) pair.
 
 The states here are short vectors (2 to a few dozen entries), so a step
-costs interpreter and numpy call overhead, not arithmetic. One loop over
-trial steps, ``_drive``, holds the step-size controller, written once; a
-trial-step kernel takes each step. Three kernels serve it:
+costs interpreter and numpy call overhead, not arithmetic. ``ode_evolve``
+holds the step-size controller, written once; a trial-step kernel takes
+each step, picked by the right-hand side. Both problems of this package
+integrate one switched system, y' = -i (diag(E) + x e^{eps t} V) y, given
+as a ``Ramp``; three kernels serve ``ode_evolve``:
 
-- ``_array_kernel``, for a state of any size and any right-hand side:
-  ``ode_evolve`` takes it for every size but 2. It is also the oracle of
-  the other two.
-- ``_pair_kernel``, for a state of size 2: ``ode_evolve`` takes it for
-  the two-level problems (``twostate.evolve_two_state``).
-- ``_ramp_kernel``, for the one system y' = -i (diag(E) + x e^{eps t} V) y
-  and no right-hand-side callable: ``ramp_evolve`` takes it for the
-  N-state problems (``nstate.evolve_nstate``).
+- ``_pair_kernel``, for a ``Ramp`` of two levels
+  (``twostate.evolve_two_state``);
+- ``_ramp_kernel``, for a ``Ramp`` of any other count
+  (``nstate.evolve_nstate``);
+- ``_array_kernel``, for any other right-hand side callable and a state of
+  any size. It is the oracle of the other two.
 
 The right-hand side at an accepted update is the next trial's first stage,
 evaluated when that trial starts.
@@ -36,8 +36,8 @@ of the stage matrix. One more ``dot`` gives the update and one the two
 error vectors.
 
 ``_pair_kernel`` writes the same sums out stage by stage on two Python
-complex scalars; its only numpy work is filling the array it passes the
-right-hand side, and it takes about two thirds of the array kernel's time.
+complex scalars and evaluates the two-level derivative itself, with no
+numpy call per stage.
 
 ``_ramp_kernel`` keeps, in place of each stage k_j, the product of the
 real generator ``[Re V; Im V; diag(E)]`` (no Im V rows for a real V) with
@@ -57,13 +57,13 @@ array and ramp kernels end a trial the same way (``_stage_matrix_update``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import DomainError, IntegrationError
 
-__all__ = ["Trajectory", "ode_evolve", "ramp_evolve"]
+__all__ = ["Ramp", "Trajectory", "ode_evolve"]
 
 SAFETY = 0.9
 GROWTH_MIN = 0.2
@@ -204,6 +204,61 @@ class Trajectory:
         return np.linalg.norm(self.states, axis=1)
 
 
+@dataclass(frozen=True, eq=False)
+class Ramp:
+    """The switched Schrodinger right-hand side
+    y' = -i (diag(energies) + x exp(eps t) v) y, which ``ode_evolve`` steps
+    on its own kernels. ``v`` may be real or complex; a complex one with a
+    nonzero imaginary part adds Im v to the generator. A ``DomainError``
+    unless the energies and ``v`` are of sizes N and N x N.
+
+    ``generator`` is the real generator ``[Re v; Im v; diag(energies)]``
+    (no Im v rows for a real v), and ``factors`` holds each block's factor,
+    -i for Re v and diag(energies) and 1 for Im v. Called as a right-hand
+    side, the ramp returns y' as the sum over blocks of the factor, times
+    x exp(eps t) on the blocks of v, times the block's product with y.
+    """
+
+    energies: np.ndarray
+    v: np.ndarray
+    x: float
+    eps: float
+    generator: np.ndarray = field(init=False, repr=False)
+    factors: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        e = np.array(self.energies, dtype=float)
+        v = np.array(self.v)
+        if e.ndim != 1 or v.shape != (e.size, e.size):
+            raise DomainError(
+                f"need N energies and an N x N v, got shapes {e.shape} and {v.shape}"
+            )
+        if np.iscomplexobj(v) and v.imag.any():
+            g = np.concatenate((v.real, v.imag, np.diag(e)))
+            factors = np.array((-1j, 1.0, -1j))
+        else:
+            g = np.concatenate((v.real, np.diag(e)))
+            factors = np.array((-1j, -1j))
+        for array in (e, v, g, factors):
+            array.flags.writeable = False
+        for name, value in (("energies", e), ("v", v), ("x", float(self.x)),
+                            ("eps", float(self.eps)), ("generator", g),
+                            ("factors", factors)):
+            object.__setattr__(self, name, value)
+
+    def factors_at(self, t):
+        """Each generator block's factor at time t: ``factors`` with the
+        ramped coupling x exp(eps t) on every block but the last, diag(E)."""
+        at_t = self.factors.copy()
+        at_t[:-1] *= self.x * math.exp(self.eps * t)
+        return at_t
+
+    def __call__(self, t, y):
+        n = self.energies.size
+        products = np.dot(self.generator, y.view(float).reshape(n, 2)).view(complex)
+        return self.factors_at(t).dot(products.reshape(-1, n))
+
+
 def _rms(v, scale) -> float:
     """Root mean square of ``|v| / scale``."""
     r = np.abs(v) / scale
@@ -301,13 +356,12 @@ def _array_kernel(rhs, y, f0, tol):
     return trial
 
 
-def _ramp_kernel(g, factors, x, eps, t, y, tol):
-    """The trial step of ``_array_kernel`` for one system,
+def _ramp_kernel(ramp, t, y, tol):
+    """The trial step of ``_array_kernel`` for a ``Ramp``,
     y' = -i (diag(E) + x exp(eps t) V) y, with no right-hand-side call.
 
-    ``g`` is the real generator ``[Re V; Im V; diag(E)]`` of m = 3 blocks,
-    or ``[Re V; diag(E)]`` (m = 2) for a real V; ``factors`` holds each
-    block's factor, -i for Re V and diag(E) and 1 for Im V, so that
+    ``g`` and ``factors`` are the ramp's generator, of m = 3 blocks or of
+    m = 2 for a real V, and the blocks' factors (see ``Ramp``), so that
     y' = sum over blocks of factor * lam * (block . y), with lam the ramped
     coupling x exp(eps t) on the blocks of V and 1 on diag(E).
 
@@ -323,6 +377,7 @@ def _ramp_kernel(g, factors, x, eps, t, y, tol):
     Returns ``(f0, trial)``: the derivative at (t, y), made from the first
     stage's product, and the trial step (see ``_array_kernel``).
     """
+    g, factors, x, eps = ramp.generator, ramp.factors, ramp.x, ramp.eps
     n = y.size
     m = len(factors)
     # stage matrix: y, then the products Z_1..Z_12, m rows each
@@ -372,12 +427,7 @@ def _ramp_kernel(g, factors, x, eps, t, y, tol):
         return y_new, err_norm
 
     dot(g, y_real, first)
-    return _ramp_factors(factors, x, eps, t).dot(k[1 : 1 + m]), trial
-
-
-def _as_pair(f):
-    """A right-hand side's value as a list of two Python complex scalars."""
-    return np.asarray(f, dtype=complex).tolist()
+    return ramp.factors_at(t).dot(k[1 : 1 + m]), trial
 
 
 def _moduli(a, c):
@@ -388,20 +438,21 @@ def _moduli(a, c):
         return math.inf, math.inf
 
 
-def _pair_kernel(rhs, y, f0, tol):
-    """The trial step of ``_array_kernel`` for a state of size 2, written
-    out stage by stage on the two components as Python complex scalars.
+def _pair_kernel(ramp, y, f0, tol):
+    """The trial step of ``_array_kernel`` for a ``Ramp`` of two levels,
+    written out stage by stage on the two components as Python complex
+    scalars, with the derivative evaluated from -i E, -i V and the ramped
+    coupling x exp(eps t) on the same scalars.
 
-    The weights are the tableau's, unpacked once as complex scalars, so that
-    each product is a full complex product, as numpy's complex tableau
+    The weights, -i E, -i V and x are unpacked once as complex scalars, so
+    that each product is a full complex product, as numpy's complex tableau
     forms it, on every Python version (3.14 changed the rules of mixed
     float-complex products for inf and NaN), and skips the float-to-complex
     dispatch. Each stage's derivative is scaled by h as it arrives, as the
     array kernel's h-scaled tableau scales it, so that no stage sum of large
-    derivatives overflows where the scaled one does not. The right-hand
-    side is passed one reused array; a tuple it returns is taken as it is,
-    anything else through ``_as_pair``. A modulus past the range of doubles
-    reads as inf, so its update is rejected as a non-finite one is.
+    derivatives overflows where the scaled one does not. A modulus past the
+    range of doubles reads as inf, so its update is rejected as a non-finite
+    one is.
     """
     c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12 = _C
     # each table's weights in the order of their stages, as typed in
@@ -423,7 +474,16 @@ def _pair_kernel(rhs, y, f0, tol):
     ) = [tuple(map(complex, w.values())) for w in (*_STAGE_WEIGHTS, _B, _E5, _E3)]
     norm_scale = 1.0 / (tol * math.sqrt(2.0))
     inf = math.inf
-    buf = np.empty(2, dtype=complex)
+    ea, ec = (-1j * ramp.energies).tolist()
+    (vaa, vac), (vca, vcc) = (-1j * ramp.v).tolist()
+    x = complex(ramp.x)
+    eps = ramp.eps
+    exp = math.exp
+
+    def f(t, a, c):
+        lam = x * exp(eps * t)
+        return (ea + lam * vaa) * a + lam * vac * c, lam * vca * a + (ec + lam * vcc) * c
+
     # the base state, its derivative and moduli, and the last update
     ya, yc = y.tolist()
     fa, fc = f0.tolist()
@@ -434,102 +494,86 @@ def _pair_kernel(rhs, y, f0, tol):
         nonlocal ya, yc, fa, fc, ma, mc, na, nc, nma, nmc
         if advance:
             ya, yc, ma, mc = na, nc, nma, nmc
-            buf[0] = ya
-            buf[1] = yc
-            out = rhs(t, buf)
-            fa, fc = out if type(out) is tuple else _as_pair(out)
+            fa, fc = f(t, ya, yc)
         # complex, so that it too multiplies as a full complex product
         h = complex(dt)
         k1a = h * fa
         k1c = h * fc
-        buf[0] = ya + w2_1 * k1a
-        buf[1] = yc + w2_1 * k1c
-        out = rhs(t + c2 * dt, buf)
-        k2a, k2c = out if type(out) is tuple else _as_pair(out)
+        k2a, k2c = f(t + c2 * dt, ya + w2_1 * k1a, yc + w2_1 * k1c)
         k2a *= h
         k2c *= h
-        buf[0] = ya + w3_1 * k1a + w3_2 * k2a
-        buf[1] = yc + w3_1 * k1c + w3_2 * k2c
-        out = rhs(t + c3 * dt, buf)
-        k3a, k3c = out if type(out) is tuple else _as_pair(out)
+        k3a, k3c = f(
+            t + c3 * dt, ya + w3_1 * k1a + w3_2 * k2a, yc + w3_1 * k1c + w3_2 * k2c
+        )
         k3a *= h
         k3c *= h
-        buf[0] = ya + w4_1 * k1a + w4_3 * k3a
-        buf[1] = yc + w4_1 * k1c + w4_3 * k3c
-        out = rhs(t + c4 * dt, buf)
-        k4a, k4c = out if type(out) is tuple else _as_pair(out)
+        k4a, k4c = f(
+            t + c4 * dt, ya + w4_1 * k1a + w4_3 * k3a, yc + w4_1 * k1c + w4_3 * k3c
+        )
         k4a *= h
         k4c *= h
-        buf[0] = ya + w5_1 * k1a + w5_3 * k3a + w5_4 * k4a
-        buf[1] = yc + w5_1 * k1c + w5_3 * k3c + w5_4 * k4c
-        out = rhs(t + c5 * dt, buf)
-        k5a, k5c = out if type(out) is tuple else _as_pair(out)
+        k5a, k5c = f(
+            t + c5 * dt,
+            ya + w5_1 * k1a + w5_3 * k3a + w5_4 * k4a,
+            yc + w5_1 * k1c + w5_3 * k3c + w5_4 * k4c,
+        )
         k5a *= h
         k5c *= h
-        buf[0] = ya + w6_1 * k1a + w6_4 * k4a + w6_5 * k5a
-        buf[1] = yc + w6_1 * k1c + w6_4 * k4c + w6_5 * k5c
-        out = rhs(t + c6 * dt, buf)
-        k6a, k6c = out if type(out) is tuple else _as_pair(out)
+        k6a, k6c = f(
+            t + c6 * dt,
+            ya + w6_1 * k1a + w6_4 * k4a + w6_5 * k5a,
+            yc + w6_1 * k1c + w6_4 * k4c + w6_5 * k5c,
+        )
         k6a *= h
         k6c *= h
-        buf[0] = ya + w7_1 * k1a + w7_4 * k4a + w7_5 * k5a + w7_6 * k6a
-        buf[1] = yc + w7_1 * k1c + w7_4 * k4c + w7_5 * k5c + w7_6 * k6c
-        out = rhs(t + c7 * dt, buf)
-        k7a, k7c = out if type(out) is tuple else _as_pair(out)
+        k7a, k7c = f(
+            t + c7 * dt,
+            ya + w7_1 * k1a + w7_4 * k4a + w7_5 * k5a + w7_6 * k6a,
+            yc + w7_1 * k1c + w7_4 * k4c + w7_5 * k5c + w7_6 * k6c,
+        )
         k7a *= h
         k7c *= h
-        buf[0] = ya + w8_1 * k1a + w8_4 * k4a + w8_5 * k5a + w8_6 * k6a + w8_7 * k7a
-        buf[1] = yc + w8_1 * k1c + w8_4 * k4c + w8_5 * k5c + w8_6 * k6c + w8_7 * k7c
-        out = rhs(t + c8 * dt, buf)
-        k8a, k8c = out if type(out) is tuple else _as_pair(out)
+        k8a, k8c = f(
+            t + c8 * dt,
+            ya + w8_1 * k1a + w8_4 * k4a + w8_5 * k5a + w8_6 * k6a + w8_7 * k7a,
+            yc + w8_1 * k1c + w8_4 * k4c + w8_5 * k5c + w8_6 * k6c + w8_7 * k7c,
+        )
         k8a *= h
         k8c *= h
-        buf[0] = (
+        k9a, k9c = f(
+            t + c9 * dt,
             ya + w9_1 * k1a + w9_4 * k4a + w9_5 * k5a + w9_6 * k6a + w9_7 * k7a
-            + w9_8 * k8a
-        )
-        buf[1] = (
+            + w9_8 * k8a,
             yc + w9_1 * k1c + w9_4 * k4c + w9_5 * k5c + w9_6 * k6c + w9_7 * k7c
-            + w9_8 * k8c
+            + w9_8 * k8c,
         )
-        out = rhs(t + c9 * dt, buf)
-        k9a, k9c = out if type(out) is tuple else _as_pair(out)
         k9a *= h
         k9c *= h
-        buf[0] = (
+        k10a, k10c = f(
+            t + c10 * dt,
             ya + w10_1 * k1a + w10_4 * k4a + w10_5 * k5a + w10_6 * k6a + w10_7 * k7a
-            + w10_8 * k8a + w10_9 * k9a
-        )
-        buf[1] = (
+            + w10_8 * k8a + w10_9 * k9a,
             yc + w10_1 * k1c + w10_4 * k4c + w10_5 * k5c + w10_6 * k6c + w10_7 * k7c
-            + w10_8 * k8c + w10_9 * k9c
+            + w10_8 * k8c + w10_9 * k9c,
         )
-        out = rhs(t + c10 * dt, buf)
-        k10a, k10c = out if type(out) is tuple else _as_pair(out)
         k10a *= h
         k10c *= h
-        buf[0] = (
+        k11a, k11c = f(
+            t + c11 * dt,
             ya + w11_1 * k1a + w11_4 * k4a + w11_5 * k5a + w11_6 * k6a + w11_7 * k7a
-            + w11_8 * k8a + w11_9 * k9a + w11_10 * k10a
-        )
-        buf[1] = (
+            + w11_8 * k8a + w11_9 * k9a + w11_10 * k10a,
             yc + w11_1 * k1c + w11_4 * k4c + w11_5 * k5c + w11_6 * k6c + w11_7 * k7c
-            + w11_8 * k8c + w11_9 * k9c + w11_10 * k10c
+            + w11_8 * k8c + w11_9 * k9c + w11_10 * k10c,
         )
-        out = rhs(t + c11 * dt, buf)
-        k11a, k11c = out if type(out) is tuple else _as_pair(out)
         k11a *= h
         k11c *= h
-        buf[0] = (
+        k12a, k12c = f(
+            t + c12 * dt,
             ya + w12_1 * k1a + w12_4 * k4a + w12_5 * k5a + w12_6 * k6a + w12_7 * k7a
-            + w12_8 * k8a + w12_9 * k9a + w12_10 * k10a + w12_11 * k11a
-        )
-        buf[1] = (
+            + w12_8 * k8a + w12_9 * k9a + w12_10 * k10a + w12_11 * k11a,
             yc + w12_1 * k1c + w12_4 * k4c + w12_5 * k5c + w12_6 * k6c + w12_7 * k7c
-            + w12_8 * k8c + w12_9 * k9c + w12_10 * k10c + w12_11 * k11c
+            + w12_8 * k8c + w12_9 * k9c + w12_10 * k10c + w12_11 * k11c,
         )
-        out = rhs(t + c12 * dt, buf)
-        k12a, k12c = out if type(out) is tuple else _as_pair(out)
         k12a *= h
         k12c *= h
         na = (
@@ -580,85 +624,39 @@ def _pair_kernel(rhs, y, f0, tol):
 def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
     """Integrate ``y' = rhs(t, y)`` from t0 to t1, recording every accepted step.
 
-    ``rhs`` must accept a float time and a complex state vector, which it
-    must neither modify nor keep a reference to (the vector's buffer may be
-    reused for the next stage), and return the complex derivative as an
-    array or any sequence of complex numbers. The local error is controlled
-    relative to ``tol``; for anti-Hermitian generators the state norm drifts
-    by at most a small multiple of ``tol`` over moderate spans.
+    ``rhs`` is a ``Ramp``, stepped on the pair kernel for two levels and on
+    the ramp kernel for any other count, or any other callable, stepped on
+    the array kernel. A callable must accept a float time and a complex
+    state vector, which it must not modify, and return the complex
+    derivative as an array or any sequence of complex numbers. The local
+    error is controlled relative to ``tol``; for anti-Hermitian generators
+    the state norm drifts by at most a small multiple of ``tol`` over
+    moderate spans.
 
-    Raises IntegrationError (naming the time of failure) if ``rhs`` is not
-    finite at the start, if the step size underflows, which indicates
-    stiffness or a singularity beyond the tolerance budget, or if more than
-    ``MAX_STEPS`` steps are taken.
-    """
-
-    def start(t, y):
-        f0 = np.asarray(rhs(t, y), dtype=complex)
-        return f0, (_pair_kernel if y.size == 2 else _array_kernel)(rhs, y, f0, tol)
-
-    return _drive(rhs, start, y0, t0, t1, tol)
-
-
-def _ramp_factors(factors, x, eps, t):
-    """Each generator block's factor at time t: ``factors`` with the ramped
-    coupling x exp(eps t) on every block but the last, diag(E)."""
-    at_t = factors.copy()
-    at_t[:-1] *= x * math.exp(eps * t)
-    return at_t
-
-
-def ramp_evolve(
-    energies, v, x: float, eps: float, y0, t0: float, t1: float, tol: float
-) -> Trajectory:
-    """Integrate the Schrodinger system y' = -i (diag(energies) + x exp(eps t) v) y
-    from t0 to t1, as ``ode_evolve`` does with that right-hand side (same
-    controller, error norm and failures), on ``_ramp_kernel``, which steps
-    it with no Python call per stage. ``v`` may be real or complex; a
-    complex one with a nonzero imaginary part adds Im v to the generator.
-    A ``DomainError`` if the energies, ``v`` and ``y0`` are not of sizes
-    N, N x N and N.
-    """
-    e = np.asarray(energies, dtype=float)
-    v = np.asarray(v)
-    if e.ndim != 1 or v.shape != (e.size, e.size) or np.shape(y0) != e.shape:
-        raise DomainError(
-            f"need N energies, an N x N v and N initial amplitudes, got shapes "
-            f"{e.shape}, {v.shape} and {np.shape(y0)}"
-        )
-    if np.iscomplexobj(v) and v.imag.any():
-        g = np.concatenate((v.real, v.imag, np.diag(e)))
-        factors = np.array((-1j, 1.0, -1j))
-    else:
-        g = np.concatenate((v.real, np.diag(e)))
-        factors = np.array((-1j, -1j))
-    n = e.size
-
-    def rhs(t, y):
-        # sizes the first step; the kernel makes every other derivative
-        products = np.dot(g, y.view(float).reshape(n, 2)).view(complex)
-        return _ramp_factors(factors, x, eps, t).dot(products.reshape(-1, n))
-
-    def start(t, y):
-        return _ramp_kernel(g, factors, x, eps, t, y, tol)
-
-    return _drive(rhs, start, y0, t0, t1, tol)
-
-
-def _drive(rhs, start, y0, t0, t1, tol) -> Trajectory:
-    """The step-size controller of ``ode_evolve`` and ``ramp_evolve``.
-
-    ``start(t, y)`` returns the derivative at the start and the trial step
-    ``trial(t, h, advance)`` of a kernel; ``rhs`` sizes the first step.
+    A ``DomainError`` if ``y0`` does not hold one amplitude per level of a
+    ``Ramp``. Raises IntegrationError (naming the time of failure) if
+    ``rhs`` is not finite at the start, if the step size underflows, which
+    indicates stiffness or a singularity beyond the tolerance budget, or if
+    more than ``MAX_STEPS`` steps are taken.
     """
     if not t0 < t1:
         raise DomainError(f"need t0 < t1, got [{t0}, {t1}]")
     if not tol > 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
+    is_ramp = isinstance(rhs, Ramp)
+    if is_ramp and np.shape(y0) != rhs.energies.shape:
+        raise DomainError(
+            f"need N initial amplitudes for an N x N ramp, got shape "
+            f"{np.shape(y0)} for N = {rhs.energies.size}"
+        )
 
     y = np.atleast_1d(np.asarray(y0, dtype=complex)).copy()
     t = float(t0)
-    f0, trial = start(t, y)
+    if is_ramp and y.size != 2:
+        f0, trial = _ramp_kernel(rhs, t, y, tol)
+    else:
+        f0 = np.asarray(rhs(t, y), dtype=complex)
+        trial = (_pair_kernel if is_ramp else _array_kernel)(rhs, y, f0, tol)
     h = _initial_step(rhs, t0, t1, y, f0, tol) if np.all(np.isfinite(f0)) else math.nan
     if not math.isfinite(h):
         raise IntegrationError(

@@ -24,7 +24,7 @@ from .errors import DomainError, IntegrationError
 # nothing here calls jet_mul or jet_recip; both stay importable from this
 # module because bench/spans.py wraps twostate.jet_mul and
 # twostate.jet_recip by name in every traced run
-from .numkit import Trajectory, jet_mul, jet_recip, ode, ode_evolve  # noqa: F401
+from .numkit import Ramp, Trajectory, jet_mul, jet_recip, ode, ode_evolve  # noqa: F401
 
 __all__ = [
     "TwoStateModel",
@@ -247,7 +247,7 @@ def delta_e_series(delta: float, x: float, order: int = DEFAULT_ORDER):
     if not x > 0:
         raise DomainError(f"x must be > 0, got {x}")
     _require_series_domain(delta, x)
-    g0 = gtilde_values(0.0, order).real
+    g0 = gtilde_table(order)[:, 0].real
     partial = delta * np.cumsum((x / delta) ** (2 * np.arange(1, order + 1)) * g0)
     return partial, float(partial[-1])
 
@@ -469,7 +469,9 @@ def evolve_two_state(
 
     The pair is integrated in the frame where the tracked level stands
     still, y' = -i [[0, lam], [lam, 2 delta]] y with lam = x * exp(eps * t),
-    whose second component is exp(-2i delta t) c, from the first-order
+    the two-level ``Ramp`` with energies (0, 2 delta) and V = sigma_x, which
+    ``numkit.ode.ode_evolve`` steps on its pair kernel. Its second
+    component is exp(-2i delta t) c; it starts from the first-order
     switch-on state (1, -i lam / (eps + 2i delta)): the tail solution of
     that component's own equation at a = 1, so the start misses the exact
     state by O(start_threshold**2). The returned states carry c itself.
@@ -486,18 +488,9 @@ def evolve_two_state(
     require_step_budget(
         steps, "0.068 * tol**-0.125 * x * exp(eps * t_end) / eps", t0, t_end
     )
-    # multiplying by -1j is exact, so w rounds as -1j * lam does
-    ix = -1j * m.x
-    i2d = -2j * m.delta
-    eps = m.eps
-
-    def rhs(t, y):
-        w = ix * math.exp(eps * t)
-        a, c = y.tolist()
-        return (w * c, w * a + i2d * c)
-
-    y0 = np.array([1.0, ix * math.exp(eps * t0) / complex(eps, 2.0 * m.delta)])
-    traj = ode_evolve(rhs, y0, t0, t_end, tol)
+    ramp = Ramp((0.0, 2.0 * m.delta), [[0.0, 1.0], [1.0, 0.0]], m.x, m.eps)
+    y0 = np.array([1.0, -1j * m.x * math.exp(m.eps * t0) / complex(m.eps, 2.0 * m.delta)])
+    traj = ode_evolve(ramp, y0, t0, t_end, tol)
     states = traj.states.copy()
     states[:, 1] *= np.exp(2j * m.delta * traj.times)
     return Trajectory(traj.times, states, traj.accepted_steps, traj.rejected_steps)

@@ -6,7 +6,8 @@ import pytest
 from scipy.linalg import expm
 
 from adiabatic_lab.errors import DomainError, IntegrationError
-from adiabatic_lab.numkit import Trajectory, ode, ode_evolve
+from adiabatic_lab import twostate
+from adiabatic_lab.numkit import Ramp, Trajectory, ode, ode_evolve
 from adiabatic_lab.twostate import TwoStateModel, evolve_two_state
 
 
@@ -183,26 +184,48 @@ def test_large_finite_state_accepted():
     assert np.abs(traj.final_state - expected).max() <= 1e-8 * 1e200
 
 
+_CONSTANT_1E308 = lambda t, y: np.full_like(y, 1e308)
+# y' = y: V = i I, a non-Hermitian coupling that grows the state as exp(t)
+_GROWTH = Ramp((0.0, 0.0), 1j * np.eye(2), 1.0, 0.0)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize(
-    "y0, lo, hi",
+    "rhs, y0, lo, hi",
     [
-        ([1e308 + 0j], 0.7, 0.8),
-        ([1e308 + 0j, 1e308 + 0j], 0.7, 0.8),
+        (_CONSTANT_1E308, [1e308 + 0j], 0.7, 0.8),
+        (_CONSTANT_1E308, [1e308 + 0j, 1e308 + 0j], 0.7, 0.8),
         # |y| = 1e308 sqrt((1 + t)**2 + 1) overflows at t = 0.494, its parts at 0.798
-        ([1e308 + 1e308j, 1e308 + 1e308j], 0.49, 0.5),
+        (_CONSTANT_1E308, [1e308 + 1e308j, 1e308 + 1e308j], 0.49, 0.5),
+        # the pair kernel: 1e308 exp(t) overflows at t = log(1.798) = 0.5866
+        (_GROWTH, [1e308 + 0j, 1e308 + 0j], 0.58, 0.5866),
+        # |y| = 1e308 sqrt(2) exp(t) overflows at t = 0.2401, its parts at
+        # 0.5866, so the modulus of a finite update overflows in abs()
+        (_GROWTH, [1e308 + 1e308j, 1e308 + 1e308j], 0.23, 0.2401),
     ],
-    ids=["single", "parts", "modulus"],
+    ids=["single", "parts", "modulus", "pair-parts", "pair-modulus"],
 )
-def test_overflowing_state_never_accepted(y0, lo, hi):
+def test_overflowing_state_never_accepted(rhs, y0, lo, hi):
     # y = 1e308 (1 + t) overflows at t ~ 0.8 while the error estimate of a
     # constant right-hand side stays finite; the step must still be rejected.
     # The update's weights of both signs exceed 1, so an overflowing update
     # can sum +inf and -inf to NaN.
-    rhs = lambda t, y: np.full_like(y, 1e308)
     with pytest.raises(IntegrationError, match="underflow") as excinfo:
         ode_evolve(rhs, np.array(y0), 0.0, 2.0, 1e-10)
     assert lo < excinfo.value.time < hi
+
+
+def test_pair_kernel_rejects_a_nan_derivative(monkeypatch):
+    # a zero state has a zero derivative, so every step is accepted and
+    # grows five-fold, until the ramped coupling 1e300 exp(t) overflows at
+    # t = log(1.798e8) = 19.0072 and inf times the zero amplitudes gives NaN
+    # stages; each step past that time must be rejected, until the step
+    # underflows there
+    monkeypatch.setattr(ode, "MAX_STEPS", 200)
+    ramp = Ramp((0.0, 2.0), [[0.0, 1.0], [1.0, 0.0]], 1e300, 1.0)
+    with pytest.raises(IntegrationError, match="underflow") as excinfo:
+        ode_evolve(ramp, np.zeros(2, dtype=complex), 0.0, 30.0, 1e-10)
+    assert 19.0 < excinfo.value.time < 19.0072
 
 
 @pytest.mark.parametrize("size", [2, 3], ids=["size2", "size3"])
@@ -220,15 +243,15 @@ def test_overflowing_starting_derivative_fails_at_t0(size):
 
 
 @pytest.mark.parametrize(
-    "y0", [[1.0 + 0j], [1.0 + 0j, 0.5 - 2j]], ids=["size1-array", "size2-pair"]
+    "y0", [[1.0 + 0j], [1.0 + 0j, 0.5 - 2j]], ids=["size1-array", "size2-array"]
 )
 def test_kernel_is_eighth_order(monkeypatch, y0):
     # n equal steps on y' = (i + 0.3 t) y, y(0) = y0, whose solution is
     # y0 exp(i t + 0.15 t**2): the step is pinned by the starting step, growth
     # clamped to 1 and a tolerance no error exceeds. Each halving of the
-    # step must cut the error at t = 2 by nearly 2**8 = 256. Size 1 runs the
-    # array kernel and size 2 the pair kernel, whose written-out sums fail
-    # this with any weight misplaced.
+    # step must cut the error at t = 2 by nearly 2**8 = 256. A plain callable
+    # runs the array kernel at every size; test_ramp_kernel_is_eighth_order
+    # holds the pair and ramp kernels to the same.
     monkeypatch.setattr(ode, "GROWTH_MIN", 1.0)
     monkeypatch.setattr(ode, "GROWTH_MAX", 1.0)
     rhs = lambda t, y: (1j + 0.3 * t) * y
@@ -243,41 +266,26 @@ def test_kernel_is_eighth_order(monkeypatch, y0):
         assert coarse / fine >= 200
 
 
-def _random_pair_system(seed):
-    """y' = -i (H0 + sin(t) H1) y with random 2x2 Hermitian H0, H1, from a
-    random unit state, over [0, 10]."""
-    rng = np.random.default_rng(seed)
-    h0, h1 = (
-        (a + a.conj().T) / 2
-        for a in rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
-    )
-    y0 = rng.normal(size=2) + 1j * rng.normal(size=2)
-    rhs = lambda t, y: -1j * ((h0 + math.sin(t) * h1) @ y)
-    return lambda: ode_evolve(rhs, y0 / np.linalg.norm(y0), 0.0, 10.0, 1e-10)
-
-
-def _slow_switch(eps):
-    model = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=eps)
-    return lambda: evolve_two_state(model, 0.0, 1e-10)
-
-
 @pytest.mark.parametrize(
-    "run, budget",
-    [*((_slow_switch(eps), budget)
-       for eps, budget in ((0.2, 800), (0.05, 2200), (0.0125, 6000), (0.003125, 17000))),
-     *((_random_pair_system(seed), 300) for seed in (0, 1))],
-    ids=["slow-0.2", "slow-0.05", "slow-0.0125", "slow-0.003125",
-         "random-0", "random-1"],
+    "eps, budget",
+    [(0.2, 800), (0.05, 2200), (0.0125, 6000), (0.003125, 17000)],
+    ids=["slow-0.2", "slow-0.05", "slow-0.0125", "slow-0.003125"],
 )
-def test_pair_kernel_matches_array_kernel(monkeypatch, run, budget):
-    # the two kernels round differently, so their step grids drift apart in
-    # the last bits; the step counts and the end states must still agree.
+def test_pair_kernel_matches_array_kernel(monkeypatch, eps, budget):
+    # the two-state route on the pair kernel against the array kernel,
+    # reached through a plain callable that wraps the same Ramp. The two
+    # kernels round differently, so their step grids drift apart in the
+    # last bits; the step counts and the end states must still agree.
     # The budget, about four times the steps taken, makes a wrong weight,
     # whose error estimate shrinks the step without end, fail in seconds
     monkeypatch.setattr(ode, "MAX_STEPS", budget)
-    pair = run()
-    monkeypatch.setattr(ode, "_pair_kernel", ode._array_kernel)
-    array = run()
+    model = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=eps)
+    pair = evolve_two_state(model, 0.0, 1e-10)
+    monkeypatch.setattr(
+        twostate, "ode_evolve",
+        lambda ramp, *args: ode_evolve(lambda t, y: ramp(t, y), *args),
+    )
+    array = evolve_two_state(model, 0.0, 1e-10)
     assert pair.accepted_steps == array.accepted_steps
     assert np.abs(pair.final_state - array.final_state).max() <= 1e-12
 
@@ -294,19 +302,20 @@ def _ramp_system(n, complex_v):
 
 
 @pytest.mark.parametrize("complex_v", [False, True], ids=["real", "complex"])
-@pytest.mark.parametrize("n", [3, 8, 32, 64])
+@pytest.mark.parametrize("n", [2, 3, 8, 32, 64])
 def test_ramp_kernel_matches_array_kernel(monkeypatch, n, complex_v):
-    # the ramp kernel against the array kernel on the same system, given as
-    # a right-hand side; they round differently, so the step grids drift
-    # apart in the last bits, but the counts and end states must agree.
-    # The runs take 140 to 906 steps; the budget fails a wrong weight fast
+    # a Ramp, on the pair kernel (n = 2) or the ramp kernel, against the
+    # array kernel on the same system, given as a right-hand side; they
+    # round differently, so the step grids drift apart in the last bits,
+    # but the counts and end states must agree. The runs take 140 to 906
+    # steps; the budget fails a wrong weight fast
     monkeypatch.setattr(ode, "MAX_STEPS", 4000)
     energies, v, x, eps = _ramp_system(n, complex_v)
     rhs = lambda t, y: -1j * (energies * y + (x * math.exp(eps * t)) * v.dot(y))
     y0 = np.zeros(n, dtype=complex)
     y0[0] = 1.0
     array = ode_evolve(rhs, y0, -60.0, 0.0, 1e-10)
-    ramp = ode.ramp_evolve(energies, v, x, eps, y0, -60.0, 0.0, 1e-10)
+    ramp = ode_evolve(Ramp(energies, v, x, eps), y0, -60.0, 0.0, 1e-10)
     assert (ramp.accepted_steps, ramp.rejected_steps) == (
         array.accepted_steps, array.rejected_steps
     )
@@ -319,7 +328,8 @@ def test_ramp_kernel_is_eighth_order(monkeypatch):
     # energies, so that diag(E) and V commute and
     # y(t) = expm(-i (E t + x (exp(eps t) - 1) / eps V)) y0. V need not be
     # Hermitian here, so every block of the generator (Re V, Im V, diag(E))
-    # carries weight
+    # carries weight. The first block alone runs the pair kernel, both
+    # blocks the ramp kernel
     monkeypatch.setattr(ode, "GROWTH_MIN", 1.0)
     monkeypatch.setattr(ode, "GROWTH_MAX", 1.0)
     rng = np.random.default_rng(5)
@@ -330,15 +340,17 @@ def test_ramp_kernel_is_eighth_order(monkeypatch):
     x, eps = 0.8, 0.6
     y0 = np.array([1.0, 0.5j, -0.3, 0.2 + 0.1j])
     ramp = x * math.expm1(2.0 * eps) / eps
-    exact = expm(-1j * (2.0 * np.diag(energies) + ramp * v)) @ y0
-    errors = []
-    for n in (4, 8, 16):
-        monkeypatch.setattr(ode, "_initial_step", lambda *args: 2.0 / n)
-        traj = ode.ramp_evolve(energies, v, x, eps, y0, 0.0, 2.0, 1e300)
-        assert (traj.accepted_steps, traj.rejected_steps) == (n, 0)
-        errors.append(np.abs(traj.final_state - exact).max())
-    for coarse, fine in zip(errors, errors[1:]):
-        assert coarse / fine >= 200
+    for levels in (2, 4):
+        e, v_l, y0_l = energies[:levels], v[:levels, :levels], y0[:levels]
+        exact = expm(-1j * (2.0 * np.diag(e) + ramp * v_l)) @ y0_l
+        errors = []
+        for n in (4, 8, 16):
+            monkeypatch.setattr(ode, "_initial_step", lambda *args: 2.0 / n)
+            traj = ode_evolve(Ramp(e, v_l, x, eps), y0_l, 0.0, 2.0, 1e300)
+            assert (traj.accepted_steps, traj.rejected_steps) == (n, 0)
+            errors.append(np.abs(traj.final_state - exact).max())
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine >= 200
 
 
 @pytest.mark.parametrize(
@@ -348,8 +360,9 @@ def test_ramp_kernel_is_eighth_order(monkeypatch):
     ids=["v", "y0", "energies"],
 )
 def test_ramp_evolve_rejects_mismatched_shapes(energies, v, y0):
+    # a Ramp checks its energies and V, and ode_evolve the state it evolves
     with pytest.raises(DomainError, match="N x N"):
-        ode.ramp_evolve(energies, v, 0.1, 0.25, y0, 0.0, 1.0, 1e-8)
+        ode_evolve(Ramp(energies, v, 0.1, 0.25), y0, 0.0, 1.0, 1e-8)
 
 
 def test_tableau_rows_sum_to_their_stage_times():

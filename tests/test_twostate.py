@@ -625,9 +625,11 @@ def test_evolve_step_counts_pinned(monkeypatch, eps, accepted):
 
 
 def test_evolve_right_hand_side_calls_pinned(monkeypatch):
-    # the pair kernel's twin of the N-state generator-product pin: one call
-    # at the start, one to size the first step, eleven per trial step and
-    # one per accepted step but the last (first same as last)
+    # the counting wrapper hides the Ramp, so this pins the fallback that a
+    # traced run takes: a wrapped Ramp steps the array kernel, with the
+    # pair kernel's steps, one call at the start, one to size the first
+    # step, eleven per trial step and one per accepted step but the last
+    # (first same as last)
     monkeypatch.setattr(ode, "MAX_STEPS", 800)
     calls = []
 
