@@ -346,12 +346,13 @@ def _cmd_n_dyson(model, args) -> dict:
 
 def _cmd_n_recursion(model, args) -> dict:
     xi, phi = nstate.rs_recursion(model, args.order, 1)
-    with np.errstate(over="ignore"):
-        rows = [
-            [n, *_split_complex(value), *_split_complex(slope),
-             float(np.linalg.norm(phi[n - 1, :, 0]))]
-            for n, (value, slope) in enumerate(xi, 1)
-        ]
+    # hypot scales its arguments, so the norm is finite wherever the entries
+    # are; squaring them would overflow past about 1e154
+    rows = [
+        [n, *_split_complex(value), *_split_complex(slope),
+         math.hypot(*phi[n - 1, :, 0].real, *phi[n - 1, :, 0].imag)]
+        for n, (value, slope) in enumerate(xi, 1)
+    ]
     finite = np.isfinite([row[1:] for row in rows]).all(axis=1)
     if not finite.all():
         raise DomainError(

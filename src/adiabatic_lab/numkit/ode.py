@@ -246,17 +246,13 @@ class Ramp:
                             ("factors", factors)):
             object.__setattr__(self, name, value)
 
-    def factors_at(self, t):
-        """Each generator block's factor at time t: ``factors`` with the
-        ramped coupling x exp(eps t) on every block but the last, diag(E)."""
-        at_t = self.factors.copy()
-        at_t[:-1] *= self.x * math.exp(self.eps * t)
-        return at_t
-
     def __call__(self, t, y):
         n = self.energies.size
         products = np.dot(self.generator, y.view(float).reshape(n, 2)).view(complex)
-        return self.factors_at(t).dot(products.reshape(-1, n))
+        # the ramped coupling on every block but the last, diag(E)
+        factors = self.factors.copy()
+        factors[:-1] *= self.x * math.exp(self.eps * t)
+        return factors.dot(products.reshape(-1, n))
 
 
 def _rms(v, scale) -> float:
@@ -356,7 +352,7 @@ def _array_kernel(rhs, y, f0, tol):
     return trial
 
 
-def _ramp_kernel(ramp, t, y, tol):
+def _ramp_kernel(ramp, y, f0, tol):
     """The trial step of ``_array_kernel`` for a ``Ramp``,
     y' = -i (diag(E) + x exp(eps t) V) y, with no right-hand-side call.
 
@@ -374,8 +370,8 @@ def _ramp_kernel(ramp, t, y, tol):
     lam_j = x exp(eps t) exp(eps c_j h) at the stage's time, and by h on
     diag(E). A stage is then two dots: the stage input and its product.
 
-    Returns ``(f0, trial)``: the derivative at (t, y), made from the first
-    stage's product, and the trial step (see ``_array_kernel``).
+    Returns the trial step (see ``_array_kernel``); the derivative ``f0`` is
+    not read, as the first stage is the product of ``g`` with y.
     """
     g, factors, x, eps = ramp.generator, ramp.factors, ramp.x, ramp.eps
     n = y.size
@@ -427,7 +423,7 @@ def _ramp_kernel(ramp, t, y, tol):
         return y_new, err_norm
 
     dot(g, y_real, first)
-    return ramp.factors_at(t).dot(k[1 : 1 + m]), trial
+    return trial
 
 
 def _moduli(a, c):
@@ -652,11 +648,12 @@ def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
 
     y = np.atleast_1d(np.asarray(y0, dtype=complex)).copy()
     t = float(t0)
-    if is_ramp and y.size != 2:
-        f0, trial = _ramp_kernel(rhs, t, y, tol)
+    f0 = np.asarray(rhs(t, y), dtype=complex)
+    if is_ramp:
+        kernel = _pair_kernel if y.size == 2 else _ramp_kernel
     else:
-        f0 = np.asarray(rhs(t, y), dtype=complex)
-        trial = (_pair_kernel if is_ramp else _array_kernel)(rhs, y, f0, tol)
+        kernel = _array_kernel
+    trial = kernel(rhs, y, f0, tol)
     h = _initial_step(rhs, t0, t1, y, f0, tol) if np.all(np.isfinite(f0)) else math.nan
     if not math.isfinite(h):
         raise IntegrationError(

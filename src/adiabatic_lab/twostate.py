@@ -174,48 +174,43 @@ def exact_eigensystem(m: TwoStateModel) -> TwoStateEigensystem:
 
 def gtilde_table(order: int) -> np.ndarray:
     """First ``order`` phase-recursion coefficients in units of the half-gap
-    delta, as second-order jets in the rate r = eps / delta around the
-    slow-switching limit 0: a read-only ``(order, 3)`` array whose row n-1
-    (value, slope, half curvature) multiplies (x / delta)**(2n); in absolute
-    units entry n is delta**(1 - 2n) times as large.
+    delta, as second-order jets in s = i * eps / delta around the
+    slow-switching limit 0: a read-only float64 ``(order, 3)`` array whose
+    row n-1 (value, slope, half curvature) multiplies (x / delta)**(2n); in
+    absolute units entry n is delta**(1 - 2n) times as large.
 
-    Entry n solves: first entry = -i / (2i + r); entry n =
-    i * sum_{m<n} entry_{n-m} * entry_m / (2i + (2n-1) * r). No denominator
-    is below 2 in magnitude at a real r, so entry n is at most
-    |binom(1/2, n)| <= 1/2, its value at r = 0; slope and curvature grow as
-    a power of n.
-
-    In s = i * r the recursion is real: first entry = -1 / (2 - s), entry
-    n = sum_{m<n} entry_{n-m} * entry_m / (2 - (2n-1) * s). So each entry
-    is a real jet in s, and its coefficient k of r is i**k times its
-    coefficient k of s: columns 0 and 2 are real, column 1 imaginary. The
-    table is built in reals and its columns are multiplied by (1, i, -1)
-    once at the end.
+    In s the recursion is real: first entry = -1 / (2 - s), entry n =
+    sum_{m<n} entry_{n-m} * entry_m / (2 - (2n-1) * s). Its coefficient k
+    of the rate r = eps / delta is i**k times its coefficient k of s, so the
+    jets in the rate are the rows times (1, i, -1). Entry n is
+    at most |binom(1/2, n)| <= 1/2, its value at s = 0; slope and curvature
+    grow as a power of n.
     """
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
-    real = np.empty((order, 3))
-    real[0] = (-0.5, -0.25, -0.125)  # -1 / (2 - s) as a jet in s
+    table = np.empty((order, 3))
+    table[0] = (-0.5, -0.25, -0.125)  # -1 / (2 - s) as a jet in s
     for n in range(2, order + 1):
         # pair[j][l] = sum over m of coefficient j of entry_{n-m} times
         # coefficient l of entry_m; the jet coefficients of the sum of
         # products are its anti-diagonal sums
-        pair = (real[n - 2 :: -1].T @ real[: n - 1]).tolist()
+        pair = (table[n - 2 :: -1].T @ table[: n - 1]).tolist()
         c0 = pair[0][0]
         c1 = pair[0][1] + pair[1][0]
         c2 = pair[0][2] + pair[1][1] + pair[2][0]
         # times 1 / (2 - 2q s) = (1, q, q**2) / 2 as a jet in s
         q = n - 0.5
-        real[n - 1] = (0.5 * c0, 0.5 * (c1 + q * c0), 0.5 * (c2 + q * (c1 + q * c0)))
-    entries = real * np.array([1, 1j, -1])
-    entries.flags.writeable = False
-    return entries
+        table[n - 1] = (0.5 * c0, 0.5 * (c1 + q * c0), 0.5 * (c2 + q * (c1 + q * c0)))
+    table.flags.writeable = False
+    return table
 
 
 def gtilde_values(rate: float, order: int) -> np.ndarray:
-    """The coefficients of ``gtilde_table``, evaluated exactly at the rate
-    r = eps / delta (plain complex recursion; equivalent to order-0 jets
-    anchored there); at a real rate each is at most 1/2 in magnitude."""
+    """The phase-recursion coefficients evaluated exactly at the rate
+    r = eps / delta, by the plain complex recursion in r: entry 1 =
+    -i / (2i + r), entry n = i * sum_{m<n} entry_{n-m} * entry_m /
+    (2i + (2n-1) * r). At r = 0 they are column 0 of ``gtilde_table``; at a
+    real rate each is at most 1/2 in magnitude."""
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
     g = np.zeros(order + 1, dtype=complex)  # g[0] unused; 1-based
@@ -247,7 +242,7 @@ def delta_e_series(delta: float, x: float, order: int = DEFAULT_ORDER):
     if not x > 0:
         raise DomainError(f"x must be > 0, got {x}")
     _require_series_domain(delta, x)
-    g0 = gtilde_table(order)[:, 0].real
+    g0 = gtilde_table(order)[:, 0]
     partial = delta * np.cumsum((x / delta) ** (2 * np.arange(1, order + 1)) * g0)
     return partial, float(partial[-1])
 
@@ -357,33 +352,31 @@ def phase_split(m: TwoStateModel, order: int = DEFAULT_ORDER) -> PhaseSplitTwoSt
     The remainder f_c is built from the second-order jet coefficients and is
     expected to vanish linearly with the switching rate. The identity's
     derivatives in the coupling are taken term by term from the same table.
-    Column k of the table is i**k times a real number, so the sums are real
-    and ``max_imag_residue`` is 0.0; inside x < delta no term exceeds 1/2.
+    The table is real in s = i * eps / delta, so each sum is a correctly
+    rounded ``math.fsum`` of real terms. f_b, -i times a sum of rate slopes
+    i * s_1, is the sum of the slopes s_1 in s, and f_c's half curvatures
+    change sign, since i**2 = -1. ``max_imag_residue`` is 0.0.
     """
     _require_series_domain(m.delta, m.x)
     table = gtilde_table(order)
     n = np.arange(1, order + 1)
     delta, x = m.delta, m.x
     powers = (x / delta) ** (2 * n)
-    parts = (
-        np.sum(powers * table[:, 0] / (2 * n)),
-        np.sum(powers * table[:, 0]),
-        -1j * np.sum(powers * table[:, 1] / (2 * n)),
-    )
-    f_a, de, f_b = (float(p.real) for p in parts)
-    f_a, de = delta * f_a, delta * de
-    f_c = m.eps / delta * np.sum(powers * table[:, 2] / (2 * n))
+    f_a = delta * math.fsum(powers * table[:, 0] / (2 * n))
+    de = delta * math.fsum(powers * table[:, 0])
+    f_b = math.fsum(powers * table[:, 1] / (2 * n))
+    f_c = -m.eps / delta * math.fsum(powers * table[:, 2] / (2 * n))
 
     # d/dx of the sums over (x / delta)**(2n), term by term
-    dde = delta * float(np.sum(2 * n * powers * table[:, 0]).real) / x
-    dfb = float((-1j * np.sum(powers * table[:, 1])).real) / x
+    dde = delta * math.fsum(2 * n * powers * table[:, 0]) / x
+    dfb = math.fsum(powers * table[:, 1]) / x
     norm_n = exact_eigensystem(m).norm_n
     return PhaseSplitTwoState(
         f_a=f_a,
         delta_e_a=de,
         f_b=f_b,
-        f_c=float(f_c.real),
-        max_imag_residue=max(abs(p.imag) for p in parts),
+        f_c=f_c,
+        max_imag_residue=0.0,
         norm_n=norm_n,
         normalization_residual=abs(math.exp(f_b) - norm_n),
         shift_quadratic_residual=abs(-de * de + 2 * delta * de + x * x),

@@ -266,8 +266,7 @@ def test_exit_code_phase_recursion_not_finite(capsys, argv):
     [
         # the projector recursion overflows
         (["n-state", "split", "--order", "1200"], 626),
-        # its correction vector's norm overflows first
-        (["n-state", "recursion", "--order", "1200"], 321),
+        (["n-state", "recursion", "--order", "1200"], 626),
     ],
     ids=["n-state", "n-state-recursion"],
 )

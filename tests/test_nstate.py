@@ -673,11 +673,12 @@ def test_evolve_step_counts_and_final_state_pinned(
 
 
 def test_evolve_generator_products_pinned(monkeypatch):
-    # the ramp kernel's products of the real generator [Re V; diag(E)] with
-    # a state, which stand in for right-hand-side calls: one at the start,
-    # one to size the first step, eleven per trial step and one per
-    # accepted step but the last (first same as last). They are counted at
-    # np.dot, which the kernel looks up when it is built
+    # the products of the real generator [Re V; diag(E)] with a state, which
+    # stand in for right-hand-side calls: two at the start (the derivative
+    # that ode_evolve takes and the ramp kernel's first stage), one to size
+    # the first step, eleven per trial step and one per accepted step but
+    # the last (first same as last). They are counted at np.dot, which the
+    # kernel looks up when it is built and the ramp looks up per call
     monkeypatch.setattr(ode, "MAX_STEPS", 1000)
     model = generate_nstate_model(seed=7, levels=6)
     generators = []
@@ -690,8 +691,8 @@ def test_evolve_generator_products_pinned(monkeypatch):
 
     monkeypatch.setattr(np, "dot", counting)
     traj = evolve_nstate(model, 0.0, 1e-10)
-    assert (traj.accepted_steps, traj.rejected_steps, len(generators)) == (234, 2, 2831)
-    assert len(generators) == 1 + 12 * traj.accepted_steps + 11 * traj.rejected_steps
+    assert (traj.accepted_steps, traj.rejected_steps, len(generators)) == (234, 2, 2832)
+    assert len(generators) == 2 + 12 * traj.accepted_steps + 11 * traj.rejected_steps
     assert generators[0].shape == (2 * model.dim, model.dim)
     assert all(g is generators[0] for g in generators)
 

@@ -103,8 +103,13 @@ def test_gtilde_low_order_values():
     np.testing.assert_allclose(g, [-0.5, 0.125, -0.0625, 0.0390625], atol=1e-15)
 
 
+# coefficient k of the rate r = eps / delta is i**k times coefficient k of
+# s = i r, the variable of the real table
+RATE = np.array([1, 1j, -1])
+
+
 def test_gtilde_first_entry_and_slope():
-    table = gtilde_table(3)
+    table = gtilde_table(3) * RATE
     assert abs(table[0, 0] - (-0.5)) < 1e-14
     assert table[0, 1] == pytest.approx(-0.25j, abs=1e-15)  # d/deps of -i/(2i+eps)
     assert np.abs(table[:, 0].imag).max() == 0.0
@@ -112,12 +117,15 @@ def test_gtilde_first_entry_and_slope():
 
 @pytest.mark.parametrize("order", [1, 2, 3, 50, 200])
 def test_gtilde_table_column_k_is_i_to_the_k_times_real(order):
-    # the recursion is real in s = i r, so coefficient k of r is i**k times
-    # a real number
+    # the recursion is real in s = i r, so coefficient k of r, which the
+    # complex reference builds, is i**k times the real table's coefficient k
+    ref = gtilde_table_loop(order)
+    assert np.all(ref[:, 0].imag == 0.0)
+    assert np.all(ref[:, 1].real == 0.0)
+    assert np.all(ref[:, 2].imag == 0.0)
     table = gtilde_table(order)
-    assert np.all(table[:, 0].imag == 0.0)
-    assert np.all(table[:, 1].real == 0.0)
-    assert np.all(table[:, 2].imag == 0.0)
+    assert table.dtype == np.float64
+    assert (np.abs(table * RATE - ref) / np.abs(ref)).max() <= 1e-13
 
 
 def test_gtilde_table_entries_read_only():
@@ -137,14 +145,14 @@ def test_gtilde_table_values_match_plain_recursion():
 
 def test_gtilde_slopes_match_finite_differences():
     h = 1e-5
-    table = gtilde_table(8)
+    table = gtilde_table(8) * RATE
     fd = (gtilde_values(h, 8) - gtilde_values(-h, 8)) / (2 * h)
     np.testing.assert_allclose(table[:, 1], fd, atol=1e-8)
 
 
 def test_gtilde_curvature_matches_finite_differences():
     h = 1e-3
-    c2 = gtilde_table(6)[:, 2]
+    c2 = (gtilde_table(6) * RATE)[:, 2]
     fd = (gtilde_values(h, 6) - 2 * gtilde_values(0.0, 6) + gtilde_values(-h, 6)) / (
         h * h
     )
@@ -201,7 +209,7 @@ def gtilde_table_mp(order):
 
 def test_gtilde_table_against_arbitrary_precision_recursion():
     ref = gtilde_table_mp(200)
-    got = gtilde_table(200)
+    got = gtilde_table(200) * RATE
     assert (np.abs(got - ref) / np.abs(ref)).max() <= 5e-14
 
 
@@ -209,9 +217,9 @@ def test_gtilde_table_against_arbitrary_precision_recursion():
 @given(order=st.integers(1, 200))
 def test_gtilde_table_matches_two_product_loop_property(order):
     ref = gtilde_table_loop(order)
-    got = gtilde_table(order)
+    got = gtilde_table(order) * RATE
     assert (np.abs(got - ref) / np.abs(ref)).max() <= 1e-13
-    np.testing.assert_array_equal(gtilde_table(order), got)
+    np.testing.assert_array_equal(gtilde_table(order) * RATE, got)
 
 
 def test_gtilde_values_match_series_coefficients_of_closed_form():
@@ -463,6 +471,30 @@ def test_phase_split_reality_residue_vanishes_at_order_200(x):
     # the high-order-phase benchmark's seed-1 couplings at delta 1
     split = phase_split(TwoStateModel(mu=0.0, delta=1.0, x=x, eps=0.25), 200)
     assert split.max_imag_residue == 0.0
+
+
+def test_phase_split_sums_are_correctly_rounded():
+    # the shift, log-magnitude and divergent coefficient at order 200, where
+    # truncation is far below an ulp, against 40-digit values: the closed
+    # form, the log of the closed-form norm, and a quadrature of shift(u)/u
+    xs = np.random.default_rng(23).uniform(0.2, 0.9, 60)
+    worst = [0.0, 0.0, 0.0]
+    with mpmath.workdps(40):
+        for x in xs:
+            m = TwoStateModel(mu=0.0, delta=1.0, x=float(x), eps=0.25)
+            split = phase_split(m, 200)
+            xm = mpmath.mpf(float(x))
+            shift = 1 - mpmath.sqrt(1 + xm * xm)
+            refs = (
+                shift,
+                -mpmath.log(1 + (shift / xm) ** 2) / 2,
+                mpmath.quad(lambda u: (1 - mpmath.sqrt(1 + u * u)) / u, [0, xm]),
+            )
+            got = (split.delta_e_a, split.f_b, split.f_a)
+            for i, (g, ref) in enumerate(zip(got, refs)):
+                ulps = float(abs(g - ref)) / math.ulp(float(ref))
+                worst[i] = max(worst[i], ulps)
+    assert max(worst) <= 3.0, worst
 
 
 def test_phase_split_remainder_scales_linearly_with_rate():
