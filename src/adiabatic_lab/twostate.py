@@ -142,12 +142,21 @@ class LimitState:
 
 def delta_e_closed(delta: float, x: float) -> float:
     """Ground-level shift delta - sqrt(delta**2 + x**2), evaluated in the
-    cancellation-free form; always <= 0 and continuous with 0 at x = 0."""
+    cancellation-free form; always <= 0 and continuous with 0 at x = 0.
+
+    It is computed on delta and x divided by the power of two 2**e of delta
+    (``math.frexp``) and multiplied back by 2**e, so the square of the
+    coupling neither overflows nor underflows at any delta while x / delta
+    lies between about 1e-154 and 1e154. Scaling by a power of two is exact,
+    so wherever x * x is a normal double the result is the same bits as the
+    unscaled form's."""
     if not delta > 0:
         raise DomainError(f"delta must be > 0, got {delta}")
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
-    return -(x * x) / (delta + math.hypot(delta, x))
+    e = math.frexp(delta)[1]
+    d, u = math.ldexp(delta, -e), math.ldexp(x, -e)
+    return math.ldexp(-(u * u) / (d + math.hypot(d, u)), e)
 
 
 def exact_eigensystem(m: TwoStateModel) -> TwoStateEigensystem:
@@ -172,6 +181,12 @@ def exact_eigensystem(m: TwoStateModel) -> TwoStateEigensystem:
 # phase-function recursion coefficients
 
 
+# the process-wide store behind gtilde_table: entry 1, -1 / (2 - s) as a jet
+# in s, to start with
+_gtilde_store = np.array([[-0.5, -0.25, -0.125]])
+_gtilde_store.flags.writeable = False
+
+
 def gtilde_table(order: int) -> np.ndarray:
     """First ``order`` phase-recursion coefficients in units of the half-gap
     delta, as second-order jets in s = i * eps / delta around the
@@ -185,24 +200,39 @@ def gtilde_table(order: int) -> np.ndarray:
     jets in the rate are the rows times (1, i, -1). Entry n is
     at most |binom(1/2, n)| <= 1/2, its value at s = 0; slope and curvature
     grow as a power of n.
+
+    Entry n depends on n alone, so each entry is computed once per process.
+    The entries live in one process-wide read-only store that holds the
+    longest table asked for so far (24 bytes per order). A longer ``order``
+    copies the store into a new array, extends it by the same recursion,
+    marks it read-only and swaps it in; entry n reads only entries below n,
+    so every prefix is the same bits as a fresh build. The returned table is
+    the prefix ``store[:order]``, a view of a read-only base, which cannot be
+    made writeable. Two threads that extend the store at once build equal
+    arrays, and the last swap wins.
     """
+    global _gtilde_store
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
-    table = np.empty((order, 3))
-    table[0] = (-0.5, -0.25, -0.125)  # -1 / (2 - s) as a jet in s
-    for n in range(2, order + 1):
-        # pair[j][l] = sum over m of coefficient j of entry_{n-m} times
-        # coefficient l of entry_m; the jet coefficients of the sum of
-        # products are its anti-diagonal sums
-        pair = (table[n - 2 :: -1].T @ table[: n - 1]).tolist()
-        c0 = pair[0][0]
-        c1 = pair[0][1] + pair[1][0]
-        c2 = pair[0][2] + pair[1][1] + pair[2][0]
-        # times 1 / (2 - 2q s) = (1, q, q**2) / 2 as a jet in s
-        q = n - 0.5
-        table[n - 1] = (0.5 * c0, 0.5 * (c1 + q * c0), 0.5 * (c2 + q * (c1 + q * c0)))
-    table.flags.writeable = False
-    return table
+    store = _gtilde_store
+    done = len(store)
+    if order > done:
+        table = np.empty((order, 3))
+        table[:done] = store
+        for n in range(done + 1, order + 1):
+            # pair[j][l] = sum over m of coefficient j of entry_{n-m} times
+            # coefficient l of entry_m; the jet coefficients of the sum of
+            # products are its anti-diagonal sums
+            pair = (table[n - 2 :: -1].T @ table[: n - 1]).tolist()
+            c0 = pair[0][0]
+            c1 = pair[0][1] + pair[1][0]
+            c2 = pair[0][2] + pair[1][1] + pair[2][0]
+            # times 1 / (2 - 2q s) = (1, q, q**2) / 2 as a jet in s
+            q = n - 0.5
+            table[n - 1] = (0.5 * c0, 0.5 * (c1 + q * c0), 0.5 * (c2 + q * (c1 + q * c0)))
+        table.flags.writeable = False
+        _gtilde_store = store = table
+    return store[:order]
 
 
 def gtilde_values(rate: float, order: int) -> np.ndarray:

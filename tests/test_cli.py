@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -330,6 +331,24 @@ def test_two_state_phase_far_from_unit_delta(tmp_path, delta, x):
     shift = twostate.delta_e_closed(float(delta), float(x))
     assert abs(values["delta_e_a[phase-recursion]"] - shift) <= 1e-14 * abs(shift)
     assert abs(values["exp_f_b[phase-recursion]"] - values["norm_n[exact]"]) <= 1e-14
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["exact", "phase"])
+@pytest.mark.parametrize(
+    "delta, x",
+    [("1e300", "5e299"), ("1e-300", "5e-301"), ("1e-160", "5e-161")],
+    ids=["huge", "tiny", "square-underflows"],
+)
+def test_two_state_exact_route_far_from_unit_delta(tmp_path, command, delta, x):
+    # in absolute units x * x overflows or underflows here; the closed form
+    # works in units of delta's power of two, so the normalization is the
+    # delta = 1 value up to the rounding of the decimal inputs
+    out = tmp_path / f"{command}.json"
+    assert run("two-state", command, "--delta", delta, "--x", x, "--out", str(out)) == 0
+    norm = report_from_json(out).values["norm_n[exact]"]
+    unit = twostate.exact_eigensystem(TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=0.25))
+    assert abs(norm - unit.norm_n) <= 4 * math.ulp(unit.norm_n)
 
 
 @pytest.mark.filterwarnings("error")

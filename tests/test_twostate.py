@@ -1,8 +1,12 @@
 import cmath
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -133,6 +137,42 @@ def test_gtilde_table_entries_read_only():
     assert table.shape == (4, 3)
     with pytest.raises(ValueError):
         table[0, 0] = 1.0
+    # every table is a prefix of one process-wide store, and no caller can
+    # make it writeable and change what later calls see
+    gtilde_table(200)
+    assert np.shares_memory(gtilde_table(150), gtilde_table(200))
+    for order in (1, 150, 200):
+        with pytest.raises(ValueError):
+            gtilde_table(order).flags.writeable = True
+
+
+def test_gtilde_table_after_other_orders_is_a_fresh_build(tmp_path):
+    # entry n depends on n alone: after longer and shorter tables in this
+    # process, order 200 is the same bits as a fresh interpreter's
+    for order in (30, 1000, 7):
+        gtilde_table(order)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys; from adiabatic_lab.twostate import gtilde_table; "
+        "sys.stdout.write(gtilde_table(200).tobytes().hex())"
+    )
+    fresh = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    assert gtilde_table(200).tobytes().hex() == fresh.stdout
+
+
+@pytest.mark.parametrize("order", [0, -1])
+def test_gtilde_table_checks_order_against_a_long_store(order):
+    gtilde_table(1000)
+    with pytest.raises(DomainError, match=rf"order must be >= 1, got {order}$"):
+        gtilde_table(order)
 
 
 def test_gtilde_table_values_match_plain_recursion():
@@ -242,6 +282,18 @@ def test_delta_e_closed_values():
     assert delta_e_closed(1.0, 0.0) == 0.0
     assert delta_e_closed(3.0, 4.0) == pytest.approx(-2.0, abs=1e-15)  # 3 - 5
     assert delta_e_closed(1.0, 0.5) == pytest.approx(SHIFT, abs=1e-15)
+
+
+@pytest.mark.parametrize("d, x", [(1.0, 0.5), (3.0, 4.0), (0.7, 0.01), (2.5, 0.9)])
+def test_delta_e_closed_commutes_with_powers_of_two(d, x):
+    # the closed form runs in units of delta's power of two, so scaling
+    # delta and x by 2**k scales the shift by 2**k, bit for bit, also where
+    # x * x in absolute units would overflow (3.0, 4.0 at k = 998) or
+    # underflow
+    ref = delta_e_closed(d, x)
+    for k in range(-1000, 1001, 37):
+        scale = math.ldexp(1.0, k)
+        assert delta_e_closed(scale * d, scale * x).hex() == (scale * ref).hex(), k
 
 
 def test_delta_e_series_converges_to_closed_form():
