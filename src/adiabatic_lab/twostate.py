@@ -144,17 +144,20 @@ def delta_e_closed(delta: float, x: float) -> float:
     """Ground-level shift delta - sqrt(delta**2 + x**2), evaluated in the
     cancellation-free form; always <= 0 and continuous with 0 at x = 0.
 
-    It is computed on delta and x divided by the power of two 2**e of delta
-    (``math.frexp``) and multiplied back by 2**e, so the square of the
-    coupling neither overflows nor underflows at any delta while x / delta
-    lies between about 1e-154 and 1e154. Scaling by a power of two is exact,
-    so wherever x * x is a normal double the result is the same bits as the
-    unscaled form's."""
+    It is computed on delta and x divided by the power of two 2**e of x
+    (``math.frexp``), or of delta / 2**1022 where that is larger, and
+    multiplied back by 2**e. The scaled x * x is then about 1, and the
+    denominator and quotient sit at about delta / x and x / delta, so the
+    result is finite and right to a few ulps for every pair of finite
+    doubles, also where x * x, the denominator or the quotient would leave
+    the normal range in absolute units. Scaling by a power of two is exact,
+    so wherever those three are normal doubles the result is the same bits
+    as the unscaled form's."""
     if not delta > 0:
         raise DomainError(f"delta must be > 0, got {delta}")
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
-    e = math.frexp(delta)[1]
+    e = max(math.frexp(x)[1], math.frexp(delta)[1] - 1022)
     d, u = math.ldexp(delta, -e), math.ldexp(x, -e)
     return math.ldexp(-(u * u) / (d + math.hypot(d, u)), e)
 
@@ -207,9 +210,10 @@ def gtilde_table(order: int) -> np.ndarray:
     copies the store into a new array, extends it by the same recursion,
     marks it read-only and swaps it in; entry n reads only entries below n,
     so every prefix is the same bits as a fresh build. The returned table is
-    the prefix ``store[:order]``, a view of a read-only base, which cannot be
-    made writeable. Two threads that extend the store at once build equal
-    arrays, and the last swap wins.
+    the prefix ``store[:order]``, a read-only view that cannot be made
+    writeable; its ``.base`` is the store itself, which can be, and a write
+    through it would change every later table. Two threads that extend the
+    store at once build equal arrays, and the last swap wins.
     """
     global _gtilde_store
     if order < 1:

@@ -342,13 +342,25 @@ def test_two_state_phase_far_from_unit_delta(tmp_path, delta, x):
 )
 def test_two_state_exact_route_far_from_unit_delta(tmp_path, command, delta, x):
     # in absolute units x * x overflows or underflows here; the closed form
-    # works in units of delta's power of two, so the normalization is the
+    # works in units of a power of two, so the normalization is the
     # delta = 1 value up to the rounding of the decimal inputs
     out = tmp_path / f"{command}.json"
     assert run("two-state", command, "--delta", delta, "--x", x, "--out", str(out)) == 0
     norm = report_from_json(out).values["norm_n[exact]"]
     unit = twostate.exact_eigensystem(TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=0.25))
     assert abs(norm - unit.norm_n) <= 4 * math.ulp(unit.norm_n)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta, x", [("1e-300", "1"), ("1e-300", "1e10")])
+def test_two_state_exact_strong_coupling_at_tiny_delta(tmp_path, delta, x):
+    # x / delta is 1e300 or more: the shift is -x and the eigenvectors are
+    # the equal mixtures, to every digit
+    out = tmp_path / "exact.json"
+    assert run("two-state", "exact", "--delta", delta, "--x", x, "--out", str(out)) == 0
+    values = report_from_json(out).values
+    assert values["delta_e[exact]"] == -float(x)
+    assert abs(values["norm_n[exact]"] - math.sqrt(0.5)) <= 2 * math.ulp(math.sqrt(0.5))
 
 
 @pytest.mark.filterwarnings("error")

@@ -284,16 +284,44 @@ def test_delta_e_closed_values():
     assert delta_e_closed(1.0, 0.5) == pytest.approx(SHIFT, abs=1e-15)
 
 
-@pytest.mark.parametrize("d, x", [(1.0, 0.5), (3.0, 4.0), (0.7, 0.01), (2.5, 0.9)])
+@pytest.mark.parametrize(
+    "d, x", [(1.0, 0.5), (3.0, 4.0), (0.7, 0.01), (2.5, 0.9), (1e-3, 7.0), (0.25, 300.0)]
+)
 def test_delta_e_closed_commutes_with_powers_of_two(d, x):
-    # the closed form runs in units of delta's power of two, so scaling
-    # delta and x by 2**k scales the shift by 2**k, bit for bit, also where
-    # x * x in absolute units would overflow (3.0, 4.0 at k = 998) or
-    # underflow
+    # the closed form runs in units of a power of two, so scaling delta and
+    # x by 2**k scales the shift by 2**k, bit for bit, also where x * x in
+    # absolute units would overflow (3.0, 4.0 at k = 998) or underflow
     ref = delta_e_closed(d, x)
     for k in range(-1000, 1001, 37):
         scale = math.ldexp(1.0, k)
         assert delta_e_closed(scale * d, scale * x).hex() == (scale * ref).hex(), k
+
+
+def test_delta_e_closed_over_the_whole_double_range():
+    # delta and x log-uniform over every positive finite double, plus pairs
+    # where x * x in absolute units overflows (x >> delta), where it is
+    # normal but a power of two of delta alone would underflow it (1e100,
+    # 1e-75), and where the denominator nears the largest double
+    rng = np.random.default_rng(20)
+    pairs = [(1e-300, 1.0), (1e-300, 1e10), (1e100, 1e-75), (2.0**1022.9, 2.0),
+             (1.7e308, 1.7e308), (5e-324, 1.7e308), (1.7e308, 5e-324)]
+    pairs += [tuple(float(v) for v in 2.0 ** rng.uniform(-1074, 1024, 2)) for _ in range(2000)]
+    tiny = sys.float_info.min
+    with mpmath.workprec(200):
+        for d, x in pairs:
+            value = delta_e_closed(d, x)
+            dm, xm = mpmath.mpf(d), mpmath.mpf(x)
+            exact = float(-xm * xm / (dm + mpmath.sqrt(dm * dm + xm * xm)))
+            if abs(exact) >= tiny:
+                assert abs(value - exact) <= 4 * math.ulp(exact), (d, x)
+            else:
+                assert abs(value - exact) <= 5e-324, (d, x)
+            # where the unscaled form stays among normal doubles it is the
+            # same bits
+            square, denominator = x * x, d + math.hypot(d, x)
+            normal = tiny <= square < math.inf and denominator < math.inf
+            if normal and tiny <= square / denominator:
+                assert value == -square / denominator, (d, x)
 
 
 def test_delta_e_series_converges_to_closed_form():
