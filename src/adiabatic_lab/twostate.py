@@ -37,7 +37,6 @@ __all__ = [
     "gtilde_table",
     "gtilde_values",
     "delta_e_closed",
-    "delta_e_series",
     "bessel_series_a",
     "phase_series",
     "ramped_coupling",
@@ -116,7 +115,8 @@ class PhaseSplitTwoState:
 
     The normalization identity is checked on the same coefficients: exp(f_b)
     against the closed-form ``norm_n``, the quadratic the shift satisfies,
-    and the balance tying the coupling derivatives of f_b and the shift."""
+    and the balance tying the coupling derivatives of f_b and the shift;
+    the last two in units of delta."""
 
     f_a: float
     delta_e_a: float
@@ -140,6 +140,15 @@ class LimitState:
 # exact eigensystem
 
 
+def _scaled_shift(delta: float, x: float):
+    """``(q, u, e)``: the ground-level shift q and the coupling u in units of
+    the power of two 2**e of x, or of delta / 2**1022 where that is larger
+    (``math.frexp``)."""
+    e = max(math.frexp(x)[1], math.frexp(delta)[1] - 1022)
+    d, u = math.ldexp(delta, -e), math.ldexp(x, -e)
+    return -(u * u) / (d + math.hypot(d, u)), u, e
+
+
 def delta_e_closed(delta: float, x: float) -> float:
     """Ground-level shift delta - sqrt(delta**2 + x**2), evaluated in the
     cancellation-free form; always <= 0 and continuous with 0 at x = 0.
@@ -157,25 +166,31 @@ def delta_e_closed(delta: float, x: float) -> float:
         raise DomainError(f"delta must be > 0, got {delta}")
     if x < 0:
         raise DomainError(f"x must be >= 0, got {x}")
-    e = max(math.frexp(x)[1], math.frexp(delta)[1] - 1022)
-    d, u = math.ldexp(delta, -e), math.ldexp(x, -e)
-    return math.ldexp(-(u * u) / (d + math.hypot(d, u)), e)
+    q, _, e = _scaled_shift(delta, x)
+    return math.ldexp(q, e)
 
 
 def exact_eigensystem(m: TwoStateModel) -> TwoStateEigensystem:
-    """Closed-form spectrum and orthonormal eigenvectors of the full matrix."""
-    de = delta_e_closed(m.delta, m.x)
-    hyp = math.hypot(m.delta, m.x)
-    ratio = de / m.x
+    """Closed-form spectrum and orthonormal eigenvectors of the full matrix.
+
+    The eigenvector ratio delta_e / x is formed on the pair that
+    ``delta_e_closed`` scales by a power of two, so it keeps its digits
+    where delta_e is subnormal or underflows; wherever delta_e is a normal
+    double it is the same bits as the quotient in absolute units."""
+    q, u, e = _scaled_shift(m.delta, m.x)
+    # u underflows to 0 only where x / delta is far below the smallest
+    # double, and so is the ratio: q, -0, stands for it there
+    ratio = q / u if u else q
     norm_n = 1.0 / math.sqrt(1.0 + ratio * ratio)
     psi0 = norm_n * np.array([1.0, ratio], dtype=complex)
     psi1 = norm_n * np.array([-ratio, 1.0], dtype=complex)
+    hyp = math.hypot(m.delta, m.x)
     return TwoStateEigensystem(
         psi0=psi0,
         e0=m.mu - hyp,
         psi1=psi1,
         e1=m.mu + hyp,
-        delta_e=de,
+        delta_e=math.ldexp(q, e),
         norm_n=norm_n,
     )
 
@@ -256,53 +271,23 @@ def gtilde_values(rate: float, order: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# level-shift series
-
-
-def _require_series_domain(delta: float, x: float) -> None:
-    if not x < delta:
-        raise DomainError(
-            f"series requires x < delta (convergence radius delta = {delta}, "
-            f"branch point at x = i*delta); got x = {x}"
-        )
-
-
-def delta_e_series(delta: float, x: float, order: int = DEFAULT_ORDER):
-    """Partial sums of the level-shift power series in the coupling.
-
-    Returns ``(partial_sums, value)`` where ``partial_sums[n-1]`` holds the
-    series through the 2n-th power of x and ``value`` is the last one.
-    """
-    if not x > 0:
-        raise DomainError(f"x must be > 0, got {x}")
-    _require_series_domain(delta, x)
-    g0 = gtilde_table(order)[:, 0]
-    partial = delta * np.cumsum((x / delta) ** (2 * np.arange(1, order + 1)) * g0)
-    return partial, float(partial[-1])
-
-
-# ---------------------------------------------------------------------------
 # divergent series for the surviving amplitude
 
 
-def bessel_series_a(
-    m: TwoStateModel, t: float, terms: int | None = None
-) -> BesselSeriesResult:
+def bessel_series_a(m: TwoStateModel, t: float) -> BesselSeriesResult:
     """Series for the surviving amplitude a(t), summed by term-ratio recursion.
 
     The k-th term carries the k-th inverse power of the switching rate, so
     for slow switching the magnitudes grow before they decay; they are
     returned for divergence diagnostics. The sum stops at the first term of
-    at most 1e-12 * max(1, |a|), at a term above 1e250 or not finite, or
-    after ``terms`` terms if given; past the peak the term ratio
-    |z| / (k |k - nu|) falls toward 0, so it always stops. ``converged``
-    says that the last term and the cancellation bound 2**-53 * (largest
-    term) are each within that target. A ``DomainError`` if the series
-    argument -(x * exp(eps * t) / eps)**2 / 4 overflows, as no term can
-    then be formed.
+    at most 1e-12 * max(1, |a|), or at a term above 1e250 or not finite;
+    past the peak the term ratio |z| / (k |k - nu|) falls toward 0, so it
+    always stops. ``converged`` says that the sum stopped at that target
+    and that the cancellation bound 2**-53 * (largest term) is within it
+    too. A ``DomainError`` if the series argument
+    -(x * exp(eps * t) / eps)**2 / 4 overflows, as no term can then be
+    formed.
     """
-    if terms is not None and terms < 1:
-        raise DomainError(f"need at least one term, got {terms}")
     s = ramped_coupling(m.x, m.eps, t) / m.eps
     z = -0.25 * s * s
     if not math.isfinite(z):
@@ -314,24 +299,22 @@ def bessel_series_a(
     value = 1.0 + 0.0j
     term = 1.0 + 0.0j
     mags = []
-    converged = True
-    for k in itertools.count(1) if terms is None else range(1, terms + 1):
+    converged = False
+    for k in itertools.count(1):
         term = term * z / (k * (k - nu))
         mag = abs(term)
         if not math.isfinite(mag):
-            converged = False
             break
         mags.append(mag)
         if mag > 1e250:
-            converged = False
             break
         value += term
-        if mag <= 1e-12 * max(1.0, abs(value)):
+        target = 1e-12 * max(1.0, abs(value))
+        if mag <= target:
+            # the last term is small; so must be the rounding error left by
+            # cancellation among the largest terms
+            converged = max(mags) * 2.0**-53 <= target
             break
-    # the last term must be small, and so must the rounding error left by
-    # cancellation among the largest terms
-    target = 1e-12 * max(1.0, abs(value))
-    converged = converged and mags[-1] <= target and max(mags) * 2.0**-53 <= target
     return BesselSeriesResult(
         value=complex(value),
         term_magnitudes=np.array(mags),
@@ -385,36 +368,44 @@ def phase_split(m: TwoStateModel, order: int = DEFAULT_ORDER) -> PhaseSplitTwoSt
 
     The remainder f_c is built from the second-order jet coefficients and is
     expected to vanish linearly with the switching rate. The identity's
-    derivatives in the coupling are taken term by term from the same table.
-    The table is real in s = i * eps / delta, so each sum is a correctly
-    rounded ``math.fsum`` of real terms. f_b, -i times a sum of rate slopes
-    i * s_1, is the sum of the slopes s_1 in s, and f_c's half curvatures
-    change sign, since i**2 = -1. ``max_imag_residue`` is 0.0.
+    residuals are in units of delta: they are formed on u = x / delta and
+    the shift over delta, with the derivatives in u taken term by term from
+    the same table, so they do not change when delta, x and eps are scaled
+    together by a power of two. The table is real in s = i * eps / delta,
+    so each sum is a correctly rounded ``math.fsum`` of real terms. f_b,
+    -i times a sum of rate slopes i * s_1, is the sum of the slopes s_1 in
+    s, and f_c's half curvatures change sign, since i**2 = -1.
+    ``max_imag_residue`` is 0.0.
     """
-    _require_series_domain(m.delta, m.x)
+    delta, x = m.delta, m.x
+    if not x < delta:
+        raise DomainError(
+            f"series requires x < delta (convergence radius delta = {delta}, "
+            f"branch point at x = i*delta); got x = {x}"
+        )
     table = gtilde_table(order)
     n = np.arange(1, order + 1)
-    delta, x = m.delta, m.x
-    powers = (x / delta) ** (2 * n)
+    u = x / delta
+    powers = u ** (2 * n)
     f_a = delta * math.fsum(powers * table[:, 0] / (2 * n))
-    de = delta * math.fsum(powers * table[:, 0])
+    d = math.fsum(powers * table[:, 0])  # the shift in units of delta
     f_b = math.fsum(powers * table[:, 1] / (2 * n))
     f_c = -m.eps / delta * math.fsum(powers * table[:, 2] / (2 * n))
 
-    # d/dx of the sums over (x / delta)**(2n), term by term
-    dde = delta * math.fsum(2 * n * powers * table[:, 0]) / x
-    dfb = math.fsum(powers * table[:, 1]) / x
+    # d/du of the sums over u**(2n), term by term
+    dd = math.fsum(2 * n * powers * table[:, 0]) / u
+    dfb = math.fsum(powers * table[:, 1]) / u
     norm_n = exact_eigensystem(m).norm_n
     return PhaseSplitTwoState(
         f_a=f_a,
-        delta_e_a=de,
+        delta_e_a=delta * d,
         f_b=f_b,
         f_c=f_c,
         max_imag_residue=0.0,
         norm_n=norm_n,
         normalization_residual=abs(math.exp(f_b) - norm_n),
-        shift_quadratic_residual=abs(-de * de + 2 * delta * de + x * x),
-        rate_balance_residual=abs(2 * x * dfb * (delta - de) + (de - x * dde)),
+        shift_quadratic_residual=abs(-d * d + 2 * d + u * u),
+        rate_balance_residual=abs(2 * u * dfb * (1 - d) + (d - u * dd)),
     )
 
 

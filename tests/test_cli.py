@@ -337,13 +337,14 @@ def test_two_state_phase_far_from_unit_delta(tmp_path, delta, x):
 @pytest.mark.parametrize("command", ["exact", "phase"])
 @pytest.mark.parametrize(
     "delta, x",
-    [("1e300", "5e299"), ("1e-300", "5e-301"), ("1e-160", "5e-161")],
-    ids=["huge", "tiny", "square-underflows"],
+    [("1e300", "5e299"), ("1e-300", "5e-301"), ("1e-160", "5e-161"), ("1e-320", "5e-321")],
+    ids=["huge", "tiny", "square-underflows", "subnormal"],
 )
 def test_two_state_exact_route_far_from_unit_delta(tmp_path, command, delta, x):
-    # in absolute units x * x overflows or underflows here; the closed form
-    # works in units of a power of two, so the normalization is the
-    # delta = 1 value up to the rounding of the decimal inputs
+    # in absolute units x * x overflows or underflows here, and at 1e-320
+    # the shift is subnormal; the closed form and the eigenvector ratio work
+    # in units of a power of two, so the normalization is the delta = 1
+    # value up to the rounding of the decimal inputs
     out = tmp_path / f"{command}.json"
     assert run("two-state", command, "--delta", delta, "--x", x, "--out", str(out)) == 0
     norm = report_from_json(out).values["norm_n[exact]"]

@@ -22,7 +22,6 @@ from adiabatic_lab.twostate import (
     TwoStateModel,
     bessel_series_a,
     delta_e_closed,
-    delta_e_series,
     evolve_two_state,
     exact_eigensystem,
     gtilde_table,
@@ -96,6 +95,36 @@ def test_exact_eigensystem_against_eigensolver(mu, delta, x):
     np.testing.assert_allclose(w, [es.e0, es.e1], atol=1e-10 * scale)
     for vec, col in ((es.psi0, v[:, 0]), (es.psi1, v[:, 1])):
         assert abs(abs(np.vdot(vec, col)) - 1.0) < 1e-10
+
+
+def test_exact_eigensystem_over_the_whole_double_range():
+    # the ratio delta_e / x is formed in units of a power of two, so norm_n
+    # and the eigenvectors keep their digits where delta and x are subnormal
+    # or delta_e underflows (x / delta near 1e-300)
+    rng = np.random.default_rng(25)
+    pairs = [(5e-324, 5e-324), (1e-320, 5e-321), (1e-320, 3e-322), (1.0, 1e-300),
+             (1e-10, 1e-310), (1e300, 1e10), (1.7e308, 5e-324)]
+    for _ in range(500):
+        d = float(2.0 ** rng.uniform(-1074, 1024))
+        pairs.append((d, float(min(d * 2.0 ** rng.uniform(-1000, 10), 1.7e308))))
+    pairs += [tuple(float(v) for v in 2.0 ** rng.uniform(-1074, 1024, 2)) for _ in range(500)]
+    tiny = sys.float_info.min
+    with mpmath.workprec(200):
+        for d, x in pairs:
+            if x == 0.0:
+                continue
+            es = exact_eigensystem(TwoStateModel(mu=0.0, delta=d, x=x, eps=1.0))
+            dm, xm = mpmath.mpf(d), mpmath.mpf(x)
+            ratio = -xm / (dm + mpmath.sqrt(dm * dm + xm * xm))
+            norm = 1 / mpmath.sqrt(1 + ratio * ratio)
+            assert abs(es.norm_n - float(norm)) <= 2 * math.ulp(float(norm)), (d, x)
+            exact = [float(norm), float(norm * ratio), float(-norm * ratio), float(norm)]
+            got = [es.psi0[0], es.psi0[1], es.psi1[0], es.psi1[1]]
+            for g, ref in zip(got, exact):
+                assert g.imag == 0.0
+                # a subnormal ratio is right to the smallest normal double
+                bound = 4 * math.ulp(ref) if abs(ref) >= tiny else tiny
+                assert abs(g.real - ref) <= bound, (d, x)
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +353,10 @@ def test_delta_e_closed_over_the_whole_double_range():
                 assert value == -square / denominator, (d, x)
 
 
-def test_delta_e_series_converges_to_closed_form():
-    partial, value = delta_e_series(1.0, 0.5, 30)
-    assert value == pytest.approx(SHIFT, abs=1e-10)
+def test_phase_split_partial_sums_converge_to_closed_form():
+    # the shift at order n is the series through the 2n-th power of x
+    partial = np.array([phase_split(STD, n).delta_e_a for n in range(1, 31)])
+    assert partial[-1] == pytest.approx(SHIFT, abs=1e-10)
     errors = np.abs(partial - delta_e_closed(1.0, 0.5))
     above_noise = errors > 1e-13
     assert np.all(np.diff(errors[above_noise]) < 0)  # monotone approach
@@ -334,26 +364,11 @@ def test_delta_e_series_converges_to_closed_form():
     assert partial[0] == pytest.approx(-0.5**2 / 2, abs=1e-15)  # leading term
 
 
-def test_delta_e_series_satisfies_quadratic():
+def test_phase_split_shift_satisfies_quadratic():
     for delta, x in ((1.0, 0.5), (1.0, 0.8), (2.0, 1.2)):
-        _, value = delta_e_series(delta, x, 60)
+        m = TwoStateModel(mu=0.0, delta=delta, x=x, eps=0.25)
+        value = phase_split(m, 60).delta_e_a
         assert abs(value * value - 2 * delta * value - x * x) <= 1e-9
-
-
-def test_delta_e_series_domain_error():
-    with pytest.raises(DomainError, match="radius"):
-        delta_e_series(1.0, 1.0, 10)
-    with pytest.raises(DomainError, match="radius"):
-        delta_e_series(3.0, 4.0, 10)
-
-
-@pytest.mark.filterwarnings("error")
-def test_delta_e_series_at_small_delta_matches_closed_form():
-    # in absolute units coefficient n would be delta**(1 - 2n), past the
-    # range of doubles from order 79 at delta = 0.01
-    _, value = delta_e_series(0.01, 0.005, 200)
-    ref = delta_e_closed(0.01, 0.005)
-    assert abs(value - ref) <= 1e-14 * abs(ref)
 
 
 @pytest.mark.filterwarnings("error")
@@ -367,11 +382,9 @@ def test_phase_split_scales_with_delta(delta, ratio):
     split = phase_split(m, 200)
     ref = delta_e_closed(delta, x)
     assert abs(split.delta_e_a - ref) <= 1e-14 * abs(ref)
-    _, value = delta_e_series(delta, x, 200)
-    assert abs(value - ref) <= 1e-14 * abs(ref)
     assert abs(math.exp(split.f_b) - exact_eigensystem(m).norm_n) <= 1e-14
     # the balance of the coupling derivatives is in units of delta
-    assert split.rate_balance_residual <= 1e-14 * delta
+    assert split.rate_balance_residual <= 1e-14
     # quad_f_a's absolute tolerance, in units of delta
     f_a, _ = quad(
         lambda s: delta_e_closed(delta, s) / s, 0.0, x, epsabs=1e-14 * delta, epsrel=1e-14
@@ -388,33 +401,47 @@ def test_phase_split_scales_with_delta(delta, ratio):
 
 
 def test_bessel_first_term_closed_form():
-    res = bessel_series_a(STD, -0.7, 1)
+    res = bessel_series_a(STD, -0.7)
     x, eps, delta, t = STD.x, STD.eps, STD.delta, -0.7
     expected = -((x * math.exp(eps * t)) ** 2 / eps) / (2 * (eps + 2j * delta))
-    first_term = res.value - 1.0
-    assert first_term == pytest.approx(expected, abs=1e-15)
+    assert res.term_magnitudes[0] == pytest.approx(abs(expected), abs=1e-15)
 
 
 def test_bessel_series_trivial_at_vanishing_coupling():
     m = TwoStateModel(mu=0.0, delta=1.0, x=1e-30, eps=0.25)
-    res = bessel_series_a(m, 0.0, 20)
+    res = bessel_series_a(m, 0.0)
     assert res.value == pytest.approx(1.0, abs=1e-45)
     assert np.all(res.term_magnitudes < 1e-50)
 
 
 def test_bessel_series_agrees_with_ode():
     traj = evolve_two_state(STD, 0.0, 1e-10, start_threshold=1e-9)
-    res = bessel_series_a(STD, 0.0, 40)
+    res = bessel_series_a(STD, 0.0)
     assert res.converged
     assert abs(res.value - traj.final_state[0]) < 1e-6
 
 
 def test_bessel_series_overflow_flagged_not_raised():
     m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=1e-4)
-    res = bessel_series_a(m, 0.0, 500)
+    res = bessel_series_a(m, 0.0)
     assert not res.converged
-    assert res.term_magnitudes.max() > 1e200  # blew up before convergence
-    assert res.term_magnitudes.size < 500  # stopped early
+    # stopped at the first term above 1e250, long before the terms decay
+    assert res.term_magnitudes[-1] > 1e250
+    assert np.all(res.term_magnitudes[:-1] <= 1e250)
+
+
+@pytest.mark.filterwarnings("error")
+def test_bessel_series_stops_at_a_term_that_is_not_finite():
+    # the first term, about 2.2e199, is a float; the product that forms the
+    # second overflows, so the sum stops with that one term, not converged
+    m = TwoStateModel(mu=0.0, delta=1.0, x=1e100, eps=1.0)
+    res = bessel_series_a(m, 0.0)
+    assert not res.converged
+    z = -0.25 * (m.x / m.eps) ** 2
+    first = z / (1 - (0.5 - 1j * m.delta / m.eps))
+    assert res.term_magnitudes.size == 1
+    assert res.term_magnitudes[0] == pytest.approx(abs(first), rel=1e-15)
+    assert res.value == pytest.approx(1.0 + first, rel=1e-15)
 
 
 def test_bessel_series_cancellation_flagged():
@@ -422,7 +449,7 @@ def test_bessel_series_cancellation_flagged():
     # leaves about 3e-4 of rounding in a value of order one, so the sum
     # has no trustworthy digits although its last term is tiny
     m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=0.002)
-    res = bessel_series_a(m, 0.0, 2000)
+    res = bessel_series_a(m, 0.0)
     assert res.term_magnitudes[-1] <= 1e-12
     assert res.max_term > 1e12
     assert not res.converged
@@ -463,7 +490,7 @@ def test_bessel_divergence_locality():
     prev = None
     for eps in (0.5, 0.25, 0.125, 0.0625):
         m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=eps)
-        worst = bessel_series_a(m, 0.0, 60).term_magnitudes.max()
+        worst = bessel_series_a(m, 0.0).term_magnitudes.max()
         if prev is not None:
             assert worst > prev
         prev = worst
@@ -482,7 +509,7 @@ def test_phase_f_trivial_at_vanishing_coupling():
 
 def test_phase_f_matches_bessel_series():
     a_rec = cmath.exp(-1j * phase_series(STD, 0.0, 30).value / STD.eps)
-    res = bessel_series_a(STD, 0.0, 60)
+    res = bessel_series_a(STD, 0.0)
     assert abs(a_rec - res.value) < 1e-6
 
 
@@ -509,7 +536,7 @@ def test_three_way_agreement_grid():
             m = TwoStateModel(mu=0.0, delta=1.0, x=x, eps=eps)
             for t in (-2.0, -1.0, 0.0):
                 a_ode = evolve_two_state(m, t, 1e-10).final_state[0]
-                a_ser = bessel_series_a(m, t, 60).value
+                a_ser = bessel_series_a(m, t).value
                 a_rec = cmath.exp(-1j * phase_series(m, t, 60).value / eps)
                 assert abs(a_ode - a_ser) < 1e-6
                 assert abs(a_ode - a_rec) < 1e-6
@@ -590,15 +617,12 @@ def test_phase_split_remainder_scales_linearly_with_rate():
     [
         (lambda: delta_e_closed(0.0, 0.5), "delta must be > 0, got 0.0"),
         (lambda: delta_e_closed(1.0, -1.0), "x must be >= 0, got -1.0"),
-        (lambda: delta_e_series(1.0, 0.0), "x must be > 0, got 0.0"),
-        (lambda: bessel_series_a(STD, 0.0, terms=0), "need at least one term, got 0"),
         # (x / eps)**2 overflows before any term can be formed
         (lambda: bessel_series_a(TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=1e-160),
                                  0.0),
          "(x * exp(eps * t) / eps)**2 overflows at t = 0; raise eps or move t earlier"),
     ],
-    ids=["closed-delta-zero", "closed-x-negative", "series-x-zero", "bessel-no-terms",
-         "bessel-argument-overflow"],
+    ids=["closed-delta-zero", "closed-x-negative", "bessel-argument-overflow"],
 )
 def test_refusals(call, message):
     with pytest.raises(DomainError, match=re.escape(message)):
@@ -627,6 +651,32 @@ def test_rate_balance_from_exact_derivatives():
     for x in (0.1, 0.3, 0.5, 0.7):
         res = phase_split(TwoStateModel(mu=0.0, delta=1.0, x=x, eps=0.25), 200)
         assert res.rate_balance_residual <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "x", [0.5, 0.3009117289037436, 0.5582751372901797, 0.8653245874281548]
+)
+def test_split_residuals_commute_with_powers_of_two(x):
+    # the residuals are in units of delta: scaling delta, x and eps by 2**k
+    # leaves them the same bits
+    ref = phase_split(TwoStateModel(mu=0.0, delta=1.0, x=x, eps=0.25), 60)
+    for k in range(-1000, 1001, 37):
+        scale = math.ldexp(1.0, k)
+        m = TwoStateModel(mu=0.0, delta=scale, x=scale * x, eps=scale * 0.25)
+        split = phase_split(m, 60)
+        for name in ("normalization_residual", "shift_quadratic_residual",
+                     "rate_balance_residual"):
+            assert getattr(split, name) == getattr(ref, name), (k, name)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta", [1e300, 1e-300])
+def test_split_residuals_far_from_unit_delta(delta):
+    # in absolute units the quadratic overflows at 1e300 and the balance
+    # underflows at 1e-300
+    split = phase_split(TwoStateModel(mu=0.0, delta=delta, x=0.5 * delta, eps=0.25), 60)
+    assert 0.0 <= split.shift_quadratic_residual <= 1e-16
+    assert 0.0 <= split.rate_balance_residual <= 1e-16
 
 
 def test_fb_identity_weak_coupling():
@@ -844,7 +894,7 @@ def test_evolve_state_matches_arbitrary_precision_oracle(eps, t):
 def test_bessel_series_converged_flag_against_arbitrary_precision_oracle(eps):
     m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=eps)
     ref = a0_oracle(m)
-    result = bessel_series_a(m, 0.0, 4000)
+    result = bessel_series_a(m, 0.0)
     error = abs(result.value - ref) / abs(ref)
     # at the slowest rate the terms peak near 4e7, and their cancellation
     # leaves an error near 1e-8
