@@ -392,9 +392,11 @@ def phase_split(m: TwoStateModel, order: int = DEFAULT_ORDER) -> PhaseSplitTwoSt
     f_b = math.fsum(powers * table[:, 1] / (2 * n))
     f_c = -m.eps / delta * math.fsum(powers * table[:, 2] / (2 * n))
 
-    # d/du of the sums over u**(2n), term by term
-    dd = math.fsum(2 * n * powers * table[:, 0]) / u
-    dfb = math.fsum(powers * table[:, 1]) / u
+    # d/du of the sums over u**(2n), term by term; u underflows to 0 only
+    # where x / delta is far below the smallest double, and every power
+    # and both derivatives are 0 there
+    dd = math.fsum(2 * n * powers * table[:, 0]) / u if u else 0.0
+    dfb = math.fsum(powers * table[:, 1]) / u if u else 0.0
     norm_n = exact_eigensystem(m).norm_n
     return PhaseSplitTwoState(
         f_a=f_a,

@@ -334,6 +334,20 @@ def test_two_state_phase_far_from_unit_delta(tmp_path, delta, x):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta, x", [("2", "5e-324"), ("1e300", "1e-30")])
+def test_two_state_phase_where_the_coupling_ratio_underflows(tmp_path, delta, x):
+    # x / delta rounds to 0: the split is the x = 0 one, with zero residuals
+    out = tmp_path / "phase.json"
+    assert run("two-state", "phase", "--delta", delta, "--x", x, "--out", str(out)) == 0
+    report = report_from_json(out)
+    assert report.values["delta_e_a[phase-recursion]"] == 0.0
+    assert report.values["norm_n[exact]"] == 1.0
+    assert report.residuals == {
+        "normalization-identity": 0.0, "rate-balance": 0.0, "shift-quadratic": 0.0
+    }
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["exact", "phase"])
 @pytest.mark.parametrize(
     "delta, x",

@@ -670,11 +670,16 @@ def test_split_residuals_commute_with_powers_of_two(x):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("delta", [1e300, 1e-300])
-def test_split_residuals_far_from_unit_delta(delta):
+@pytest.mark.parametrize(
+    "delta, x",
+    [(1e300, 5e299), (1e-300, 5e-301), (2.0, 5e-324), (1e300, 1e-30)],
+    ids=["huge", "tiny", "ratio-underflows", "ratio-underflows-at-huge-delta"],
+)
+def test_split_residuals_far_from_unit_delta(delta, x):
     # in absolute units the quadratic overflows at 1e300 and the balance
-    # underflows at 1e-300
-    split = phase_split(TwoStateModel(mu=0.0, delta=delta, x=0.5 * delta, eps=0.25), 60)
+    # underflows at 1e-300; where x / delta underflows to 0 the split is
+    # the x = 0 one
+    split = phase_split(TwoStateModel(mu=0.0, delta=delta, x=x, eps=0.25), 60)
     assert 0.0 <= split.shift_quadratic_residual <= 1e-16
     assert 0.0 <= split.rate_balance_residual <= 1e-16
 
