@@ -487,7 +487,12 @@ _FLAGS = {
     "--t": {"type": float, "default": 0.0},
     "--t-end": {"type": float, "default": 0.0},
     "--tol": {"type": float, "default": 1e-10},
-    "--start-threshold": {"type": float, "default": twostate.DEFAULT_START_THRESHOLD},
+    "--start-threshold": {
+        "type": float,
+        "help": "ramped coupling at the start as a share of the gap, in (0, 1e-4]; "
+        f"default {twostate.DEFAULT_START_THRESHOLD:g} (two-state), "
+        f"{nstate.DEFAULT_START_THRESHOLD:g} (n-state)",
+    },
     "--order": {"type": int, "default": twostate.DEFAULT_ORDER},
     "--eps-grid": {"default": "0.5:0.5:4", "help": "start:factor:count"},
     "--seed": {"type": int, "required": True},
@@ -499,14 +504,20 @@ _OUTPUT = ("--out", "--format")
 _TWO = (("--model", {"help": "two-state model JSON file"}), "--mu", "--delta", "--x",
         "--eps", *_OUTPUT)
 _N = ("--model", *_OUTPUT)
-_EVOLVE = ("--t-end", "--tol", "--start-threshold")
+
+
+def _evolve(start_threshold: float) -> tuple:
+    """The evolve flags, with the route's own ``--start-threshold`` default."""
+    return ("--t-end", "--tol", ("--start-threshold", {"default": start_threshold}))
+
 
 # group -> (help, model loader, [(subcommand, help, handler, flags)]); a fifth
 # item in a subcommand's entry replaces the group's model loader
 _COMMANDS = {
     "two-state": ("exactly solvable two-level model", _two_state_model, [
         ("exact", "closed-form eigensystem", _cmd_two_exact, _TWO),
-        ("evolve", "integrate the amplitude pair", _cmd_two_evolve, _TWO + _EVOLVE),
+        ("evolve", "integrate the amplitude pair", _cmd_two_evolve,
+         _TWO + _evolve(twostate.DEFAULT_START_THRESHOLD)),
         ("series", "divergent amplitude series", _cmd_two_series, _TWO + ("--t",)),
         ("phase", "phase split and normalization identity", _cmd_two_phase,
          _TWO + ("--order",)),
@@ -523,7 +534,8 @@ _COMMANDS = {
          _N + ("--order",)),
         ("assemble", "slow-switching limit state", _cmd_n_assemble,
          _N + ("--order",)),
-        ("evolve", "full switched-coupling evolution", _cmd_n_evolve, _N + _EVOLVE),
+        ("evolve", "full switched-coupling evolution", _cmd_n_evolve,
+         _N + _evolve(nstate.DEFAULT_START_THRESHOLD)),
         ("oracle", "exact-diagonalization level shift", _cmd_n_oracle, _N),
         ("compare", "series vs oracle vs ODE ratios", _cmd_n_compare,
          _N + (("--order", {"default": 12}), "--tol")),

@@ -20,8 +20,8 @@ from .numkit import (
     HermitianMatrix, Ramp, Trajectory, hermitian_eig, jet_mul, jet_recip, ode_evolve,
 )
 from .twostate import (
-    DEFAULT_START_THRESHOLD, TwoStateModel, ramped_coupling,
-    ramped_coupling_squared, require_step_budget, switch_on_time,
+    TwoStateModel, ramped_coupling, ramped_coupling_squared, require_step_budget,
+    switch_on_time,
 )
 
 __all__ = [
@@ -44,6 +44,9 @@ IMAG_GATE = 1e-9
 # an eigenvector must hold at least this probability weight on the initial
 # basis state to count as its continuation
 OVERLAP_FLOOR = 0.5
+# the ODE starts in the tracked basis state, which misses the switch-on
+# state by O(start_threshold): so deep in the tail
+DEFAULT_START_THRESHOLD = 1e-8
 
 
 @dataclass(frozen=True, eq=False)

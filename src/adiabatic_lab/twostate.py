@@ -47,7 +47,10 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 30
-DEFAULT_START_THRESHOLD = 1e-8
+# the ODE starts from its switch-on tail series, exact to rounding anywhere
+# in the start_threshold domain (0, 1e-4]: so at the top of that domain,
+# where the fewest steps remain
+DEFAULT_START_THRESHOLD = 1e-4
 
 
 @dataclass(frozen=True)
@@ -463,6 +466,38 @@ def switch_on_time(
     return t0
 
 
+def switch_on_state(m: TwoStateModel, lam: float, tol: float) -> np.ndarray:
+    """The pair (a, b), b = exp(-2i delta t) c, at the time where the
+    ramped coupling is ``lam``: the tail solution of the tracked-frame
+    equations a' = -i lam b, b' = -i (lam a + 2 delta b), summed as a power
+    series in lam. Term k is lam**k times A_k (added to a, k even) or C_k
+    (added to b, k odd), with A_0 = 1, C_k = -i A_{k-1} / (k eps +
+    2i delta) and A_k = -i C_{k-1} / (k eps). The sum stops at the first
+    odd and even pair of terms that changes neither double, so the state is
+    exact to rounding. Its first term is the first-order switch-on state
+    (1, -i lam / (eps + 2i delta)).
+
+    The terms past the first, 1, grow only where lam**2 / (4 delta eps),
+    the phase a has turned by, exceeds about 1; a ``DomainError`` if one
+    exceeds 2**53 * tol, as their cancellation would then leave more than
+    tol in the state.
+    """
+    limit = max(1.0, tol * 2.0**53)
+    a, c, term = 1.0 + 0.0j, 0.0j, 1.0 + 0.0j
+    for k in itertools.count(1, 2):
+        odd = -1j * lam * term / complex(k * m.eps, 2.0 * m.delta)
+        term = -1j * lam * odd / ((k + 1) * m.eps)
+        if max(abs(odd), abs(term)) > limit:
+            raise DomainError(
+                f"the switch-on tail series at coupling {lam:.3g} has a term above "
+                f"{limit:.3g}: its cancellation leaves more than tol = {tol:.3g}; "
+                "lower start_threshold"
+            )
+        if c + odd == c and a + term == a:
+            return np.array([a, c])
+        a, c = a + term, c + odd
+
+
 def require_step_budget(steps: float, formula: str, t0: float, t_end: float) -> None:
     """Raise an ``IntegrationError`` at ``t0`` if ``steps``, an up-front
     estimate of a run's step count given by ``formula``, exceeds
@@ -482,25 +517,31 @@ def evolve_two_state(
     tol: float,
     start_threshold: float = DEFAULT_START_THRESHOLD,
 ) -> Trajectory:
-    """Integrate the interaction-picture amplitude pair (a, c) from deep in
-    the switch-on tail (ramped coupling at ``start_threshold`` of the gap
-    2*delta) to ``t_end``. The generator is anti-Hermitian, so
-    |a|**2 + |c|**2 stays at 1 within a small multiple of ``tol``.
+    """Integrate the interaction-picture amplitude pair (a, c) from the
+    switch-on tail (ramped coupling at ``start_threshold`` of the gap
+    2*delta, 1e-4 by default) to ``t_end``. The generator is
+    anti-Hermitian, so |a|**2 + |c|**2 stays at 1 within a small multiple
+    of ``tol``.
 
     The pair is integrated in the frame where the tracked level stands
     still, y' = -i [[0, lam], [lam, 2 delta]] y with lam = x * exp(eps * t),
     the two-level ``Ramp`` with energies (0, 2 delta) and V = sigma_x, which
     ``numkit.ode.ode_evolve`` steps on its pair kernel. Its second
-    component is exp(-2i delta t) c; it starts from the first-order
-    switch-on state (1, -i lam / (eps + 2i delta)): the tail solution of
-    that component's own equation at a = 1, so the start misses the exact
-    state by O(start_threshold**2). The returned states carry c itself.
+    component is exp(-2i delta t) c. It starts from ``switch_on_state``,
+    the tail solution of these equations summed as a power series in lam,
+    so the start error is rounding, not O(start_threshold**2), and the
+    result does not depend on the threshold beyond integration error. The
+    default starts at the top of the threshold's domain (0, 1e-4], which
+    skips about a quarter of the steps a start at 1e-8 takes at slow
+    switching; a ``t_end`` whose coupling is below it needs a lower
+    threshold. The returned states carry c itself.
 
     A run whose step count would exceed ``numkit.ode.MAX_STEPS`` fails at
     the start with an ``IntegrationError``. The count grows with the
-    rotation angle x * exp(eps * t_end) / eps, measured at about
-    0.20 * tol**-0.125 steps per radian for tol 1e-4 to 1e-12; the estimate
-    takes a third of that rate, so a run that could finish is never refused.
+    rotation angle x * exp(eps * t_end) / eps, measured at 0.21 *
+    tol**-0.125 steps per radian or more for tol 1e-4 to 1e-12 (delta 1, x
+    0.05 to 2, eps 0.003125 to 0.25, t_end 0 and 15); the estimate takes a
+    third of that rate, so a run that could finish is never refused.
     """
     t0 = switch_on_time(2 * m.delta, m.x, m.eps, start_threshold, t_end, tol)
     angle = ramped_coupling(m.x, m.eps, t_end, "t_end") / m.eps
@@ -509,7 +550,7 @@ def evolve_two_state(
         steps, "0.068 * tol**-0.125 * x * exp(eps * t_end) / eps", t0, t_end
     )
     ramp = Ramp((0.0, 2.0 * m.delta), [[0.0, 1.0], [1.0, 0.0]], m.x, m.eps)
-    y0 = np.array([1.0, -1j * m.x * math.exp(m.eps * t0) / complex(m.eps, 2.0 * m.delta)])
+    y0 = switch_on_state(m, ramped_coupling(m.x, m.eps, t0), tol)
     traj = ode_evolve(ramp, y0, t0, t_end, tol)
     states = traj.states.copy()
     states[:, 1] *= np.exp(2j * m.delta * traj.times)
@@ -526,12 +567,22 @@ def limit_state(
     """Evolved state in the slow-switching limit with the divergent phase
     factor dropped, not exponentiated: its coefficient (to be divided by the
     switching rate) is returned separately so callers see exactly what was
-    removed. At t = 0 this is the exact ground eigenvector."""
+    removed. At t = 0 this is the exact ground eigenvector.
+
+    Its ratio of components, the shift over x, is formed in units of delta
+    as ``phase_split`` forms the shift: the sum of u**(2n - 1) times the
+    table's column 0, u = x / delta, which is the shift over delta divided
+    by u term by term. So it keeps its digits where the shift is subnormal
+    or underflows; at delta = 1 and x a power of two it is the same bits as
+    the shift over x."""
     split = phase_split(m, order)
     de = split.delta_e_a
+    u = m.x / m.delta
+    n = np.arange(1, order + 1)
+    ratio = math.fsum(u ** (2 * n - 1) * gtilde_table(order)[:, 0])
     norm = math.exp(split.f_b)
     phase = np.exp(-1j * (m.mu - m.delta) * t) * np.exp(-1j * de * t)
-    state = phase * norm * np.array([1.0, de / m.x], dtype=complex)
+    state = phase * norm * np.array([1.0, ratio], dtype=complex)
     return LimitState(
         state=state,
         secular_phase=de * t,

@@ -151,6 +151,15 @@ def test_exit_code_continuation(tmp_path, capsys):
     assert "continuation" in capsys.readouterr().err
 
 
+def test_exit_code_two_state_end_inside_the_switch_on_tail(capsys):
+    # at t_end -35 the coupling is 4e-5 of the gap, below the two-state
+    # default start of 1e-4; a lower start threshold lets the run start
+    argv = ["two-state", "evolve", "--t-end", "-35"]
+    assert run(*argv) == 2
+    assert "is not before t_end" in capsys.readouterr().err
+    assert run(*argv, "--start-threshold", "1e-8") == 0
+
+
 @pytest.mark.parametrize("index", ["1", 1.0, True])
 def test_exit_code_non_integer_ground_index(tmp_path, capsys, index):
     path = write_model(tmp_path, ground_index=index)
@@ -678,7 +687,14 @@ def test_trajectory_csv_schema(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,re_a,im_a,re_c,im_c,norm"
     first = [float(cell) for cell in lines[1].split(",")]
-    assert first[1] == 1.0 and first[5] == pytest.approx(1.0, abs=1e-12)
+    # the first row is the switch-on tail state at the start time, its c
+    # turned back from the tracked frame
+    m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=0.25)
+    t0 = twostate.switch_on_time(2.0, 0.5, 0.25, 1e-4, 0.0, 1e-8)
+    a, c = twostate.switch_on_state(m, twostate.ramped_coupling(0.5, 0.25, t0), 1e-8)
+    assert first[0] == t0 and complex(first[1], first[2]) == a
+    assert complex(first[3], first[4]) == pytest.approx(c * np.exp(2j * t0), rel=1e-15)
+    assert first[5] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_trajectory_table_rows_are_the_trajectory(tmp_path):
@@ -955,16 +971,14 @@ _TWO_MODEL = {
 }
 _N_MODEL = {"--model": (None, None, None, False)}
 _TOL = {"--tol": (float, 1e-10, None, False)}
-_EVOLVE = {
-    "--t-end": (float, 0.0, None, False),
-    **_TOL,
-    "--start-threshold": (float, 1e-8, None, False),
-}
+_EVOLVE = {"--t-end": (float, 0.0, None, False), **_TOL}
 _ORDER = {"--order": (int, 30, None, False)}
 _T = {"--t": (float, 0.0, None, False)}
 EXPECTED_FLAGS = {
     ("two-state", "exact"): {**_TWO_MODEL, **_OUTPUT},
-    ("two-state", "evolve"): {**_TWO_MODEL, **_OUTPUT, **_EVOLVE},
+    ("two-state", "evolve"): {
+        **_TWO_MODEL, **_OUTPUT, **_EVOLVE, "--start-threshold": (float, 1e-4, None, False),
+    },
     ("two-state", "series"): {**_TWO_MODEL, **_OUTPUT, **_T},
     ("two-state", "phase"): {**_TWO_MODEL, **_OUTPUT, **_ORDER},
     ("two-state", "compare"): {
@@ -978,7 +992,9 @@ EXPECTED_FLAGS = {
     ("n-state", "recursion"): {**_N_MODEL, **_OUTPUT, "--order": (int, 8, None, False)},
     ("n-state", "split"): {**_N_MODEL, **_OUTPUT, **_ORDER},
     ("n-state", "assemble"): {**_N_MODEL, **_OUTPUT, **_ORDER},
-    ("n-state", "evolve"): {**_N_MODEL, **_OUTPUT, **_EVOLVE},
+    ("n-state", "evolve"): {
+        **_N_MODEL, **_OUTPUT, **_EVOLVE, "--start-threshold": (float, 1e-8, None, False),
+    },
     ("n-state", "oracle"): {**_N_MODEL, **_OUTPUT},
     ("n-state", "compare"): {**_N_MODEL, **_OUTPUT, "--order": (int, 12, None, False), **_TOL},
     ("n-state", "gen"): {

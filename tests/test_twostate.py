@@ -779,7 +779,7 @@ def test_phase_series_convergence_needs_a_second_term():
 
 
 @pytest.mark.parametrize(
-    "eps, accepted", [(0.2, 184), (0.05, 529), (0.0125, 1472), (0.003125, 4266)]
+    "eps, accepted", [(0.2, 139), (0.05, 403), (0.0125, 1117), (0.003125, 3139)]
 )
 def test_evolve_step_counts_pinned(monkeypatch, eps, accepted):
     # the step-size controller's decisions, fixed on this grid; a budget of
@@ -797,7 +797,7 @@ def test_evolve_right_hand_side_calls_pinned(monkeypatch):
     # pair kernel's steps, one call at the start, one to size the first
     # step, eleven per trial step and one per accepted step but the last
     # (first same as last)
-    monkeypatch.setattr(ode, "MAX_STEPS", 800)
+    monkeypatch.setattr(ode, "MAX_STEPS", 4 * 139)
     calls = []
 
     def counting(rhs, *args):
@@ -810,7 +810,7 @@ def test_evolve_right_hand_side_calls_pinned(monkeypatch):
     monkeypatch.setattr(twostate, "ode_evolve", counting)
     m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=0.2)
     traj = evolve_two_state(m, 0.0, 1e-10)
-    assert (traj.accepted_steps, traj.rejected_steps, len(calls)) == (184, 0, 2209)
+    assert (traj.accepted_steps, traj.rejected_steps, len(calls)) == (139, 0, 1669)
     assert len(calls) == 1 + 12 * traj.accepted_steps + 11 * traj.rejected_steps
 
 
@@ -856,20 +856,27 @@ def test_evolve_step_estimate_stays_below_the_step_count(monkeypatch, eps):
             monkeypatch.undo()
 
 
+def _tracked_pair(m, lam):
+    """The pair (a, exp(-2i delta t) c) where the ramped coupling is the
+    mpmath number lam, at mpmath's working precision: a = 0F1(; 1 - nu; z),
+    with nu = 1/2 - i delta / eps and z = -(lam / eps)**2 / 4, and the
+    second component a' / (-i lam), with a' = 2 eps z 0F1(; 2 - nu; z) /
+    (1 - nu)."""
+    nu = mpmath.mpf(0.5) - 1j * mpmath.mpf(m.delta) / m.eps
+    z = -((lam / m.eps) ** 2) / 4
+    a = mpmath.hyp0f1(1 - nu, z)
+    da = 2 * m.eps * z * mpmath.hyp0f1(2 - nu, z) / (1 - nu)
+    return a, da / (-1j * lam)
+
+
 def state_oracle(m, t):
-    """The interaction-picture pair (a, c) at time t in 40-digit arithmetic:
-    a = 0F1(; 1 - nu; z), with nu = 1/2 - i delta / eps and
-    z = -(x exp(eps t) / eps)**2 / 4, and c = a' / w, with
-    a' = 2 eps z 0F1(; 2 - nu; z) / (1 - nu) and
-    w = -i x exp(eps t) exp(-2i delta t)."""
+    """The interaction-picture pair (a, c) at time t in 40-digit arithmetic,
+    c = exp(2i delta t) times the tracked pair's second component, at
+    lam = x exp(eps t)."""
     with mpmath.workdps(40):
-        nu = mpmath.mpf(0.5) - 1j * mpmath.mpf(m.delta) / m.eps
         lam = mpmath.mpf(m.x) * mpmath.exp(mpmath.mpf(m.eps) * t)
-        z = -((lam / m.eps) ** 2) / 4
-        a = mpmath.hyp0f1(1 - nu, z)
-        da = 2 * m.eps * z * mpmath.hyp0f1(2 - nu, z) / (1 - nu)
-        w = -1j * lam * mpmath.exp(-2j * mpmath.mpf(m.delta) * t)
-        return complex(a), complex(da / w)
+        a, c = _tracked_pair(m, lam)
+        return complex(a), complex(c * mpmath.exp(2j * mpmath.mpf(m.delta) * t))
 
 
 def a0_oracle(m):
@@ -888,11 +895,61 @@ def test_evolve_matches_arbitrary_precision_oracle(eps):
 @pytest.mark.parametrize("t", [-2.0, 0.0, 3.0])
 @pytest.mark.parametrize("eps", [0.2, 0.05, 0.0125, 0.003125])
 def test_evolve_state_matches_arbitrary_precision_oracle(eps, t):
-    # both components, within 1e-11 of the state: the switch-on start misses
-    # by O(start_threshold**2) and the integration by well under tol
+    # both components, within 1e-11 of the state: the switch-on start is
+    # exact to rounding and the integration misses by well under tol
     m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=eps)
     state = evolve_two_state(m, t, 1e-10).final_state
     assert np.abs(state - state_oracle(m, t)).max() <= 1e-11
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("ratio", [0.5, 2.0, 10.0])
+@pytest.mark.parametrize("eps", [1.0, 0.2, 0.003125])
+def test_evolve_starts_from_the_exact_switch_on_state(monkeypatch, eps, ratio, delta):
+    # the state the integrator is handed at t0, against the 40-digit pair
+    # at the coupling it sees there: each component within 4 ulps
+    m = TwoStateModel(mu=0.0, delta=delta, x=ratio * delta, eps=eps)
+    starts = []
+
+    class Started(Exception):
+        pass
+
+    def started(ramp, y0, t0, *rest):
+        starts.append((y0, t0))
+        raise Started
+
+    monkeypatch.setattr(twostate, "ode_evolve", started)
+    t0 = twostate.switch_on_time(2 * delta, m.x, eps, 1e-4, math.inf, 1e-10)
+    with pytest.raises(Started):
+        evolve_two_state(m, t0 + 1.0, 1e-10)
+    ((y0, start),) = starts
+    assert start == t0
+    with mpmath.workdps(40):
+        ref = _tracked_pair(m, mpmath.mpf(twostate.ramped_coupling(m.x, eps, t0)))
+        ref = [complex(z) for z in ref]
+    for got, want in zip(y0, ref):
+        assert abs(got - want) <= 4 * math.ulp(abs(want))
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.05, 0.0125, 0.003125])
+def test_evolve_does_not_depend_on_the_start_threshold(eps):
+    # the start is exact to rounding at every threshold, so a(0) moves by
+    # integration error only
+    m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=eps)
+    a0 = [
+        complex(evolve_two_state(m, 0.0, 1e-10, start_threshold=th).final_state[0])
+        for th in (1e-4, 1e-6, 1e-8)
+    ]
+    assert max(abs(a - a0[0]) for a in a0[1:]) <= 1e-12
+
+
+def test_evolve_refuses_a_switch_on_tail_that_cancels():
+    # eps far below delta * start_threshold**2: a turns by about
+    # delta * start_threshold**2 / eps = 50 radians before the start, so the
+    # tail's terms grow to about e**50 before they fall
+    m = TwoStateModel(mu=0.0, delta=1.0, x=1e-4, eps=2e-10)
+    with pytest.raises(DomainError, match="tail series .* lower start_threshold"):
+        evolve_two_state(m, 3.5e9, 1e-10)
 
 
 @pytest.mark.parametrize("eps", [0.25, 0.05, 0.0125, 0.003125])
@@ -917,6 +974,16 @@ def test_limit_state_is_exact_ground_state_at_t0():
     np.testing.assert_allclose(res.state, es.psi0, atol=1e-9)
     h = STD.hamiltonian()
     np.testing.assert_allclose(h @ res.state, es.e0 * res.state, atol=1e-8)
+
+
+@pytest.mark.parametrize("delta, x", [(1e-320, 5e-321), (1.0, 1e-300)])
+def test_limit_state_keeps_its_ratio_where_the_shift_underflows(delta, x):
+    # the shift is subnormal at the first point and underflows to 0 at the
+    # second; the ratio of components, formed in units of delta, is not
+    m = TwoStateModel(mu=0.0, delta=delta, x=x, eps=0.25)
+    state = limit_state(m, 0.0).state
+    for got, want in zip(state, exact_eigensystem(m).psi0):
+        assert abs(got - want) <= 4 * math.ulp(abs(want))
 
 
 def test_limit_state_weak_coupling_phase_only():
