@@ -119,7 +119,8 @@ class PhaseSplitTwoState:
     The normalization identity is checked on the same coefficients: exp(f_b)
     against the closed-form ``norm_n``, the quadratic the shift satisfies,
     and the balance tying the coupling derivatives of f_b and the shift;
-    the last two in units of delta."""
+    the last two in units of delta. ``converged`` says that the bound on
+    the truncated tail of the shift and of f_a is within 1e-12 of each."""
 
     f_a: float
     delta_e_a: float
@@ -130,6 +131,7 @@ class PhaseSplitTwoState:
     normalization_residual: float
     shift_quadratic_residual: float
     rate_balance_residual: float
+    converged: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,6 +381,12 @@ def phase_split(m: TwoStateModel, order: int = DEFAULT_ORDER) -> PhaseSplitTwoSt
     -i times a sum of rate slopes i * s_1, is the sum of the slopes s_1 in
     s, and f_c's half curvatures change sign, since i**2 = -1.
     ``max_imag_residue`` is 0.0.
+
+    Column 0 of the table is +-|binom(1/2, n)| to rounding, so the terms
+    past ``order`` of the shift over delta sum to at most
+    |binom(1/2, order + 1)| u**(2 order + 2) / (1 - u**2), and those of
+    f_a over delta, each divided by 2n, to no more; ``converged`` says that
+    this bound is within 1e-12 of both.
     """
     delta, x = m.delta, m.x
     if not x < delta:
@@ -390,8 +398,11 @@ def phase_split(m: TwoStateModel, order: int = DEFAULT_ORDER) -> PhaseSplitTwoSt
     n = np.arange(1, order + 1)
     u = x / delta
     powers = u ** (2 * n)
-    f_a = delta * math.fsum(powers * table[:, 0] / (2 * n))
+    a = math.fsum(powers * table[:, 0] / (2 * n))  # f_a in units of delta
     d = math.fsum(powers * table[:, 0])  # the shift in units of delta
+    # |binom(1/2, order + 1)| = Gamma(order + 1/2) / (2 sqrt(pi) (order + 1)!)
+    binom = math.exp(math.lgamma(order + 0.5) - math.lgamma(order + 2))
+    tail = binom / (2 * math.sqrt(math.pi)) * u ** (2 * order + 2) / (1 - u * u)
     f_b = math.fsum(powers * table[:, 1] / (2 * n))
     f_c = -m.eps / delta * math.fsum(powers * table[:, 2] / (2 * n))
 
@@ -402,7 +413,7 @@ def phase_split(m: TwoStateModel, order: int = DEFAULT_ORDER) -> PhaseSplitTwoSt
     dfb = math.fsum(powers * table[:, 1]) / u if u else 0.0
     norm_n = exact_eigensystem(m).norm_n
     return PhaseSplitTwoState(
-        f_a=f_a,
+        f_a=delta * a,
         delta_e_a=delta * d,
         f_b=f_b,
         f_c=f_c,
@@ -411,6 +422,7 @@ def phase_split(m: TwoStateModel, order: int = DEFAULT_ORDER) -> PhaseSplitTwoSt
         normalization_residual=abs(math.exp(f_b) - norm_n),
         shift_quadratic_residual=abs(-d * d + 2 * d + u * u),
         rate_balance_residual=abs(2 * u * dfb * (1 - d) + (d - u * dd)),
+        converged=tail <= 1e-12 * abs(d) and tail <= 1e-12 * abs(a),
     )
 
 
@@ -537,20 +549,31 @@ def evolve_two_state(
     threshold. The returned states carry c itself.
 
     A run whose step count would exceed ``numkit.ode.MAX_STEPS`` fails at
-    the start with an ``IntegrationError``. The count grows with the
-    rotation angle x * exp(eps * t_end) / eps, measured at 0.21 *
-    tol**-0.125 steps per radian or more for tol 1e-4 to 1e-12 (delta 1, x
-    0.05 to 2, eps 0.003125 to 0.25, t_end 0 and 15); the estimate takes a
-    third of that rate, so a run that could finish is never refused.
+    the start with an ``IntegrationError``. The count grows with the angle
+    the coupling turns by from t0 to t_end, x * (exp(eps * t_end) -
+    exp(eps * t0)) / eps, measured at 0.21 * tol**-0.125 steps per radian
+    or more for tol 1e-4 to 1e-12 (delta 1, x 0.05 to 2, eps 0.003125 to
+    0.25, t_end 0 and 15), plus the tracked level's rotation
+    2 delta (t_end - t0), which sets the count deep in the tail at a slow
+    rate: there the step is held near DOP853's stability limit, and it was
+    measured at 0.165 to 0.23 steps per radian whatever the tol from 1e-4
+    to 1e-12 (delta 1e-3 to 1e3, eps 1e-8 and 1e-4 times delta, 1e3 and
+    1e4 radians). The estimate takes a third of each term's lowest rate, so
+    a run that could finish is never refused.
     """
     t0 = switch_on_time(2 * m.delta, m.x, m.eps, start_threshold, t_end, tol)
-    angle = ramped_coupling(m.x, m.eps, t_end, "t_end") / m.eps
-    steps = 0.068 * tol**-0.125 * angle
+    lam0 = ramped_coupling(m.x, m.eps, t0)
+    angle = (ramped_coupling(m.x, m.eps, t_end, "t_end") - lam0) / m.eps
+    steps = 0.068 * tol**-0.125 * angle + 0.055 * 2 * m.delta * (t_end - t0)
     require_step_budget(
-        steps, "0.068 * tol**-0.125 * x * exp(eps * t_end) / eps", t0, t_end
+        steps,
+        "0.068 * tol**-0.125 * x * (exp(eps * t_end) - exp(eps * t0)) / eps "
+        "+ 0.055 * 2 * delta * (t_end - t0)",
+        t0,
+        t_end,
     )
     ramp = Ramp((0.0, 2.0 * m.delta), [[0.0, 1.0], [1.0, 0.0]], m.x, m.eps)
-    y0 = switch_on_state(m, ramped_coupling(m.x, m.eps, t0), tol)
+    y0 = switch_on_state(m, lam0, tol)
     traj = ode_evolve(ramp, y0, t0, t_end, tol)
     states = traj.states.copy()
     states[:, 1] *= np.exp(2j * m.delta * traj.times)

@@ -160,6 +160,24 @@ def test_exit_code_two_state_end_inside_the_switch_on_tail(capsys):
     assert run(*argv, "--start-threshold", "1e-8") == 0
 
 
+@pytest.mark.parametrize("command", ["compare", "sweep-eps"])
+def test_two_state_routes_compared_below_the_default_start(tmp_path, capsys, command):
+    # at x 1e-4 the coupling at t 0 is 5e-5 of the gap, below the default
+    # start of 1e-4: refused there, and compared from a start of 1e-8
+    out = tmp_path / "report.json"
+    argv = ["two-state", command, "--x", "1e-4"]
+    assert run(*argv) == 2
+    assert "lower start_threshold" in capsys.readouterr().err
+    assert run(*argv, "--start-threshold", "1e-8", "--out", str(out)) == 0
+    report = report_from_json(out)
+    if command == "compare":
+        residuals = report.residuals.values()
+    else:
+        residuals = column(report.tables[0], "max_cross_residual")
+    assert max(residuals) <= 1e-12
+    assert report.parameters["start_threshold"] == 1e-8
+
+
 @pytest.mark.parametrize("index", ["1", 1.0, True])
 def test_exit_code_non_integer_ground_index(tmp_path, capsys, index):
     path = write_model(tmp_path, ground_index=index)
@@ -342,6 +360,17 @@ def test_two_state_phase_far_from_unit_delta(tmp_path, delta, x):
     assert abs(values["exp_f_b[phase-recursion]"] - values["norm_n[exact]"]) <= 1e-14
 
 
+@pytest.mark.parametrize(
+    "x, order, converged", [("0.95", "30", False), ("0.2", "200", True), ("0.9", "200", True)]
+)
+def test_two_state_phase_reports_whether_the_recursion_converged(tmp_path, x, order,
+                                                                 converged):
+    out = tmp_path / "phase.json"
+    argv = ["two-state", "phase", "--delta", "1", "--x", x, "--order", order]
+    assert run(*argv, "--out", str(out)) == 0
+    assert report_from_json(out).flags == {"converged[phase-recursion]": converged}
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("delta, x", [("2", "5e-324"), ("1e300", "1e-30")])
 def test_two_state_phase_where_the_coupling_ratio_underflows(tmp_path, delta, x):
@@ -459,7 +488,9 @@ def test_exit_code_step_budget_estimate_fails_at_once(capsys):
     assert time.perf_counter() - started < 1.0
     assert capsys.readouterr().err.startswith(
         "error: integration: step budget exhausted before the start: "
-        "about 7.91e+06 steps (0.068 * tol**-0.125 * x * exp(eps * t_end) / eps)"
+        "about 7.91e+06 steps (0.068 * tol**-0.125 * x * (exp(eps * t_end) - "
+        "exp(eps * t0)) / eps "
+        "+ 0.055 * 2 * delta * (t_end - t0))"
     )
 
 
@@ -473,8 +504,8 @@ def test_exit_code_n_state_step_budget_estimate_fails_at_once(tmp_path, capsys):
     assert time.perf_counter() - started < 1.0
     assert capsys.readouterr().err.startswith(
         "error: integration: step budget exhausted before the start: about 1.52e+08 steps "
-        "(tol**-0.125 * (0.0039 * max|E_k - E_g| * (t_end - t0) "
-        "+ 0.014 * x * ||V|| * exp(eps * t_end) / eps)) to t_end = 80 "
+        "(tol**-0.125 * (0.0039 * max|E_k - E_g| * (t_end - t1) "
+        "+ 0.014 * x * ||V|| * (exp(eps * t_end) - exp(eps * t1)) / eps)) to t_end = 80 "
     )
     started = time.perf_counter()
     assert run("n-state", "evolve", "--model", str(path), "--t-end", "70") == 3
@@ -983,10 +1014,12 @@ EXPECTED_FLAGS = {
     ("two-state", "phase"): {**_TWO_MODEL, **_OUTPUT, **_ORDER},
     ("two-state", "compare"): {
         **_TWO_MODEL, **_OUTPUT, **_T, **_TOL, "--order": (int, 30, None, False),
+        "--start-threshold": (float, None, None, False),
     },
     ("two-state", "sweep-eps"): {
         **_TWO_MODEL, **_OUTPUT, "--eps-grid": (None, "0.5:0.5:4", None, False),
         **_TOL, "--order": (int, 30, None, False),
+        "--start-threshold": (float, None, None, False),
     },
     ("n-state", "dyson"): {**_N_MODEL, **_OUTPUT, **_T},
     ("n-state", "recursion"): {**_N_MODEL, **_OUTPUT, "--order": (int, 8, None, False)},

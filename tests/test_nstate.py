@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
-from adiabatic_lab import nstate
+from adiabatic_lab import nstate, twostate
 from adiabatic_lab.cli import main
 from adiabatic_lab.errors import (
     ConsistencyError,
@@ -21,7 +21,7 @@ from adiabatic_lab.errors import (
     IntegrationError,
 )
 from adiabatic_lab.modelio import generate_nstate_model
-from adiabatic_lab.numkit import HermitianMatrix, jet_mul, jet_recip, ode
+from adiabatic_lab.numkit import HermitianMatrix, Ramp, jet_mul, jet_recip, ode
 from adiabatic_lab.nstate import (
     NStateModel,
     assemble_state,
@@ -34,7 +34,9 @@ from adiabatic_lab.nstate import (
     two_level_embed,
 )
 from adiabatic_lab.rng import random_hermitian_model_arrays
-from adiabatic_lab.twostate import TwoStateModel, delta_e_closed, gtilde_values
+from adiabatic_lab.twostate import (
+    TwoStateModel, delta_e_closed, gtilde_values, switch_on_time,
+)
 
 SHIFT = -0.11803398874989485
 NORM = 0.9732489894677302
@@ -608,54 +610,54 @@ def _pinned_n32_model():
 
 # final states recorded with the step-size controller's decisions
 PINNED_N6 = [
-    0.891973374372784 + 0.448513878485797j,
-    -0.03851245275095324 - 0.02843018873443767j,
-    -0.0244838149222209 - 0.015331300455297937j,
-    -0.0036324896334597057 - 0.0022160323073629096j,
-    -0.0033451100503746646 - 0.0017862721998316109j,
-    -0.006803495576569378 - 0.0037464301257382157j,
+    0.8919733743747853 + 0.44851387848433677j,
+    -0.038512452749434635 - 0.028430188735263644j,
+    -0.02448381492907053 - 0.015331300450622736j,
+    -0.0036324896415227885 - 0.0022160323018308825j,
+    -0.003345110005443466 - 0.0017862722113713763j,
+    -0.006803495316203146 - 0.003746430309499277j,
 ]
 PINNED_N32 = [
-    0.8920248642280171 + 0.4477346438707999j,
-    0.033412870375552205 + 0.024746142038051325j,
-    -0.003011684290283194 - 0.0019802047536865994j,
-    0.021004829215808183 + 0.012217868040820088j,
-    0.020734485579312543 + 0.011645580262874251j,
-    -0.02392440090082321 - 0.01298763157480365j,
-    0.0036275905282894694 + 0.0020560251855397532j,
-    -0.005854764235684246 - 0.003182741322809864j,
-    -0.004228115193489362 - 0.002240960064094914j,
-    -0.002492248639915458 - 0.0013588336948601892j,
-    0.00013852491214247682 + 0.0001074553323431196j,
-    0.0012285013378898662 + 0.0007036749958737781j,
-    -0.0014853505326670056 - 0.0007357955809565636j,
-    -0.0012093232470178242 - 0.0006042579631066543j,
-    0.00011469383661368766 + 6.708227947721973e-05j,
-    -0.002736205746923193 - 0.0014351115948835994j,
-    -0.0006514101973828752 - 0.0003787832354435828j,
-    0.00227079186045655 + 0.0011692373208204185j,
-    4.5887117356619624e-05 + 9.092946874199376e-06j,
-    -0.005804045368635717 - 0.0029923593609233455j,
-    0.00014313566950517324 + 7.554979034576358e-05j,
-    7.701632899415247e-05 + 3.8519029879307824e-05j,
-    8.251258624061844e-05 + 4.0470601402670574e-05j,
-    0.0008861697077246132 + 0.0004315741667961807j,
-    0.0020931378863211394 + 0.0010579668083004832j,
-    0.0015578982206008204 + 0.0007885832725449069j,
-    0.002198985046571167 + 0.0011439790120584198j,
-    -0.0012848629876145142 - 0.000646883709518973j,
-    -0.000990858901771169 - 0.0004997162470887421j,
-    0.00026835367599241047 + 0.0001473692147898583j,
-    -0.0015168411141003363 - 0.0007899816899106948j,
-    0.002146164722058294 + 0.0010867418223137427j,
+    0.8920248642276718 + 0.4477346438658115j,
+    0.033412870376638835 + 0.02474614203779659j,
+    -0.003011684290788195 - 0.0019802047540477758j,
+    0.021004829213988458 + 0.012217868037560123j,
+    0.020734485579791972 + 0.011645580265574525j,
+    -0.02392440090134127 - 0.012987631571501398j,
+    0.0036275905268373164 + 0.0020560251841696305j,
+    -0.0058547642329190505 - 0.0031827413123374742j,
+    -0.004228115196015286 - 0.002240960064348329j,
+    -0.0024922486372567967 - 0.0013588336897304534j,
+    0.000138524912511265 + 0.00010745532850144076j,
+    0.0012285013372081081 + 0.0007036749891203926j,
+    -0.0014853505383531432 - 0.000735795575276386j,
+    -0.001209323240914867 - 0.0006042579655031074j,
+    0.00011469384130028128 + 6.708229518301011e-05j,
+    -0.002736205813012597 - 0.0014351115242564434j,
+    -0.0006514101873205673 - 0.0003787831848722308j,
+    0.0022707919749351186 + 0.001169237173312972j,
+    4.5887121663286985e-05 + 9.092945848945313e-06j,
+    -0.005804045548048705 - 0.0029923603342171673j,
+    0.00014313567038401576 + 7.55497869291401e-05j,
+    7.701633191275319e-05 + 3.851904018981481e-05j,
+    8.251258410536592e-05 + 4.04706172395576e-05j,
+    0.000886169896508315 + 0.0004315742479604336j,
+    0.0020931378096173065 + 0.001057966419804681j,
+    0.0015578979413110865 + 0.0007885833622218231j,
+    0.002198984716135684 + 0.0011439789715259497j,
+    -0.00128486300778123 - 0.0006468838920491588j,
+    -0.000990858961754244 - 0.000499716320438105j,
+    0.0002683536597677847 + 0.00014736920720014726j,
+    -0.0015168410758693923 - 0.0007899816333482612j,
+    0.0021461646842909888 + 0.0010867418108378738j,
 ]
 
 
 @pytest.mark.parametrize(
     "make_model, steps, pinned",
     [
-        (lambda: generate_nstate_model(seed=7, levels=6), (234, 2), PINNED_N6),
-        (_pinned_n32_model, (788, 0), PINNED_N32),
+        (lambda: generate_nstate_model(seed=7, levels=6), (147, 0), PINNED_N6),
+        (_pinned_n32_model, (449, 0), PINNED_N32),
     ],
     ids=["gen-seed7-N6", "rng-seed11-N32"],
 )
@@ -691,7 +693,7 @@ def test_evolve_generator_products_pinned(monkeypatch):
 
     monkeypatch.setattr(np, "dot", counting)
     traj = evolve_nstate(model, 0.0, 1e-10)
-    assert (traj.accepted_steps, traj.rejected_steps, len(generators)) == (234, 2, 2832)
+    assert (traj.accepted_steps, traj.rejected_steps, len(generators)) == (147, 0, 1766)
     assert len(generators) == 2 + 12 * traj.accepted_steps + 11 * traj.rejected_steps
     assert generators[0].shape == (2 * model.dim, model.dim)
     assert all(g is generators[0] for g in generators)
@@ -724,8 +726,9 @@ def test_evolve_step_estimate_stays_below_the_step_count(monkeypatch, make_model
 
 
 def test_evolve_step_estimate_follows_a_ramp_that_carries_the_steps(monkeypatch):
-    # at t_end 30 the ramp angle is about 3.4x the phase and the run takes
-    # 6,860 steps; one rate for both terms estimated 205 of them, 33x low
+    # at t_end 30 the ramp angle is about 5.6x the stepped phase and the run
+    # takes 6,772 steps; one rate for both terms estimated 205 of 6,860, 33x
+    # low
     model = generate_nstate_model(seed=7, levels=6)
     traj = evolve_nstate(model, 30.0, 1e-10)
     steps = traj.accepted_steps + traj.rejected_steps
@@ -734,6 +737,137 @@ def test_evolve_step_estimate_follows_a_ramp_that_carries_the_steps(monkeypatch)
         evolve_nstate(model, 30.0, 1e-10)
     estimate = float(re.search(r"about (\S+) steps", str(info.value))[1])
     assert steps / 12 <= estimate < steps
+
+
+# ---------------------------------------------------------------------------
+# closed-form switch-on stretch
+
+
+class _Started(Exception):
+    pass
+
+
+def _ode_start(monkeypatch, model, t_end, tol, **kwargs):
+    """The time and state that ``evolve_nstate`` hands ``ode_evolve``,
+    which is stopped there."""
+    starts = []
+
+    def started(ramp, y, t, *rest):
+        starts.append((t, y))
+        raise _Started
+
+    monkeypatch.setattr(nstate, "ode_evolve", started)
+    with pytest.raises(_Started):
+        evolve_nstate(model, t_end, tol, **kwargs)
+    monkeypatch.undo()
+    ((t, y),) = starts
+    return t, y
+
+
+def _basis_start(model, threshold=nstate.DEFAULT_START_THRESHOLD, t_end=0.0, tol=1e-10):
+    t0 = switch_on_time(model.min_gap, model.x, model.eps, threshold, t_end, tol)
+    y0 = np.zeros(model.dim, dtype=complex)
+    y0[model.ground_index] = 1.0
+    return t0, y0
+
+
+def _dop853_reference(model, t0, y0, t1):
+    """y(t1) from y0 at t0, by scipy's DOP853 at rtol 1e-13."""
+    e, v, x, eps = model.energies, model.v.entries, model.x, model.eps
+
+    def rhs(t, y):
+        return -1j * (e * y + (x * math.exp(eps * t)) * (v @ y))
+
+    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=1e-13, atol=1e-16)
+    assert sol.success
+    return sol.y[:, -1]
+
+
+@pytest.mark.parametrize(
+    "make_model",
+    [
+        lambda: generate_nstate_model(seed=3, levels=8, eps=0.25),
+        lambda: generate_nstate_model(seed=3, levels=64, eps=0.25),
+        lambda: generate_nstate_model(seed=3, levels=8, eps=0.05),
+        lambda: generate_nstate_model(seed=3, levels=32, eps=0.05),
+        lambda: generate_nstate_model(seed=3, levels=8, eps=0.01),
+        lambda: random_model(5, 12, eps=0.05, complex_v=True),
+    ],
+    ids=["N8-eps0.25", "N64-eps0.25", "N8-eps0.05", "N32-eps0.05", "N8-eps0.01",
+         "complex-N12-eps0.05"],
+)
+def test_stretch_matches_dop853_from_the_basis_start(monkeypatch, make_model):
+    # the closed-form state where stepping starts, against DOP853 run from
+    # the basis state at t0 through the stretch: within tol / 10
+    model = make_model()
+    tol = 1e-10
+    t0, y0 = _basis_start(model)
+    t1, y1 = _ode_start(monkeypatch, model, 0.0, tol)
+    top = math.log(model.min_gap * nstate.STEP_THRESHOLD / model.x) / model.eps
+    assert t0 < t1 <= top
+    # at eps 0.01 the neglected transient term would exceed tol / 10 at the
+    # top of the stretch, so it ends earlier
+    assert t1 < top or model.eps > 0.01
+    ref = _dop853_reference(model, t0, y0, t1)
+    assert np.abs(y1 - ref).max() <= tol / 10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize(
+    "threshold, t_end",
+    [(1e-4, 0.0), (nstate.DEFAULT_START_THRESHOLD, -30.0)],
+    ids=["threshold-1e-4", "t_end-before-t1"],
+)
+def test_empty_stretch_is_the_basis_start_bit_for_bit(threshold, t_end):
+    # no closed-form stretch: the ODE's own trajectory from the basis state
+    # at t0, as it was before the stretch
+    model = generate_nstate_model(seed=7, levels=6)
+    assert t_end < math.log(model.min_gap * 1e-4 / model.x) / model.eps or threshold == 1e-4
+    t0, y0 = _basis_start(model, threshold, t_end)
+    ramp = Ramp(model.energies, model.v.entries, model.x, model.eps)
+    ref = ode.ode_evolve(ramp, y0, t0, t_end, 1e-10)
+    traj = evolve_nstate(model, t_end, 1e-10, start_threshold=threshold)
+    assert np.array_equal(traj.times, ref.times)
+    assert np.array_equal(traj.states, ref.states)
+    assert (traj.accepted_steps, traj.rejected_steps) == (
+        ref.accepted_steps, ref.rejected_steps
+    )
+
+
+def test_stretch_trajectory_starts_with_the_basis_state(monkeypatch):
+    # first row (t0, basis state), then the ODE's rows from (t1, y(t1))
+    model = generate_nstate_model(seed=7, levels=6)
+    t0, y0 = _basis_start(model)
+    t1, y1 = _ode_start(monkeypatch, model, 0.0, 1e-10)
+    traj = evolve_nstate(model, 0.0, 1e-10)
+    assert traj.times[0] == t0 and np.array_equal(traj.states[0], y0)
+    assert traj.times[1] == t1 and np.array_equal(traj.states[1], y1)
+    assert traj.times.size == traj.accepted_steps + 2
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-5], ids=["tail-turned", "transient-too-large"])
+def test_stretch_is_empty_at_a_slow_rate(monkeypatch, eps):
+    # at 1e-9, ||V|| lam0 / eps is about 60, so the tail has turned past a
+    # radian by t0; at 1e-5 it is about 6e-3, but the transient's
+    # second-order term would exceed tol / 10 before t0
+    model = generate_nstate_model(seed=7, levels=6, eps=eps)
+    monkeypatch.setattr(ode, "MAX_STEPS", math.inf)
+    t0, y0 = _basis_start(model)
+    t1, y1 = _ode_start(monkeypatch, model, 0.0, 1e-10)
+    assert t1 == t0 and np.array_equal(y1, y0)
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.2, 0.003125])
+@pytest.mark.parametrize("delta", [1e-3, 1.0, 1e3])
+def test_tail_series_for_two_levels_is_the_switch_on_state(eps, delta):
+    # the two-level start is the same series with w = (0, 2 delta) and
+    # V = sigma_x, summed on Python scalars: within an ulp or two
+    m = TwoStateModel(mu=0.0, delta=delta, x=0.5 * delta, eps=eps)
+    t0 = switch_on_time(2 * delta, m.x, eps, 1e-4, math.inf, 1e-10)
+    lam = twostate.ramped_coupling(m.x, eps, t0)
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    got = nstate.tail_series(np.array([0.0, 2 * delta]), sigma_x, eps, lam, 0)
+    for a, b in zip(got, twostate.switch_on_state(m, lam, 1e-10)):
+        assert abs(a - b) <= 4 * math.ulp(abs(b))
 
 
 # ---------------------------------------------------------------------------

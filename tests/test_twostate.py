@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -604,6 +605,34 @@ def test_phase_split_sums_are_correctly_rounded():
     assert max(worst) <= 3.0, worst
 
 
+def test_phase_split_not_converged_where_the_tail_is_cut():
+    # at x 0.95 and order 30 the shift is off by 3.7e-5
+    m = TwoStateModel(mu=0.0, delta=1.0, x=0.95, eps=0.25)
+    split = phase_split(m, 30)
+    assert abs(split.delta_e_a - delta_e_closed(1.0, 0.95)) > 3e-5
+    assert split.converged is False
+
+
+@pytest.mark.parametrize("x", np.linspace(0.2, 0.9, 8))
+def test_phase_split_converged_at_order_200(x):
+    split = phase_split(TwoStateModel(mu=0.0, delta=1.0, x=float(x), eps=0.25), 200)
+    assert split.converged is True
+
+
+def test_phase_split_converged_means_the_shift_is_right():
+    # wherever the tail bound passes, the shift is within 1e-12 of the
+    # closed form, rounding aside; and the bound passes on most of the grid
+    verdicts = []
+    for x in np.linspace(0.01, 0.99, 50):
+        for order in (5, 10, 30, 60, 200):
+            split = phase_split(TwoStateModel(mu=0.0, delta=1.0, x=float(x), eps=0.25), order)
+            shift = delta_e_closed(1.0, float(x))
+            if split.converged:
+                assert abs(split.delta_e_a - shift) <= 2e-12 * abs(shift)
+            verdicts.append(split.converged)
+    assert 0.5 < np.mean(verdicts) < 1.0
+
+
 def test_phase_split_remainder_scales_linearly_with_rate():
     split_1 = phase_split(TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=0.2), 30)
     split_2 = phase_split(TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=0.1), 30)
@@ -854,6 +883,28 @@ def test_evolve_step_estimate_stays_below_the_step_count(monkeypatch, eps):
             monkeypatch.setattr(ode, "MAX_STEPS", steps)
             assert evolve_two_state(m, t_end, tol).accepted_steps == traj.accepted_steps
             monkeypatch.undo()
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-12])
+def test_evolve_step_estimate_counts_the_tracked_level_rotation(monkeypatch, tol):
+    # deep in the tail at a slow rate the tracked level's rotation
+    # 2 delta (t_end - t0) sets the steps, about 0.17 per radian: t0 + 1e8
+    # would take about 3.4e7 and is refused before the start; t0 + 1e4
+    # takes about 3,400, and its estimate stays below that
+    m = TwoStateModel(mu=0.0, delta=1.0, x=1e-4, eps=1e-8)
+    t0 = twostate.switch_on_time(2.0, m.x, m.eps, 1e-4, math.inf, tol)
+    started = time.perf_counter()
+    with pytest.raises(IntegrationError, match="before the start") as info:
+        evolve_two_state(m, t0 + 1e8, tol)
+    assert time.perf_counter() - started < 1.0
+    assert info.value.time == t0
+    traj = evolve_two_state(m, t0 + 1e4, tol)
+    steps = traj.accepted_steps + traj.rejected_steps
+    monkeypatch.setattr(ode, "MAX_STEPS", 0)
+    with pytest.raises(IntegrationError, match="before the start") as info:
+        evolve_two_state(m, t0 + 1e4, tol)
+    estimate = float(re.search(r"about (\S+) steps", str(info.value))[1])
+    assert steps / 6 <= estimate < steps
 
 
 def _tracked_pair(m, lam):
