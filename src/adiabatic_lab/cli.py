@@ -243,11 +243,10 @@ def _cmd_two_phase(model, args) -> dict:
     )
 
 
-def _three_way(model, t, tol, order, start_threshold):
+def _three_way(model, t, tol, order):
     """The amplitude a(t) by the ODE, Bessel-series and phase-recursion
     routes, keyed by route; their pairwise residuals; the series result; and
-    whether the phase recursion converged. A ``start_threshold`` of None
-    starts the ODE at the two-state default."""
+    whether the phase recursion converged."""
     # the cheap phase recursion first: past its reach it fails before the ODE
     phase = twostate.phase_series(model, t, order)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -259,9 +258,14 @@ def _three_way(model, t, tol, order, start_threshold):
             f"coupling x * exp(eps * t) = {ramp:.6g} is beyond the reach of the "
             f"order-{order} series"
         )
-    if start_threshold is None:
-        start_threshold = twostate.DEFAULT_START_THRESHOLD
-    traj = twostate.evolve_two_state(model, t, tol, start_threshold)
+    # the ODE starts at the two-state default unless the coupling at t is
+    # already at or below it; then at 1e-2 of that coupling, so it still
+    # steps through ln(100) / eps of the ramp
+    start = twostate.DEFAULT_START_THRESHOLD
+    ratio = twostate.ramped_coupling(model.x, model.eps, t) / (2 * model.delta)
+    if ratio <= start:
+        start = 1e-2 * ratio
+    traj = twostate.evolve_two_state(model, t, tol, start)
     series = twostate.bessel_series_a(model, t)
     amps = {
         "ode": complex(traj.final_state[0]),
@@ -274,9 +278,7 @@ def _three_way(model, t, tol, order, start_threshold):
 
 
 def _cmd_two_compare(model, args) -> dict:
-    amps, residuals, series, converged = _three_way(
-        model, args.t, args.tol, args.order, args.start_threshold
-    )
+    amps, residuals, series, converged = _three_way(model, args.t, args.tol, args.order)
     rows = _complex_rows(amps, amps.values())
     return dict(
         tables=[Table("methods", ["method", "re", "im", "abs"], rows)],
@@ -295,9 +297,7 @@ def _cmd_two_sweep(base, args) -> dict:
     rows = []
     for eps in grid:
         model = twostate.TwoStateModel(mu=base.mu, delta=base.delta, x=base.x, eps=eps)
-        amps, residuals, series, converged = _three_way(
-            model, 0.0, args.tol, args.order, args.start_threshold
-        )
+        amps, residuals, series, converged = _three_way(model, 0.0, args.tol, args.order)
         # the terms rise to one peak and then fall, so the series summed to
         # its own stop has already passed the largest term; a row whose
         # cancellation costs more than 1e-12 reads converged[bessel-series] false
@@ -530,9 +530,9 @@ _COMMANDS = {
         ("phase", "phase split and normalization identity", _cmd_two_phase,
          _TWO + ("--order",)),
         ("compare", "all three routes at one point", _cmd_two_compare,
-         _TWO + ("--t", "--tol", "--order", "--start-threshold")),
+         _TWO + ("--t", "--tol", "--order")),
         ("sweep-eps", "compare over a geometric switching-rate grid", _cmd_two_sweep,
-         _TWO + ("--eps-grid", "--tol", "--order", "--start-threshold")),
+         _TWO + ("--eps-grid", "--tol", "--order")),
     ]),
     "n-state": ("general finite level count", _n_state_model, [
         ("dyson", "second-order Dyson state", _cmd_n_dyson, _N + ("--t",)),
