@@ -22,7 +22,7 @@ print(f"{'eps':>8} {'|a(0)|':>14} {'error':>10} {'|c/a|':>12} {'steps':>7} {'sec
 for eps in (0.2, 0.1, 0.05, 0.025, 0.0125):
     m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=eps)
     t0 = time.perf_counter()
-    traj = evolve_two_state(m, 0.0, 1e-10, start_threshold=1e-9)
+    traj = evolve_two_state(m, 0.0, 1e-10)
     elapsed = time.perf_counter() - t0
     a, c = traj.final_state
     print(

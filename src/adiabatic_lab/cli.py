@@ -179,9 +179,7 @@ def _cmd_two_exact(model, args) -> dict:
 
 
 def _cmd_two_evolve(model, args) -> dict:
-    traj = twostate.evolve_two_state(
-        model, args.t_end, args.tol, start_threshold=args.start_threshold
-    )
+    traj = twostate.evolve_two_state(model, args.t_end, args.tol)
     a_re, a_im = _split_complex(traj.final_state[0])
     return dict(
         values={
@@ -258,14 +256,7 @@ def _three_way(model, t, tol, order):
             f"coupling x * exp(eps * t) = {ramp:.6g} is beyond the reach of the "
             f"order-{order} series"
         )
-    # the ODE starts at the two-state default unless the coupling at t is
-    # already at or below it; then at 1e-2 of that coupling, so it still
-    # steps through ln(100) / eps of the ramp
-    start = twostate.DEFAULT_START_THRESHOLD
-    ratio = twostate.ramped_coupling(model.x, model.eps, t) / (2 * model.delta)
-    if ratio <= start:
-        start = 1e-2 * ratio
-    traj = twostate.evolve_two_state(model, t, tol, start)
+    traj = twostate.evolve_two_state(model, t, tol)
     series = twostate.bessel_series_a(model, t)
     amps = {
         "ode": complex(traj.final_state[0]),
@@ -497,9 +488,9 @@ _FLAGS = {
     "--tol": {"type": float, "default": 1e-10},
     "--start-threshold": {
         "type": float,
-        "help": "ramped coupling at the start as a share of the gap, in (0, 1e-4]; "
-        f"default {twostate.DEFAULT_START_THRESHOLD:g} (two-state), "
-        f"{nstate.DEFAULT_START_THRESHOLD:g} (n-state)",
+        "default": nstate.DEFAULT_START_THRESHOLD,
+        "help": "ramped coupling at the start as a share of the smallest gap, "
+        "in (0, 1e-4]",
     },
     "--order": {"type": int, "default": twostate.DEFAULT_ORDER},
     "--eps-grid": {"default": "0.5:0.5:4", "help": "start:factor:count"},
@@ -513,19 +504,13 @@ _TWO = (("--model", {"help": "two-state model JSON file"}), "--mu", "--delta", "
         "--eps", *_OUTPUT)
 _N = ("--model", *_OUTPUT)
 
-
-def _evolve(start_threshold: float) -> tuple:
-    """The evolve flags, with the route's own ``--start-threshold`` default."""
-    return ("--t-end", "--tol", ("--start-threshold", {"default": start_threshold}))
-
-
 # group -> (help, model loader, [(subcommand, help, handler, flags)]); a fifth
 # item in a subcommand's entry replaces the group's model loader
 _COMMANDS = {
     "two-state": ("exactly solvable two-level model", _two_state_model, [
         ("exact", "closed-form eigensystem", _cmd_two_exact, _TWO),
         ("evolve", "integrate the amplitude pair", _cmd_two_evolve,
-         _TWO + _evolve(twostate.DEFAULT_START_THRESHOLD)),
+         _TWO + ("--t-end", "--tol")),
         ("series", "divergent amplitude series", _cmd_two_series, _TWO + ("--t",)),
         ("phase", "phase split and normalization identity", _cmd_two_phase,
          _TWO + ("--order",)),
@@ -543,7 +528,7 @@ _COMMANDS = {
         ("assemble", "slow-switching limit state", _cmd_n_assemble,
          _N + ("--order",)),
         ("evolve", "full switched-coupling evolution", _cmd_n_evolve,
-         _N + _evolve(nstate.DEFAULT_START_THRESHOLD)),
+         _N + ("--t-end", "--tol", "--start-threshold")),
         ("oracle", "exact-diagonalization level shift", _cmd_n_oracle, _N),
         ("compare", "series vs oracle vs ODE ratios", _cmd_n_compare,
          _N + (("--order", {"default": 12}), "--tol")),

@@ -11,7 +11,6 @@ A second-order Dyson expansion provides an independent finite-rate check.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +22,6 @@ from .numkit import (
 )
 from .twostate import (
     TwoStateModel, ramped_coupling, ramped_coupling_squared, require_step_budget,
-    switch_on_time,
 )
 
 __all__ = [
@@ -342,39 +340,33 @@ def assemble_state(model: NStateModel, order: int) -> AssembledState:
 # oracles
 
 
-def tail_series(w, v, eps: float, lam: float, g: int) -> np.ndarray:
-    """The tail solution s(lam) = sum_k lam**k c_k of y' = -i (diag(w) +
-    lam V) y, lam = x * exp(eps * t), in the frame where level ``g`` stands
-    still (w[g] = 0): c_0 is the basis state e_g and c_k = -i V c_{k-1} /
-    (k eps + i w). For two levels, w = (0, 2 delta) and V = sigma_x, it is
-    ``twostate.switch_on_state``'s series.
-
-    |k eps + i w_j| >= k eps, so term k is at most (lam ||V|| / eps)**k / k!
-    in norm; the caller keeps lam ||V|| / eps at most 1, where no term
-    exceeds the first. The sum stops after two terms in a row that change
-    no component (one per parity where V couples only levels of opposite
-    parity, as sigma_x does), so it is exact to rounding."""
-    s = np.zeros(len(w), dtype=complex)
-    s[g] = 1.0
-    term = s
-    den = 1j * w
-    unchanged = 0
-    for k in itertools.count(1):
-        term = -1j * lam * np.dot(v, term) / (k * eps + den)
-        total = s + term
-        unchanged = unchanged + 1 if np.array_equal(total, s) else 0
-        if unchanged == 2:
-            return s
-        s = total
+def switch_on_time(
+    gap: float, x: float, eps: float, threshold: float, t_end: float, tol: float
+) -> float:
+    """Start time at which the ramped coupling is ``threshold`` of the gap;
+    the threshold must lie in (0, 1e-4], the start must precede ``t_end``,
+    and the run's tolerance ``tol`` must lie in (0, 1): at 1 and above the
+    integrator's error control is off."""
+    if not 0 < tol < 1:
+        raise DomainError(f"tol must be in (0, 1), got {tol}")
+    if not 0 < threshold <= 1e-4:
+        raise DomainError(f"start_threshold must be in (0, 1e-4], got {threshold}")
+    t0 = math.log(gap * threshold / x) / eps
+    if not t0 < t_end:
+        raise DomainError(
+            f"switch-on start t0 = {t0:.6g} is not before t_end = {t_end:.6g}; "
+            "lower start_threshold or move t_end"
+        )
+    return t0
 
 
-def _quiet_stretch(model, t0, t_end, tol, v_norm, y0):
+def _quiet_stretch(model, ramp, t0, t_end, tol, v_norm, y0):
     """``(t1, y1)``: the time where stepping starts and the state there.
 
     Up to t1, where the ramped coupling lam reaches ``STEP_THRESHOLD`` of
     the smallest gap, the state is written in closed form, in the frame
     where the tracked level stands still (w = E - E_g): the tail solution
-    s(lam1) (``tail_series``), plus what the basis start ``y0`` misses at
+    s(lam1) (``ramp.tail``), plus what the basis start ``y0`` misses at
     t0, r0 = y0 - s(lam0), turned freely by p = exp(-i w tau), tau =
     t1 - t0, plus that transient's first-order coupling r1, whose
     component j is -i sum_k V_jk (lam1 p_k - lam0 p_j) r0_k /
@@ -391,7 +383,7 @@ def _quiet_stretch(model, t0, t_end, tol, v_norm, y0):
     w = model.energies - model.ground_energy
     v = model.v.entries
     g = model.ground_index
-    r0 = y0 - tail_series(w, v, eps, lam0, g)
+    r0 = y0 - ramp.tail(lam0, g, tol)
     size = float(np.linalg.norm(r0))
     if size:
         reach = eps / v_norm * min(1.0, math.sqrt(tol / (5 * size)))
@@ -404,7 +396,7 @@ def _quiet_stretch(model, t0, t_end, tol, v_norm, y0):
     p = np.exp(-1j * tau * w)
     d = eps + 1j * (w[:, None] - w)
     r1 = -1j * np.dot(v * (lam1 * p - lam0 * p[:, None]) / d, r0)
-    s1 = tail_series(w, v, eps, lam1, g)
+    s1 = ramp.tail(lam1, g, tol)
     return t1, cmath.exp(-1j * model.ground_energy * tau) * (s1 + p * r0 + r1)
 
 
@@ -445,11 +437,12 @@ def evolve_nstate(
     v_norm = float(np.linalg.norm(model.v.entries, 2))
     y0 = np.zeros(model.dim, dtype=complex)
     y0[model.ground_index] = 1.0
-    t1, y1 = _quiet_stretch(model, t0, t_end, tol, v_norm, y0)
+    ramp = Ramp(model.energies, model.v.entries, model.x, model.eps)
+    t1, y1 = _quiet_stretch(model, ramp, t0, t_end, tol, v_norm, y0)
     phase = float(np.abs(model.energies - model.ground_energy).max()) * (t_end - t1)
-    ramp = ramped_coupling(model.x, model.eps, t_end, "t_end")
-    ramp = (ramp - ramped_coupling(model.x, model.eps, t1)) / model.eps * v_norm
-    steps = tol**-0.125 * (0.0039 * phase + 0.014 * ramp)
+    lam_end = ramped_coupling(model.x, model.eps, t_end, "t_end")
+    angle = (lam_end - ramped_coupling(model.x, model.eps, t1)) / model.eps * v_norm
+    steps = tol**-0.125 * (0.0039 * phase + 0.014 * angle)
     require_step_budget(
         steps,
         "tol**-0.125 * (0.0039 * max|E_k - E_g| * (t_end - t1) "
@@ -457,7 +450,6 @@ def evolve_nstate(
         t0,
         t_end,
     )
-    ramp = Ramp(model.energies, model.v.entries, model.x, model.eps)
     traj = ode_evolve(ramp, y1, t1, t_end, tol)
     if t1 == t0:
         return traj

@@ -27,6 +27,11 @@ as a ``Ramp``; three kernels serve ``ode_evolve``:
 The right-hand side at an accepted update is the next trial's first stage,
 evaluated when that trial starts.
 
+Both problems start from the switch-on tail: ``Ramp.tail`` sums the
+solution that tends to basis state g as the coupling switches off in the
+past, in the frame where level g stands still, as a power series in the
+ramped coupling, exact to rounding.
+
 ``_array_kernel`` keeps one stage matrix with y in row 0 and the stages
 k1..k12 below it. The tableau ``_W`` has a leading column for y (1 in the
 stage and update rows, 0 in the error rows); its other columns are scaled
@@ -56,6 +61,7 @@ array and ramp kernels end a trial the same way (``_stage_matrix_update``).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -245,6 +251,43 @@ class Ramp:
                             ("eps", float(self.eps)), ("generator", g),
                             ("factors", factors)):
             object.__setattr__(self, name, value)
+
+    def tail(self, lam: float, g: int, tol: float) -> np.ndarray:
+        """The tail solution s(lam) = sum_k lam**k c_k at the time where the
+        ramped coupling x exp(eps t) is ``lam``, in the frame where level
+        ``g`` stands still, y' = -i (diag(w) + lam v) y with w = energies -
+        energies[g]: c_0 is the basis state e_g and c_k = -i v c_{k-1} /
+        (k eps + i w). For two levels, w = (0, 2 delta) and v = sigma_x, it
+        is the pair (a, exp(-2i delta t) c) of the two-level model.
+
+        |k eps + i w_j| >= k eps, so term k is at most
+        (lam ||v|| / eps)**k / k! in norm: the terms past the first grow
+        only where lam ||v|| / eps exceeds 1. A ``DomainError`` if a
+        component of one exceeds max(1, 2**53 tol), as their cancellation
+        would then leave more than tol in the state. The sum stops after two
+        terms in a row that change no component (one per parity where v
+        couples only levels of opposite parity, as sigma_x does), so it is
+        exact to rounding.
+        """
+        limit = max(1.0, tol * 2.0**53)
+        s = np.zeros(self.energies.size, dtype=complex)
+        s[g] = 1.0
+        term = s
+        den = 1j * (self.energies - self.energies[g])
+        unchanged = 0
+        for k in itertools.count(1):
+            term = -1j * lam * np.dot(self.v, term) / (k * self.eps + den)
+            if np.abs(term).max() > limit:
+                raise DomainError(
+                    f"the switch-on tail series at coupling {lam:.3g} has a term above "
+                    f"{limit:.3g}: its cancellation leaves more than tol = {tol:.3g}; "
+                    "raise eps or tol"
+                )
+            total = s + term
+            unchanged = unchanged + 1 if np.array_equal(total, s) else 0
+            if unchanged == 2:
+                return s
+            s = total
 
     def __call__(self, t, y):
         n = self.energies.size
@@ -659,13 +702,19 @@ def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
         raise IntegrationError(
             f"right-hand side or starting step is not finite at t = {t:.12g}", time=t
         )
+    span = abs(t1 - t0)
+    # far from t = 0 the estimate can fall to the step floor, which grows
+    # with |t|; a start at 100 times the floor leaves the controller room to
+    # shrink it
+    floor = _H_FLOOR * max(abs(t), span)
+    if h <= floor:
+        h = min(100 * floor, span)
 
     times = [t]
     states = [y]
     accepted = 0
     rejected = 0
     err_prev = 1e-4
-    span = abs(t1 - t0)
     # no trial yet, so none to accept
     err_norm = math.inf
 

@@ -47,10 +47,11 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 30
-# the ODE starts from its switch-on tail series, exact to rounding anywhere
-# in the start_threshold domain (0, 1e-4]: so at the top of that domain,
-# where the fewest steps remain
-DEFAULT_START_THRESHOLD = 1e-4
+# the ODE starts from its switch-on tail series, exact to rounding, where
+# the ramped coupling is this share of the gap 2 delta: late, to save
+# steps, yet early enough that no term of the series exceeds 1 wherever
+# eps is above about 1e-8 delta
+_START = 1e-4
 
 
 @dataclass(frozen=True)
@@ -458,58 +459,6 @@ def ramped_coupling_squared(x: float, eps: float, t: float) -> float:
     return square
 
 
-def switch_on_time(
-    gap: float, x: float, eps: float, threshold: float, t_end: float, tol: float
-) -> float:
-    """Start time at which the ramped coupling is ``threshold`` of the gap;
-    the threshold must lie in (0, 1e-4], the start must precede ``t_end``,
-    and the run's tolerance ``tol`` must lie in (0, 1): at 1 and above the
-    integrator's error control is off."""
-    if not 0 < tol < 1:
-        raise DomainError(f"tol must be in (0, 1), got {tol}")
-    if not 0 < threshold <= 1e-4:
-        raise DomainError(f"start_threshold must be in (0, 1e-4], got {threshold}")
-    t0 = math.log(gap * threshold / x) / eps
-    if not t0 < t_end:
-        raise DomainError(
-            f"switch-on start t0 = {t0:.6g} is not before t_end = {t_end:.6g}; "
-            "lower start_threshold or move t_end"
-        )
-    return t0
-
-
-def switch_on_state(m: TwoStateModel, lam: float, tol: float) -> np.ndarray:
-    """The pair (a, b), b = exp(-2i delta t) c, at the time where the
-    ramped coupling is ``lam``: the tail solution of the tracked-frame
-    equations a' = -i lam b, b' = -i (lam a + 2 delta b), summed as a power
-    series in lam. Term k is lam**k times A_k (added to a, k even) or C_k
-    (added to b, k odd), with A_0 = 1, C_k = -i A_{k-1} / (k eps +
-    2i delta) and A_k = -i C_{k-1} / (k eps). The sum stops at the first
-    odd and even pair of terms that changes neither double, so the state is
-    exact to rounding. Its first term is the first-order switch-on state
-    (1, -i lam / (eps + 2i delta)).
-
-    The terms past the first, 1, grow only where lam**2 / (4 delta eps),
-    the phase a has turned by, exceeds about 1; a ``DomainError`` if one
-    exceeds 2**53 * tol, as their cancellation would then leave more than
-    tol in the state.
-    """
-    limit = max(1.0, tol * 2.0**53)
-    a, c, term = 1.0 + 0.0j, 0.0j, 1.0 + 0.0j
-    for k in itertools.count(1, 2):
-        odd = -1j * lam * term / complex(k * m.eps, 2.0 * m.delta)
-        term = -1j * lam * odd / ((k + 1) * m.eps)
-        if max(abs(odd), abs(term)) > limit:
-            raise DomainError(
-                f"the switch-on tail series at coupling {lam:.3g} has a term above "
-                f"{limit:.3g}: its cancellation leaves more than tol = {tol:.3g}; "
-                "lower start_threshold"
-            )
-        if c + odd == c and a + term == a:
-            return np.array([a, c])
-        a, c = a + term, c + odd
-
-
 def require_step_budget(steps: float, formula: str, t0: float, t_end: float) -> None:
     """Raise an ``IntegrationError`` at ``t0`` if ``steps``, an up-front
     estimate of a run's step count given by ``formula``, exceeds
@@ -523,30 +472,23 @@ def require_step_budget(steps: float, formula: str, t0: float, t_end: float) -> 
         )
 
 
-def evolve_two_state(
-    m: TwoStateModel,
-    t_end: float,
-    tol: float,
-    start_threshold: float = DEFAULT_START_THRESHOLD,
-) -> Trajectory:
+def evolve_two_state(m: TwoStateModel, t_end: float, tol: float) -> Trajectory:
     """Integrate the interaction-picture amplitude pair (a, c) from the
-    switch-on tail (ramped coupling at ``start_threshold`` of the gap
-    2*delta, 1e-4 by default) to ``t_end``. The generator is
-    anti-Hermitian, so |a|**2 + |c|**2 stays at 1 within a small multiple
-    of ``tol``.
+    switch-on tail to ``t_end``. The generator is anti-Hermitian, so
+    |a|**2 + |c|**2 stays at 1 within a small multiple of ``tol``.
 
     The pair is integrated in the frame where the tracked level stands
     still, y' = -i [[0, lam], [lam, 2 delta]] y with lam = x * exp(eps * t),
     the two-level ``Ramp`` with energies (0, 2 delta) and V = sigma_x, which
     ``numkit.ode.ode_evolve`` steps on its pair kernel. Its second
-    component is exp(-2i delta t) c. It starts from ``switch_on_state``,
-    the tail solution of these equations summed as a power series in lam,
-    so the start error is rounding, not O(start_threshold**2), and the
-    result does not depend on the threshold beyond integration error. The
-    default starts at the top of the threshold's domain (0, 1e-4], which
-    skips about a quarter of the steps a start at 1e-8 takes at slow
-    switching; a ``t_end`` whose coupling is below it needs a lower
-    threshold. The returned states carry c itself.
+    component is exp(-2i delta t) c. It starts from ``Ramp.tail``, the tail
+    solution of these equations summed as a power series in lam, so the
+    start error is rounding and where the run starts moves the result by
+    integration error only. The start t0 is where the coupling is 1e-4 of
+    the gap 2 delta; where the coupling at ``t_end`` is at or below that,
+    t0 is t_end - ln(100) / eps, so that the run still steps through a
+    hundredfold of the ramp. t0 is found in log space, where the coupling
+    over the gap cannot underflow. The returned states carry c itself.
 
     A run whose step count would exceed ``numkit.ode.MAX_STEPS`` fails at
     the start with an ``IntegrationError``. The count grows with the angle
@@ -561,7 +503,11 @@ def evolve_two_state(
     1e4 radians). The estimate takes a third of each term's lowest rate, so
     a run that could finish is never refused.
     """
-    t0 = switch_on_time(2 * m.delta, m.x, m.eps, start_threshold, t_end, tol)
+    if not 0 < tol < 1:
+        raise DomainError(f"tol must be in (0, 1), got {tol}")
+    t0 = (math.log(2 * _START) + math.log(m.delta) - math.log(m.x)) / m.eps
+    if t_end <= t0:
+        t0 = t_end - math.log(100.0) / m.eps
     lam0 = ramped_coupling(m.x, m.eps, t0)
     angle = (ramped_coupling(m.x, m.eps, t_end, "t_end") - lam0) / m.eps
     steps = 0.068 * tol**-0.125 * angle + 0.055 * 2 * m.delta * (t_end - t0)
@@ -573,8 +519,7 @@ def evolve_two_state(
         t_end,
     )
     ramp = Ramp((0.0, 2.0 * m.delta), [[0.0, 1.0], [1.0, 0.0]], m.x, m.eps)
-    y0 = switch_on_state(m, lam0, tol)
-    traj = ode_evolve(ramp, y0, t0, t_end, tol)
+    traj = ode_evolve(ramp, ramp.tail(lam0, 0, tol), t0, t_end, tol)
     states = traj.states.copy()
     states[:, 1] *= np.exp(2j * m.delta * traj.times)
     return Trajectory(traj.times, states, traj.accepted_steps, traj.rejected_steps)

@@ -78,7 +78,7 @@ def test_criterion_4_adiabatic_limit():
     errors = []
     for eps in (0.1, 0.05, 0.025, 0.0125):
         m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=eps)
-        traj = evolve_two_state(m, 0.0, 1e-10, start_threshold=1e-9)
+        traj = evolve_two_state(m, 0.0, 1e-10)
         errors.append(abs(abs(traj.final_state[0]) - NORM))
     monotone = all(a > b for a, b in zip(errors, errors[1:]))
     ok = monotone and errors[-1] <= 5e-3

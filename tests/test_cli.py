@@ -20,9 +20,10 @@ from adiabatic_lab.modelio import (
     save_model,
 )
 from adiabatic_lab.nstate import NStateModel
-from adiabatic_lab.numkit import ode
+from adiabatic_lab.numkit import Ramp, ode
 from adiabatic_lab.report import RunReport, Table, emit, report_from_json
 from adiabatic_lab.twostate import TwoStateModel
+from test_twostate import state_oracle
 
 
 def run(*argv):
@@ -151,19 +152,24 @@ def test_exit_code_continuation(tmp_path, capsys):
     assert "continuation" in capsys.readouterr().err
 
 
-def test_exit_code_two_state_end_inside_the_switch_on_tail(capsys):
+def test_exit_code_two_state_end_inside_the_switch_on_tail(tmp_path):
     # at t_end -35 the coupling is 4e-5 of the gap, below the two-state
-    # default start of 1e-4; a lower start threshold lets the run start
-    argv = ["two-state", "evolve", "--t-end", "-35"]
-    assert run(*argv) == 2
-    assert "is not before t_end" in capsys.readouterr().err
-    assert run(*argv, "--start-threshold", "1e-8") == 0
+    # start of 1e-4: the run starts ln(100) / eps before t_end instead
+    out = tmp_path / "report.json"
+    assert run("two-state", "evolve", "--t-end", "-35", "--out", str(out)) == 0
+    (table,) = report_from_json(out).tables
+    t, a_re, a_im, c_re, c_im, _ = table.rows[-1]
+    assert t == -35.0
+    m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=0.25)
+    a, c = state_oracle(m, -35)
+    assert abs(complex(a_re, a_im) - a) <= 1e-11
+    assert abs(complex(c_re, c_im) - c) <= 1e-11
 
 
 @pytest.mark.parametrize("command", ["compare", "sweep-eps"])
 def test_two_state_routes_compared_below_the_default_start(tmp_path, command):
     # at x 1e-4 the coupling at t 0 is 5e-5 of the gap, below the ODE's
-    # default start of 1e-4: the ODE starts at 1e-2 of that coupling instead
+    # start of 1e-4: the ODE starts at 1e-2 of that coupling instead
     out = tmp_path / "report.json"
     assert run("two-state", command, "--x", "1e-4", "--out", str(out)) == 0
     report = report_from_json(out)
@@ -173,6 +179,25 @@ def test_two_state_routes_compared_below_the_default_start(tmp_path, command):
         residuals = column(report.tables[0], "max_cross_residual")
     assert max(residuals) <= 1e-12
     assert "start_threshold" not in report.parameters
+
+
+@pytest.mark.parametrize("command", ["compare", "sweep-eps", "evolve"])
+def test_two_state_commands_where_the_coupling_over_the_gap_underflows(
+    tmp_path, command
+):
+    # at x 5e-324 the coupling over the gap is 0 in doubles; the ODE's start
+    # is found in log space, and every route reads a = 1
+    out = tmp_path / "report.json"
+    assert run("two-state", command, "--x", "5e-324", "--out", str(out)) == 0
+    report = report_from_json(out)
+    (table,) = report.tables
+    if command == "compare":
+        assert column(table, "re") == [1.0, 1.0, 1.0]
+    elif command == "evolve":
+        assert (report.values["a_re[ode]"], report.values["a_im[ode]"]) == (1.0, 0.0)
+    else:
+        assert column(table, "abs_a0[ode]") == [1.0] * 4
+        assert column(table, "max_cross_residual") == [0.0] * 4
 
 
 @pytest.mark.parametrize("index", ["1", 1.0, True])
@@ -711,12 +736,15 @@ def test_trajectory_csv_schema(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,re_a,im_a,re_c,im_c,norm"
     first = [float(cell) for cell in lines[1].split(",")]
-    # the first row is the switch-on tail state at the start time, its c
-    # turned back from the tracked frame
-    m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=0.25)
-    t0 = twostate.switch_on_time(2.0, 0.5, 0.25, 1e-4, 0.0, 1e-8)
-    a, c = twostate.switch_on_state(m, twostate.ramped_coupling(0.5, 0.25, t0), 1e-8)
-    assert first[0] == t0 and complex(first[1], first[2]) == a
+    # the first row is the switch-on tail state at the start time, where
+    # the coupling is 1e-4 of the gap, its c turned back from the tracked
+    # frame
+    t0 = first[0]
+    lam = twostate.ramped_coupling(0.5, 0.25, t0)
+    assert lam == pytest.approx(2e-4, rel=1e-13)
+    ramp = Ramp((0.0, 2.0), [[0.0, 1.0], [1.0, 0.0]], 0.5, 0.25)
+    a, c = ramp.tail(lam, 0, 1e-8)
+    assert complex(first[1], first[2]) == a
     assert complex(first[3], first[4]) == pytest.approx(c * np.exp(2j * t0), rel=1e-15)
     assert first[5] == pytest.approx(1.0, abs=1e-12)
 
@@ -1000,9 +1028,7 @@ _ORDER = {"--order": (int, 30, None, False)}
 _T = {"--t": (float, 0.0, None, False)}
 EXPECTED_FLAGS = {
     ("two-state", "exact"): {**_TWO_MODEL, **_OUTPUT},
-    ("two-state", "evolve"): {
-        **_TWO_MODEL, **_OUTPUT, **_EVOLVE, "--start-threshold": (float, 1e-4, None, False),
-    },
+    ("two-state", "evolve"): {**_TWO_MODEL, **_OUTPUT, **_EVOLVE},
     ("two-state", "series"): {**_TWO_MODEL, **_OUTPUT, **_T},
     ("two-state", "phase"): {**_TWO_MODEL, **_OUTPUT, **_ORDER},
     ("two-state", "compare"): {

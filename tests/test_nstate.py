@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
-from adiabatic_lab import nstate, twostate
+from adiabatic_lab import nstate
 from adiabatic_lab.cli import main
 from adiabatic_lab.errors import (
     ConsistencyError,
@@ -31,12 +31,11 @@ from adiabatic_lab.nstate import (
     g_split,
     oracle_shift,
     rs_recursion,
+    switch_on_time,
     two_level_embed,
 )
 from adiabatic_lab.rng import random_hermitian_model_arrays
-from adiabatic_lab.twostate import (
-    TwoStateModel, delta_e_closed, gtilde_values, switch_on_time,
-)
+from adiabatic_lab.twostate import TwoStateModel, delta_e_closed, gtilde_values
 
 SHIFT = -0.11803398874989485
 NORM = 0.9732489894677302
@@ -582,6 +581,15 @@ def test_evolve_norm_preserved():
     assert np.abs(traj.norms() - 1.0).max() <= 1e-8
 
 
+def test_evolve_start_threshold_validation():
+    # the threshold lies in (0, 1e-4], and the start must precede t_end
+    m = random_model(12, 4, x=0.2)
+    with pytest.raises(DomainError, match="start_threshold must be in"):
+        evolve_nstate(m, 0.0, 1e-10, start_threshold=1e-3)
+    with pytest.raises(DomainError, match="is not before t_end"):
+        evolve_nstate(m, -1e9, 1e-10)
+
+
 def test_evolve_component_ratios_converge_to_recursion():
     rng_seed = 21
     energies, v = random_hermitian_model_arrays(rng_seed, 4, 1.0, 1.0)
@@ -856,18 +864,38 @@ def test_stretch_is_empty_at_a_slow_rate(monkeypatch, eps):
     assert t1 == t0 and np.array_equal(y1, y0)
 
 
-@pytest.mark.parametrize("eps", [1.0, 0.2, 0.003125])
-@pytest.mark.parametrize("delta", [1e-3, 1.0, 1e3])
-def test_tail_series_for_two_levels_is_the_switch_on_state(eps, delta):
-    # the two-level start is the same series with w = (0, 2 delta) and
-    # V = sigma_x, summed on Python scalars: within an ulp or two
-    m = TwoStateModel(mu=0.0, delta=delta, x=0.5 * delta, eps=eps)
-    t0 = switch_on_time(2 * delta, m.x, eps, 1e-4, math.inf, 1e-10)
-    lam = twostate.ramped_coupling(m.x, eps, t0)
-    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    got = nstate.tail_series(np.array([0.0, 2 * delta]), sigma_x, eps, lam, 0)
-    for a, b in zip(got, twostate.switch_on_state(m, lam, 1e-10)):
-        assert abs(a - b) <= 4 * math.ulp(abs(b))
+@pytest.mark.parametrize(
+    "make_model",
+    [
+        lambda: generate_nstate_model(seed=3, levels=8, eps=0.25),
+        lambda: generate_nstate_model(seed=3, levels=8, eps=0.01),
+        lambda: random_model(5, 12, eps=0.05, complex_v=True),
+    ],
+    ids=["N8-eps0.25", "N8-eps0.01", "complex-N12-eps0.05"],
+)
+def test_ramp_tail_matches_dop853_from_deep_in_the_tail(make_model):
+    # the series alone, against scipy's DOP853 at rtol 1e-13 on the
+    # tracked-frame equation y' = -i (diag(w) + lam V) y, w = E - E_g, run
+    # from a coupling of 1e-12 of the smallest gap, where the first-order
+    # tail state is exact to about 1e-24, up to lam = eps / ||V||, the
+    # largest coupling at which the N-level route sums it
+    model = make_model()
+    g, eps = model.ground_index, model.eps
+    w = model.energies - model.ground_energy
+    v = model.v.entries
+    lam0 = 1e-12 * model.min_gap
+    lam = eps / np.linalg.norm(v, 2)
+    y0 = -1j * lam0 * v[:, g] / (eps + 1j * w)
+    y0[g] += 1.0
+
+    def rhs(t, y):
+        return -1j * (w * y + (lam0 * math.exp(eps * t)) * (v @ y))
+
+    span = (0.0, math.log(lam / lam0) / eps)
+    sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=1e-13, atol=1e-16)
+    assert sol.success
+    tail = Ramp(model.energies, v, model.x, eps).tail(lam, g, 1e-10)
+    assert np.abs(tail - sol.y[:, -1]).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -416,7 +416,7 @@ def test_bessel_series_trivial_at_vanishing_coupling():
 
 
 def test_bessel_series_agrees_with_ode():
-    traj = evolve_two_state(STD, 0.0, 1e-10, start_threshold=1e-9)
+    traj = evolve_two_state(STD, 0.0, 1e-10)
     res = bessel_series_a(STD, 0.0)
     assert res.converged
     assert abs(res.value - traj.final_state[0]) < 1e-6
@@ -749,10 +749,14 @@ def test_evolve_unitarity_throughout():
 
 
 def test_evolve_start_threshold_validation():
-    with pytest.raises(DomainError):
-        evolve_two_state(STD, 0.0, 1e-10, start_threshold=1e-3)
-    with pytest.raises(DomainError):
-        evolve_two_state(STD, -1e9, 1e-10)  # start not before t_end
+    # a run to a t_end whose coupling is below the start threshold starts
+    # ln(100) / eps before it, where the coupling is 1e-2 of that at t_end
+    traj = evolve_two_state(STD, -1e9, 1e-10)
+    assert traj.times[0] == -1e9 - math.log(100.0) / STD.eps
+    assert np.abs(traj.final_state - (1.0, 0.0)).max() <= 1e-12
+    # so far from 0 that the start rounds to t_end itself, no run can start
+    with pytest.raises(DomainError, match="need t0 < t1"):
+        evolve_two_state(STD, -1e300, 1e-10)
 
 
 def test_evolve_rejects_ramp_overflow():
@@ -844,7 +848,7 @@ def test_evolve_amplitude_converges_to_normalization():
     errors = []
     for eps in (0.2, 0.1, 0.05):
         m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=eps)
-        a0 = abs(evolve_two_state(m, 0.0, 1e-10, start_threshold=1e-9).final_state[0])
+        a0 = abs(evolve_two_state(m, 0.0, 1e-10).final_state[0])
         errors.append(abs(a0 - NORM))
     assert errors[0] > errors[1] > errors[2]
 
@@ -882,12 +886,13 @@ def test_evolve_step_estimate_counts_the_tracked_level_rotation(monkeypatch, tol
     # would take about 3.4e7 and is refused before the start; t0 + 1e4
     # takes about 3,400, and its estimate stays below that
     m = TwoStateModel(mu=0.0, delta=1.0, x=1e-4, eps=1e-8)
-    t0 = twostate.switch_on_time(2.0, m.x, m.eps, 1e-4, math.inf, tol)
+    # where the coupling is 1e-4 of the gap 2 delta
+    t0 = math.log(2e-4 / m.x) / m.eps
     started = time.perf_counter()
     with pytest.raises(IntegrationError, match="before the start") as info:
         evolve_two_state(m, t0 + 1e8, tol)
     assert time.perf_counter() - started < 1.0
-    assert info.value.time == t0
+    assert info.value.time == pytest.approx(t0, rel=1e-13)
     traj = evolve_two_state(m, t0 + 1e4, tol)
     steps = traj.accepted_steps + traj.rejected_steps
     monkeypatch.setattr(ode, "MAX_STEPS", 0)
@@ -895,6 +900,18 @@ def test_evolve_step_estimate_counts_the_tracked_level_rotation(monkeypatch, tol
         evolve_two_state(m, t0 + 1e4, tol)
     estimate = float(re.search(r"about (\S+) steps", str(info.value))[1])
     assert steps / 6 <= estimate < steps
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6])
+def test_evolve_far_from_zero_starts_above_the_step_floor(tol):
+    # t0 is about 6.9e10, where the step floor is 8 eps_machine |t0| =
+    # 1.2e-4; at these tolerances the starting-step estimate is 1e-4, below
+    # the floor. Tighter ones, 1e-8 to 1e-12, finish in 340 to 349 steps
+    m = TwoStateModel(mu=0.0, delta=1e-3, x=1e-7, eps=1e-11)
+    t0 = math.log(2e-4 * m.delta / m.x) / m.eps
+    traj = evolve_two_state(m, t0 + 1e6, tol)
+    assert traj.accepted_steps < 400
+    assert abs(traj.norms()[-1] - 1.0) <= 100 * tol
 
 
 def _tracked_pair(m, lam):
@@ -947,8 +964,9 @@ def test_evolve_state_matches_arbitrary_precision_oracle(eps, t):
 @pytest.mark.parametrize("ratio", [0.5, 2.0, 10.0])
 @pytest.mark.parametrize("eps", [1.0, 0.2, 0.003125])
 def test_evolve_starts_from_the_exact_switch_on_state(monkeypatch, eps, ratio, delta):
-    # the state the integrator is handed at t0, against the 40-digit pair
-    # at the coupling it sees there: each component within 4 ulps
+    # the state the integrator is handed at t0, where the coupling is 1e-4
+    # of the gap, against the 40-digit pair at the coupling it sees there:
+    # each component within 4 ulps
     m = TwoStateModel(mu=0.0, delta=delta, x=ratio * delta, eps=eps)
     starts = []
 
@@ -960,36 +978,36 @@ def test_evolve_starts_from_the_exact_switch_on_state(monkeypatch, eps, ratio, d
         raise Started
 
     monkeypatch.setattr(twostate, "ode_evolve", started)
-    t0 = twostate.switch_on_time(2 * delta, m.x, eps, 1e-4, math.inf, 1e-10)
     with pytest.raises(Started):
-        evolve_two_state(m, t0 + 1.0, 1e-10)
+        evolve_two_state(m, math.log(2e-4 * delta / m.x) / eps + 1.0, 1e-10)
     ((y0, start),) = starts
-    assert start == t0
+    lam = twostate.ramped_coupling(m.x, eps, start)
+    assert lam == pytest.approx(2e-4 * delta, rel=1e-13)
     with mpmath.workdps(40):
-        ref = _tracked_pair(m, mpmath.mpf(twostate.ramped_coupling(m.x, eps, t0)))
+        ref = _tracked_pair(m, mpmath.mpf(lam))
         ref = [complex(z) for z in ref]
     for got, want in zip(y0, ref):
         assert abs(got - want) <= 4 * math.ulp(abs(want))
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.05, 0.0125, 0.003125])
-def test_evolve_does_not_depend_on_the_start_threshold(eps):
+def test_evolve_does_not_depend_on_the_start_threshold(monkeypatch, eps):
     # the start is exact to rounding at every threshold, so a(0) moves by
     # integration error only
     m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=eps)
-    a0 = [
-        complex(evolve_two_state(m, 0.0, 1e-10, start_threshold=th).final_state[0])
-        for th in (1e-4, 1e-6, 1e-8)
-    ]
+    a0 = []
+    for start in (1e-4, 1e-6, 1e-8):
+        monkeypatch.setattr(twostate, "_START", start)
+        a0.append(complex(evolve_two_state(m, 0.0, 1e-10).final_state[0]))
     assert max(abs(a - a0[0]) for a in a0[1:]) <= 1e-12
 
 
 def test_evolve_refuses_a_switch_on_tail_that_cancels():
-    # eps far below delta * start_threshold**2: a turns by about
-    # delta * start_threshold**2 / eps = 50 radians before the start, so the
-    # tail's terms grow to about e**50 before they fall
+    # eps far below delta * 1e-8, with the start at 1e-4 of the gap: a
+    # turns by about delta * 1e-8 / eps = 50 radians before the start, so
+    # the tail's terms grow to about e**50 before they fall
     m = TwoStateModel(mu=0.0, delta=1.0, x=1e-4, eps=2e-10)
-    with pytest.raises(DomainError, match="tail series .* lower start_threshold"):
+    with pytest.raises(DomainError, match="tail series .*; raise eps or tol$"):
         evolve_two_state(m, 3.5e9, 1e-10)
 
 
