@@ -22,6 +22,7 @@ from .numkit import (
 )
 from .twostate import (
     TwoStateModel, ramped_coupling, ramped_coupling_squared, require_step_budget,
+    require_time,
 )
 
 __all__ = [
@@ -344,13 +345,14 @@ def switch_on_time(
     gap: float, x: float, eps: float, threshold: float, t_end: float, tol: float
 ) -> float:
     """Start time at which the ramped coupling is ``threshold`` of the gap;
-    the threshold must lie in (0, 1e-4], the start must precede ``t_end``,
-    and the run's tolerance ``tol`` must lie in (0, 1): at 1 and above the
-    integrator's error control is off."""
+    the threshold must lie in (0, 1e-4], ``t_end`` must be a number that
+    the start precedes, and the run's tolerance ``tol`` must lie in (0, 1):
+    at 1 and above the integrator's error control is off."""
     if not 0 < tol < 1:
         raise DomainError(f"tol must be in (0, 1), got {tol}")
     if not 0 < threshold <= 1e-4:
         raise DomainError(f"start_threshold must be in (0, 1e-4], got {threshold}")
+    require_time(t_end, "t_end")
     t0 = math.log(gap * threshold / x) / eps
     if not t0 < t_end:
         raise DomainError(
@@ -416,8 +418,9 @@ def evolve_nstate(
     (``_quiet_stretch``): against DOP853 at rtol 1e-13 from the basis state
     at t0 it is within tol / 10, about 1e-13 at eps 0.25 and tol 1e-10.
     From t1 it passes ``numkit.ode.ode_evolve`` a ``Ramp``, which the ramp
-    kernel steps with no Python right-hand side (the pair kernel for two
-    levels); the general array kernel is its oracle in the tests. The
+    kernel steps with no Python right-hand side (the two-level kernel where
+    the model has the two-state shape: energies (0, w) and a real V with a
+    zero diagonal); the general array kernel is its oracle in the tests. The
     returned trajectory's first row is (t0, basis state) and the ODE's rows
     follow from (t1, y(t1)); its step counts are the ODE's. Where the
     stretch is empty (``start_threshold`` 1e-4, or ``t_end`` not after t1)

@@ -17,10 +17,11 @@ each step, picked by the right-hand side. Both problems of this package
 integrate one switched system, y' = -i (diag(E) + x e^{eps t} V) y, given
 as a ``Ramp``; three kernels serve ``ode_evolve``:
 
-- ``_pair_kernel``, for a ``Ramp`` of two levels
+- ``_two_level_kernel``, for the two-level ``Ramp`` of the two-state route,
+  y' = -i [[0, lam v], [lam v, w]] y with real v and w
   (``twostate.evolve_two_state``);
-- ``_ramp_kernel``, for a ``Ramp`` of any other count
-  (``nstate.evolve_nstate``);
+- ``_ramp_kernel``, for any other ``Ramp`` (``nstate.evolve_nstate``, two
+  levels included);
 - ``_array_kernel``, for any other right-hand side callable and a state of
   any size. It is the oracle of the other two.
 
@@ -40,9 +41,11 @@ input is one ``dot`` of a pre-sliced buffer row against a pre-sliced head
 of the stage matrix. One more ``dot`` gives the update and one the two
 error vectors.
 
-``_pair_kernel`` writes the same sums out stage by stage on two Python
-complex scalars and evaluates the two-level derivative itself, with no
-numpy call per stage.
+``_two_level_kernel`` writes the same sums out stage by stage on the four
+real parts of the state as Python floats, whose arithmetic the
+interpreter specializes (complex arithmetic it does not), and forms each
+stage's derivative itself from one ``exp`` and a few products, with no
+numpy call and no right-hand-side call per stage.
 
 ``_ramp_kernel`` keeps, in place of each stage k_j, the product of the
 real generator ``[Re V; Im V; diag(E)]`` (no Im V rows for a real V) with
@@ -52,11 +55,12 @@ stage is two dots, its input and its product, and no Python call; it
 takes about 0.6 of the array kernel's time with the N-state right-hand
 side at N = 8 to 64.
 
-The pair and ramp kernels round differently, so their step grids drift
-from the array kernel's in the last bits: on the switching problems here
-the step counts are equal and the end states agree to within about 1e-14
-(pair) and 5e-14 (ramp, N up to 64). The
-array and ramp kernels end a trial the same way (``_stage_matrix_update``).
+The two-level and ramp kernels round differently from the array kernel,
+so their step grids drift from its grid in the last bits: on the
+switching problems here the step counts are equal and the end states
+agree to within about 1e-14 (two-level) and 5e-14 (ramp, N up to 64).
+The array and ramp kernels end a trial the same way
+(``_stage_matrix_update``).
 """
 
 from __future__ import annotations
@@ -469,31 +473,39 @@ def _ramp_kernel(ramp, y, f0, tol):
     return trial
 
 
-def _moduli(a, c):
-    """``(abs(a), abs(c))``, with inf for a modulus past the range of doubles."""
-    try:
-        return abs(a), abs(c)
-    except OverflowError:
-        return math.inf, math.inf
+def _is_two_level(ramp) -> bool:
+    """Whether ``ramp`` is the two-level system y' = -i [[0, lam v],
+    [lam v, w]] y, lam = x exp(eps t), with real v and w: two levels, the
+    first at energy 0, and a real V (no Im v block, see ``Ramp``) with a
+    zero diagonal and equal off-diagonal entries."""
+    if ramp.energies.size != 2 or ramp.energies[0] != 0.0 or len(ramp.factors) != 2:
+        return False
+    (vaa, vac), (vca, vcc) = ramp.v.real
+    return vaa == vcc == 0.0 and vac == vca
 
 
-def _pair_kernel(ramp, y, f0, tol):
-    """The trial step of ``_array_kernel`` for a ``Ramp`` of two levels,
-    written out stage by stage on the two components as Python complex
-    scalars, with the derivative evaluated from -i E, -i V and the ramped
-    coupling x exp(eps t) on the same scalars.
+def _two_level_kernel(ramp, y, f0, tol):
+    """The trial step of ``_array_kernel`` for the two-level system of
+    ``_is_two_level``, written out stage by stage in real arithmetic on the
+    four parts (Re a, Im a, Re c, Im c) of the state, as Python floats.
 
-    The weights, -i E, -i V and x are unpacked once as complex scalars, so
-    that each product is a full complex product, as numpy's complex tableau
-    forms it, on every Python version (3.14 changed the rules of mixed
-    float-complex products for inf and NaN), and skips the float-to-complex
-    dispatch. Each stage's derivative is scaled by h as it arrives, as the
-    array kernel's h-scaled tableau scales it, so that no stage sum of large
-    derivatives overflows where the scaled one does not. A modulus past the
-    range of doubles reads as inf, so its update is rejected as a non-finite
-    one is.
+    Stage j's derivative, scaled by h, is k_a = -i g_j s_c and
+    k_c = -i (g_j s_a + h w s_c) on the stage input (s_a, s_c), with
+    g_j = h lam_j v. The ramped coupling lam_j v = x v exp(eps t)
+    exp(eps c_j h) at the stage's time is formed first and only then scaled
+    by h, so that it is inf wherever x v exp(eps t) overflows, however
+    small h is: the stages there are not finite, and their update is
+    rejected, as the array kernel's is. A modulus past the range of doubles
+    reads as inf (``math.hypot``), so its update is rejected as a
+    non-finite one is.
+
+    Returns the trial step (see ``_array_kernel``); the derivative ``f0`` is
+    not read, as each trial forms its first stage from y.
     """
-    c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12 = _C
+    # eps times each stage's time as a fraction of the step
+    ec2, ec3, ec4, ec5, ec6, ec7, ec8, ec9, ec10, ec11, ec12 = [
+        ramp.eps * c for c in _C
+    ]
     # each table's weights in the order of their stages, as typed in
     (
         (w2_1,),
@@ -510,152 +522,162 @@ def _pair_kernel(ramp, y, f0, tol):
         (b1, b6, b7, b8, b9, b10, b11, b12),
         (p1, p6, p7, p8, p9, p10, p11, p12),
         (q1, q6, q7, q8, q9, q10, q11, q12),
-    ) = [tuple(map(complex, w.values())) for w in (*_STAGE_WEIGHTS, _B, _E5, _E3)]
+    ) = [tuple(w.values()) for w in (*_STAGE_WEIGHTS, _B, _E5, _E3)]
     norm_scale = 1.0 / (tol * math.sqrt(2.0))
     inf = math.inf
-    ea, ec = (-1j * ramp.energies).tolist()
-    (vaa, vac), (vca, vcc) = (-1j * ramp.v).tolist()
-    x = complex(ramp.x)
-    eps = ramp.eps
     exp = math.exp
+    hypot = math.hypot
+    xv = ramp.x * float(ramp.v.real[0, 1])
+    eps = ramp.eps
+    w = float(ramp.energies[1])
+    # the base state's parts and moduli, and the last update's
+    yar, yai, ycr, yci = y.view(float).tolist()
+    ma, mc = hypot(yar, yai), hypot(ycr, yci)
+    nar = nai = ncr = nci = nma = nmc = None
 
-    def f(t, a, c):
-        lam = x * exp(eps * t)
-        return (ea + lam * vaa) * a + lam * vac * c, lam * vca * a + (ec + lam * vcc) * c
-
-    # the base state, its derivative and moduli, and the last update
-    ya, yc = y.tolist()
-    fa, fc = f0.tolist()
-    ma, mc = _moduli(ya, yc)
-    na = nc = nma = nmc = None
-
-    def trial(t, dt, advance):
-        nonlocal ya, yc, fa, fc, ma, mc, na, nc, nma, nmc
+    def trial(t, h, advance):
+        nonlocal yar, yai, ycr, yci, ma, mc
+        nonlocal nar, nai, ncr, nci, nma, nmc
         if advance:
-            ya, yc, ma, mc = na, nc, nma, nmc
-            fa, fc = f(t, ya, yc)
-        # complex, so that it too multiplies as a full complex product
-        h = complex(dt)
-        k1a = h * fa
-        k1c = h * fc
-        k2a, k2c = f(t + c2 * dt, ya + w2_1 * k1a, yc + w2_1 * k1c)
-        k2a *= h
-        k2c *= h
-        k3a, k3c = f(
-            t + c3 * dt, ya + w3_1 * k1a + w3_2 * k2a, yc + w3_1 * k1c + w3_2 * k2c
-        )
-        k3a *= h
-        k3c *= h
-        k4a, k4c = f(
-            t + c4 * dt, ya + w4_1 * k1a + w4_3 * k3a, yc + w4_1 * k1c + w4_3 * k3c
-        )
-        k4a *= h
-        k4c *= h
-        k5a, k5c = f(
-            t + c5 * dt,
-            ya + w5_1 * k1a + w5_3 * k3a + w5_4 * k4a,
-            yc + w5_1 * k1c + w5_3 * k3c + w5_4 * k4c,
-        )
-        k5a *= h
-        k5c *= h
-        k6a, k6c = f(
-            t + c6 * dt,
-            ya + w6_1 * k1a + w6_4 * k4a + w6_5 * k5a,
-            yc + w6_1 * k1c + w6_4 * k4c + w6_5 * k5c,
-        )
-        k6a *= h
-        k6c *= h
-        k7a, k7c = f(
-            t + c7 * dt,
-            ya + w7_1 * k1a + w7_4 * k4a + w7_5 * k5a + w7_6 * k6a,
-            yc + w7_1 * k1c + w7_4 * k4c + w7_5 * k5c + w7_6 * k6c,
-        )
-        k7a *= h
-        k7c *= h
-        k8a, k8c = f(
-            t + c8 * dt,
-            ya + w8_1 * k1a + w8_4 * k4a + w8_5 * k5a + w8_6 * k6a + w8_7 * k7a,
-            yc + w8_1 * k1c + w8_4 * k4c + w8_5 * k5c + w8_6 * k6c + w8_7 * k7c,
-        )
-        k8a *= h
-        k8c *= h
-        k9a, k9c = f(
-            t + c9 * dt,
-            ya + w9_1 * k1a + w9_4 * k4a + w9_5 * k5a + w9_6 * k6a + w9_7 * k7a
-            + w9_8 * k8a,
-            yc + w9_1 * k1c + w9_4 * k4c + w9_5 * k5c + w9_6 * k6c + w9_7 * k7c
-            + w9_8 * k8c,
-        )
-        k9a *= h
-        k9c *= h
-        k10a, k10c = f(
-            t + c10 * dt,
-            ya + w10_1 * k1a + w10_4 * k4a + w10_5 * k5a + w10_6 * k6a + w10_7 * k7a
-            + w10_8 * k8a + w10_9 * k9a,
-            yc + w10_1 * k1c + w10_4 * k4c + w10_5 * k5c + w10_6 * k6c + w10_7 * k7c
-            + w10_8 * k8c + w10_9 * k9c,
-        )
-        k10a *= h
-        k10c *= h
-        k11a, k11c = f(
-            t + c11 * dt,
-            ya + w11_1 * k1a + w11_4 * k4a + w11_5 * k5a + w11_6 * k6a + w11_7 * k7a
-            + w11_8 * k8a + w11_9 * k9a + w11_10 * k10a,
-            yc + w11_1 * k1c + w11_4 * k4c + w11_5 * k5c + w11_6 * k6c + w11_7 * k7c
-            + w11_8 * k8c + w11_9 * k9c + w11_10 * k10c,
-        )
-        k11a *= h
-        k11c *= h
-        k12a, k12c = f(
-            t + c12 * dt,
-            ya + w12_1 * k1a + w12_4 * k4a + w12_5 * k5a + w12_6 * k6a + w12_7 * k7a
-            + w12_8 * k8a + w12_9 * k9a + w12_10 * k10a + w12_11 * k11a,
-            yc + w12_1 * k1c + w12_4 * k4c + w12_5 * k5c + w12_6 * k6c + w12_7 * k7c
-            + w12_8 * k8c + w12_9 * k9c + w12_10 * k10c + w12_11 * k11c,
-        )
-        k12a *= h
-        k12c *= h
-        na = (
-            ya + b1 * k1a + b6 * k6a + b7 * k7a + b8 * k8a + b9 * k9a + b10 * k10a
-            + b11 * k11a + b12 * k12a
-        )
-        nc = (
-            yc + b1 * k1c + b6 * k6c + b7 * k7c + b8 * k8c + b9 * k9c + b10 * k10c
-            + b11 * k11c + b12 * k12c
-        )
-        nma, nmc = _moduli(na, nc)
+            yar, yai, ycr, yci, ma, mc = nar, nai, ncr, nci, nma, nmc
+        lam = xv * exp(eps * t)
+        hw = h * w
+        g = lam * h
+        k1ar, k1ai = g * yci, -g * ycr
+        k1cr, k1ci = g * yai + hw * yci, -(g * yar + hw * ycr)
+        g = lam * exp(ec2 * h) * h
+        sar = yar + w2_1 * k1ar
+        sai = yai + w2_1 * k1ai
+        scr = ycr + w2_1 * k1cr
+        sci = yci + w2_1 * k1ci
+        k2ar, k2ai = g * sci, -g * scr
+        k2cr, k2ci = g * sai + hw * sci, -(g * sar + hw * scr)
+        g = lam * exp(ec3 * h) * h
+        sar = yar + w3_1 * k1ar + w3_2 * k2ar
+        sai = yai + w3_1 * k1ai + w3_2 * k2ai
+        scr = ycr + w3_1 * k1cr + w3_2 * k2cr
+        sci = yci + w3_1 * k1ci + w3_2 * k2ci
+        k3ar, k3ai = g * sci, -g * scr
+        k3cr, k3ci = g * sai + hw * sci, -(g * sar + hw * scr)
+        g = lam * exp(ec4 * h) * h
+        sar = yar + w4_1 * k1ar + w4_3 * k3ar
+        sai = yai + w4_1 * k1ai + w4_3 * k3ai
+        scr = ycr + w4_1 * k1cr + w4_3 * k3cr
+        sci = yci + w4_1 * k1ci + w4_3 * k3ci
+        k4ar, k4ai = g * sci, -g * scr
+        k4cr, k4ci = g * sai + hw * sci, -(g * sar + hw * scr)
+        g = lam * exp(ec5 * h) * h
+        sar = yar + w5_1 * k1ar + w5_3 * k3ar + w5_4 * k4ar
+        sai = yai + w5_1 * k1ai + w5_3 * k3ai + w5_4 * k4ai
+        scr = ycr + w5_1 * k1cr + w5_3 * k3cr + w5_4 * k4cr
+        sci = yci + w5_1 * k1ci + w5_3 * k3ci + w5_4 * k4ci
+        k5ar, k5ai = g * sci, -g * scr
+        k5cr, k5ci = g * sai + hw * sci, -(g * sar + hw * scr)
+        g = lam * exp(ec6 * h) * h
+        sar = yar + w6_1 * k1ar + w6_4 * k4ar + w6_5 * k5ar
+        sai = yai + w6_1 * k1ai + w6_4 * k4ai + w6_5 * k5ai
+        scr = ycr + w6_1 * k1cr + w6_4 * k4cr + w6_5 * k5cr
+        sci = yci + w6_1 * k1ci + w6_4 * k4ci + w6_5 * k5ci
+        k6ar, k6ai = g * sci, -g * scr
+        k6cr, k6ci = g * sai + hw * sci, -(g * sar + hw * scr)
+        g = lam * exp(ec7 * h) * h
+        sar = yar + w7_1 * k1ar + w7_4 * k4ar + w7_5 * k5ar + w7_6 * k6ar
+        sai = yai + w7_1 * k1ai + w7_4 * k4ai + w7_5 * k5ai + w7_6 * k6ai
+        scr = ycr + w7_1 * k1cr + w7_4 * k4cr + w7_5 * k5cr + w7_6 * k6cr
+        sci = yci + w7_1 * k1ci + w7_4 * k4ci + w7_5 * k5ci + w7_6 * k6ci
+        k7ar, k7ai = g * sci, -g * scr
+        k7cr, k7ci = g * sai + hw * sci, -(g * sar + hw * scr)
+        g = lam * exp(ec8 * h) * h
+        sar = yar + w8_1 * k1ar + w8_4 * k4ar + w8_5 * k5ar + w8_6 * k6ar + w8_7 * k7ar
+        sai = yai + w8_1 * k1ai + w8_4 * k4ai + w8_5 * k5ai + w8_6 * k6ai + w8_7 * k7ai
+        scr = ycr + w8_1 * k1cr + w8_4 * k4cr + w8_5 * k5cr + w8_6 * k6cr + w8_7 * k7cr
+        sci = yci + w8_1 * k1ci + w8_4 * k4ci + w8_5 * k5ci + w8_6 * k6ci + w8_7 * k7ci
+        k8ar, k8ai = g * sci, -g * scr
+        k8cr, k8ci = g * sai + hw * sci, -(g * sar + hw * scr)
+        g = lam * exp(ec9 * h) * h
+        sar = (yar + w9_1 * k1ar + w9_4 * k4ar + w9_5 * k5ar + w9_6 * k6ar + w9_7 * k7ar
+               + w9_8 * k8ar)
+        sai = (yai + w9_1 * k1ai + w9_4 * k4ai + w9_5 * k5ai + w9_6 * k6ai + w9_7 * k7ai
+               + w9_8 * k8ai)
+        scr = (ycr + w9_1 * k1cr + w9_4 * k4cr + w9_5 * k5cr + w9_6 * k6cr + w9_7 * k7cr
+               + w9_8 * k8cr)
+        sci = (yci + w9_1 * k1ci + w9_4 * k4ci + w9_5 * k5ci + w9_6 * k6ci + w9_7 * k7ci
+               + w9_8 * k8ci)
+        k9ar, k9ai = g * sci, -g * scr
+        k9cr, k9ci = g * sai + hw * sci, -(g * sar + hw * scr)
+        g = lam * exp(ec10 * h) * h
+        sar = (yar + w10_1 * k1ar + w10_4 * k4ar + w10_5 * k5ar + w10_6 * k6ar
+               + w10_7 * k7ar + w10_8 * k8ar + w10_9 * k9ar)
+        sai = (yai + w10_1 * k1ai + w10_4 * k4ai + w10_5 * k5ai + w10_6 * k6ai
+               + w10_7 * k7ai + w10_8 * k8ai + w10_9 * k9ai)
+        scr = (ycr + w10_1 * k1cr + w10_4 * k4cr + w10_5 * k5cr + w10_6 * k6cr
+               + w10_7 * k7cr + w10_8 * k8cr + w10_9 * k9cr)
+        sci = (yci + w10_1 * k1ci + w10_4 * k4ci + w10_5 * k5ci + w10_6 * k6ci
+               + w10_7 * k7ci + w10_8 * k8ci + w10_9 * k9ci)
+        k10ar, k10ai = g * sci, -g * scr
+        k10cr, k10ci = g * sai + hw * sci, -(g * sar + hw * scr)
+        g = lam * exp(ec11 * h) * h
+        sar = (yar + w11_1 * k1ar + w11_4 * k4ar + w11_5 * k5ar + w11_6 * k6ar
+               + w11_7 * k7ar + w11_8 * k8ar + w11_9 * k9ar + w11_10 * k10ar)
+        sai = (yai + w11_1 * k1ai + w11_4 * k4ai + w11_5 * k5ai + w11_6 * k6ai
+               + w11_7 * k7ai + w11_8 * k8ai + w11_9 * k9ai + w11_10 * k10ai)
+        scr = (ycr + w11_1 * k1cr + w11_4 * k4cr + w11_5 * k5cr + w11_6 * k6cr
+               + w11_7 * k7cr + w11_8 * k8cr + w11_9 * k9cr + w11_10 * k10cr)
+        sci = (yci + w11_1 * k1ci + w11_4 * k4ci + w11_5 * k5ci + w11_6 * k6ci
+               + w11_7 * k7ci + w11_8 * k8ci + w11_9 * k9ci + w11_10 * k10ci)
+        k11ar, k11ai = g * sci, -g * scr
+        k11cr, k11ci = g * sai + hw * sci, -(g * sar + hw * scr)
+        g = lam * exp(ec12 * h) * h
+        sar = (yar + w12_1 * k1ar + w12_4 * k4ar + w12_5 * k5ar + w12_6 * k6ar
+               + w12_7 * k7ar + w12_8 * k8ar + w12_9 * k9ar + w12_10 * k10ar
+               + w12_11 * k11ar)
+        sai = (yai + w12_1 * k1ai + w12_4 * k4ai + w12_5 * k5ai + w12_6 * k6ai
+               + w12_7 * k7ai + w12_8 * k8ai + w12_9 * k9ai + w12_10 * k10ai
+               + w12_11 * k11ai)
+        scr = (ycr + w12_1 * k1cr + w12_4 * k4cr + w12_5 * k5cr + w12_6 * k6cr
+               + w12_7 * k7cr + w12_8 * k8cr + w12_9 * k9cr + w12_10 * k10cr
+               + w12_11 * k11cr)
+        sci = (yci + w12_1 * k1ci + w12_4 * k4ci + w12_5 * k5ci + w12_6 * k6ci
+               + w12_7 * k7ci + w12_8 * k8ci + w12_9 * k9ci + w12_10 * k10ci
+               + w12_11 * k11ci)
+        k12ar, k12ai = g * sci, -g * scr
+        k12cr, k12ci = g * sai + hw * sci, -(g * sar + hw * scr)
+        nar = (yar + b1 * k1ar + b6 * k6ar + b7 * k7ar + b8 * k8ar + b9 * k9ar
+               + b10 * k10ar + b11 * k11ar + b12 * k12ar)
+        nai = (yai + b1 * k1ai + b6 * k6ai + b7 * k7ai + b8 * k8ai + b9 * k9ai
+               + b10 * k10ai + b11 * k11ai + b12 * k12ai)
+        ncr = (ycr + b1 * k1cr + b6 * k6cr + b7 * k7cr + b8 * k8cr + b9 * k9cr
+               + b10 * k10cr + b11 * k11cr + b12 * k12cr)
+        nci = (yci + b1 * k1ci + b6 * k6ci + b7 * k7ci + b8 * k8ci + b9 * k9ci
+               + b10 * k10ci + b11 * k11ci + b12 * k12ci)
+        update = complex(nar, nai), complex(ncr, nci)
+        nma, nmc = hypot(nar, nai), hypot(ncr, nci)
         # a non-finite state is rejected; the sum of two finite moduli can
         # overflow, so each is tested
         if not (nma < inf and nmc < inf):
-            return (na, nc), inf
+            return update, inf
         sa = 1.0 + (nma if nma > ma else ma)
         sc = 1.0 + (nmc if nmc > mc else mc)
-        e5a = (
-            p1 * k1a + p6 * k6a + p7 * k7a + p8 * k8a + p9 * k9a + p10 * k10a
-            + p11 * k11a + p12 * k12a
-        ) / sa
-        e5c = (
-            p1 * k1c + p6 * k6c + p7 * k7c + p8 * k8c + p9 * k9c + p10 * k10c
-            + p11 * k11c + p12 * k12c
-        ) / sc
-        e3a = (
-            q1 * k1a + q6 * k6a + q7 * k7a + q8 * k8a + q9 * k9a + q10 * k10a
-            + q11 * k11a + q12 * k12a
-        ) / sa
-        e3c = (
-            q1 * k1c + q6 * k6c + q7 * k7c + q8 * k8c + q9 * k9c + q10 * k10c
-            + q11 * k11c + q12 * k12c
-        ) / sc
-        n5 = (
-            e5a.real * e5a.real + e5a.imag * e5a.imag
-            + e5c.real * e5c.real + e5c.imag * e5c.imag
-        )
-        n3 = (
-            e3a.real * e3a.real + e3a.imag * e3a.imag
-            + e3c.real * e3c.real + e3c.imag * e3c.imag
-        )
+        e5ar = (p1 * k1ar + p6 * k6ar + p7 * k7ar + p8 * k8ar + p9 * k9ar + p10 * k10ar
+                + p11 * k11ar + p12 * k12ar) / sa
+        e5ai = (p1 * k1ai + p6 * k6ai + p7 * k7ai + p8 * k8ai + p9 * k9ai + p10 * k10ai
+                + p11 * k11ai + p12 * k12ai) / sa
+        e5cr = (p1 * k1cr + p6 * k6cr + p7 * k7cr + p8 * k8cr + p9 * k9cr + p10 * k10cr
+                + p11 * k11cr + p12 * k12cr) / sc
+        e5ci = (p1 * k1ci + p6 * k6ci + p7 * k7ci + p8 * k8ci + p9 * k9ci + p10 * k10ci
+                + p11 * k11ci + p12 * k12ci) / sc
+        e3ar = (q1 * k1ar + q6 * k6ar + q7 * k7ar + q8 * k8ar + q9 * k9ar + q10 * k10ar
+                + q11 * k11ar + q12 * k12ar) / sa
+        e3ai = (q1 * k1ai + q6 * k6ai + q7 * k7ai + q8 * k8ai + q9 * k9ai + q10 * k10ai
+                + q11 * k11ai + q12 * k12ai) / sa
+        e3cr = (q1 * k1cr + q6 * k6cr + q7 * k7cr + q8 * k8cr + q9 * k9cr + q10 * k10cr
+                + q11 * k11cr + q12 * k12cr) / sc
+        e3ci = (q1 * k1ci + q6 * k6ci + q7 * k7ci + q8 * k8ci + q9 * k9ci + q10 * k10ci
+                + q11 * k11ci + q12 * k12ci) / sc
+        n5 = e5ar * e5ar + e5ai * e5ai + e5cr * e5cr + e5ci * e5ci
+        n3 = e3ar * e3ar + e3ai * e3ai + e3cr * e3cr + e3ci * e3ci
         # as in the array kernel: an infinite n5 gives NaN, which is rejected
-        return (na, nc), n5 * norm_scale / math.sqrt(n5 + 0.01 * n3) if n5 else 0.0
+        return update, n5 * norm_scale / math.sqrt(n5 + 0.01 * n3) if n5 else 0.0
 
     return trial
 
@@ -663,14 +685,14 @@ def _pair_kernel(ramp, y, f0, tol):
 def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
     """Integrate ``y' = rhs(t, y)`` from t0 to t1, recording every accepted step.
 
-    ``rhs`` is a ``Ramp``, stepped on the pair kernel for two levels and on
-    the ramp kernel for any other count, or any other callable, stepped on
-    the array kernel. A callable must accept a float time and a complex
-    state vector, which it must not modify, and return the complex
-    derivative as an array or any sequence of complex numbers. The local
-    error is controlled relative to ``tol``; for anti-Hermitian generators
-    the state norm drifts by at most a small multiple of ``tol`` over
-    moderate spans.
+    ``rhs`` is a ``Ramp``, stepped on the two-level kernel where it has the
+    two-state shape (``_is_two_level``) and on the ramp kernel otherwise, or
+    any other callable, stepped on the array kernel. A callable must
+    accept a float time and a complex state vector, which it must not
+    modify, and return the complex derivative as an array or any sequence
+    of complex numbers. The local error is controlled relative to
+    ``tol``; for anti-Hermitian generators the state norm drifts by at most
+    a small multiple of ``tol`` over moderate spans.
 
     A ``DomainError`` if ``y0`` does not hold one amplitude per level of a
     ``Ramp``. Raises IntegrationError (naming the time of failure) if
@@ -693,7 +715,7 @@ def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
     t = float(t0)
     f0 = np.asarray(rhs(t, y), dtype=complex)
     if is_ramp:
-        kernel = _pair_kernel if y.size == 2 else _ramp_kernel
+        kernel = _two_level_kernel if _is_two_level(rhs) else _ramp_kernel
     else:
         kernel = _array_kernel
     trial = kernel(rhs, y, f0, tol)

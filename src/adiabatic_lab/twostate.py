@@ -431,9 +431,17 @@ def phase_split(m: TwoStateModel, order: int = DEFAULT_ORDER) -> PhaseSplitTwoSt
 # ODE route
 
 
+def require_time(t: float, name: str = "t") -> None:
+    """A ``DomainError`` naming the time ``name`` if ``t`` is not a number."""
+    if math.isnan(t):
+        raise DomainError(f"{name} is not a number, got {t}")
+
+
 def ramped_coupling(x: float, eps: float, t: float, name: str = "t") -> float:
     """The coupling ``x * exp(eps * t)`` at time ``t``; a ``DomainError``
-    naming the time ``name`` if it is not a finite float."""
+    naming the time ``name`` if ``t`` is not a number or the coupling is not
+    a finite float."""
+    require_time(t, name)
     try:
         value = x * math.exp(eps * t)
     except OverflowError:
@@ -479,16 +487,20 @@ def evolve_two_state(m: TwoStateModel, t_end: float, tol: float) -> Trajectory:
 
     The pair is integrated in the frame where the tracked level stands
     still, y' = -i [[0, lam], [lam, 2 delta]] y with lam = x * exp(eps * t),
-    the two-level ``Ramp`` with energies (0, 2 delta) and V = sigma_x, which
-    ``numkit.ode.ode_evolve`` steps on its pair kernel. Its second
-    component is exp(-2i delta t) c. It starts from ``Ramp.tail``, the tail
+    the two-level ``Ramp`` with energies (0, 2 delta) and V = sigma_x.
+    ``numkit.ode.ode_evolve`` steps that shape on its two-level kernel, in
+    real arithmetic on the four parts of the pair as Python floats, one
+    ``exp`` and a few products per stage. Its second component is
+    exp(-2i delta t) c. It starts from ``Ramp.tail``, the tail
     solution of these equations summed as a power series in lam, so the
     start error is rounding and where the run starts moves the result by
     integration error only. The start t0 is where the coupling is 1e-4 of
     the gap 2 delta; where the coupling at ``t_end`` is at or below that,
     t0 is t_end - ln(100) / eps, so that the run still steps through a
-    hundredfold of the ramp. t0 is found in log space, where the coupling
-    over the gap cannot underflow. The returned states carry c itself.
+    hundredfold of the ramp; a ``DomainError`` where that rounds to t_end
+    itself, as it does at |t_end| near 1e300. t0 is found in log space,
+    where the coupling over the gap cannot underflow. The returned states
+    carry c itself. A ``DomainError`` if ``t_end`` is not a number.
 
     A run whose step count would exceed ``numkit.ode.MAX_STEPS`` fails at
     the start with an ``IntegrationError``. The count grows with the angle
@@ -508,6 +520,11 @@ def evolve_two_state(m: TwoStateModel, t_end: float, tol: float) -> Trajectory:
     t0 = (math.log(2 * _START) + math.log(m.delta) - math.log(m.x)) / m.eps
     if t_end <= t0:
         t0 = t_end - math.log(100.0) / m.eps
+        if not t0 < t_end:
+            raise DomainError(
+                f"end time {t_end:.6g} is so far in the past that a start "
+                "ln(100) / eps before it rounds to it; move the end time later"
+            )
     lam0 = ramped_coupling(m.x, m.eps, t0)
     angle = (ramped_coupling(m.x, m.eps, t_end, "t_end") - lam0) / m.eps
     steps = 0.068 * tol**-0.125 * angle + 0.055 * 2 * m.delta * (t_end - t0)

@@ -585,11 +585,26 @@ def test_exit_code_tol_outside_unit_interval(tmp_path, capsys, command, tol):
         (["two-state", "series", "--eps", "1e-160"], None,
          "squared ramped coupling over the rate (x * exp(eps * t) / eps)**2 overflows "
          "at t = 0; raise eps or move t earlier"),
+        # a NaN time is not a number, not an overflow
+        (["two-state", "evolve", "--t-end", "nan"], None,
+         "t_end is not a number, got nan"),
+        (["two-state", "compare", "--t", "nan"], None, "t is not a number, got nan"),
+        (["n-state", "evolve", "--t-end", "nan"], EMBED,
+         "t_end is not a number, got nan"),
+        # the two-state start ln(100) / eps before the end rounds to the end
+        (["two-state", "evolve", "--t-end=-1e300"], None,
+         "end time -1e+300 is so far in the past that a start ln(100) / eps before "
+         "it rounds to it; move the end time later"),
+        (["two-state", "compare", "--t=-1e300"], None,
+         "end time -1e+300 is so far in the past that a start ln(100) / eps before "
+         "it rounds to it; move the end time later"),
     ],
     ids=["top-level-list", "one-level", "energies-2d", "n-state-x-zero",
          "n-state-eps-negative", "n-state-split-order-0", "n-state-recursion-order-0",
          "two-state-phase-order-0", "two-state-compare-order-0",
-         "two-state-series-argument-overflow"],
+         "two-state-series-argument-overflow", "two-state-evolve-t-end-nan",
+         "two-state-compare-t-nan", "n-state-evolve-t-end-nan",
+         "two-state-evolve-far-past", "two-state-compare-far-past"],
 )
 def test_exit_code_refusals(tmp_path, capsys, argv, model, message):
     if model is not None:

@@ -187,6 +187,8 @@ def test_large_finite_state_accepted():
 _CONSTANT_1E308 = lambda t, y: np.full_like(y, 1e308)
 # y' = y: V = i I, a non-Hermitian coupling that grows the state as exp(t)
 _GROWTH = Ramp((0.0, 0.0), 1j * np.eye(2), 1.0, 0.0)
+# y' = -i sigma_x y: the two-state shape, which turns a into c and back
+_TURN = Ramp((0.0, 0.0), [[0.0, 1.0], [1.0, 0.0]], 1.0, 0.0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
@@ -197,13 +199,18 @@ _GROWTH = Ramp((0.0, 0.0), 1j * np.eye(2), 1.0, 0.0)
         (_CONSTANT_1E308, [1e308 + 0j, 1e308 + 0j], 0.7, 0.8),
         # |y| = 1e308 sqrt((1 + t)**2 + 1) overflows at t = 0.494, its parts at 0.798
         (_CONSTANT_1E308, [1e308 + 1e308j, 1e308 + 1e308j], 0.49, 0.5),
-        # the pair kernel: 1e308 exp(t) overflows at t = log(1.798) = 0.5866
+        # V = i I is complex, so these two run the ramp kernel:
+        # 1e308 exp(t) overflows at t = log(1.798) = 0.5866
         (_GROWTH, [1e308 + 0j, 1e308 + 0j], 0.58, 0.5866),
         # |y| = 1e308 sqrt(2) exp(t) overflows at t = 0.2401, its parts at
-        # 0.5866, so the modulus of a finite update overflows in abs()
+        # 0.5866, so the modulus of a finite update overflows in np.abs()
         (_GROWTH, [1e308 + 1e308j, 1e308 + 1e308j], 0.23, 0.2401),
+        # the two-level kernel: a = 1.2e308 (1 + i) (cos t + sin t / 2) has
+        # finite parts, but its modulus overflows in math.hypot at t = 0.13807
+        (_TURN, [1.2e308 + 1.2e308j, -6e307 + 6e307j], 0.13, 0.13808),
     ],
-    ids=["single", "parts", "modulus", "pair-parts", "pair-modulus"],
+    ids=["single", "parts", "modulus", "pair-parts", "pair-modulus",
+         "two-level-modulus"],
 )
 def test_overflowing_state_never_accepted(rhs, y0, lo, hi):
     # y = 1e308 (1 + t) overflows at t ~ 0.8 while the error estimate of a
@@ -216,11 +223,11 @@ def test_overflowing_state_never_accepted(rhs, y0, lo, hi):
 
 
 def test_pair_kernel_rejects_a_nan_derivative(monkeypatch):
-    # a zero state has a zero derivative, so every step is accepted and
-    # grows five-fold, until the ramped coupling 1e300 exp(t) overflows at
-    # t = log(1.798e8) = 19.0072 and inf times the zero amplitudes gives NaN
-    # stages; each step past that time must be rejected, until the step
-    # underflows there
+    # the two-state shape, on the two-level kernel. A zero state has a zero
+    # derivative, so every step is accepted and grows five-fold, until the
+    # ramped coupling 1e300 exp(t) overflows at t = log(1.798e8) = 19.0072
+    # and inf times the zero amplitudes gives NaN stages; each step past
+    # that time must be rejected, until the step underflows there
     monkeypatch.setattr(ode, "MAX_STEPS", 200)
     ramp = Ramp((0.0, 2.0), [[0.0, 1.0], [1.0, 0.0]], 1e300, 1.0)
     with pytest.raises(IntegrationError, match="underflow") as excinfo:
@@ -250,8 +257,8 @@ def test_kernel_is_eighth_order(monkeypatch, y0):
     # y0 exp(i t + 0.15 t**2): the step is pinned by the starting step, growth
     # clamped to 1 and a tolerance no error exceeds. Each halving of the
     # step must cut the error at t = 2 by nearly 2**8 = 256. A plain callable
-    # runs the array kernel at every size; test_ramp_kernel_is_eighth_order
-    # holds the pair and ramp kernels to the same.
+    # runs the array kernel at every size; test_two_level_kernel_is_eighth_order
+    # and test_ramp_kernel_is_eighth_order hold the other two to the same.
     monkeypatch.setattr(ode, "GROWTH_MIN", 1.0)
     monkeypatch.setattr(ode, "GROWTH_MAX", 1.0)
     rhs = lambda t, y: (1j + 0.3 * t) * y
@@ -272,7 +279,7 @@ def test_kernel_is_eighth_order(monkeypatch, y0):
     ids=["slow-0.2", "slow-0.05", "slow-0.0125", "slow-0.003125"],
 )
 def test_pair_kernel_matches_array_kernel(monkeypatch, eps, budget):
-    # the two-state route on the pair kernel against the array kernel,
+    # the two-state route on the two-level kernel against the array kernel,
     # reached through a plain callable that wraps the same Ramp. The two
     # kernels round differently, so their step grids drift apart in the
     # last bits; the step counts and the end states must still agree.
@@ -304,11 +311,11 @@ def _ramp_system(n, complex_v):
 @pytest.mark.parametrize("complex_v", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("n", [2, 3, 8, 32, 64])
 def test_ramp_kernel_matches_array_kernel(monkeypatch, n, complex_v):
-    # a Ramp, on the pair kernel (n = 2) or the ramp kernel, against the
-    # array kernel on the same system, given as a right-hand side; they
-    # round differently, so the step grids drift apart in the last bits,
-    # but the counts and end states must agree. The runs take 140 to 906
-    # steps; the budget fails a wrong weight fast
+    # a Ramp on the ramp kernel (at n = 2 too, as its first energy is not
+    # 0) against the array kernel on the same system, given as a right-hand
+    # side; they round differently, so the step grids drift apart in the
+    # last bits, but the counts and end states must agree. The runs take 140
+    # to 906 steps; the budget fails a wrong weight fast
     monkeypatch.setattr(ode, "MAX_STEPS", 4000)
     energies, v, x, eps = _ramp_system(n, complex_v)
     rhs = lambda t, y: -1j * (energies * y + (x * math.exp(eps * t)) * v.dot(y))
@@ -328,8 +335,8 @@ def test_ramp_kernel_is_eighth_order(monkeypatch):
     # energies, so that diag(E) and V commute and
     # y(t) = expm(-i (E t + x (exp(eps t) - 1) / eps V)) y0. V need not be
     # Hermitian here, so every block of the generator (Re V, Im V, diag(E))
-    # carries weight. The first block alone runs the pair kernel, both
-    # blocks the ramp kernel
+    # carries weight. The first block alone and both blocks run the ramp
+    # kernel, as V is complex
     monkeypatch.setattr(ode, "GROWTH_MIN", 1.0)
     monkeypatch.setattr(ode, "GROWTH_MAX", 1.0)
     rng = np.random.default_rng(5)
@@ -351,6 +358,57 @@ def test_ramp_kernel_is_eighth_order(monkeypatch):
             errors.append(np.abs(traj.final_state - exact).max())
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse / fine >= 200
+
+
+def test_two_level_kernel_is_eighth_order(monkeypatch):
+    # the setting of test_kernel_is_eighth_order on the two-state shape with
+    # equal energies, y' = -i x exp(eps t) v sigma_x y, whose solution is
+    # y(t) = cos(L) y0 - i sin(L) sigma_x y0 with
+    # L = x v (exp(eps t) - exp(eps t0)) / eps
+    monkeypatch.setattr(ode, "GROWTH_MIN", 1.0)
+    monkeypatch.setattr(ode, "GROWTH_MAX", 1.0)
+    x, v, eps = 0.8, 0.7, 0.6
+    y0 = np.array([1.0 - 0.4j, 0.5j])
+    angle = x * v * math.expm1(2.0 * eps) / eps
+    exact = math.cos(angle) * y0 - 1j * math.sin(angle) * y0[::-1]
+    ramp = Ramp((0.0, 0.0), [[0.0, v], [v, 0.0]], x, eps)
+    errors = []
+    for n in (4, 8, 16):
+        monkeypatch.setattr(ode, "_initial_step", lambda *args: 2.0 / n)
+        traj = ode_evolve(ramp, y0, 0.0, 2.0, 1e300)
+        assert (traj.accepted_steps, traj.rejected_steps) == (n, 0)
+        errors.append(np.abs(traj.final_state - exact).max())
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse / fine >= 200
+
+
+@pytest.mark.parametrize(
+    "energies, v, kernel",
+    [
+        ((0.0, 2.0), [[0.0, 1.0], [1.0, 0.0]], "two-level"),
+        ((0.0, 2.0), [[0.0, 1.0j], [-1.0j, 0.0]], "ramp"),
+        ((0.0, 2.0), [[0.3, 1.0], [1.0, 0.0]], "ramp"),
+        ((1.0, 2.0), [[0.0, 1.0], [1.0, 0.0]], "ramp"),
+        ((0.0, 1.0, 2.0), [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
+         "ramp"),
+    ],
+    ids=["two-state", "complex-v", "v-diagonal", "first-energy-nonzero",
+         "three-levels"],
+)
+def test_ramp_shape_picks_its_kernel(monkeypatch, energies, v, kernel):
+    # only the two-state shape, two levels, the first at energy 0 and a
+    # real V with a zero diagonal, steps on the two-level kernel
+    picked = []
+    for name, attr in (("two-level", "_two_level_kernel"), ("ramp", "_ramp_kernel")):
+        def spy(*args, real=getattr(ode, attr), name=name):
+            picked.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(ode, attr, spy)
+    y0 = np.zeros(len(energies), dtype=complex)
+    y0[0] = 1.0
+    ode_evolve(Ramp(energies, v, 0.5, 0.25), y0, -1.0, 0.0, 1e-8)
+    assert picked == [kernel]
 
 
 @pytest.mark.parametrize(

@@ -755,7 +755,7 @@ def test_evolve_start_threshold_validation():
     assert traj.times[0] == -1e9 - math.log(100.0) / STD.eps
     assert np.abs(traj.final_state - (1.0, 0.0)).max() <= 1e-12
     # so far from 0 that the start rounds to t_end itself, no run can start
-    with pytest.raises(DomainError, match="need t0 < t1"):
+    with pytest.raises(DomainError, match="so far in the past that a start"):
         evolve_two_state(STD, -1e300, 1e-10)
 
 
@@ -817,7 +817,7 @@ def test_evolve_step_counts_pinned(monkeypatch, eps, accepted):
 def test_evolve_right_hand_side_calls_pinned(monkeypatch):
     # the counting wrapper hides the Ramp, so this pins the fallback that a
     # traced run takes: a wrapped Ramp steps the array kernel, with the
-    # pair kernel's steps, one call at the start, one to size the first
+    # two-level kernel's steps, one call at the start, one to size the first
     # step, eleven per trial step and one per accepted step but the last
     # (first same as last)
     monkeypatch.setattr(ode, "MAX_STEPS", 4 * 139)
