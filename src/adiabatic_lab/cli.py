@@ -489,8 +489,10 @@ _FLAGS = {
     "--start-threshold": {
         "type": float,
         "default": nstate.DEFAULT_START_THRESHOLD,
-        "help": "ramped coupling at the start as a share of the smallest gap, "
-        "in (0, 1e-4]",
+        "help": "ramped coupling at the basis start, where the run is in the "
+        "tracked basis state, as a share of the smallest gap, in (0, 1e-4]; the "
+        "state is exact from there to two decades of the ramp before --t-end, "
+        "and stepped from there",
     },
     "--order": {"type": int, "default": twostate.DEFAULT_ORDER},
     "--eps-grid": {"default": "0.5:0.5:4", "help": "start:factor:count"},
@@ -550,17 +552,20 @@ def build_parser() -> argparse.ArgumentParser:
     tree as it was, so sharing it is safe as long as callers do not mutate
     the returned parser.
     """
+    # no parser expands an abbreviated flag: one that a subcommand lacks
+    # would otherwise set another, as --t sets sweep-eps's --tol
     parser = argparse.ArgumentParser(
         prog="adiabatic-lab",
+        allow_abbrev=False,
         description="Switched-coupling perturbation experiments: exact, series, "
         "phase-recursion and ODE routes with cross-validation.",
     )
     groups = parser.add_subparsers(dest="group", required=True)
     for group, (group_help, load, commands) in _COMMANDS.items():
-        sub = groups.add_parser(group, help=group_help)
+        sub = groups.add_parser(group, help=group_help, allow_abbrev=False)
         sub = sub.add_subparsers(dest="command", required=True)
         for name, help_text, func, flags, *own_load in commands:
-            p = sub.add_parser(name, help=help_text)
+            p = sub.add_parser(name, help=help_text, allow_abbrev=False)
             echo = []
             for flag in flags:
                 flag, overrides = (flag, {}) if isinstance(flag, str) else flag

@@ -22,7 +22,7 @@ from .numkit import (
 )
 from .twostate import (
     TwoStateModel, ramped_coupling, ramped_coupling_squared, require_step_budget,
-    require_time,
+    require_time, stepping_start,
 )
 
 __all__ = [
@@ -46,10 +46,8 @@ IMAG_GATE = 1e-9
 # basis state to count as its continuation
 OVERLAP_FLOOR = 0.5
 # the evolution starts in the tracked basis state, which misses the
-# switch-on state by O(start_threshold): so deep in the tail. The state is
-# written in closed form up to STEP_THRESHOLD, where DOP853 takes over
+# switch-on state by O(start_threshold): so deep in the tail
 DEFAULT_START_THRESHOLD = 1e-8
-STEP_THRESHOLD = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,41 +363,28 @@ def switch_on_time(
 def _quiet_stretch(model, ramp, t0, t_end, tol, v_norm, y0):
     """``(t1, y1)``: the time where stepping starts and the state there.
 
-    Up to t1, where the ramped coupling lam reaches ``STEP_THRESHOLD`` of
-    the smallest gap, the state is written in closed form, in the frame
-    where the tracked level stands still (w = E - E_g): the tail solution
-    s(lam1) (``ramp.tail``), plus what the basis start ``y0`` misses at
-    t0, r0 = y0 - s(lam0), turned freely by p = exp(-i w tau), tau =
-    t1 - t0, plus that transient's first-order coupling r1, whose
-    component j is -i sum_k V_jk (lam1 p_k - lam0 p_j) r0_k /
-    (eps + i (w_j - w_k)). The first term left out is at most
-    |r0| (||V|| lam1 / eps)**2 / 2; t1 moves earlier where that would
-    exceed tol / 10, or where ||V|| lam1 / eps would exceed 1. The stretch
-    is empty, ``(t0, y0)``, where t1 would not be after t0 or not before
-    ``t_end``, or where ||V|| lam0 / eps already exceeds 1."""
+    t1 is ``twostate.stepping_start``: two decades of the ramp before
+    ``t_end``, or earlier, where lam ||V|| / eps reaches 1 (lam the ramped
+    coupling), past which a term of the tail series could exceed 1. From
+    the basis state ``y0`` = e_g at t0 to t1 the state is exact: the tail
+    solutions exp(-i E_l t) S(lam)[:, l] (``ramp.tail``) span the
+    solutions, so with tau = t1 - t0 and W = E - E_g,
+
+        y(t1) = exp(-i E_g tau) S(lam1) (exp(-i W tau) * S(lam0)^-1 e_g).
+
+    The stretch is empty, ``(t0, y0)``, where t1 is not after t0."""
     x, eps = model.x, model.eps
-    t1 = math.log(model.min_gap * STEP_THRESHOLD / x) / eps
-    lam0 = ramped_coupling(x, eps, t0)
-    if not (t0 < t1 < t_end and lam0 * v_norm <= eps):
+    # V = 0 sets no series bound
+    log_bound = math.log(eps) - math.log(x) - math.log(v_norm) if v_norm else math.inf
+    t1 = stepping_start(t_end, eps, log_bound)
+    if not t0 < t1:
         return t0, y0
-    w = model.energies - model.ground_energy
-    v = model.v.entries
-    g = model.ground_index
-    r0 = y0 - ramp.tail(lam0, g, tol)
-    size = float(np.linalg.norm(r0))
-    if size:
-        reach = eps / v_norm * min(1.0, math.sqrt(tol / (5 * size)))
-        if reach < ramped_coupling(x, eps, t1):
-            t1 = math.log(reach / x) / eps
-            if not t0 < t1:
-                return t0, y0
-    lam1 = ramped_coupling(x, eps, t1)
     tau = t1 - t0
-    p = np.exp(-1j * tau * w)
-    d = eps + 1j * (w[:, None] - w)
-    r1 = -1j * np.dot(v * (lam1 * p - lam0 * p[:, None]) / d, r0)
-    s1 = ramp.tail(lam1, g, tol)
-    return t1, cmath.exp(-1j * model.ground_energy * tau) * (s1 + p * r0 + r1)
+    w = model.energies - model.ground_energy
+    s0 = ramp.tail(ramped_coupling(x, eps, t0), tol)
+    s1 = ramp.tail(ramped_coupling(x, eps, t1), tol)
+    y1 = s1.dot(np.exp(-1j * tau * w) * np.linalg.solve(s0, y0))
+    return t1, cmath.exp(-1j * model.ground_energy * tau) * y1
 
 
 def evolve_nstate(
@@ -413,42 +398,48 @@ def evolve_nstate(
     smallest gap to the tracked level, time t0), starting in the tracked
     basis state.
 
-    Up to t1, where the coupling reaches ``STEP_THRESHOLD`` (1e-4) of that
-    gap, the coupling barely acts and the state is written in closed form
-    (``_quiet_stretch``): against DOP853 at rtol 1e-13 from the basis state
-    at t0 it is within tol / 10, about 1e-13 at eps 0.25 and tol 1e-10.
-    From t1 it passes ``numkit.ode.ode_evolve`` a ``Ramp``, which the ramp
-    kernel steps with no Python right-hand side (the two-level kernel where
-    the model has the two-state shape: energies (0, w) and a real V with a
-    zero diagonal); the general array kernel is its oracle in the tests. The
+    DOP853 steps the last two decades of the ramp, from t1 = t_end -
+    ln(100) / eps, or from earlier where the coupling lam reaches
+    eps / ||V|| (||V|| the spectral norm), past which a term of the
+    switch-on tail series could exceed 1. From t0 to t1 the state is exact
+    (``_quiet_stretch``): it is the tail solutions, the columns of
+    ``Ramp.tail``, each turned by its own level's phase, in the mix that
+    is the basis state at t0; against DOP853 at rtol 1e-13 from the basis
+    state at t0 it is within 1e-12 of the state. From t1 it passes
+    ``numkit.ode.ode_evolve`` a ``Ramp``, which the ramp kernel steps with
+    no Python right-hand side (the two-level kernel where the model has
+    the two-state shape: energies (0, w) and a real V with a zero
+    diagonal); the general array kernel is its oracle in the tests. The
     returned trajectory's first row is (t0, basis state) and the ODE's rows
     follow from (t1, y(t1)); its step counts are the ODE's. Where the
-    stretch is empty (``start_threshold`` 1e-4, or ``t_end`` not after t1)
-    the ODE starts at t0 in the basis state.
+    stretch is empty (t1 not after t0) the ODE starts at t0 in the basis
+    state. A ``DomainError`` if ``t_end`` is not a finite number or the
+    coupling overflows there.
 
     A run whose step count would exceed ``numkit.ode.MAX_STEPS`` fails at
     the start with an ``IntegrationError``. The count grows with the fastest
     level's phase over the stepped span, max|E_k - E_g| * (t_end - t1),
-    measured at 0.013 to 0.086 * tol**-0.125 steps per radian, plus the
+    measured at 0.0095 * tol**-0.125 steps per radian or more, plus the
     angle the ramp turns by over it, x * ||V|| * (exp(eps * t_end) -
-    exp(eps * t1)) / eps (||V|| the spectral norm), measured at 0.042 to
-    0.20 * tol**-0.125, for tol 1e-4 to 1e-12 and N = 3 to 64; the
+    exp(eps * t1)) / eps, measured at 0.13 * tol**-0.125 or more, for tol
+    1e-4 to 1e-12, N = 3 to 64 (``modelio.generate_nstate_model``, seeds 1
+    and 7), eps 0.25 and 0.05 and t_end from deep in the tail to 20; the
     estimate takes at most a third of each term's lowest rate, so a run
     that could finish is never refused.
     """
     t0 = switch_on_time(model.min_gap, model.x, model.eps, start_threshold, t_end, tol)
+    lam_end = ramped_coupling(model.x, model.eps, t_end, "t_end")
     v_norm = float(np.linalg.norm(model.v.entries, 2))
     y0 = np.zeros(model.dim, dtype=complex)
     y0[model.ground_index] = 1.0
     ramp = Ramp(model.energies, model.v.entries, model.x, model.eps)
     t1, y1 = _quiet_stretch(model, ramp, t0, t_end, tol, v_norm, y0)
     phase = float(np.abs(model.energies - model.ground_energy).max()) * (t_end - t1)
-    lam_end = ramped_coupling(model.x, model.eps, t_end, "t_end")
     angle = (lam_end - ramped_coupling(model.x, model.eps, t1)) / model.eps * v_norm
-    steps = tol**-0.125 * (0.0039 * phase + 0.014 * angle)
+    steps = tol**-0.125 * (0.0031 * phase + 0.014 * angle)
     require_step_budget(
         steps,
-        "tol**-0.125 * (0.0039 * max|E_k - E_g| * (t_end - t1) "
+        "tol**-0.125 * (0.0031 * max|E_k - E_g| * (t_end - t1) "
         "+ 0.014 * x * ||V|| * (exp(eps * t_end) - exp(eps * t1)) / eps)",
         t0,
         t_end,

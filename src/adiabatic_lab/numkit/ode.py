@@ -28,10 +28,15 @@ as a ``Ramp``; three kernels serve ``ode_evolve``:
 The right-hand side at an accepted update is the next trial's first stage,
 evaluated when that trial starts.
 
-Both problems start from the switch-on tail: ``Ramp.tail`` sums the
-solution that tends to basis state g as the coupling switches off in the
-past, in the frame where level g stands still, as a power series in the
-ramped coupling, exact to rounding.
+Both problems step only the last two decades of the ramp, or from
+earlier where a term of the switch-on tail series could exceed 1, and
+take the switch-on before that in closed form. ``Ramp.tail`` sums, as
+power series in the ramped coupling exact to rounding of their size, the
+solutions that tend to each basis state as the coupling switches off in
+the past, each in the frame where its level stands still. The two-state
+route starts from the tracked level's column; the N-state route writes
+its state from the basis start up to where stepping starts as the exact
+mix of all the columns.
 
 ``_array_kernel`` keeps one stage matrix with y in row 0 and the stages
 k1..k12 below it. The tableau ``_W`` has a leading column for y (1 in the
@@ -256,42 +261,48 @@ class Ramp:
                             ("factors", factors)):
             object.__setattr__(self, name, value)
 
-    def tail(self, lam: float, g: int, tol: float) -> np.ndarray:
-        """The tail solution s(lam) = sum_k lam**k c_k at the time where the
-        ramped coupling x exp(eps t) is ``lam``, in the frame where level
-        ``g`` stands still, y' = -i (diag(w) + lam v) y with w = energies -
-        energies[g]: c_0 is the basis state e_g and c_k = -i v c_{k-1} /
-        (k eps + i w). For two levels, w = (0, 2 delta) and v = sigma_x, it
-        is the pair (a, exp(-2i delta t) c) of the two-level model.
+    def tail(self, lam: float, tol: float) -> np.ndarray:
+        """The switch-on tail solutions at the time where the ramped
+        coupling x exp(eps t) is ``lam``: the N x N matrix S(lam) whose
+        column l is level l's tail solution s_l(lam) = sum_k lam**k c_k, in
+        the frame where level l stands still, y' = -i (diag(w) + lam v) y
+        with w = energies - energies[l]: c_0 is the basis state e_l and
+        c_k = -i v c_{k-1} / (k eps + i w). So exp(-i energies[l] t)
+        s_l(x exp(eps t)) solves the switched equations and tends to the
+        free basis state as the coupling switches off in the past; for a
+        Hermitian v, S(lam) is unitary. For two levels, energies (0, 2 delta)
+        and v = sigma_x, column 0 is the pair (a, exp(-2i delta t) c) of the
+        two-level model.
 
-        |k eps + i w_j| >= k eps, so term k is at most
+        |k eps + i w_j| >= k eps, so term k of a column is at most
         (lam ||v|| / eps)**k / k! in norm: the terms past the first grow
-        only where lam ||v|| / eps exceeds 1. A ``DomainError`` if a
-        component of one exceeds max(1, 2**53 tol), as their cancellation
-        would then leave more than tol in the state. The sum stops after two
-        terms in a row that change no component (one per parity where v
-        couples only levels of opposite parity, as sigma_x does), so it is
-        exact to rounding.
+        only where lam ||v|| / eps exceeds 1. A ``DomainError`` if an entry
+        of one exceeds max(1, 2**53 tol), as their cancellation would then
+        leave more than tol in the state. The sum stops after two terms in a
+        row whose entries are all below rounding of its largest entry (two,
+        as where v couples only levels of opposite parity, as sigma_x does,
+        every other term can be far smaller than the next), so it is exact
+        to rounding of its size.
         """
         limit = max(1.0, tol * 2.0**53)
-        s = np.zeros(self.energies.size, dtype=complex)
-        s[g] = 1.0
+        e = self.energies
+        den = 1j * (e[:, None] - e)
+        s = np.eye(e.size, dtype=complex)
         term = s
-        den = 1j * (self.energies - self.energies[g])
-        unchanged = 0
+        small = 0
         for k in itertools.count(1):
-            term = -1j * lam * np.dot(self.v, term) / (k * self.eps + den)
-            if np.abs(term).max() > limit:
+            term = (-1j * lam) * self.v.dot(term) / (k * self.eps + den)
+            size = np.abs(term).max()
+            if size > limit:
                 raise DomainError(
                     f"the switch-on tail series at coupling {lam:.3g} has a term above "
                     f"{limit:.3g}: its cancellation leaves more than tol = {tol:.3g}; "
                     "raise eps or tol"
                 )
-            total = s + term
-            unchanged = unchanged + 1 if np.array_equal(total, s) else 0
-            if unchanged == 2:
+            s += term
+            small = small + 1 if size <= 2.0**-53 * np.abs(s).max() else 0
+            if small == 2:
                 return s
-            s = total
 
     def __call__(self, t, y):
         n = self.energies.size
@@ -325,7 +336,7 @@ def _initial_step(rhs, t0, t1, y0, f0, tol):
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** 0.125
     return min(100 * h0, h1, span)
 
 

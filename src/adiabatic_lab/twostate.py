@@ -47,11 +47,10 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 30
-# the ODE starts from its switch-on tail series, exact to rounding, where
-# the ramped coupling is this share of the gap 2 delta: late, to save
-# steps, yet early enough that no term of the series exceeds 1 wherever
-# eps is above about 1e-8 delta
-_START = 1e-4
+# both ODE routes step while the ramped coupling grows by this factor to
+# its value at the end, two decades of the ramp; the switch-on before that
+# is in closed form
+STEPPED_GROWTH = 100.0
 
 
 @dataclass(frozen=True)
@@ -432,9 +431,24 @@ def phase_split(m: TwoStateModel, order: int = DEFAULT_ORDER) -> PhaseSplitTwoSt
 
 
 def require_time(t: float, name: str = "t") -> None:
-    """A ``DomainError`` naming the time ``name`` if ``t`` is not a number."""
+    """A ``DomainError`` naming the time ``name`` if ``t`` is not a finite
+    number: no run can start before an infinite end, or end at it."""
     if math.isnan(t):
         raise DomainError(f"{name} is not a number, got {t}")
+    if math.isinf(t):
+        raise DomainError(f"{name} must be finite, got {t}")
+
+
+def stepping_start(t_end: float, eps: float, log_bound: float) -> float:
+    """Where an ODE run to ``t_end`` starts stepping: t_end -
+    ln(``STEPPED_GROWTH``) / eps, where the ramped coupling x exp(eps t) is
+    a hundredth of its value at the end, or earlier, at log_bound / eps,
+    where it is x exp(log_bound), the largest coupling at which no term of
+    the switch-on tail series can exceed 1. Two decades of the ramp leave
+    the stepped span 99% of every amplitude's growth, which goes as the
+    coupling, and 99.99% of the divergent phase, which goes as its
+    square."""
+    return min(t_end - math.log(STEPPED_GROWTH) / eps, log_bound / eps)
 
 
 def ramped_coupling(x: float, eps: float, t: float, name: str = "t") -> float:
@@ -491,52 +505,57 @@ def evolve_two_state(m: TwoStateModel, t_end: float, tol: float) -> Trajectory:
     ``numkit.ode.ode_evolve`` steps that shape on its two-level kernel, in
     real arithmetic on the four parts of the pair as Python floats, one
     ``exp`` and a few products per stage. Its second component is
-    exp(-2i delta t) c. It starts from ``Ramp.tail``, the tail
+    exp(-2i delta t) c. It starts from column 0 of ``Ramp.tail``, the tail
     solution of these equations summed as a power series in lam, so the
     start error is rounding and where the run starts moves the result by
-    integration error only. The start t0 is where the coupling is 1e-4 of
-    the gap 2 delta; where the coupling at ``t_end`` is at or below that,
-    t0 is t_end - ln(100) / eps, so that the run still steps through a
-    hundredfold of the ramp; a ``DomainError`` where that rounds to t_end
-    itself, as it does at |t_end| near 1e300. t0 is found in log space,
-    where the coupling over the gap cannot underflow. The returned states
-    carry c itself. A ``DomainError`` if ``t_end`` is not a number.
+    integration error only. The start t0 is ``stepping_start``: two
+    decades of the ramp before the end, t_end - ln(100) / eps, or earlier,
+    where the coupling is 2 sqrt(delta eps). Past that coupling a term of
+    the series could exceed 1: its terms fall by lam**2 / (2k eps 2 delta)
+    every two orders, at most (lam**2 / (4 delta eps))**k / k! at order
+    2k, and the odd ones are no larger than the even ones before them. At
+    eps = 1e-8 delta that coupling is 1e-4 of the gap 2 delta. t0 is found
+    in log space, where the coupling over the gap cannot underflow; a
+    ``DomainError`` where it rounds to t_end itself, as it does at
+    |t_end| near 1e300. The returned states carry c itself. A
+    ``DomainError`` if ``t_end`` is not a finite number.
 
     A run whose step count would exceed ``numkit.ode.MAX_STEPS`` fails at
     the start with an ``IntegrationError``. The count grows with the angle
     the coupling turns by from t0 to t_end, x * (exp(eps * t_end) -
-    exp(eps * t0)) / eps, measured at 0.21 * tol**-0.125 steps per radian
+    exp(eps * t0)) / eps, measured at 0.18 * tol**-0.125 steps per radian
     or more for tol 1e-4 to 1e-12 (delta 1, x 0.05 to 2, eps 0.003125 to
     0.25, t_end 0 and 15), plus the tracked level's rotation
     2 delta (t_end - t0), which sets the count deep in the tail at a slow
     rate: there the step is held near DOP853's stability limit, and it was
-    measured at 0.165 to 0.23 steps per radian whatever the tol from 1e-4
-    to 1e-12 (delta 1e-3 to 1e3, eps 1e-8 and 1e-4 times delta, 1e3 and
-    1e4 radians). The estimate takes a third of each term's lowest rate, so
-    a run that could finish is never refused.
+    measured at 0.167 to 0.53 steps per radian for tol 1e-4 to 1e-12
+    (delta 1e-3 to 1e3, eps 1e-2 and 1e-3 times delta, x 1e-4 delta and
+    t_end 0: 921 and 9,210 radians). The estimate takes a third of each
+    term's lowest rate, so a run that could finish is never refused.
     """
     if not 0 < tol < 1:
         raise DomainError(f"tol must be in (0, 1), got {tol}")
-    t0 = (math.log(2 * _START) + math.log(m.delta) - math.log(m.x)) / m.eps
-    if t_end <= t0:
-        t0 = t_end - math.log(100.0) / m.eps
-        if not t0 < t_end:
-            raise DomainError(
-                f"end time {t_end:.6g} is so far in the past that a start "
-                "ln(100) / eps before it rounds to it; move the end time later"
-            )
+    require_time(t_end, "t_end")
+    # no term of the tail series exceeds 1 up to the coupling 2 sqrt(delta eps)
+    log_bound = math.log(2.0) + 0.5 * (math.log(m.delta) + math.log(m.eps)) - math.log(m.x)
+    t0 = stepping_start(t_end, m.eps, log_bound)
+    if not t0 < t_end:
+        raise DomainError(
+            f"end time {t_end:.6g} is so far in the past that a start "
+            "ln(100) / eps before it rounds to it; move the end time later"
+        )
     lam0 = ramped_coupling(m.x, m.eps, t0)
     angle = (ramped_coupling(m.x, m.eps, t_end, "t_end") - lam0) / m.eps
-    steps = 0.068 * tol**-0.125 * angle + 0.055 * 2 * m.delta * (t_end - t0)
+    steps = 0.061 * tol**-0.125 * angle + 0.055 * 2 * m.delta * (t_end - t0)
     require_step_budget(
         steps,
-        "0.068 * tol**-0.125 * x * (exp(eps * t_end) - exp(eps * t0)) / eps "
+        "0.061 * tol**-0.125 * x * (exp(eps * t_end) - exp(eps * t0)) / eps "
         "+ 0.055 * 2 * delta * (t_end - t0)",
         t0,
         t_end,
     )
     ramp = Ramp((0.0, 2.0 * m.delta), [[0.0, 1.0], [1.0, 0.0]], m.x, m.eps)
-    traj = ode_evolve(ramp, ramp.tail(lam0, 0, tol), t0, t_end, tol)
+    traj = ode_evolve(ramp, ramp.tail(lam0, tol)[:, 0], t0, t_end, tol)
     states = traj.states.copy()
     states[:, 1] *= np.exp(2j * m.delta * traj.times)
     return Trajectory(traj.times, states, traj.accepted_steps, traj.rejected_steps)

@@ -500,13 +500,13 @@ def test_exit_code_integration_failure(monkeypatch, capsys):
 
 
 def test_exit_code_step_budget_estimate_fails_at_once(capsys):
-    # about 7.9e6 steps, 1.6x the budget: refused before the first step
+    # about 7.1e6 steps, 1.4x the budget: refused before the first step
     started = time.perf_counter()
     assert run("two-state", "evolve", "--eps", "0.25", "--t-end", "60") == 3
     assert time.perf_counter() - started < 1.0
     assert capsys.readouterr().err.startswith(
         "error: integration: step budget exhausted before the start: "
-        "about 7.91e+06 steps (0.068 * tol**-0.125 * x * (exp(eps * t_end) - "
+        "about 7.09e+06 steps (0.061 * tol**-0.125 * x * (exp(eps * t_end) - "
         "exp(eps * t0)) / eps "
         "+ 0.055 * 2 * delta * (t_end - t0))"
     )
@@ -522,7 +522,7 @@ def test_exit_code_n_state_step_budget_estimate_fails_at_once(tmp_path, capsys):
     assert time.perf_counter() - started < 1.0
     assert capsys.readouterr().err.startswith(
         "error: integration: step budget exhausted before the start: about 1.52e+08 steps "
-        "(tol**-0.125 * (0.0039 * max|E_k - E_g| * (t_end - t1) "
+        "(tol**-0.125 * (0.0031 * max|E_k - E_g| * (t_end - t1) "
         "+ 0.014 * x * ||V|| * (exp(eps * t_end) - exp(eps * t1)) / eps)) to t_end = 80 "
     )
     started = time.perf_counter()
@@ -591,6 +591,12 @@ def test_exit_code_tol_outside_unit_interval(tmp_path, capsys, command, tol):
         (["two-state", "compare", "--t", "nan"], None, "t is not a number, got nan"),
         (["n-state", "evolve", "--t-end", "nan"], EMBED,
          "t_end is not a number, got nan"),
+        # no run can start before an infinite end, or end at it
+        (["two-state", "evolve", "--t-end", "inf"], None, "t_end must be finite, got inf"),
+        (["two-state", "evolve", "--t-end=-inf"], None, "t_end must be finite, got -inf"),
+        (["two-state", "compare", "--t=-inf"], None, "t must be finite, got -inf"),
+        (["n-state", "evolve", "--t-end", "inf"], EMBED, "t_end must be finite, got inf"),
+        (["n-state", "evolve", "--t-end=-inf"], EMBED, "t_end must be finite, got -inf"),
         # the two-state start ln(100) / eps before the end rounds to the end
         (["two-state", "evolve", "--t-end=-1e300"], None,
          "end time -1e+300 is so far in the past that a start ln(100) / eps before "
@@ -604,6 +610,9 @@ def test_exit_code_tol_outside_unit_interval(tmp_path, capsys, command, tol):
          "two-state-phase-order-0", "two-state-compare-order-0",
          "two-state-series-argument-overflow", "two-state-evolve-t-end-nan",
          "two-state-compare-t-nan", "n-state-evolve-t-end-nan",
+         "two-state-evolve-t-end-inf", "two-state-evolve-t-end-minus-inf",
+         "two-state-compare-t-minus-inf", "n-state-evolve-t-end-inf",
+         "n-state-evolve-t-end-minus-inf",
          "two-state-evolve-far-past", "two-state-compare-far-past"],
 )
 def test_exit_code_refusals(tmp_path, capsys, argv, model, message):
@@ -751,14 +760,14 @@ def test_trajectory_csv_schema(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,re_a,im_a,re_c,im_c,norm"
     first = [float(cell) for cell in lines[1].split(",")]
-    # the first row is the switch-on tail state at the start time, where
-    # the coupling is 1e-4 of the gap, its c turned back from the tracked
-    # frame
+    # the first row is the switch-on tail state two decades of the ramp
+    # before the end, where the coupling is 1e-2 of its value there, its c
+    # turned back from the tracked frame
     t0 = first[0]
     lam = twostate.ramped_coupling(0.5, 0.25, t0)
-    assert lam == pytest.approx(2e-4, rel=1e-13)
+    assert lam == pytest.approx(5e-3, rel=1e-13)
     ramp = Ramp((0.0, 2.0), [[0.0, 1.0], [1.0, 0.0]], 0.5, 0.25)
-    a, c = ramp.tail(lam, 0, 1e-8)
+    a, c = ramp.tail(lam, 1e-8)[:, 0]
     assert complex(first[1], first[2]) == a
     assert complex(first[3], first[4]) == pytest.approx(c * np.exp(2j * t0), rel=1e-15)
     assert first[5] == pytest.approx(1.0, abs=1e-12)
@@ -1102,6 +1111,21 @@ def test_bessel_series_commands_take_no_terms(capsys, command):
         main(["two-state", command, "--terms", "60"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --terms 60" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["two-state", "sweep-eps", "--t", "0.5"], ["two-state", "evolve", "--t-e", "-3"],
+     ["n-state", "evolve", "--start", "1e-6"]],
+    ids=["sweep-eps-t", "evolve-t-e", "n-state-evolve-start"],
+)
+def test_abbreviated_flags_are_refused(capsys, argv):
+    # no flag is expanded from a prefix: sweep-eps has no --t, which would
+    # otherwise set its --tol
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[2:])}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -626,46 +626,46 @@ PINNED_N6 = [
     -0.006803495316203146 - 0.003746430309499277j,
 ]
 PINNED_N32 = [
-    0.8920248642276718 + 0.4477346438658115j,
-    0.033412870376638835 + 0.02474614203779659j,
-    -0.003011684290788195 - 0.0019802047540477758j,
-    0.021004829213988458 + 0.012217868037560123j,
-    0.020734485579791972 + 0.011645580265574525j,
-    -0.02392440090134127 - 0.012987631571501398j,
-    0.0036275905268373164 + 0.0020560251841696305j,
-    -0.0058547642329190505 - 0.0031827413123374742j,
-    -0.004228115196015286 - 0.002240960064348329j,
-    -0.0024922486372567967 - 0.0013588336897304534j,
-    0.000138524912511265 + 0.00010745532850144076j,
-    0.0012285013372081081 + 0.0007036749891203926j,
-    -0.0014853505383531432 - 0.000735795575276386j,
-    -0.001209323240914867 - 0.0006042579655031074j,
-    0.00011469384130028128 + 6.708229518301011e-05j,
-    -0.002736205813012597 - 0.0014351115242564434j,
-    -0.0006514101873205673 - 0.0003787831848722308j,
-    0.0022707919749351186 + 0.001169237173312972j,
-    4.5887121663286985e-05 + 9.092945848945313e-06j,
-    -0.005804045548048705 - 0.0029923603342171673j,
-    0.00014313567038401576 + 7.55497869291401e-05j,
-    7.701633191275319e-05 + 3.851904018981481e-05j,
-    8.251258410536592e-05 + 4.04706172395576e-05j,
-    0.000886169896508315 + 0.0004315742479604336j,
-    0.0020931378096173065 + 0.001057966419804681j,
-    0.0015578979413110865 + 0.0007885833622218231j,
-    0.002198984716135684 + 0.0011439789715259497j,
-    -0.00128486300778123 - 0.0006468838920491588j,
-    -0.000990858961754244 - 0.000499716320438105j,
-    0.0002683536597677847 + 0.00014736920720014726j,
-    -0.0015168410758693923 - 0.0007899816333482612j,
-    0.0021461646842909888 + 0.0010867418108378738j,
+    0.8920248642284218 + 0.4477346438662012j,
+    0.033412870377086366 + 0.02474614203813844j,
+    -0.0030116842912325573 - 0.0019802047545473106j,
+    0.021004829213526977 + 0.012217868037330236j,
+    0.0207344855800155 + 0.011645580265442492j,
+    -0.02392440090174373 - 0.012987631571695274j,
+    0.003627590527090726 + 0.002056025185165783j,
+    -0.005854764232108908 - 0.0031827413112911064j,
+    -0.004228115195866857 - 0.002240960063834449j,
+    -0.0024922486365799267 - 0.0013588336893730869j,
+    0.00013852491265791737 + 0.00010745532854690899j,
+    0.0012285013367990519 + 0.0007036749889818815j,
+    -0.0014853505385623057 - 0.0007357955750284125j,
+    -0.00120932324026123 - 0.0006042579647503271j,
+    0.00011469384190638769 + 6.708229500623844e-05j,
+    -0.002736205813476272 - 0.0014351115234250927j,
+    -0.0006514101872099952 - 0.0003787831853508139j,
+    0.0022707919752842985 + 0.0011692371715069077j,
+    4.588712014451727e-05 + 9.09294647175909e-06j,
+    -0.00580404555949117 - 0.0029923603470014483j,
+    0.0001431356723442202 + 7.554978711145656e-05j,
+    7.701633244886059e-05 + 3.851904165252206e-05j,
+    8.251258499060038e-05 + 4.0470619838557445e-05j,
+    0.0008861699157300308 + 0.00043157424846767466j,
+    0.0020931377829830453 + 0.0010579663785821743j,
+    0.0015578978986557814 + 0.0007885833903276883j,
+    0.0021989846085524096 + 0.0011439789851584625j,
+    -0.001284863025770946 - 0.0006468839773036853j,
+    -0.000990859016189559 - 0.0004997163892964317j,
+    0.0002683536341968678 + 0.00014736919265448384j,
+    -0.0015168410081811705 - 0.0007899814794199222j,
+    0.002146164507677289 + 0.001086741661944576j,
 ]
 
 
 @pytest.mark.parametrize(
     "make_model, steps, pinned",
     [
-        (lambda: generate_nstate_model(seed=7, levels=6), (147, 0), PINNED_N6),
-        (_pinned_n32_model, (449, 0), PINNED_N32),
+        (lambda: generate_nstate_model(seed=7, levels=6), (119, 0), PINNED_N6),
+        (_pinned_n32_model, (363, 0), PINNED_N32),
     ],
     ids=["gen-seed7-N6", "rng-seed11-N32"],
 )
@@ -701,7 +701,7 @@ def test_evolve_generator_products_pinned(monkeypatch):
 
     monkeypatch.setattr(np, "dot", counting)
     traj = evolve_nstate(model, 0.0, 1e-10)
-    assert (traj.accepted_steps, traj.rejected_steps, len(generators)) == (147, 0, 1766)
+    assert (traj.accepted_steps, traj.rejected_steps, len(generators)) == (119, 0, 1430)
     assert len(generators) == 2 + 12 * traj.accepted_steps + 11 * traj.rejected_steps
     assert generators[0].shape == (2 * model.dim, model.dim)
     assert all(g is generators[0] for g in generators)
@@ -780,15 +780,32 @@ def _basis_start(model, threshold=nstate.DEFAULT_START_THRESHOLD, t_end=0.0, tol
 
 
 def _dop853_reference(model, t0, y0, t1):
-    """y(t1) from y0 at t0, by scipy's DOP853 at rtol 1e-13."""
-    e, v, x, eps = model.energies, model.v.entries, model.x, model.eps
+    """y(t1) from y0 at t0, by scipy's DOP853 at rtol 1e-13, in the frame
+    where the tracked level stands still, turned by its phase exactly: in
+    the lab frame DOP853 carries that phase, E_g (t1 - t0), and misses it
+    by up to 4e-12 where E_g is not 0."""
+    w = model.energies - model.ground_energy
+    v, x, eps = model.v.entries, model.x, model.eps
 
     def rhs(t, y):
-        return -1j * (e * y + (x * math.exp(eps * t)) * (v @ y))
+        return -1j * (w * y + (x * math.exp(eps * t)) * (v @ y))
 
     sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=1e-13, atol=1e-16)
     assert sol.success
-    return sol.y[:, -1]
+    return cmath.exp(-1j * model.ground_energy * (t1 - t0)) * sol.y[:, -1]
+
+
+def _stepping_start(model, t_end):
+    """Two decades of the ramp before ``t_end``, or earlier, where the
+    coupling reaches eps / ||V||."""
+    v_norm = np.linalg.norm(model.v.entries, 2)
+    bound = math.log(model.eps / v_norm / model.x) / model.eps if v_norm else math.inf
+    return min(t_end - math.log(100.0) / model.eps, bound)
+
+
+def _zero_v_model():
+    return NStateModel(energies=np.array([0.0, 0.7, 1.5, 2.0]),
+                       v=HermitianMatrix(np.zeros((4, 4))), x=0.05, eps=0.25)
 
 
 @pytest.mark.parametrize(
@@ -800,37 +817,34 @@ def _dop853_reference(model, t0, y0, t1):
         lambda: generate_nstate_model(seed=3, levels=32, eps=0.05),
         lambda: generate_nstate_model(seed=3, levels=8, eps=0.01),
         lambda: random_model(5, 12, eps=0.05, complex_v=True),
+        _zero_v_model,
     ],
     ids=["N8-eps0.25", "N64-eps0.25", "N8-eps0.05", "N32-eps0.05", "N8-eps0.01",
-         "complex-N12-eps0.05"],
+         "complex-N12-eps0.05", "zero-V-N4"],
 )
 def test_stretch_matches_dop853_from_the_basis_start(monkeypatch, make_model):
-    # the closed-form state where stepping starts, against DOP853 run from
-    # the basis state at t0 through the stretch: within tol / 10
+    # the exact state where stepping starts, two decades of the ramp before
+    # the end, against DOP853 run from the basis state at t0 through the
+    # stretch: within 1e-12 of the state
     model = make_model()
-    tol = 1e-10
     t0, y0 = _basis_start(model)
-    t1, y1 = _ode_start(monkeypatch, model, 0.0, tol)
-    top = math.log(model.min_gap * nstate.STEP_THRESHOLD / model.x) / model.eps
-    assert t0 < t1 <= top
-    # at eps 0.01 the neglected transient term would exceed tol / 10 at the
-    # top of the stretch, so it ends earlier
-    assert t1 < top or model.eps > 0.01
+    t1, y1 = _ode_start(monkeypatch, model, 0.0, 1e-10)
+    assert t0 < t1 == pytest.approx(_stepping_start(model, 0.0), rel=1e-14)
     ref = _dop853_reference(model, t0, y0, t1)
-    assert np.abs(y1 - ref).max() <= tol / 10 * np.abs(ref).max()
+    assert np.abs(y1 - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize(
     "threshold, t_end",
-    [(1e-4, 0.0), (nstate.DEFAULT_START_THRESHOLD, -30.0)],
-    ids=["threshold-1e-4", "t_end-before-t1"],
+    [(1e-4, -10.0), (nstate.DEFAULT_START_THRESHOLD, -45.0)],
+    ids=["threshold-1e-4", "end-within-two-decades"],
 )
 def test_empty_stretch_is_the_basis_start_bit_for_bit(threshold, t_end):
-    # no closed-form stretch: the ODE's own trajectory from the basis state
-    # at t0, as it was before the stretch
+    # t_end - ln(100) / eps falls before the basis start t0: no exact
+    # stretch, and the ODE's own trajectory from the basis state at t0
     model = generate_nstate_model(seed=7, levels=6)
-    assert t_end < math.log(model.min_gap * 1e-4 / model.x) / model.eps or threshold == 1e-4
     t0, y0 = _basis_start(model, threshold, t_end)
+    assert _stepping_start(model, t_end) < t0
     ramp = Ramp(model.energies, model.v.entries, model.x, model.eps)
     ref = ode.ode_evolve(ramp, y0, t0, t_end, 1e-10)
     traj = evolve_nstate(model, t_end, 1e-10, start_threshold=threshold)
@@ -852,16 +866,43 @@ def test_stretch_trajectory_starts_with_the_basis_state(monkeypatch):
     assert traj.times.size == traj.accepted_steps + 2
 
 
-@pytest.mark.parametrize("eps", [1e-9, 1e-5], ids=["tail-turned", "transient-too-large"])
+@pytest.mark.parametrize("eps", [1e-9], ids=["tail-turned"])
 def test_stretch_is_empty_at_a_slow_rate(monkeypatch, eps):
-    # at 1e-9, ||V|| lam0 / eps is about 60, so the tail has turned past a
-    # radian by t0; at 1e-5 it is about 6e-3, but the transient's
-    # second-order term would exceed tol / 10 before t0
+    # at 1e-9, ||V|| lam0 / eps is about 60: the coupling at t0 is already
+    # past eps / ||V||, where the series bound puts the start, so the ODE
+    # starts at t0 in the basis state
     model = generate_nstate_model(seed=7, levels=6, eps=eps)
     monkeypatch.setattr(ode, "MAX_STEPS", math.inf)
     t0, y0 = _basis_start(model)
     t1, y1 = _ode_start(monkeypatch, model, 0.0, 1e-10)
     assert t1 == t0 and np.array_equal(y1, y0)
+
+
+@pytest.mark.parametrize("complex_v", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("levels", [3, 16])
+@pytest.mark.parametrize("x", [1e-4, 0.05, 2.0])
+@pytest.mark.parametrize("eps", [1e-8, 1e-4, 1e-2, 1.0])
+def test_evolve_starts_stepping_at_the_earlier_of_two_decades_and_the_series_bound(
+    monkeypatch, eps, x, levels, complex_v
+):
+    # over a grid of couplings, rates and ends: stepping starts at the
+    # earlier of t_end - ln(100) / eps and the series bound, or at t0 where
+    # that is earlier still, with no tail series. Where it starts after t0,
+    # no term of the tail series there exceeds 1 but by rounding (a tail
+    # summed with tol (1 + 1e-12) 2**-53 refuses a term above 1 + 1e-12)
+    model = random_model(levels, levels, x=x, eps=eps, complex_v=complex_v)
+    monkeypatch.setattr(ode, "MAX_STEPS", math.inf)
+    ramp = Ramp(model.energies, model.v.entries, x, eps)
+    for c in (-20.0, 0.0, 5.0):
+        t_end = c / eps
+        if t_end <= math.log(model.min_gap * nstate.DEFAULT_START_THRESHOLD / x) / eps:
+            continue
+        t0, _ = _basis_start(model, t_end=t_end)
+        t1, _ = _ode_start(monkeypatch, model, t_end, 1e-10)
+        monkeypatch.setattr(ode, "MAX_STEPS", math.inf)
+        assert t1 == pytest.approx(max(t0, _stepping_start(model, t_end)), rel=1e-13)
+        if t1 > t0:
+            ramp.tail(x * math.exp(eps * t1), (1 + 1e-12) * 2.0**-53)
 
 
 @pytest.mark.parametrize(
@@ -894,7 +935,7 @@ def test_ramp_tail_matches_dop853_from_deep_in_the_tail(make_model):
     span = (0.0, math.log(lam / lam0) / eps)
     sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=1e-13, atol=1e-16)
     assert sol.success
-    tail = Ramp(model.energies, v, model.x, eps).tail(lam, g, 1e-10)
+    tail = Ramp(model.energies, v, model.x, eps).tail(lam, 1e-10)[:, g]
     assert np.abs(tail - sol.y[:, -1]).max() <= 1e-12
 
 

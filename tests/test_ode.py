@@ -429,3 +429,12 @@ def test_tableau_rows_sum_to_their_stage_times():
     sums = ode._W[:, 1:].sum(axis=1)
     np.testing.assert_allclose(sums.real, [*ode._C, 1.0, 0.0, 0.0], rtol=0, atol=1e-14)
     assert np.all(sums.imag == 0.0)
+
+
+def test_ramp_tail_refuses_a_series_that_cancels():
+    # the two-level tail at 1e-4 of the gap with eps = 2e-10 delta: a turns
+    # by about delta * 1e-8 / eps = 50 radians by then, so the terms grow
+    # to about e**50 before they fall
+    ramp = Ramp((0.0, 2.0), [[0.0, 1.0], [1.0, 0.0]], 1e-4, 2e-10)
+    with pytest.raises(DomainError, match="tail series .*; raise eps or tol$"):
+        ramp.tail(2e-4, 1e-10)

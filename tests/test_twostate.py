@@ -18,7 +18,7 @@ from scipy.integrate import quad
 
 from adiabatic_lab import twostate
 from adiabatic_lab.errors import DomainError, IntegrationError
-from adiabatic_lab.numkit import hermitian_eig, jet_mul, jet_recip, ode
+from adiabatic_lab.numkit import Ramp, hermitian_eig, jet_mul, jet_recip, ode
 from adiabatic_lab.twostate import (
     TwoStateModel,
     bessel_series_a,
@@ -802,7 +802,7 @@ def test_phase_series_convergence_needs_a_second_term():
 
 
 @pytest.mark.parametrize(
-    "eps, accepted", [(0.2, 139), (0.05, 403), (0.0125, 1117), (0.003125, 3139)]
+    "eps, accepted", [(0.2, 96), (0.05, 291), (0.0125, 831), (0.003125, 2388)]
 )
 def test_evolve_step_counts_pinned(monkeypatch, eps, accepted):
     # the step-size controller's decisions, fixed on this grid; a budget of
@@ -820,7 +820,7 @@ def test_evolve_right_hand_side_calls_pinned(monkeypatch):
     # two-level kernel's steps, one call at the start, one to size the first
     # step, eleven per trial step and one per accepted step but the last
     # (first same as last)
-    monkeypatch.setattr(ode, "MAX_STEPS", 4 * 139)
+    monkeypatch.setattr(ode, "MAX_STEPS", 4 * 96)
     calls = []
 
     def counting(rhs, *args):
@@ -833,7 +833,7 @@ def test_evolve_right_hand_side_calls_pinned(monkeypatch):
     monkeypatch.setattr(twostate, "ode_evolve", counting)
     m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=0.2)
     traj = evolve_two_state(m, 0.0, 1e-10)
-    assert (traj.accepted_steps, traj.rejected_steps, len(calls)) == (139, 0, 1669)
+    assert (traj.accepted_steps, traj.rejected_steps, len(calls)) == (96, 0, 1153)
     assert len(calls) == 1 + 12 * traj.accepted_steps + 11 * traj.rejected_steps
 
 
@@ -882,36 +882,63 @@ def test_evolve_step_estimate_stays_below_the_step_count(monkeypatch, eps):
 @pytest.mark.parametrize("tol", [1e-4, 1e-12])
 def test_evolve_step_estimate_counts_the_tracked_level_rotation(monkeypatch, tol):
     # deep in the tail at a slow rate the tracked level's rotation
-    # 2 delta (t_end - t0) sets the steps, about 0.17 per radian: t0 + 1e8
-    # would take about 3.4e7 and is refused before the start; t0 + 1e4
-    # takes about 3,400, and its estimate stays below that
+    # 2 delta (t_end - t0) sets the steps, about 0.17 per radian or more.
+    # At eps 1e-8 the two decades of the ramp before t_end 0 are
+    # 2 ln(100) / eps = 9.2e8 radians, about 1.6e8 steps, and are refused
+    # before the start; at eps 1e-3 they are 9,210 radians, 1,553 steps at
+    # tol 1e-4 and 2,470 at 1e-12, and the estimate stays below that
     m = TwoStateModel(mu=0.0, delta=1.0, x=1e-4, eps=1e-8)
-    # where the coupling is 1e-4 of the gap 2 delta
-    t0 = math.log(2e-4 / m.x) / m.eps
     started = time.perf_counter()
     with pytest.raises(IntegrationError, match="before the start") as info:
-        evolve_two_state(m, t0 + 1e8, tol)
+        evolve_two_state(m, 0.0, tol)
     assert time.perf_counter() - started < 1.0
-    assert info.value.time == pytest.approx(t0, rel=1e-13)
-    traj = evolve_two_state(m, t0 + 1e4, tol)
+    assert info.value.time == -math.log(100.0) / m.eps
+    m = TwoStateModel(mu=0.0, delta=1.0, x=1e-4, eps=1e-3)
+    traj = evolve_two_state(m, 0.0, tol)
     steps = traj.accepted_steps + traj.rejected_steps
     monkeypatch.setattr(ode, "MAX_STEPS", 0)
     with pytest.raises(IntegrationError, match="before the start") as info:
-        evolve_two_state(m, t0 + 1e4, tol)
+        evolve_two_state(m, 0.0, tol)
     estimate = float(re.search(r"about (\S+) steps", str(info.value))[1])
     assert steps / 6 <= estimate < steps
 
 
 @pytest.mark.parametrize("tol", [1e-4, 1e-6])
 def test_evolve_far_from_zero_starts_above_the_step_floor(tol):
-    # t0 is about 6.9e10, where the step floor is 8 eps_machine |t0| =
-    # 1.2e-4; at these tolerances the starting-step estimate is 1e-4, below
-    # the floor. Tighter ones, 1e-8 to 1e-12, finish in 340 to 349 steps
-    m = TwoStateModel(mu=0.0, delta=1e-3, x=1e-7, eps=1e-11)
-    t0 = math.log(2e-4 * m.delta / m.x) / m.eps
-    traj = evolve_two_state(m, t0 + 1e6, tol)
+    # t0 = -ln(100) / eps is about -4.6e11, where the step floor is
+    # 8 eps_machine |t0| = 8.2e-4; the starting-step estimate is 1e-4, below
+    # the floor. The run steps 2 delta ln(100) / eps = 1,842 radians, in
+    # 324 and 325 steps at these tolerances
+    m = TwoStateModel(mu=0.0, delta=2e-9, x=2e-13, eps=1e-11)
+    traj = evolve_two_state(m, 0.0, tol)
+    assert traj.times[0] == -math.log(100.0) / m.eps
     assert traj.accepted_steps < 400
     assert abs(traj.norms()[-1] - 1.0) <= 100 * tol
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("ratio", [1e-4, 0.5, 10.0])
+@pytest.mark.parametrize("rate", [1e-8, 1e-4, 1e-2, 1.0])
+def test_evolve_starts_at_the_earlier_of_two_decades_and_the_series_bound(
+    monkeypatch, rate, ratio, delta
+):
+    # over a grid of gaps, couplings, rates from 1e-8 delta to delta and
+    # ends: stepping starts at the earlier of t_end - ln(100) / eps and the
+    # time where the coupling is 2 sqrt(delta eps), and no term of the tail
+    # series there exceeds 1 but by rounding: the start is found in log
+    # space, which moves the coupling there by up to |eps t0| ulps, and a
+    # tail summed with tol (1 + 1e-12) 2**-53 refuses a term above
+    # 1 + 1e-12
+    m = TwoStateModel(mu=0.0, delta=delta, x=ratio * delta, eps=rate * delta)
+    monkeypatch.setattr(ode, "MAX_STEPS", math.inf)
+    ramp = Ramp((0.0, 2.0 * delta), [[0.0, 1.0], [1.0, 0.0]], m.x, m.eps)
+    bound = math.log(2.0 * math.sqrt(delta * m.eps) / m.x) / m.eps
+    for c in (-20.0, 0.0, 5.0):
+        t_end = c / m.eps
+        t0, _ = _ode_start(monkeypatch, m, t_end)
+        monkeypatch.setattr(ode, "MAX_STEPS", math.inf)
+        assert t0 == pytest.approx(min(t_end - math.log(100.0) / m.eps, bound), rel=1e-13)
+        ramp.tail(twostate.ramped_coupling(m.x, m.eps, t0), (1 + 1e-12) * 2.0**-53)
 
 
 def _tracked_pair(m, lam):
@@ -960,55 +987,86 @@ def test_evolve_state_matches_arbitrary_precision_oracle(eps, t):
     assert np.abs(state - state_oracle(m, t)).max() <= 1e-11
 
 
-@pytest.mark.parametrize("delta", [1e-3, 1.0, 1e3])
-@pytest.mark.parametrize("ratio", [0.5, 2.0, 10.0])
-@pytest.mark.parametrize("eps", [1.0, 0.2, 0.003125])
-def test_evolve_starts_from_the_exact_switch_on_state(monkeypatch, eps, ratio, delta):
-    # the state the integrator is handed at t0, where the coupling is 1e-4
-    # of the gap, against the 40-digit pair at the coupling it sees there:
-    # each component within 4 ulps
-    m = TwoStateModel(mu=0.0, delta=delta, x=ratio * delta, eps=eps)
+class _Started(Exception):
+    pass
+
+
+def _ode_start(monkeypatch, m, t_end, tol=1e-10):
+    """The time and state that ``evolve_two_state`` hands ``ode_evolve``,
+    which is stopped there."""
     starts = []
 
-    class Started(Exception):
-        pass
-
     def started(ramp, y0, t0, *rest):
-        starts.append((y0, t0))
-        raise Started
+        starts.append((t0, y0))
+        raise _Started
 
     monkeypatch.setattr(twostate, "ode_evolve", started)
-    with pytest.raises(Started):
-        evolve_two_state(m, math.log(2e-4 * delta / m.x) / eps + 1.0, 1e-10)
-    ((y0, start),) = starts
-    lam = twostate.ramped_coupling(m.x, eps, start)
-    assert lam == pytest.approx(2e-4 * delta, rel=1e-13)
+    with pytest.raises(_Started):
+        evolve_two_state(m, t_end, tol)
+    monkeypatch.undo()
+    ((t0, y0),) = starts
+    return t0, y0
+
+
+def _assert_tracked_pair(m, t0, y0):
+    """Each component of ``y0`` within 4 ulps of the 40-digit pair at the
+    coupling the integrator sees at ``t0``."""
+    lam = twostate.ramped_coupling(m.x, m.eps, t0)
     with mpmath.workdps(40):
-        ref = _tracked_pair(m, mpmath.mpf(lam))
-        ref = [complex(z) for z in ref]
+        ref = [complex(z) for z in _tracked_pair(m, mpmath.mpf(lam))]
     for got, want in zip(y0, ref):
         assert abs(got - want) <= 4 * math.ulp(abs(want))
 
 
+@pytest.mark.parametrize("delta", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("ratio", [0.5, 2.0, 10.0])
+@pytest.mark.parametrize("eps", [1.0, 0.2, 0.003125])
+def test_evolve_starts_from_the_exact_switch_on_state(monkeypatch, eps, ratio, delta):
+    # the state the integrator is handed two decades of the ramp before an
+    # end where the coupling is 2e-4 exp(eps) of the gap, against the
+    # 40-digit pair at the coupling it sees there: each component within
+    # 4 ulps
+    m = TwoStateModel(mu=0.0, delta=delta, x=ratio * delta, eps=eps)
+    t_end = math.log(2e-4 * delta / m.x) / eps + 1.0
+    t0, y0 = _ode_start(monkeypatch, m, t_end)
+    assert t0 == t_end - math.log(100.0) / eps
+    _assert_tracked_pair(m, t0, y0)
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("eps", [1.0, 0.2, 0.003125])
+def test_evolve_starts_at_the_series_bound_from_the_exact_state(monkeypatch, eps, delta):
+    # an end where the coupling is 1e4 times 2 sqrt(delta eps): stepping
+    # starts earlier than two decades before it, where the coupling is
+    # 2 sqrt(delta eps), from the exact state there
+    m = TwoStateModel(mu=0.0, delta=delta, x=delta, eps=eps)
+    bound = 2.0 * math.sqrt(delta * eps)
+    t_end = math.log(1e4 * bound / m.x) / eps
+    # the run is stopped at its start, so no step budget applies
+    monkeypatch.setattr(ode, "MAX_STEPS", math.inf)
+    t0, y0 = _ode_start(monkeypatch, m, t_end)
+    assert t0 < t_end - math.log(100.0) / eps
+    assert twostate.ramped_coupling(m.x, eps, t0) == pytest.approx(bound, rel=1e-12)
+    _assert_tracked_pair(m, t0, y0)
+    # column 0 of the tail matrix, bit for bit
+    ramp = Ramp((0.0, 2.0 * delta), [[0.0, 1.0], [1.0, 0.0]], m.x, eps)
+    lam = twostate.ramped_coupling(m.x, eps, t0)
+    assert np.array_equal(y0, ramp.tail(lam, 1e-10)[:, 0])
+
+
 @pytest.mark.parametrize("eps", [0.2, 0.05, 0.0125, 0.003125])
 def test_evolve_does_not_depend_on_the_start_threshold(monkeypatch, eps):
-    # the start is exact to rounding at every threshold, so a(0) moves by
-    # integration error only
+    # the start is exact to rounding however early it is, so stepping four
+    # or six decades of the ramp in place of two moves a(0) by integration
+    # error only
     m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=eps)
     a0 = []
-    for start in (1e-4, 1e-6, 1e-8):
-        monkeypatch.setattr(twostate, "_START", start)
-        a0.append(complex(evolve_two_state(m, 0.0, 1e-10).final_state[0]))
+    for growth in (1e2, 1e4, 1e6):
+        monkeypatch.setattr(twostate, "STEPPED_GROWTH", growth)
+        traj = evolve_two_state(m, 0.0, 1e-10)
+        assert traj.times[0] == -math.log(growth) / eps
+        a0.append(complex(traj.final_state[0]))
     assert max(abs(a - a0[0]) for a in a0[1:]) <= 1e-12
-
-
-def test_evolve_refuses_a_switch_on_tail_that_cancels():
-    # eps far below delta * 1e-8, with the start at 1e-4 of the gap: a
-    # turns by about delta * 1e-8 / eps = 50 radians before the start, so
-    # the tail's terms grow to about e**50 before they fall
-    m = TwoStateModel(mu=0.0, delta=1.0, x=1e-4, eps=2e-10)
-    with pytest.raises(DomainError, match="tail series .*; raise eps or tol$"):
-        evolve_two_state(m, 3.5e9, 1e-10)
 
 
 @pytest.mark.parametrize("eps", [0.25, 0.05, 0.0125, 0.003125])
