@@ -491,8 +491,8 @@ _FLAGS = {
         "default": nstate.DEFAULT_START_THRESHOLD,
         "help": "ramped coupling at the basis start, where the run is in the "
         "tracked basis state, as a share of the smallest gap, in (0, 1e-4]; the "
-        "state is exact from there to two decades of the ramp before --t-end, "
-        "and stepped from there",
+        "state is exact from there to where stepping starts, two decades of the "
+        "ramp before --t-end or where the coupling is 1e-4 of that gap",
     },
     "--order": {"type": int, "default": twostate.DEFAULT_ORDER},
     "--eps-grid": {"default": "0.5:0.5:4", "help": "start:factor:count"},

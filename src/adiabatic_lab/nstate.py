@@ -21,8 +21,8 @@ from .numkit import (
     HermitianMatrix, Ramp, Trajectory, hermitian_eig, jet_mul, jet_recip, ode_evolve,
 )
 from .twostate import (
-    TwoStateModel, ramped_coupling, ramped_coupling_squared, require_step_budget,
-    require_time, stepping_start,
+    DEEPEST_START, TwoStateModel, ramped_coupling, ramped_coupling_squared,
+    require_step_budget, require_time, stepping_start,
 )
 
 __all__ = [
@@ -364,26 +364,31 @@ def _quiet_stretch(model, ramp, t0, t_end, tol, v_norm, y0):
     """``(t1, y1)``: the time where stepping starts and the state there.
 
     t1 is ``twostate.stepping_start``: two decades of the ramp before
-    ``t_end``, or earlier, where lam ||V|| / eps reaches 1 (lam the ramped
-    coupling), past which a term of the tail series could exceed 1. From
-    the basis state ``y0`` = e_g at t0 to t1 the state is exact: the tail
-    solutions exp(-i E_l t) S(lam)[:, l] (``ramp.tail``) span the
-    solutions, so with tau = t1 - t0 and W = E - E_g,
+    ``t_end``, but not before the coupling is ``DEEPEST_START`` of the
+    smallest gap where the end is after that, and no later than where
+    lam ||V|| / eps reaches 1 (lam the ramped coupling), past which a term
+    of the tail series could exceed 1. From the basis state ``y0`` = e_g
+    at t0 to t1 the state is exact: the tail solutions exp(-i E_l t)
+    S(lam)[:, l] (``ramp.tail``) span the solutions, so with tau = t1 - t0
+    and W = E - E_g,
 
-        y(t1) = exp(-i E_g tau) S(lam1) (exp(-i W tau) * S(lam0)^-1 e_g).
+        y(t1) = exp(-i E_g tau) S(lam1) (exp(-i W tau) * S(lam0)^-1 e_g),
 
-    The stretch is empty, ``(t0, y0)``, where t1 is not after t0."""
+    where S(lam0)^-1 e_g is the conjugate of row g of S(lam0), as S is
+    unitary for a Hermitian V. The stretch is empty, ``(t0, y0)``, where t1
+    is not after t0."""
     x, eps = model.x, model.eps
     # V = 0 sets no series bound
     log_bound = math.log(eps) - math.log(x) - math.log(v_norm) if v_norm else math.inf
-    t1 = stepping_start(t_end, eps, log_bound)
+    log_floor = math.log(model.min_gap * DEEPEST_START / x)
+    t1 = stepping_start(t_end, eps, log_bound, log_floor)
     if not t0 < t1:
         return t0, y0
     tau = t1 - t0
     w = model.energies - model.ground_energy
     s0 = ramp.tail(ramped_coupling(x, eps, t0), tol)
     s1 = ramp.tail(ramped_coupling(x, eps, t1), tol)
-    y1 = s1.dot(np.exp(-1j * tau * w) * np.linalg.solve(s0, y0))
+    y1 = s1.dot(np.exp(-1j * tau * w) * s0[model.ground_index].conj())
     return t1, cmath.exp(-1j * model.ground_energy * tau) * y1
 
 
@@ -399,9 +404,11 @@ def evolve_nstate(
     basis state.
 
     DOP853 steps the last two decades of the ramp, from t1 = t_end -
-    ln(100) / eps, or from earlier where the coupling lam reaches
-    eps / ||V|| (||V|| the spectral norm), past which a term of the
-    switch-on tail series could exceed 1. From t0 to t1 the state is exact
+    ln(100) / eps, or from where the coupling is 1e-4 of that gap where
+    t1 would be before there and ``t_end`` is after it, and from earlier
+    where the coupling lam reaches eps / ||V|| (||V|| the spectral norm),
+    past which a term of the switch-on tail series could exceed 1
+    (``twostate.stepping_start``). From t0 to t1 the state is exact
     (``_quiet_stretch``): it is the tail solutions, the columns of
     ``Ramp.tail``, each turned by its own level's phase, in the mix that
     is the basis state at t0; against DOP853 at rtol 1e-13 from the basis

@@ -28,15 +28,16 @@ as a ``Ramp``; three kernels serve ``ode_evolve``:
 The right-hand side at an accepted update is the next trial's first stage,
 evaluated when that trial starts.
 
-Both problems step only the last two decades of the ramp, or from
-earlier where a term of the switch-on tail series could exceed 1, and
-take the switch-on before that in closed form. ``Ramp.tail`` sums, as
-power series in the ramped coupling exact to rounding of their size, the
-solutions that tend to each basis state as the coupling switches off in
-the past, each in the frame where its level stands still. The two-state
-route starts from the tracked level's column; the N-state route writes
-its state from the basis start up to where stepping starts as the exact
-mix of all the columns.
+Both problems step only the last two decades of the ramp, or less where
+that would start deeper in the tail than 1e-4 of the gap and the end is
+past there, or more where a term of the switch-on tail series could
+exceed 1, and take the switch-on before that in closed form.
+``Ramp.tail`` sums, as power series in the ramped coupling exact to
+rounding of their size, the solutions that tend to each basis state as
+the coupling switches off in the past, each in the frame where its level
+stands still. The two-state route starts from the tracked level's
+column; the N-state route writes its state from the basis start up to
+where stepping starts as the exact mix of all the columns.
 
 ``_array_kernel`` keeps one stage matrix with y in row 0 and the stages
 k1..k12 below it. The tableau ``_W`` has a leading column for y (1 in the
@@ -286,12 +287,19 @@ class Ramp:
         """
         limit = max(1.0, tol * 2.0**53)
         e = self.energies
+        n = e.size
         den = 1j * (e[:, None] - e)
-        s = np.eye(e.size, dtype=complex)
+        # -i v c is the factor-weighted sum of the generator's v blocks
+        # times c, taken by einsum in real arithmetic: a BLAS matrix product
+        # of this size may wake BLAS threads, which on a busy machine can
+        # cost more than the whole series
+        blocks, factors = self.generator[:-n], self.factors[:-1, None, None]
+        s = np.eye(n, dtype=complex)
         term = s
         small = 0
         for k in itertools.count(1):
-            term = (-1j * lam) * self.v.dot(term) / (k * self.eps + den)
+            products = np.einsum("ij,jk->ik", blocks, term.view(float)).view(complex)
+            term = lam * (factors * products.reshape(-1, n, n)).sum(0) / (k * self.eps + den)
             size = np.abs(term).max()
             if size > limit:
                 raise DomainError(

@@ -51,6 +51,9 @@ DEFAULT_ORDER = 30
 # its value at the end, two decades of the ramp; the switch-on before that
 # is in closed form
 STEPPED_GROWTH = 100.0
+# but they start no deeper in the tail than where the coupling is this
+# share of the gap, unless the end itself is deeper (see stepping_start)
+DEEPEST_START = 1e-4
 
 
 @dataclass(frozen=True)
@@ -439,16 +442,26 @@ def require_time(t: float, name: str = "t") -> None:
         raise DomainError(f"{name} must be finite, got {t}")
 
 
-def stepping_start(t_end: float, eps: float, log_bound: float) -> float:
-    """Where an ODE run to ``t_end`` starts stepping: t_end -
-    ln(``STEPPED_GROWTH``) / eps, where the ramped coupling x exp(eps t) is
-    a hundredth of its value at the end, or earlier, at log_bound / eps,
-    where it is x exp(log_bound), the largest coupling at which no term of
-    the switch-on tail series can exceed 1. Two decades of the ramp leave
-    the stepped span 99% of every amplitude's growth, which goes as the
-    coupling, and 99.99% of the divergent phase, which goes as its
-    square."""
-    return min(t_end - math.log(STEPPED_GROWTH) / eps, log_bound / eps)
+def stepping_start(t_end: float, eps: float, log_bound: float, log_floor: float) -> float:
+    """Where an ODE run to ``t_end`` starts stepping; ``log_bound`` and
+    ``log_floor`` are the logs of two ramped couplings over x.
+
+    Two decades of the ramp before the end, t_end - ln(``STEPPED_GROWTH``)
+    / eps, where the ramped coupling x exp(eps t) is a hundredth of its
+    value there: that leaves the stepped span 99% of every amplitude's
+    growth, which goes as the coupling, and 99.99% of the divergent phase,
+    which goes as its square. Where that falls before log_floor / eps, the
+    coupling at ``DEEPEST_START`` of the gap, and the end after it, the
+    start is log_floor / eps: deeper in the tail the tracked level's
+    rotation holds the step, so at a slow rate two decades there can cost
+    more steps than any run may take, and the closed form is exact there.
+    Either start moves earlier, to log_bound / eps, the largest coupling at
+    which no term of the switch-on tail series can exceed 1."""
+    t1 = t_end - math.log(STEPPED_GROWTH) / eps
+    floor = log_floor / eps
+    if t1 < floor < t_end:
+        t1 = floor
+    return min(t1, log_bound / eps)
 
 
 def ramped_coupling(x: float, eps: float, t: float, name: str = "t") -> float:
@@ -509,8 +522,10 @@ def evolve_two_state(m: TwoStateModel, t_end: float, tol: float) -> Trajectory:
     solution of these equations summed as a power series in lam, so the
     start error is rounding and where the run starts moves the result by
     integration error only. The start t0 is ``stepping_start``: two
-    decades of the ramp before the end, t_end - ln(100) / eps, or earlier,
-    where the coupling is 2 sqrt(delta eps). Past that coupling a term of
+    decades of the ramp before the end, t_end - ln(100) / eps, but not
+    before the coupling is 1e-4 of the gap 2 delta where the end is after
+    that; in either case no later than where the coupling is
+    2 sqrt(delta eps). Past that coupling a term of
     the series could exceed 1: its terms fall by lam**2 / (2k eps 2 delta)
     every two orders, at most (lam**2 / (4 delta eps))**k / k! at order
     2k, and the odd ones are no larger than the even ones before them. At
@@ -528,17 +543,20 @@ def evolve_two_state(m: TwoStateModel, t_end: float, tol: float) -> Trajectory:
     0.25, t_end 0 and 15), plus the tracked level's rotation
     2 delta (t_end - t0), which sets the count deep in the tail at a slow
     rate: there the step is held near DOP853's stability limit, and it was
-    measured at 0.167 to 0.53 steps per radian for tol 1e-4 to 1e-12
-    (delta 1e-3 to 1e3, eps 1e-2 and 1e-3 times delta, x 1e-4 delta and
-    t_end 0: 921 and 9,210 radians). The estimate takes a third of each
-    term's lowest rate, so a run that could finish is never refused.
+    measured at 0.158 to 0.53 steps per radian for tol 1e-4 to 1e-12
+    (delta 1e-3 to 1e3; from two decades before the end at eps 1e-2 and
+    1e-3 times delta, x 1e-4 delta and t_end 0, 921 and 9,210 radians; from
+    the coupling 1e-4 of the gap at eps 1e-8 and 1e-4 times delta, 1e3 and
+    1e4 radians). The estimate takes at most a third of each term's lowest
+    rate, so a run that could finish is never refused.
     """
     if not 0 < tol < 1:
         raise DomainError(f"tol must be in (0, 1), got {tol}")
     require_time(t_end, "t_end")
     # no term of the tail series exceeds 1 up to the coupling 2 sqrt(delta eps)
     log_bound = math.log(2.0) + 0.5 * (math.log(m.delta) + math.log(m.eps)) - math.log(m.x)
-    t0 = stepping_start(t_end, m.eps, log_bound)
+    log_floor = math.log(2.0 * DEEPEST_START) + math.log(m.delta) - math.log(m.x)
+    t0 = stepping_start(t_end, m.eps, log_bound, log_floor)
     if not t0 < t_end:
         raise DomainError(
             f"end time {t_end:.6g} is so far in the past that a start "
@@ -546,11 +564,11 @@ def evolve_two_state(m: TwoStateModel, t_end: float, tol: float) -> Trajectory:
         )
     lam0 = ramped_coupling(m.x, m.eps, t0)
     angle = (ramped_coupling(m.x, m.eps, t_end, "t_end") - lam0) / m.eps
-    steps = 0.061 * tol**-0.125 * angle + 0.055 * 2 * m.delta * (t_end - t0)
+    steps = 0.061 * tol**-0.125 * angle + 0.052 * 2 * m.delta * (t_end - t0)
     require_step_budget(
         steps,
         "0.061 * tol**-0.125 * x * (exp(eps * t_end) - exp(eps * t0)) / eps "
-        "+ 0.055 * 2 * delta * (t_end - t0)",
+        "+ 0.052 * 2 * delta * (t_end - t0)",
         t0,
         t_end,
     )

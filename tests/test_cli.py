@@ -508,7 +508,7 @@ def test_exit_code_step_budget_estimate_fails_at_once(capsys):
         "error: integration: step budget exhausted before the start: "
         "about 7.09e+06 steps (0.061 * tol**-0.125 * x * (exp(eps * t_end) - "
         "exp(eps * t0)) / eps "
-        "+ 0.055 * 2 * delta * (t_end - t0))"
+        "+ 0.052 * 2 * delta * (t_end - t0))"
     )
 
 

@@ -796,11 +796,18 @@ def _dop853_reference(model, t0, y0, t1):
 
 
 def _stepping_start(model, t_end):
-    """Two decades of the ramp before ``t_end``, or earlier, where the
-    coupling reaches eps / ||V||."""
+    """Two decades of the ramp before ``t_end``, or the floor, where the
+    coupling is 1e-4 of the smallest gap, where that is before the floor
+    and ``t_end`` after it; no later than where the coupling reaches
+    eps / ||V||."""
+    eps = model.eps
     v_norm = np.linalg.norm(model.v.entries, 2)
-    bound = math.log(model.eps / v_norm / model.x) / model.eps if v_norm else math.inf
-    return min(t_end - math.log(100.0) / model.eps, bound)
+    bound = math.log(eps / v_norm / model.x) / eps if v_norm else math.inf
+    floor = math.log(model.min_gap * 1e-4 / model.x) / eps
+    start = t_end - math.log(100.0) / eps
+    if start < floor < t_end:
+        start = floor
+    return min(start, bound)
 
 
 def _zero_v_model():
@@ -824,7 +831,7 @@ def _zero_v_model():
 )
 def test_stretch_matches_dop853_from_the_basis_start(monkeypatch, make_model):
     # the exact state where stepping starts, two decades of the ramp before
-    # the end, against DOP853 run from the basis state at t0 through the
+    # the end 0, against DOP853 run from the basis state at t0 through the
     # stretch: within 1e-12 of the state
     model = make_model()
     t0, y0 = _basis_start(model)
@@ -840,11 +847,13 @@ def test_stretch_matches_dop853_from_the_basis_start(monkeypatch, make_model):
     ids=["threshold-1e-4", "end-within-two-decades"],
 )
 def test_empty_stretch_is_the_basis_start_bit_for_bit(threshold, t_end):
-    # t_end - ln(100) / eps falls before the basis start t0: no exact
-    # stretch, and the ODE's own trajectory from the basis state at t0
+    # stepping would start at or before the basis start t0: at threshold
+    # 1e-4 t0 is the floor, and t_end -10 is less than two decades past it;
+    # at t_end -45 two decades before it fall before t0. No exact stretch,
+    # and the ODE's own trajectory from the basis state at t0
     model = generate_nstate_model(seed=7, levels=6)
     t0, y0 = _basis_start(model, threshold, t_end)
-    assert _stepping_start(model, t_end) < t0
+    assert _stepping_start(model, t_end) <= t0
     ramp = Ramp(model.energies, model.v.entries, model.x, model.eps)
     ref = ode.ode_evolve(ramp, y0, t0, t_end, 1e-10)
     traj = evolve_nstate(model, t_end, 1e-10, start_threshold=threshold)
@@ -882,19 +891,22 @@ def test_stretch_is_empty_at_a_slow_rate(monkeypatch, eps):
 @pytest.mark.parametrize("levels", [3, 16])
 @pytest.mark.parametrize("x", [1e-4, 0.05, 2.0])
 @pytest.mark.parametrize("eps", [1e-8, 1e-4, 1e-2, 1.0])
-def test_evolve_starts_stepping_at_the_earlier_of_two_decades_and_the_series_bound(
+def test_evolve_starts_stepping_at_two_decades_the_floor_or_the_series_bound(
     monkeypatch, eps, x, levels, complex_v
 ):
-    # over a grid of couplings, rates and ends: stepping starts at the
-    # earlier of t_end - ln(100) / eps and the series bound, or at t0 where
-    # that is earlier still, with no tail series. Where it starts after t0,
-    # no term of the tail series there exceeds 1 but by rounding (a tail
-    # summed with tol (1 + 1e-12) 2**-53 refuses a term above 1 + 1e-12)
+    # over a grid of couplings, rates and ends, one of them less than two
+    # decades past the floor (the coupling 1e-4 of the smallest gap):
+    # stepping starts two decades of the ramp before the end, or at the
+    # floor where that is before the floor and the end after it, no later
+    # than the series bound, and at t0 where that is earlier still, with no
+    # tail series. Where it starts after t0, no term of the tail series
+    # there exceeds 1 but by rounding (a tail summed with tol
+    # (1 + 1e-12) 2**-53 refuses a term above 1 + 1e-12)
     model = random_model(levels, levels, x=x, eps=eps, complex_v=complex_v)
     monkeypatch.setattr(ode, "MAX_STEPS", math.inf)
     ramp = Ramp(model.energies, model.v.entries, x, eps)
-    for c in (-20.0, 0.0, 5.0):
-        t_end = c / eps
+    in_band = math.log(model.min_gap * 1e-3 / x) / eps
+    for t_end in (-20.0 / eps, 0.0, 5.0 / eps, in_band):
         if t_end <= math.log(model.min_gap * nstate.DEFAULT_START_THRESHOLD / x) / eps:
             continue
         t0, _ = _basis_start(model, t_end=t_end)

@@ -882,36 +882,39 @@ def test_evolve_step_estimate_stays_below_the_step_count(monkeypatch, eps):
 @pytest.mark.parametrize("tol", [1e-4, 1e-12])
 def test_evolve_step_estimate_counts_the_tracked_level_rotation(monkeypatch, tol):
     # deep in the tail at a slow rate the tracked level's rotation
-    # 2 delta (t_end - t0) sets the steps, about 0.17 per radian or more.
-    # At eps 1e-8 the two decades of the ramp before t_end 0 are
-    # 2 ln(100) / eps = 9.2e8 radians, about 1.6e8 steps, and are refused
-    # before the start; at eps 1e-3 they are 9,210 radians, 1,553 steps at
-    # tol 1e-4 and 2,470 at 1e-12, and the estimate stays below that
+    # 2 delta (t_end - t0) sets the steps, about 0.16 per radian or more.
+    # An end past the coupling 1e-4 of the gap 2 delta, t0, steps from t0:
+    # t0 + 1e8 would take about 3.4e7 and is refused before the start;
+    # t0 + 1e4 takes about 3,400. An end before t0 steps two decades of
+    # the ramp, at eps 1e-3 and t_end 0 9,210 radians: about 1,550 steps
+    # at tol 1e-4 and 2,470 at 1e-12. Each estimate stays below the count
     m = TwoStateModel(mu=0.0, delta=1.0, x=1e-4, eps=1e-8)
+    # where the coupling is 1e-4 of the gap 2 delta
+    t0 = math.log(2e-4 / m.x) / m.eps
     started = time.perf_counter()
     with pytest.raises(IntegrationError, match="before the start") as info:
-        evolve_two_state(m, 0.0, tol)
+        evolve_two_state(m, t0 + 1e8, tol)
     assert time.perf_counter() - started < 1.0
-    assert info.value.time == -math.log(100.0) / m.eps
-    m = TwoStateModel(mu=0.0, delta=1.0, x=1e-4, eps=1e-3)
-    traj = evolve_two_state(m, 0.0, tol)
-    steps = traj.accepted_steps + traj.rejected_steps
-    monkeypatch.setattr(ode, "MAX_STEPS", 0)
-    with pytest.raises(IntegrationError, match="before the start") as info:
-        evolve_two_state(m, 0.0, tol)
-    estimate = float(re.search(r"about (\S+) steps", str(info.value))[1])
-    assert steps / 6 <= estimate < steps
+    assert info.value.time == pytest.approx(t0, rel=1e-13)
+    for m, t_end in ((m, t0 + 1e4), (TwoStateModel(mu=0.0, delta=1.0, x=1e-4, eps=1e-3), 0.0)):
+        traj = evolve_two_state(m, t_end, tol)
+        steps = traj.accepted_steps + traj.rejected_steps
+        monkeypatch.setattr(ode, "MAX_STEPS", 0)
+        with pytest.raises(IntegrationError, match="before the start") as info:
+            evolve_two_state(m, t_end, tol)
+        monkeypatch.undo()
+        estimate = float(re.search(r"about (\S+) steps", str(info.value))[1])
+        assert steps / 6 <= estimate < steps
 
 
 @pytest.mark.parametrize("tol", [1e-4, 1e-6])
 def test_evolve_far_from_zero_starts_above_the_step_floor(tol):
-    # t0 = -ln(100) / eps is about -4.6e11, where the step floor is
-    # 8 eps_machine |t0| = 8.2e-4; the starting-step estimate is 1e-4, below
-    # the floor. The run steps 2 delta ln(100) / eps = 1,842 radians, in
-    # 324 and 325 steps at these tolerances
-    m = TwoStateModel(mu=0.0, delta=2e-9, x=2e-13, eps=1e-11)
-    traj = evolve_two_state(m, 0.0, tol)
-    assert traj.times[0] == -math.log(100.0) / m.eps
+    # t0 is about 6.9e10, where the step floor is 8 eps_machine |t0| =
+    # 1.2e-4; at these tolerances the starting-step estimate is 1e-4, below
+    # the floor. Tighter ones, 1e-8 to 1e-12, finish in 340 to 349 steps
+    m = TwoStateModel(mu=0.0, delta=1e-3, x=1e-7, eps=1e-11)
+    t0 = math.log(2e-4 * m.delta / m.x) / m.eps
+    traj = evolve_two_state(m, t0 + 1e6, tol)
     assert traj.accepted_steps < 400
     assert abs(traj.norms()[-1] - 1.0) <= 100 * tol
 
@@ -919,25 +922,32 @@ def test_evolve_far_from_zero_starts_above_the_step_floor(tol):
 @pytest.mark.parametrize("delta", [1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("ratio", [1e-4, 0.5, 10.0])
 @pytest.mark.parametrize("rate", [1e-8, 1e-4, 1e-2, 1.0])
-def test_evolve_starts_at_the_earlier_of_two_decades_and_the_series_bound(
+def test_evolve_starts_at_two_decades_the_floor_or_the_series_bound(
     monkeypatch, rate, ratio, delta
 ):
     # over a grid of gaps, couplings, rates from 1e-8 delta to delta and
-    # ends: stepping starts at the earlier of t_end - ln(100) / eps and the
-    # time where the coupling is 2 sqrt(delta eps), and no term of the tail
-    # series there exceeds 1 but by rounding: the start is found in log
-    # space, which moves the coupling there by up to |eps t0| ulps, and a
-    # tail summed with tol (1 + 1e-12) 2**-53 refuses a term above
-    # 1 + 1e-12
+    # ends, one of them less than two decades past the floor (the coupling
+    # 1e-4 of the gap): stepping starts two decades of the ramp before the
+    # end, or at the floor where that is before the floor and the end after
+    # it, and no later than where the coupling is 2 sqrt(delta eps). No term
+    # of the tail series there exceeds 1 but by rounding: the start is
+    # found in log space, which moves the coupling there by up to |eps t0|
+    # ulps, and a tail summed with tol (1 + 1e-12) 2**-53 refuses a term
+    # above 1 + 1e-12
     m = TwoStateModel(mu=0.0, delta=delta, x=ratio * delta, eps=rate * delta)
     monkeypatch.setattr(ode, "MAX_STEPS", math.inf)
     ramp = Ramp((0.0, 2.0 * delta), [[0.0, 1.0], [1.0, 0.0]], m.x, m.eps)
     bound = math.log(2.0 * math.sqrt(delta * m.eps) / m.x) / m.eps
-    for c in (-20.0, 0.0, 5.0):
-        t_end = c / m.eps
+    floor = math.log(2e-4 * delta / m.x) / m.eps
+    in_band = math.log(2e-3 * delta / m.x) / m.eps
+    for t_end in (-20.0 / m.eps, 0.0, 5.0 / m.eps, in_band):
+        two_decades = t_end - math.log(100.0) / m.eps
+        expected = floor if two_decades < floor < t_end else two_decades
+        if t_end == in_band:
+            assert expected == floor
         t0, _ = _ode_start(monkeypatch, m, t_end)
         monkeypatch.setattr(ode, "MAX_STEPS", math.inf)
-        assert t0 == pytest.approx(min(t_end - math.log(100.0) / m.eps, bound), rel=1e-13)
+        assert t0 == pytest.approx(min(expected, bound), rel=1e-13)
         ramp.tail(twostate.ramped_coupling(m.x, m.eps, t0), (1 + 1e-12) * 2.0**-53)
 
 
@@ -1022,12 +1032,25 @@ def _assert_tracked_pair(m, t0, y0):
 @pytest.mark.parametrize("ratio", [0.5, 2.0, 10.0])
 @pytest.mark.parametrize("eps", [1.0, 0.2, 0.003125])
 def test_evolve_starts_from_the_exact_switch_on_state(monkeypatch, eps, ratio, delta):
-    # the state the integrator is handed two decades of the ramp before an
-    # end where the coupling is 2e-4 exp(eps) of the gap, against the
-    # 40-digit pair at the coupling it sees there: each component within
-    # 4 ulps
+    # the state the integrator is handed at t0, where the coupling is 1e-4
+    # of the gap, for an end just after it, against the 40-digit pair at
+    # the coupling it sees there: each component within 4 ulps
     m = TwoStateModel(mu=0.0, delta=delta, x=ratio * delta, eps=eps)
-    t_end = math.log(2e-4 * delta / m.x) / eps + 1.0
+    t0, y0 = _ode_start(monkeypatch, m, math.log(2e-4 * delta / m.x) / eps + 1.0)
+    assert twostate.ramped_coupling(m.x, eps, t0) == pytest.approx(2e-4 * delta, rel=1e-13)
+    _assert_tracked_pair(m, t0, y0)
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("eps", [1.0, 0.2, 0.003125])
+def test_evolve_starts_two_decades_before_an_early_end_from_the_exact_state(
+    monkeypatch, eps, delta
+):
+    # an end where the coupling is 1e-5 of the gap, before the floor:
+    # stepping starts two decades of the ramp before it, from the exact
+    # state there
+    m = TwoStateModel(mu=0.0, delta=delta, x=delta, eps=eps)
+    t_end = math.log(2e-5 * delta / m.x) / eps
     t0, y0 = _ode_start(monkeypatch, m, t_end)
     assert t0 == t_end - math.log(100.0) / eps
     _assert_tracked_pair(m, t0, y0)
@@ -1057,12 +1080,13 @@ def test_evolve_starts_at_the_series_bound_from_the_exact_state(monkeypatch, eps
 @pytest.mark.parametrize("eps", [0.2, 0.05, 0.0125, 0.003125])
 def test_evolve_does_not_depend_on_the_start_threshold(monkeypatch, eps):
     # the start is exact to rounding however early it is, so stepping four
-    # or six decades of the ramp in place of two moves a(0) by integration
-    # error only
+    # or six decades of the ramp in place of two, with the floor as deep,
+    # moves a(0) by integration error only
     m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=eps)
     a0 = []
     for growth in (1e2, 1e4, 1e6):
         monkeypatch.setattr(twostate, "STEPPED_GROWTH", growth)
+        monkeypatch.setattr(twostate, "DEEPEST_START", 1e-2 / growth)
         traj = evolve_two_state(m, 0.0, 1e-10)
         assert traj.times[0] == -math.log(growth) / eps
         a0.append(complex(traj.final_state[0]))
