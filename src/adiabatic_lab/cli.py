@@ -345,10 +345,11 @@ def _cmd_n_dyson(model, args) -> dict:
 
 def _cmd_n_recursion(model, args) -> dict:
     xi, phi = nstate.rs_recursion(model, args.order, 1)
-    # hypot scales its arguments, so the norm is finite wherever the entries
-    # are; squaring them would overflow past about 1e154
+    # the slopes in the rate are 1j times those in s (the + 0.0 keeps a zero
+    # real part unsigned); hypot scales its arguments, so the norm is finite
+    # wherever the entries are, where squaring them would overflow past 1e154
     rows = [
-        [n, *_split_complex(value), *_split_complex(slope),
+        [n, *_split_complex(value), *_split_complex(1j * slope + 0.0),
          math.hypot(*phi[n - 1, :, 0].real, *phi[n - 1, :, 0].imag)]
         for n, (value, slope) in enumerate(xi, 1)
     ]
@@ -411,9 +412,7 @@ def _cmd_n_assemble(model, args) -> dict:
 
 
 def _cmd_n_evolve(model, args) -> dict:
-    traj = nstate.evolve_nstate(
-        model, args.t_end, args.tol, start_threshold=args.start_threshold
-    )
+    traj = nstate.evolve_nstate(model, args.t_end, args.tol)
     return dict(
         values={
             "accepted_steps[ode]": traj.accepted_steps,
@@ -486,14 +485,6 @@ _FLAGS = {
     "--t": {"type": float, "default": 0.0},
     "--t-end": {"type": float, "default": 0.0},
     "--tol": {"type": float, "default": 1e-10},
-    "--start-threshold": {
-        "type": float,
-        "default": nstate.DEFAULT_START_THRESHOLD,
-        "help": "ramped coupling at the basis start, where the run is in the "
-        "tracked basis state, as a share of the smallest gap, in (0, 1e-4]; the "
-        "state is exact from there to where stepping starts, two decades of the "
-        "ramp before --t-end or where the coupling is 1e-4 of that gap",
-    },
     "--order": {"type": int, "default": twostate.DEFAULT_ORDER},
     "--eps-grid": {"default": "0.5:0.5:4", "help": "start:factor:count"},
     "--seed": {"type": int, "required": True},
@@ -530,7 +521,7 @@ _COMMANDS = {
         ("assemble", "slow-switching limit state", _cmd_n_assemble,
          _N + ("--order",)),
         ("evolve", "full switched-coupling evolution", _cmd_n_evolve,
-         _N + ("--t-end", "--tol", "--start-threshold")),
+         _N + ("--t-end", "--tol")),
         ("oracle", "exact-diagonalization level shift", _cmd_n_oracle, _N),
         ("compare", "series vs oracle vs ODE ratios", _cmd_n_compare,
          _N + (("--order", {"default": 12}), "--tol")),

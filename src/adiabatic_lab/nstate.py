@@ -17,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, ContinuationError, DegeneracyError, DomainError
-from .numkit import (
-    HermitianMatrix, Ramp, Trajectory, hermitian_eig, jet_mul, jet_recip, ode_evolve,
+# nothing here calls jet_recip; it stays importable from this module because
+# bench/spans.py wraps nstate.jet_recip by name in every traced run
+from .numkit import (  # noqa: F401
+    HermitianMatrix, Ramp, Trajectory, hermitian_eig, jet_recip, ode_evolve,
 )
 from .twostate import (
     DEEPEST_START, TwoStateModel, ramped_coupling, ramped_coupling_squared,
@@ -40,14 +42,17 @@ __all__ = [
 ]
 
 GAP_FLOOR_FACTOR = 1e-8
-# an imaginary part above this on g_a, the shift or g_b aborts the split
+# an imaginary part above this on g_a, the shift or g_b aborts the split; for
+# a real V the recursion is real in s = 1j * rate and the parts are exactly
+# real, so only a complex V can reach it
 IMAG_GATE = 1e-9
 # an eigenvector must hold at least this probability weight on the initial
 # basis state to count as its continuation
 OVERLAP_FLOOR = 0.5
-# the evolution starts in the tracked basis state, which misses the
-# switch-on state by O(start_threshold): so deep in the tail
-DEFAULT_START_THRESHOLD = 1e-8
+# the evolution starts in the tracked basis state where the ramped coupling
+# is this share of the smallest gap; the basis state misses the switch-on
+# state by about as much, so the start is deep in the tail
+START_THRESHOLD = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,68 +177,56 @@ def rs_recursion(
     Returns the read-only pair ``(xi, phi)``: ``xi[n-1, k]`` is the k-th jet
     coefficient of the order-n phase coefficient and ``phi[n-1, :, k]`` that
     of the order-n correction vector, whose tracked component is zero by
-    construction. Jets are expanded around ``at_eps`` (0 for the
-    slow-switching limit).
+    construction. Jets are in s = 1j * rate, expanded around 1j * ``at_eps``
+    (0 for the slow-switching limit); the k-th coefficient in the rate is
+    1j**k times the k-th in s. For a real V at ``at_eps`` 0 every
+    coefficient is real and both arrays are float64; otherwise complex.
 
-    The resolvent at order n divides component k by
-    ``(E_k - E_g) - 1j * n * rate``; the n-fold rate follows from the n-th
-    power of the ramped coupling and is what makes the finite-rate result
-    match the Dyson expansion order by order.
+    The resolvent at order n divides component k by ``(E_k - E_g) - n * s``;
+    the n-fold rate follows from the n-th power of the ramped coupling and
+    is what makes the finite-rate result match the Dyson expansion order by
+    order. With a = (E_k - E_g) - 1j * n * at_eps, the jet of b / (a - n s)
+    is c_k = (b_k + n c_{k-1}) / a, Horner's rule in s.
     """
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
     if jet_order < 0:
         raise DomainError(f"jet order must be >= 0, got {jet_order}")
-    e = model.energies
     g = model.ground_index
     vm = model.v.entries
-    dim = model.dim
-    k1 = jet_order + 1
+    if not (at_eps or vm.imag.any()):
+        vm = vm.real
+    s0 = 1j * at_eps if at_eps else 0.0
+    # the tracked component's numerators are zero; a 1 in its denominator
+    # keeps it zero without a division by zero
+    w = model.energies - model.ground_energy
+    w[g] = 1.0
 
-    # reciprocal resolvent jets, per recursion order and component; the
-    # tracked component is left at zero
-    others = np.arange(dim) != g
-    n_col = np.arange(1, order + 1)[:, None]
-    den = np.zeros((order, dim - 1, k1), dtype=complex)
-    den[..., 0] = e[others] - e[g] - 1j * n_col * at_eps
-    if jet_order >= 1:
-        den[..., 1] = -1j * n_col
-    recip = np.zeros((order, dim, k1), dtype=complex)
-    recip[:, others] = jet_recip(den)
-
-    xi = np.zeros((order, k1), dtype=complex)
-    xi[0, 0] = vm[g, g]
-    phi = np.zeros((order, dim, k1), dtype=complex)
-
-    w = np.zeros((dim, k1), dtype=complex)
-    w[:, 0] = vm[:, g]
-    w[g, 0] = 0.0
-    phi[0] = -jet_mul(recip[0], w)
-    phi[0, g] = 0.0
-
-    # stack[0] holds V·φ_{n-1} and stack[m] the product ξ_{n-m}·φ_m, for
-    # m = 1 .. n-1; all n-1 products are one broadcast jet_mul
-    stack = np.empty((order, dim, k1), dtype=complex)
-    v_row = vm[g : g + 1]
+    xi = np.zeros((order, jet_order + 1), dtype=vm.dtype)
+    # phi[0] is the unperturbed state e_g, phi[n] the order-n correction
+    phi = np.zeros((order + 1, model.dim, jet_order + 1), dtype=vm.dtype)
+    phi[0, g, 0] = 1.0
     # terms past the range of doubles come out non-finite, without a
     # warning; _split_from rejects them
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(2, order + 1):
-            # the same matrix products as np.tensordot, without its reshaping cost
-            xi[n - 1] = v_row.dot(phi[n - 2])
-            stack[0] = vm.dot(phi[n - 2])
-            stack[0, g] = 0.0
-            stack[1:n] = jet_mul(xi[n - 2 :: -1, None, :], phi[: n - 1])
-            # an axis-0 reduction subtracts the products one at a time in order
-            # of m, an accumulation order that keeps the rounding of the
-            # Hermitian-case residues small
-            bracket = np.subtract.reduce(stack[:n], axis=0)
-            phi[n - 1] = -jet_mul(recip[n - 1], bracket)
-            phi[n - 1, g] = 0.0
+        for n in range(1, order + 1):
+            xi[n - 1] = vm[g].dot(phi[n - 1])
+            bracket = vm.dot(phi[n - 1])
+            bracket[g] = 0.0
+            # rows xi_{n-1} .. xi_1 against phi_1 .. phi_{n-1}: jet index k of
+            # the sum over m of xi_{n-m} phi_m contracts m and the split of k
+            xi_rev = xi[: n - 1][::-1]
+            a = w - n * s0
+            c = 0.0
+            for k in range(jet_order + 1):
+                b = bracket[:, k] - np.tensordot(
+                    xi_rev[:, : k + 1], phi[1:n, :, k::-1], axes=([0, 1], [0, 2])
+                )
+                phi[n, :, k] = c = (n * c - b) / a
 
     xi.flags.writeable = False
     phi.flags.writeable = False
-    return xi, phi
+    return xi, phi[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +237,9 @@ def rs_recursion(
 class GSplit:
     """Divergent phase coefficient g_a (to be divided by the rate), secular
     level shift, and finite log-magnitude g_b, all real after the residue
-    gate. ``last_term_magnitude`` records how far the shift series had
-    decayed at truncation."""
+    gate: g_b is the sum of the slopes in s = 1j * rate. ``max_imag_residue``
+    is exactly 0.0 for a real V. ``last_term_magnitude`` records how far
+    the shift series had decayed at truncation."""
 
     g_a: float
     delta_e: float
@@ -262,17 +256,18 @@ class AssembledState:
 
 
 def _split_from(xi: np.ndarray, model: NStateModel) -> GSplit:
-    """Laurent split of the accumulated phase: g_a = sum x**n c_0 / n (to be
-    divided by the rate), the shift sum x**n c_0 and g_b = -i sum x**n c_1 / n.
-    A ``ConsistencyError`` names the quantity whose imaginary part exceeds
-    IMAG_GATE, a ``DomainError`` the first order whose term is not finite."""
+    """Laurent split of the accumulated phase from jets in s = 1j * rate:
+    g_a = sum x**n c_0 / n (to be divided by the rate), the shift sum
+    x**n c_0 and g_b = sum x**n c_1 / n. A ``ConsistencyError`` names the
+    quantity whose imaginary part exceeds IMAG_GATE, a ``DomainError`` the
+    first order whose term is not finite."""
     n = np.arange(1, len(xi) + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         powers = model.x**n
         parts = (
             np.sum(powers * xi[:, 0] / n),
             np.sum(powers * xi[:, 0]),
-            -1j * np.sum(powers * xi[:, 1] / n),
+            np.sum(powers * xi[:, 1] / n),
         )
         if not (np.isfinite(xi).all() and np.isfinite(parts).all()):
             finite = np.isfinite(powers[:, None] * xi).all(axis=1)
@@ -339,23 +334,19 @@ def assemble_state(model: NStateModel, order: int) -> AssembledState:
 # oracles
 
 
-def switch_on_time(
-    gap: float, x: float, eps: float, threshold: float, t_end: float, tol: float
-) -> float:
-    """Start time at which the ramped coupling is ``threshold`` of the gap;
-    the threshold must lie in (0, 1e-4], ``t_end`` must be a number that
-    the start precedes, and the run's tolerance ``tol`` must lie in (0, 1):
-    at 1 and above the integrator's error control is off."""
+def switch_on_time(gap: float, x: float, eps: float, t_end: float, tol: float) -> float:
+    """Start time at which the ramped coupling is ``START_THRESHOLD`` of the
+    gap; ``t_end`` must be a number that the start precedes, and the run's
+    tolerance ``tol`` must lie in (0, 1): at 1 and above the integrator's
+    error control is off."""
     if not 0 < tol < 1:
         raise DomainError(f"tol must be in (0, 1), got {tol}")
-    if not 0 < threshold <= 1e-4:
-        raise DomainError(f"start_threshold must be in (0, 1e-4], got {threshold}")
     require_time(t_end, "t_end")
-    t0 = math.log(gap * threshold / x) / eps
+    t0 = math.log(gap * START_THRESHOLD / x) / eps
     if not t0 < t_end:
         raise DomainError(
             f"switch-on start t0 = {t0:.6g} is not before t_end = {t_end:.6g}; "
-            "lower start_threshold or move t_end"
+            "move t_end later"
         )
     return t0
 
@@ -392,14 +383,9 @@ def _quiet_stretch(model, ramp, t0, t_end, tol, v_norm, y0):
     return t1, cmath.exp(-1j * model.ground_energy * tau) * y1
 
 
-def evolve_nstate(
-    model: NStateModel,
-    t_end: float,
-    tol: float,
-    start_threshold: float = DEFAULT_START_THRESHOLD,
-) -> Trajectory:
+def evolve_nstate(model: NStateModel, t_end: float, tol: float) -> Trajectory:
     """Full Schrodinger evolution under the ramped perturbation from deep in
-    the switch-on tail (ramped coupling at ``start_threshold`` of the
+    the switch-on tail (ramped coupling at ``START_THRESHOLD`` of the
     smallest gap to the tracked level, time t0), starting in the tracked
     basis state.
 
@@ -434,7 +420,7 @@ def evolve_nstate(
     estimate takes at most a third of each term's lowest rate, so a run
     that could finish is never refused.
     """
-    t0 = switch_on_time(model.min_gap, model.x, model.eps, start_threshold, t_end, tol)
+    t0 = switch_on_time(model.min_gap, model.x, model.eps, t_end, tol)
     lam_end = ramped_coupling(model.x, model.eps, t_end, "t_end")
     v_norm = float(np.linalg.norm(model.v.entries, 2))
     y0 = np.zeros(model.dim, dtype=complex)

@@ -924,10 +924,12 @@ def test_n_state_recursion_slopes_are_first_order_jets(tmp_path):
     path, out = write_model(tmp_path), tmp_path / "recursion.json"
     assert run("n-state", "recursion", "--model", str(path), "--out", str(out)) == 0
     rows = np.array(report_from_json(out).tables[0].rows)
-    slopes = nstate.rs_recursion(load_model(path), 8, 1)[0][:, 1]
+    # the columns are slopes in the rate: 1j times the slopes in s
+    slopes = 1j * nstate.rs_recursion(load_model(path), 8, 1)[0][:, 1]
     np.testing.assert_array_equal(rows[:, 3], slopes.real)
     np.testing.assert_array_equal(rows[:, 4], slopes.imag)
     assert np.any(rows[:, 3:5] != 0.0)
+    assert not np.signbit(rows[:, 3]).any()
 
 
 def test_two_state_phase_builds_one_table(monkeypatch):
@@ -1066,9 +1068,7 @@ EXPECTED_FLAGS = {
     ("n-state", "recursion"): {**_N_MODEL, **_OUTPUT, "--order": (int, 8, None, False)},
     ("n-state", "split"): {**_N_MODEL, **_OUTPUT, **_ORDER},
     ("n-state", "assemble"): {**_N_MODEL, **_OUTPUT, **_ORDER},
-    ("n-state", "evolve"): {
-        **_N_MODEL, **_OUTPUT, **_EVOLVE, "--start-threshold": (float, 1e-8, None, False),
-    },
+    ("n-state", "evolve"): {**_N_MODEL, **_OUTPUT, **_EVOLVE},
     ("n-state", "oracle"): {**_N_MODEL, **_OUTPUT},
     ("n-state", "compare"): {**_N_MODEL, **_OUTPUT, "--order": (int, 12, None, False), **_TOL},
     ("n-state", "gen"): {
@@ -1111,6 +1111,14 @@ def test_bessel_series_commands_take_no_terms(capsys, command):
         main(["two-state", command, "--terms", "60"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --terms 60" in capsys.readouterr().err
+
+
+def test_n_state_evolve_takes_no_start_threshold(capsys):
+    # the basis start is fixed at nstate.START_THRESHOLD of the smallest gap
+    with pytest.raises(SystemExit) as exc:
+        main(["n-state", "evolve", "--start-threshold", "1e-8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --start-threshold 1e-8" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
