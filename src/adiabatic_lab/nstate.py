@@ -22,10 +22,7 @@ from .errors import ConsistencyError, ContinuationError, DegeneracyError, Domain
 from .numkit import (  # noqa: F401
     HermitianMatrix, Ramp, Trajectory, hermitian_eig, jet_recip, ode_evolve,
 )
-from .twostate import (
-    DEEPEST_START, TwoStateModel, ramped_coupling, ramped_coupling_squared,
-    require_step_budget, require_time, stepping_start,
-)
+from .twostate import TwoStateModel, ramped_coupling, ramped_coupling_squared, require_time
 
 __all__ = [
     "NStateModel",
@@ -342,7 +339,8 @@ def switch_on_time(gap: float, x: float, eps: float, t_end: float, tol: float) -
     if not 0 < tol < 1:
         raise DomainError(f"tol must be in (0, 1), got {tol}")
     require_time(t_end, "t_end")
-    t0 = math.log(gap * START_THRESHOLD / x) / eps
+    # in log space, where the coupling over the gap cannot underflow
+    t0 = (math.log(gap) + math.log(START_THRESHOLD) - math.log(x)) / eps
     if not t0 < t_end:
         raise DomainError(
             f"switch-on start t0 = {t0:.6g} is not before t_end = {t_end:.6g}; "
@@ -351,14 +349,11 @@ def switch_on_time(gap: float, x: float, eps: float, t_end: float, tol: float) -
     return t0
 
 
-def _quiet_stretch(model, ramp, t0, t_end, tol, v_norm, y0):
+def _quiet_stretch(model, ramp, t0, t_end, tol, y0):
     """``(t1, y1)``: the time where stepping starts and the state there.
 
-    t1 is ``twostate.stepping_start``: two decades of the ramp before
-    ``t_end``, but not before the coupling is ``DEEPEST_START`` of the
-    smallest gap where the end is after that, and no later than where
-    lam ||V|| / eps reaches 1 (lam the ramped coupling), past which a term
-    of the tail series could exceed 1. From the basis state ``y0`` = e_g
+    t1 is ``Ramp.stepping_start`` for the tracked level (the start rule of
+    the ``numkit.ode`` module docstring). From the basis state ``y0`` = e_g
     at t0 to t1 the state is exact: the tail solutions exp(-i E_l t)
     S(lam)[:, l] (``ramp.tail``) span the solutions, so with tau = t1 - t0
     and W = E - E_g,
@@ -369,10 +364,7 @@ def _quiet_stretch(model, ramp, t0, t_end, tol, v_norm, y0):
     unitary for a Hermitian V. The stretch is empty, ``(t0, y0)``, where t1
     is not after t0."""
     x, eps = model.x, model.eps
-    # V = 0 sets no series bound
-    log_bound = math.log(eps) - math.log(x) - math.log(v_norm) if v_norm else math.inf
-    log_floor = math.log(model.min_gap * DEEPEST_START / x)
-    t1 = stepping_start(t_end, eps, log_bound, log_floor)
+    t1 = ramp.stepping_start(t_end, model.ground_index)
     if not t0 < t1:
         return t0, y0
     tau = t1 - t0
@@ -389,54 +381,30 @@ def evolve_nstate(model: NStateModel, t_end: float, tol: float) -> Trajectory:
     smallest gap to the tracked level, time t0), starting in the tracked
     basis state.
 
-    DOP853 steps the last two decades of the ramp, from t1 = t_end -
-    ln(100) / eps, or from where the coupling is 1e-4 of that gap where
-    t1 would be before there and ``t_end`` is after it, and from earlier
-    where the coupling lam reaches eps / ||V|| (||V|| the spectral norm),
-    past which a term of the switch-on tail series could exceed 1
-    (``twostate.stepping_start``). From t0 to t1 the state is exact
-    (``_quiet_stretch``): it is the tail solutions, the columns of
-    ``Ramp.tail``, each turned by its own level's phase, in the mix that
-    is the basis state at t0; against DOP853 at rtol 1e-13 from the basis
-    state at t0 it is within 1e-12 of the state. From t1 it passes
-    ``numkit.ode.ode_evolve`` a ``Ramp``, which the ramp kernel steps with
-    no Python right-hand side (the two-level kernel where the model has
-    the two-state shape: energies (0, w) and a real V with a zero
+    DOP853 steps from t1, where ``Ramp.stepping_start`` puts the start (the
+    start rule of the ``numkit.ode`` module docstring). From t0 to t1 the
+    state is exact (``_quiet_stretch``): it is the tail solutions, the
+    columns of ``Ramp.tail``, each turned by its own level's phase, in the
+    mix that is the basis state at t0; against DOP853 at rtol 1e-13 from
+    the basis state at t0 it is within 1e-12 of the state. From t1 it
+    passes ``numkit.ode.ode_evolve`` a ``Ramp``, which the ramp kernel
+    steps with no Python right-hand side (the two-level kernel where the
+    model has the two-level shape: energies (0, w) and a real V with a zero
     diagonal); the general array kernel is its oracle in the tests. The
     returned trajectory's first row is (t0, basis state) and the ODE's rows
     follow from (t1, y(t1)); its step counts are the ODE's. Where the
     stretch is empty (t1 not after t0) the ODE starts at t0 in the basis
     state. A ``DomainError`` if ``t_end`` is not a finite number or the
-    coupling overflows there.
-
-    A run whose step count would exceed ``numkit.ode.MAX_STEPS`` fails at
-    the start with an ``IntegrationError``. The count grows with the fastest
-    level's phase over the stepped span, max|E_k - E_g| * (t_end - t1),
-    measured at 0.0095 * tol**-0.125 steps per radian or more, plus the
-    angle the ramp turns by over it, x * ||V|| * (exp(eps * t_end) -
-    exp(eps * t1)) / eps, measured at 0.13 * tol**-0.125 or more, for tol
-    1e-4 to 1e-12, N = 3 to 64 (``modelio.generate_nstate_model``, seeds 1
-    and 7), eps 0.25 and 0.05 and t_end from deep in the tail to 20; the
-    estimate takes at most a third of each term's lowest rate, so a run
-    that could finish is never refused.
+    coupling overflows there; an ``IntegrationError`` at t1 where
+    ``ode_evolve``'s step estimate exceeds ``numkit.ode.MAX_STEPS``.
     """
     t0 = switch_on_time(model.min_gap, model.x, model.eps, t_end, tol)
-    lam_end = ramped_coupling(model.x, model.eps, t_end, "t_end")
-    v_norm = float(np.linalg.norm(model.v.entries, 2))
+    # refuses an end where the coupling overflows
+    ramped_coupling(model.x, model.eps, t_end, "t_end")
     y0 = np.zeros(model.dim, dtype=complex)
     y0[model.ground_index] = 1.0
     ramp = Ramp(model.energies, model.v.entries, model.x, model.eps)
-    t1, y1 = _quiet_stretch(model, ramp, t0, t_end, tol, v_norm, y0)
-    phase = float(np.abs(model.energies - model.ground_energy).max()) * (t_end - t1)
-    angle = (lam_end - ramped_coupling(model.x, model.eps, t1)) / model.eps * v_norm
-    steps = tol**-0.125 * (0.0031 * phase + 0.014 * angle)
-    require_step_budget(
-        steps,
-        "tol**-0.125 * (0.0031 * max|E_k - E_g| * (t_end - t1) "
-        "+ 0.014 * x * ||V|| * (exp(eps * t_end) - exp(eps * t1)) / eps)",
-        t0,
-        t_end,
-    )
+    t1, y1 = _quiet_stretch(model, ramp, t0, t_end, tol, y0)
     traj = ode_evolve(ramp, y1, t1, t_end, tol)
     if t1 == t0:
         return traj

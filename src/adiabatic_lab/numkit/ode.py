@@ -17,9 +17,9 @@ each step, picked by the right-hand side. Both problems of this package
 integrate one switched system, y' = -i (diag(E) + x e^{eps t} V) y, given
 as a ``Ramp``; three kernels serve ``ode_evolve``:
 
-- ``_two_level_kernel``, for the two-level ``Ramp`` of the two-state route,
-  y' = -i [[0, lam v], [lam v, w]] y with real v and w
-  (``twostate.evolve_two_state``);
+- ``_two_level_kernel``, for a ``Ramp`` of the two-level shape,
+  y' = -i [[0, lam v], [lam v, w]] y with real v and w, as in the
+  two-state route (``twostate.evolve_two_state``);
 - ``_ramp_kernel``, for any other ``Ramp`` (``nstate.evolve_nstate``, two
   levels included);
 - ``_array_kernel``, for any other right-hand side callable and a state of
@@ -28,16 +28,60 @@ as a ``Ramp``; three kernels serve ``ode_evolve``:
 The right-hand side at an accepted update is the next trial's first stage,
 evaluated when that trial starts.
 
-Both problems step only the last two decades of the ramp, or less where
-that would start deeper in the tail than 1e-4 of the gap and the end is
-past there, or more where a term of the switch-on tail series could
-exceed 1, and take the switch-on before that in closed form.
-``Ramp.tail`` sums, as power series in the ramped coupling exact to
-rounding of their size, the solutions that tend to each basis state as
-the coupling switches off in the past, each in the frame where its level
-stands still. The two-state route starts from the tracked level's
-column; the N-state route writes its state from the basis start up to
-where stepping starts as the exact mix of all the columns.
+The switch-on preamble, one for both problems. A ``Ramp`` is of the
+two-level shape (``Ramp.two_level``) where it has two levels, the first
+at energy 0, and a real V with a zero diagonal and equal off-diagonal
+entries v; w is then the second energy. The shape picks the kernel, the
+series bound and the step-budget rates below.
+
+- *Where stepping starts* (``Ramp.stepping_start``). Two decades of the
+  ramp before the end, t_end - ln(``STEPPED_GROWTH``) / eps, where the
+  ramped coupling lam = x exp(eps t) is a hundredth of its value there:
+  that leaves the stepped span 99% of every amplitude's growth, which
+  goes as the coupling, and 99.99% of the divergent phase, which goes as
+  its square. Where that falls before the floor, the coupling
+  ``DEEPEST_START`` of the tracked level's smallest gap, and the end is
+  after the floor, the start is the floor: deeper in the tail the
+  tracked level's rotation holds the step, so at a slow rate two decades
+  there can cost more steps than any run may take, and the closed form
+  is exact there. Either start moves earlier, to the series bound, the
+  largest coupling at which no term of the switch-on tail series can
+  exceed 1: lam |v| = sqrt(2 eps |w|) for the two-level shape, whose
+  terms fall by lam**2 v**2 / (k eps |w|) every two orders, at most
+  (lam**2 v**2 / (2 eps |w|))**k / k! at order 2k (for the two-state
+  model, lam = 2 sqrt(delta eps), which at eps = 1e-8 delta is 1e-4 of
+  the gap 2 delta), and lam ||V||_2 = eps otherwise. Each time is found
+  in log space, where the coupling over the gap cannot underflow; a
+  start that rounds to the end, as at |t_end| near 1e300, is refused.
+- *Before that, in closed form.* ``Ramp.tail`` sums, as power series in
+  the ramped coupling exact to rounding of their size, the solutions
+  that tend to each basis state as the coupling switches off in the
+  past, each in the frame where its level stands still. The two-state
+  route starts from the tracked level's column; the N-state route writes
+  its state from the basis start up to where stepping starts as the
+  exact mix of all the columns.
+- *Whether the run can finish.* ``ode_evolve`` refuses a ``Ramp`` run
+  before its first step where an estimate of its step count exceeds
+  ``MAX_STEPS``. The count grows with the angle the coupling turns by
+  over the stepped span, x ||V||_2 (exp(eps t1) - exp(eps t0)) / eps
+  (|v| in place of ||V||_2 for the two-level shape), and with the
+  rotation max|E_k| (t1 - t0) of the frame being stepped, which sets
+  the count deep in the tail at a slow rate, where the step is held near
+  DOP853's stability limit. Measured rates, in steps per radian, for
+  tol 1e-4 to 1e-12: for the two-level shape, at least 0.18 tol**-0.125
+  on the angle (delta 1, x 0.05 to 2, eps 0.003125 to 0.25, t_end 0 and
+  15) and 0.158 to 0.53 on the rotation (delta 1e-3 to 1e3; from two
+  decades before the end at eps 1e-2 and 1e-3 times delta, x 1e-4 delta
+  and t_end 0, 921 and 9,210 radians; from the floor at eps 1e-8 and
+  1e-4 times delta, 1e3 and 1e4 radians); otherwise at least
+  0.13 tol**-0.125 on the angle and 0.0095 tol**-0.125 on the rotation
+  (N = 3 to 64, ``modelio.generate_nstate_model`` seeds 1 and 7, eps
+  0.25 and 0.05, t_end from deep in the tail to 20). The estimate takes
+  at most a third of each term's lowest rate,
+  0.061 tol**-0.125 angle + 0.052 rotation for the two-level shape and
+  tol**-0.125 (0.014 angle + 0.0031 rotation) otherwise, so a run that
+  could finish is never refused. A non-finite estimate, where the
+  coupling overflows, is not refused: the run fails where it overflows.
 
 ``_array_kernel`` keeps one stage matrix with y in row 0 and the stages
 k1..k12 below it. The tableau ``_W`` has a leading column for y (1 in the
@@ -71,6 +115,7 @@ The array and ramp kernels end a trial the same way
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -90,6 +135,12 @@ PI_BETA = 0.4 / 8.0
 MAX_STEPS = 5_000_000
 # smallest step, relative to the larger of |t| and the span
 _H_FLOOR = 8.0 * float(np.finfo(float).eps)
+# the start rule (see the module docstring): step while the ramped coupling
+# grows by this factor to its value at the end, two decades of the ramp,
+# but start no deeper in the tail than where the coupling is this share of
+# the tracked level's smallest gap, unless the end itself is deeper
+STEPPED_GROWTH = 100.0
+DEEPEST_START = 1e-4
 
 # Stage times of stages 2 to 12, as fractions of the step, and the inputs
 # of those stages as weights of the stages k1, k2, ... before them.
@@ -233,6 +284,8 @@ class Ramp:
     -i for Re v and diag(energies) and 1 for Im v. Called as a right-hand
     side, the ramp returns y' as the sum over blocks of the factor, times
     x exp(eps t) on the blocks of v, times the block's product with y.
+    ``two_level`` says whether the ramp has the two-level shape of the
+    module docstring.
     """
 
     energies: np.ndarray
@@ -241,6 +294,7 @@ class Ramp:
     eps: float
     generator: np.ndarray = field(init=False, repr=False)
     factors: np.ndarray = field(init=False, repr=False)
+    two_level: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         e = np.array(self.energies, dtype=float)
@@ -255,12 +309,45 @@ class Ramp:
         else:
             g = np.concatenate((v.real, np.diag(e)))
             factors = np.array((-1j, -1j))
+        two_level = bool(e.size == 2 and e[0] == 0.0 and len(factors) == 2
+                         and v[0, 0] == v[1, 1] == 0.0 and v[0, 1] == v[1, 0])
         for array in (e, v, g, factors):
             array.flags.writeable = False
         for name, value in (("energies", e), ("v", v), ("x", float(self.x)),
                             ("eps", float(self.eps)), ("generator", g),
-                            ("factors", factors)):
+                            ("factors", factors), ("two_level", two_level)):
             object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def _v_norm(self) -> float:
+        """|v| for the two-level shape, the spectral norm ||v||_2 otherwise;
+        computed once per ramp."""
+        if self.two_level:
+            return abs(float(self.v.real[0, 1]))
+        return float(np.linalg.norm(self.v, 2))
+
+    def stepping_start(self, t_end: float, tracked: int) -> float:
+        """Where a run to ``t_end`` from the switch-on tail of level
+        ``tracked`` starts stepping, by the start rule of the module
+        docstring; a ``DomainError`` where that rounds to ``t_end``."""
+        eps, log_x = self.eps, math.log(self.x)
+        gaps = np.abs(self.energies - self.energies[tracked])
+        gaps[tracked] = math.inf
+        floor = (math.log(DEEPEST_START) + math.log(gaps.min()) - log_x) / eps
+        t1 = t_end - math.log(STEPPED_GROWTH) / eps
+        if t1 < floor < t_end:
+            t1 = floor
+        # the series bound; v = 0 sets none
+        if self._v_norm:
+            log_bound = (0.5 * (math.log(2.0 * eps) + math.log(abs(self.energies[1])))
+                         if self.two_level else math.log(eps))
+            t1 = min(t1, (log_bound - log_x - math.log(self._v_norm)) / eps)
+        if not t1 < t_end:
+            raise DomainError(
+                f"end time {t_end:.6g} is so far in the past that a start "
+                "ln(100) / eps before it rounds to it; move the end time later"
+            )
+        return t1
 
     def tail(self, lam: float, tol: float) -> np.ndarray:
         """The switch-on tail solutions at the time where the ramped
@@ -492,21 +579,10 @@ def _ramp_kernel(ramp, y, f0, tol):
     return trial
 
 
-def _is_two_level(ramp) -> bool:
-    """Whether ``ramp`` is the two-level system y' = -i [[0, lam v],
-    [lam v, w]] y, lam = x exp(eps t), with real v and w: two levels, the
-    first at energy 0, and a real V (no Im v block, see ``Ramp``) with a
-    zero diagonal and equal off-diagonal entries."""
-    if ramp.energies.size != 2 or ramp.energies[0] != 0.0 or len(ramp.factors) != 2:
-        return False
-    (vaa, vac), (vca, vcc) = ramp.v.real
-    return vaa == vcc == 0.0 and vac == vca
-
-
 def _two_level_kernel(ramp, y, f0, tol):
-    """The trial step of ``_array_kernel`` for the two-level system of
-    ``_is_two_level``, written out stage by stage in real arithmetic on the
-    four parts (Re a, Im a, Re c, Im c) of the state, as Python floats.
+    """The trial step of ``_array_kernel`` for the two-level shape
+    (``Ramp.two_level``), written out stage by stage in real arithmetic on
+    the four parts (Re a, Im a, Re c, Im c) of the state, as Python floats.
 
     Stage j's derivative, scaled by h, is k_a = -i g_j s_c and
     k_c = -i (g_j s_a + h w s_c) on the stage input (s_a, s_c), with
@@ -701,12 +777,29 @@ def _two_level_kernel(ramp, y, f0, tol):
     return trial
 
 
+def _step_estimate(ramp, t0, t1, tol) -> float:
+    """The up-front estimate of a ``Ramp`` run's step count from t0 to t1,
+    by the shape's rates of the module docstring; inf where the coupling
+    overflows."""
+    eps = ramp.eps
+    try:
+        # the growth of exp(eps t) over the span, over eps
+        growth = (math.exp(eps * t1) - math.exp(eps * t0)) / eps if eps else t1 - t0
+    except OverflowError:
+        return math.inf
+    angle = ramp.x * ramp._v_norm * growth
+    rotation = float(np.abs(ramp.energies).max()) * (t1 - t0)
+    if ramp.two_level:
+        return 0.061 * tol**-0.125 * angle + 0.052 * rotation
+    return tol**-0.125 * (0.014 * angle + 0.0031 * rotation)
+
+
 def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
     """Integrate ``y' = rhs(t, y)`` from t0 to t1, recording every accepted step.
 
     ``rhs`` is a ``Ramp``, stepped on the two-level kernel where it has the
-    two-state shape (``_is_two_level``) and on the ramp kernel otherwise, or
-    any other callable, stepped on the array kernel. A callable must
+    two-level shape (``Ramp.two_level``) and on the ramp kernel otherwise,
+    or any other callable, stepped on the array kernel. A callable must
     accept a float time and a complex state vector, which it must not
     modify, and return the complex derivative as an array or any sequence
     of complex numbers. The local error is controlled relative to
@@ -714,29 +807,38 @@ def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
     a small multiple of ``tol`` over moderate spans.
 
     A ``DomainError`` if ``y0`` does not hold one amplitude per level of a
-    ``Ramp``. Raises IntegrationError (naming the time of failure) if
-    ``rhs`` is not finite at the start, if the step size underflows, which
-    indicates stiffness or a singularity beyond the tolerance budget, or if
-    more than ``MAX_STEPS`` steps are taken.
+    ``Ramp``. Raises IntegrationError (naming the time of failure) at t0 if
+    ``rhs`` is a ``Ramp`` whose step estimate (see the module docstring)
+    exceeds ``MAX_STEPS`` or if ``rhs`` is not finite there, and later if
+    the step size underflows, which indicates stiffness or a singularity
+    beyond the tolerance budget, or if more than ``MAX_STEPS`` steps are
+    taken. A trial step that would stop short of t1 by less than the step
+    floor is lengthened to end at t1.
     """
-    if not t0 < t1:
-        raise DomainError(f"need t0 < t1, got [{t0}, {t1}]")
+    if not -math.inf < t0 < t1 < math.inf:
+        raise DomainError(f"need finite t0 < t1, got [{t0}, {t1}]")
     if not tol > 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    is_ramp = isinstance(rhs, Ramp)
-    if is_ramp and np.shape(y0) != rhs.energies.shape:
-        raise DomainError(
-            f"need N initial amplitudes for an N x N ramp, got shape "
-            f"{np.shape(y0)} for N = {rhs.energies.size}"
-        )
+    kernel = _array_kernel
+    if isinstance(rhs, Ramp):
+        if np.shape(y0) != rhs.energies.shape:
+            raise DomainError(
+                f"need N initial amplitudes for an N x N ramp, got shape "
+                f"{np.shape(y0)} for N = {rhs.energies.size}"
+            )
+        steps = _step_estimate(rhs, t0, t1, tol)
+        if MAX_STEPS < steps < math.inf:
+            raise IntegrationError(
+                f"step budget exhausted before the start: about {steps:.3g} steps "
+                f"from t = {t0:.6g} to {t1:.6g} exceed the budget of {MAX_STEPS}; "
+                "raise tol or move the end earlier",
+                time=t0,
+            )
+        kernel = _two_level_kernel if rhs.two_level else _ramp_kernel
 
     y = np.atleast_1d(np.asarray(y0, dtype=complex)).copy()
     t = float(t0)
     f0 = np.asarray(rhs(t, y), dtype=complex)
-    if is_ramp:
-        kernel = _two_level_kernel if _is_two_level(rhs) else _ramp_kernel
-    else:
-        kernel = _array_kernel
     trial = kernel(rhs, y, f0, tol)
     h = _initial_step(rhs, t0, t1, y, f0, tol) if np.all(np.isfinite(f0)) else math.nan
     if not math.isfinite(h):
@@ -756,12 +858,18 @@ def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
     accepted = 0
     rejected = 0
     err_prev = 1e-4
-    # no trial yet, so none to accept
-    err_norm = math.inf
+    # no trial yet: NaN is neither accepted nor rejected
+    err_norm = math.nan
 
     while t < t1:
         h = min(h, t1 - t)
-        if not h > _H_FLOOR * max(abs(t), span):
+        floor = _H_FLOOR * max(abs(t), span)
+        # a trial that would leave less than the floor, which no next trial
+        # could step, ends at t1; after a rejected trial it would be that
+        # trial again, so the step shrinks toward the floor instead
+        if t1 - t - h < floor and not err_norm > 1.0:
+            h = t1 - t
+        if not h > floor:
             raise IntegrationError(
                 f"step size underflow ({h:.3e}) at t = {t:.12g}", time=t
             )
@@ -773,7 +881,8 @@ def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
         y_new, err_norm = trial(t, h, err_norm <= 1.0)
 
         if err_norm <= 1.0:
-            t += h
+            # the last step lands on t1 itself, not a rounding away from it
+            t = t1 if h == t1 - t else t + h
             times.append(t)
             states.append(y_new)
             accepted += 1

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError
+from .errors import DomainError
 # nothing here calls jet_mul or jet_recip; both stay importable from this
 # module because bench/spans.py wraps twostate.jet_mul and
 # twostate.jet_recip by name in every traced run
-from .numkit import Ramp, Trajectory, jet_mul, jet_recip, ode, ode_evolve  # noqa: F401
+from .numkit import Ramp, Trajectory, jet_mul, jet_recip, ode_evolve  # noqa: F401
 
 __all__ = [
     "TwoStateModel",
@@ -47,13 +47,6 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 30
-# both ODE routes step while the ramped coupling grows by this factor to
-# its value at the end, two decades of the ramp; the switch-on before that
-# is in closed form
-STEPPED_GROWTH = 100.0
-# but they start no deeper in the tail than where the coupling is this
-# share of the gap, unless the end itself is deeper (see stepping_start)
-DEEPEST_START = 1e-4
 
 
 @dataclass(frozen=True)
@@ -442,28 +435,6 @@ def require_time(t: float, name: str = "t") -> None:
         raise DomainError(f"{name} must be finite, got {t}")
 
 
-def stepping_start(t_end: float, eps: float, log_bound: float, log_floor: float) -> float:
-    """Where an ODE run to ``t_end`` starts stepping; ``log_bound`` and
-    ``log_floor`` are the logs of two ramped couplings over x.
-
-    Two decades of the ramp before the end, t_end - ln(``STEPPED_GROWTH``)
-    / eps, where the ramped coupling x exp(eps t) is a hundredth of its
-    value there: that leaves the stepped span 99% of every amplitude's
-    growth, which goes as the coupling, and 99.99% of the divergent phase,
-    which goes as its square. Where that falls before log_floor / eps, the
-    coupling at ``DEEPEST_START`` of the gap, and the end after it, the
-    start is log_floor / eps: deeper in the tail the tracked level's
-    rotation holds the step, so at a slow rate two decades there can cost
-    more steps than any run may take, and the closed form is exact there.
-    Either start moves earlier, to log_bound / eps, the largest coupling at
-    which no term of the switch-on tail series can exceed 1."""
-    t1 = t_end - math.log(STEPPED_GROWTH) / eps
-    floor = log_floor / eps
-    if t1 < floor < t_end:
-        t1 = floor
-    return min(t1, log_bound / eps)
-
-
 def ramped_coupling(x: float, eps: float, t: float, name: str = "t") -> float:
     """The coupling ``x * exp(eps * t)`` at time ``t``; a ``DomainError``
     naming the time ``name`` if ``t`` is not a number or the coupling is not
@@ -494,19 +465,6 @@ def ramped_coupling_squared(x: float, eps: float, t: float) -> float:
     return square
 
 
-def require_step_budget(steps: float, formula: str, t0: float, t_end: float) -> None:
-    """Raise an ``IntegrationError`` at ``t0`` if ``steps``, an up-front
-    estimate of a run's step count given by ``formula``, exceeds
-    ``numkit.ode.MAX_STEPS`` (read at call time)."""
-    if steps > ode.MAX_STEPS:
-        raise IntegrationError(
-            f"step budget exhausted before the start: about {steps:.3g} steps "
-            f"({formula}) to t_end = {t_end:.6g} exceed the budget of "
-            f"{ode.MAX_STEPS}; raise tol or move t_end earlier",
-            time=t0,
-        )
-
-
 def evolve_two_state(m: TwoStateModel, t_end: float, tol: float) -> Trajectory:
     """Integrate the interaction-picture amplitude pair (a, c) from the
     switch-on tail to ``t_end``. The generator is anti-Hermitian, so
@@ -518,62 +476,25 @@ def evolve_two_state(m: TwoStateModel, t_end: float, tol: float) -> Trajectory:
     ``numkit.ode.ode_evolve`` steps that shape on its two-level kernel, in
     real arithmetic on the four parts of the pair as Python floats, one
     ``exp`` and a few products per stage. Its second component is
-    exp(-2i delta t) c. It starts from column 0 of ``Ramp.tail``, the tail
-    solution of these equations summed as a power series in lam, so the
-    start error is rounding and where the run starts moves the result by
-    integration error only. The start t0 is ``stepping_start``: two
-    decades of the ramp before the end, t_end - ln(100) / eps, but not
-    before the coupling is 1e-4 of the gap 2 delta where the end is after
-    that; in either case no later than where the coupling is
-    2 sqrt(delta eps). Past that coupling a term of
-    the series could exceed 1: its terms fall by lam**2 / (2k eps 2 delta)
-    every two orders, at most (lam**2 / (4 delta eps))**k / k! at order
-    2k, and the odd ones are no larger than the even ones before them. At
-    eps = 1e-8 delta that coupling is 1e-4 of the gap 2 delta. t0 is found
-    in log space, where the coupling over the gap cannot underflow; a
-    ``DomainError`` where it rounds to t_end itself, as it does at
-    |t_end| near 1e300. The returned states carry c itself. A
-    ``DomainError`` if ``t_end`` is not a finite number.
-
-    A run whose step count would exceed ``numkit.ode.MAX_STEPS`` fails at
-    the start with an ``IntegrationError``. The count grows with the angle
-    the coupling turns by from t0 to t_end, x * (exp(eps * t_end) -
-    exp(eps * t0)) / eps, measured at 0.18 * tol**-0.125 steps per radian
-    or more for tol 1e-4 to 1e-12 (delta 1, x 0.05 to 2, eps 0.003125 to
-    0.25, t_end 0 and 15), plus the tracked level's rotation
-    2 delta (t_end - t0), which sets the count deep in the tail at a slow
-    rate: there the step is held near DOP853's stability limit, and it was
-    measured at 0.158 to 0.53 steps per radian for tol 1e-4 to 1e-12
-    (delta 1e-3 to 1e3; from two decades before the end at eps 1e-2 and
-    1e-3 times delta, x 1e-4 delta and t_end 0, 921 and 9,210 radians; from
-    the coupling 1e-4 of the gap at eps 1e-8 and 1e-4 times delta, 1e3 and
-    1e4 radians). The estimate takes at most a third of each term's lowest
-    rate, so a run that could finish is never refused.
+    exp(-2i delta t) c. It starts where ``Ramp.stepping_start`` puts the
+    start (the start rule of the ``numkit.ode`` module docstring; there
+    the coupling is at most 2 sqrt(delta eps)), from column 0 of
+    ``Ramp.tail``, the tail solution of these equations summed as a power
+    series in lam, so the start error is rounding and where the run starts
+    moves the result by integration error only. The returned states carry
+    c itself. A ``DomainError`` if ``t_end`` is not a finite number, the
+    coupling overflows there or the start rounds to it; an
+    ``IntegrationError`` at the start where ``ode_evolve``'s step estimate
+    exceeds ``numkit.ode.MAX_STEPS``.
     """
     if not 0 < tol < 1:
         raise DomainError(f"tol must be in (0, 1), got {tol}")
-    require_time(t_end, "t_end")
-    # no term of the tail series exceeds 1 up to the coupling 2 sqrt(delta eps)
-    log_bound = math.log(2.0) + 0.5 * (math.log(m.delta) + math.log(m.eps)) - math.log(m.x)
-    log_floor = math.log(2.0 * DEEPEST_START) + math.log(m.delta) - math.log(m.x)
-    t0 = stepping_start(t_end, m.eps, log_bound, log_floor)
-    if not t0 < t_end:
-        raise DomainError(
-            f"end time {t_end:.6g} is so far in the past that a start "
-            "ln(100) / eps before it rounds to it; move the end time later"
-        )
-    lam0 = ramped_coupling(m.x, m.eps, t0)
-    angle = (ramped_coupling(m.x, m.eps, t_end, "t_end") - lam0) / m.eps
-    steps = 0.061 * tol**-0.125 * angle + 0.052 * 2 * m.delta * (t_end - t0)
-    require_step_budget(
-        steps,
-        "0.061 * tol**-0.125 * x * (exp(eps * t_end) - exp(eps * t0)) / eps "
-        "+ 0.052 * 2 * delta * (t_end - t0)",
-        t0,
-        t_end,
-    )
+    # refuses an end where the coupling overflows
+    ramped_coupling(m.x, m.eps, t_end, "t_end")
     ramp = Ramp((0.0, 2.0 * m.delta), [[0.0, 1.0], [1.0, 0.0]], m.x, m.eps)
-    traj = ode_evolve(ramp, ramp.tail(lam0, tol)[:, 0], t0, t_end, tol)
+    t0 = ramp.stepping_start(t_end, 0)
+    y0 = ramp.tail(ramped_coupling(m.x, m.eps, t0), tol)[:, 0]
+    traj = ode_evolve(ramp, y0, t0, t_end, tol)
     states = traj.states.copy()
     states[:, 1] *= np.exp(2j * m.delta * traj.times)
     return Trajectory(traj.times, states, traj.accepted_steps, traj.rejected_steps)

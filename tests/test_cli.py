@@ -506,9 +506,8 @@ def test_exit_code_step_budget_estimate_fails_at_once(capsys):
     assert time.perf_counter() - started < 1.0
     assert capsys.readouterr().err.startswith(
         "error: integration: step budget exhausted before the start: "
-        "about 7.09e+06 steps (0.061 * tol**-0.125 * x * (exp(eps * t_end) - "
-        "exp(eps * t0)) / eps "
-        "+ 0.052 * 2 * delta * (t_end - t0))"
+        "about 7.09e+06 steps from t = 2.77259 to 60 exceed the budget of 5000000; "
+        "raise tol or move the end earlier\n"
     )
 
 
@@ -522,14 +521,26 @@ def test_exit_code_n_state_step_budget_estimate_fails_at_once(tmp_path, capsys):
     assert time.perf_counter() - started < 1.0
     assert capsys.readouterr().err.startswith(
         "error: integration: step budget exhausted before the start: about 1.52e+08 steps "
-        "(tol**-0.125 * (0.0031 * max|E_k - E_g| * (t_end - t1) "
-        "+ 0.014 * x * ||V|| * (exp(eps * t_end) - exp(eps * t1)) / eps)) to t_end = 80 "
+        "from t = -0.921144 to 80 exceed the budget of 5000000; "
     )
     started = time.perf_counter()
     assert run("n-state", "evolve", "--model", str(path), "--t-end", "70") == 3
     assert time.perf_counter() - started < 1.0
     assert capsys.readouterr().err.startswith(
         "error: integration: step budget exhausted before the start: about 1.25e+07 steps "
+    )
+
+
+def test_n_state_basis_start_with_a_gap_far_below_the_coupling(tmp_path, capsys):
+    # the coupling at 1e-8 of the gap over x, 1e-338, underflows to 0; the
+    # start is formed from the logs, so the run gets to the step budget
+    # check, which refuses it, in place of a traceback from log(0)
+    path = write_model(tmp_path, energies=[0.0, 1e-300], v_real=[[0.0, 1.0], [1.0, 0.5]],
+                       x=1e30)
+    assert run("n-state", "evolve", "--model", str(path)) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: integration: step budget exhausted before the start: about 1.28e+30 steps "
+        "from t = -282.845 to 0 "
     )
 
 

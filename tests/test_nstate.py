@@ -716,15 +716,39 @@ def test_evolve_generator_products_pinned(monkeypatch):
     assert all(g is generators[0] for g in generators)
 
 
+def _two_level_shape_model(ground_index=0):
+    """An N-state model of the two-level shape: energies (0, w) and a real
+    V with a zero diagonal."""
+    v = HermitianMatrix(np.array([[0.0, 0.8], [0.8, 0.0]]))
+    return NStateModel(np.array([0.0, 1.3]), v, 0.1, 0.25, ground_index=ground_index)
+
+
+def _gen_seed7_n6(offset=0.0, ground_index=0):
+    model = generate_nstate_model(seed=7, levels=6)
+    return NStateModel(model.energies + offset, model.v, model.x, model.eps,
+                       ground_index=ground_index)
+
+
 @pytest.mark.parametrize(
     "make_model",
-    [lambda: generate_nstate_model(seed=7, levels=6), _pinned_n32_model],
-    ids=["gen-seed7-N6", "rng-seed11-N32"],
+    [
+        lambda: generate_nstate_model(seed=7, levels=6),
+        _pinned_n32_model,
+        _two_level_shape_model,
+        lambda: _two_level_shape_model(ground_index=1),
+        lambda: _gen_seed7_n6(offset=20.0),
+        lambda: _gen_seed7_n6(ground_index=2),
+    ],
+    ids=["gen-seed7-N6", "rng-seed11-N32", "two-level-shape", "two-level-shape-level-1",
+         "energies-offset-20", "ground-index-2"],
 )
 def test_evolve_step_estimate_stays_below_the_step_count(monkeypatch, make_model):
     # the up-front estimate of the step budget check against the steps
     # taken, in the tail (t_end 0, where the fastest level's phase carries
-    # it) and on a long ramp (t_end 20)
+    # it) and on a long ramp (t_end 20). A model of the two-level shape
+    # takes that shape's rates; energies offset by 20 rotate the stepped
+    # frame by max|E_k|, which the estimate counts (3 to 85 times fewer
+    # steps than taken on these models)
     model = make_model()
     for tol in (1e-4, 1e-12):
         for t_end in (0.0, 20.0):
@@ -733,7 +757,8 @@ def test_evolve_step_estimate_stays_below_the_step_count(monkeypatch, make_model
             monkeypatch.setattr(ode, "MAX_STEPS", 0)
             with pytest.raises(IntegrationError, match="before the start") as info:
                 evolve_nstate(model, t_end, tol)
-            assert info.value.time == traj.times[0]
+            # refused where stepping starts, the ODE's first row
+            assert info.value.time == traj.times[-1 - traj.accepted_steps]
             estimate = float(re.search(r"about (\S+) steps", str(info.value))[1])
             assert 0 < estimate < steps
             # a budget the run fits is not refused
@@ -848,6 +873,26 @@ def test_stretch_matches_dop853_from_the_basis_start(monkeypatch, make_model):
     assert t0 < t1 == pytest.approx(_stepping_start(model, 0.0), rel=1e-14)
     ref = _dop853_reference(model, t0, y0, t1)
     assert np.abs(y1 - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_two_level_shape_takes_the_two_level_series_bound(monkeypatch):
+    # at t_end 30 two decades before the end are past both series bounds;
+    # the two-level shape's, lam |v| = sqrt(2 eps w), is the later one
+    # (about 9.24, against 4.56 where lam ||V|| = eps)
+    model = _two_level_shape_model()
+    bound = math.log(math.sqrt(2.0 * model.eps * 1.3) / 0.8 / model.x) / model.eps
+    assert bound > math.log(model.eps / 0.8 / model.x) / model.eps
+    t1, _ = _ode_start(monkeypatch, model, 30.0, 1e-10)
+    assert t1 == pytest.approx(bound, rel=1e-13)
+
+
+@pytest.mark.parametrize("t_end", [1e-300, 1e-15], ids=["1e-300", "1e-15"])
+def test_evolve_ends_just_past_zero(t_end):
+    # the last accepted step before the end stopped short of it by less
+    # than the step floor, and the next trial underflowed; such a trial
+    # now ends at t_end
+    traj = evolve_nstate(generate_nstate_model(seed=7, levels=6), t_end, 1e-10)
+    assert traj.times[-1] == t_end
 
 
 @pytest.mark.parametrize("t_end", [-45.0], ids=["end-within-two-decades"])

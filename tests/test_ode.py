@@ -125,12 +125,70 @@ def test_step_budget_exhausted(monkeypatch, y0):
     assert 0.0 < excinfo.value.time < 100.0
 
 
+@pytest.mark.parametrize("t1", [1e-17, 1e-15, 3e-15, 1e-300])
+@pytest.mark.parametrize("kind", ["ramp", "callable"])
+def test_trial_short_of_the_end_by_less_than_the_floor_ends_there(kind, t1):
+    # from two decades before 0, the steps land within the step floor
+    # (8 eps_machine times the span, 3.3e-14) of these ends: the trial that
+    # would stop short of one is lengthened to end on it, where the next
+    # trial underflowed, and no step lands a rounding past it
+    ramp = Ramp((0.0, 2.0), [[0.0, 1.0], [1.0, 0.0]], 0.5, 0.25)
+    rhs = ramp if kind == "ramp" else lambda t, y: ramp(t, y)
+    traj = ode_evolve(rhs, np.array([1.0 + 0j, 0j]), -math.log(100.0) / 0.25, t1, 1e-10)
+    assert traj.times[-1] == t1
+    assert (traj.accepted_steps, traj.rejected_steps) == (73, 0)
+
+
+@pytest.mark.parametrize(
+    "energies, v",
+    [((0.0, 2.0), [[0.0, 1.0], [1.0, 0.0]]), ((0.0, 1.0, 2.0), np.ones((3, 3)))],
+    ids=["two-level", "three-levels"],
+)
+def test_stepping_start_refuses_a_start_that_rounds_to_the_end(energies, v):
+    # ln(100) / eps before -1e300 is -1e300 itself
+    ramp = Ramp(energies, v, 0.5, 0.25)
+    with pytest.raises(DomainError, match="rounds to it; move the end time later"):
+        ramp.stepping_start(-1e300, 0)
+    assert ramp.stepping_start(0.0, 0) == -math.log(100.0) / 0.25
+
+
+def test_ramp_run_whose_coupling_overflows_is_not_refused_up_front():
+    # exp(eps t1) overflows, so the step estimate is not finite: the run is
+    # not refused, and fails where the coupling 1e300 exp(t) overflows, at
+    # t = 19.0072, as test_pair_kernel_rejects_a_nan_derivative's does
+    ramp = Ramp((0.0, 2.0), [[0.0, 1.0], [1.0, 0.0]], 1e300, 1.0)
+    with pytest.raises(IntegrationError, match="underflow") as excinfo:
+        ode_evolve(ramp, np.zeros(2, dtype=complex), 0.0, 800.0, 1e-10)
+    assert 19.0 < excinfo.value.time < 19.0072
+
+
+def test_ramp_run_refused_up_front_where_its_estimate_exceeds_the_budget(monkeypatch):
+    # the two-level estimate from 0 to 100 with no coupling: the rotation
+    # 2 * 100 radians at 0.052 steps each, 10.4 steps
+    ramp = Ramp((0.0, 2.0), [[0.0, 0.0], [0.0, 0.0]], 0.5, 0.25)
+    monkeypatch.setattr(ode, "MAX_STEPS", 10)
+    with pytest.raises(IntegrationError, match="before the start: about 10.4 steps from "
+                       r"t = 0 to 100 exceed the budget of 10; raise tol or move the end "
+                       "earlier$") as excinfo:
+        ode_evolve(ramp, np.array([1.0 + 0j, 0j]), 0.0, 100.0, 1e-10)
+    assert excinfo.value.time == 0.0
+    # a budget above the estimate lets the run start, and its steps count
+    monkeypatch.setattr(ode, "MAX_STEPS", 11)
+    with pytest.raises(IntegrationError, match="step budget exhausted at t = ") as excinfo:
+        ode_evolve(ramp, np.array([1.0 + 0j, 0j]), 0.0, 100.0, 1e-10)
+    assert excinfo.value.time > 0.0
+
+
 def test_rejects_bad_window_and_tolerance():
     rhs = lambda t, y: y
     with pytest.raises(DomainError):
         ode_evolve(rhs, np.array([1.0 + 0j]), 1.0, 0.0, 1e-8)
     with pytest.raises(DomainError):
         ode_evolve(rhs, np.array([1.0 + 0j]), 0.0, 1.0, 0.0)
+    # an infinite start, as a subnormal eps gives, is refused, not stepped
+    with pytest.raises(DomainError, match=r"need finite t0 < t1, got \[-inf, 0.0\]"):
+        ode_evolve(Ramp((0.0, 1.0, 2.0), np.ones((3, 3)), 0.5, 5e-324),
+                   np.array([1.0 + 0j, 0j, 0j]), -math.inf, 0.0, 1e-8)
 
 
 def test_trajectory_invariants():
@@ -407,8 +465,10 @@ def test_ramp_shape_picks_its_kernel(monkeypatch, energies, v, kernel):
         monkeypatch.setattr(ode, attr, spy)
     y0 = np.zeros(len(energies), dtype=complex)
     y0[0] = 1.0
-    ode_evolve(Ramp(energies, v, 0.5, 0.25), y0, -1.0, 0.0, 1e-8)
+    ramp = Ramp(energies, v, 0.5, 0.25)
+    ode_evolve(ramp, y0, -1.0, 0.0, 1e-8)
     assert picked == [kernel]
+    assert ramp.two_level is (kernel == "two-level")
 
 
 @pytest.mark.parametrize(

@@ -907,6 +907,16 @@ def test_evolve_step_estimate_counts_the_tracked_level_rotation(monkeypatch, tol
         assert steps / 6 <= estimate < steps
 
 
+@pytest.mark.parametrize("t_end", [1e-17, 1e-15, 3e-15, 1e-14])
+def test_evolve_ends_just_past_zero(t_end):
+    # the last accepted step before the end stopped short of it by less
+    # than the step floor, and the next trial underflowed; such a trial now
+    # ends at t_end itself
+    traj = evolve_two_state(STD, t_end, 1e-10)
+    assert traj.times[-1] == t_end
+    assert abs(traj.final_state[0] - evolve_two_state(STD, 0.0, 1e-10).final_state[0]) <= 1e-12
+
+
 @pytest.mark.parametrize("tol", [1e-4, 1e-6])
 def test_evolve_far_from_zero_starts_above_the_step_floor(tol):
     # t0 is about 6.9e10, where the step floor is 8 eps_machine |t0| =
@@ -1085,8 +1095,8 @@ def test_evolve_does_not_depend_on_the_start_threshold(monkeypatch, eps):
     m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=eps)
     a0 = []
     for growth in (1e2, 1e4, 1e6):
-        monkeypatch.setattr(twostate, "STEPPED_GROWTH", growth)
-        monkeypatch.setattr(twostate, "DEEPEST_START", 1e-2 / growth)
+        monkeypatch.setattr(ode, "STEPPED_GROWTH", growth)
+        monkeypatch.setattr(ode, "DEEPEST_START", 1e-2 / growth)
         traj = evolve_two_state(m, 0.0, 1e-10)
         assert traj.times[0] == -math.log(growth) / eps
         a0.append(complex(traj.final_state[0]))
