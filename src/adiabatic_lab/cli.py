@@ -247,6 +247,9 @@ def _three_way(model, t, tol, order):
     whether the phase recursion converged."""
     # the cheap phase recursion first: past its reach it fails before the ODE
     phase = twostate.phase_series(model, t, order)
+    if not cmath.isfinite(phase.value / model.eps):
+        raise DomainError(f"switching rate eps = {model.eps:.6g} is too small: the "
+                          "divergent phase f / eps is not a finite number; raise eps")
     with np.errstate(over="ignore", invalid="ignore"):
         a_rec = complex(np.exp(-1j * phase.value / model.eps))
     if not cmath.isfinite(a_rec):

@@ -115,8 +115,10 @@ class NStateModel:
         return float(gaps.min())
 
     def hamiltonian(self) -> np.ndarray:
-        """Static Hamiltonian at full coupling."""
-        return np.diag(self.energies).astype(complex) + self.x * self.v.entries
+        """Static Hamiltonian at full coupling. An entry of x V past the range
+        of doubles is inf, without a warning; the eigensolver refuses it."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.diag(self.energies).astype(complex) + self.x * self.v.entries
 
 
 def two_level_embed(m: TwoStateModel) -> NStateModel:
@@ -157,9 +159,15 @@ def dyson2(model: NStateModel, t: float) -> np.ndarray:
     """Second-order Dyson state at finite switching rate, without the global
     free-evolution phase of the tracked level (``exp(-1j * E_g * t)``), which
     the caller applies if needed. Meaningful only at finite rate: the
-    coefficients carry first and second inverse powers of it."""
-    zeroth, first, second = dyson2_terms(model, t)
-    return zeroth + model.x * first + model.x * model.x * second
+    coefficients carry first and second inverse powers of it. A
+    ``DomainError`` naming eps where the state is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        zeroth, first, second = dyson2_terms(model, t)
+        state = zeroth + model.x * first + model.x * model.x * second
+    if not np.isfinite(state).all():
+        raise DomainError(f"second-order Dyson state is not finite at eps = "
+                          f"{model.eps:.6g}: its terms carry (x / eps)**2; raise eps")
+    return state
 
 
 # ---------------------------------------------------------------------------

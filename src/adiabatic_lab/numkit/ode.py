@@ -52,7 +52,8 @@ series bound and the step-budget rates below.
   model, lam = 2 sqrt(delta eps), which at eps = 1e-8 delta is 1e-4 of
   the gap 2 delta), and lam ||V||_2 = eps otherwise. Each time is found
   in log space, where the coupling over the gap cannot underflow; a
-  start that rounds to the end, as at |t_end| near 1e300, is refused.
+  start that is not a finite time, as at a subnormal eps, or that rounds
+  to the end, as at |t_end| near 1e300, is refused.
 - *Before that, in closed form.* ``Ramp.tail`` sums, as power series in
   the ramped coupling exact to rounding of their size, the solutions
   that tend to each basis state as the coupling switches off in the
@@ -80,8 +81,10 @@ series bound and the step-budget rates below.
   at most a third of each term's lowest rate,
   0.061 tol**-0.125 angle + 0.052 rotation for the two-level shape and
   tol**-0.125 (0.014 angle + 0.0031 rotation) otherwise, so a run that
-  could finish is never refused. A non-finite estimate, where the
-  coupling overflows, is not refused: the run fails where it overflows.
+  could finish is never refused. Where the coupling x exp(eps t1)
+  overflows no estimate is made, and the run fails where it overflows; an
+  estimate that overflows where the coupling does not, as at x = 1e308,
+  is over the budget.
 
 ``_array_kernel`` keeps one stage matrix with y in row 0 and the stages
 k1..k12 below it. The tableau ``_W`` has a leading column for y (1 in the
@@ -329,7 +332,8 @@ class Ramp:
     def stepping_start(self, t_end: float, tracked: int) -> float:
         """Where a run to ``t_end`` from the switch-on tail of level
         ``tracked`` starts stepping, by the start rule of the module
-        docstring; a ``DomainError`` where that rounds to ``t_end``."""
+        docstring; a ``DomainError`` where that is not a finite time, as at
+        a subnormal eps, or rounds to ``t_end``."""
         eps, log_x = self.eps, math.log(self.x)
         gaps = np.abs(self.energies - self.energies[tracked])
         gaps[tracked] = math.inf
@@ -342,6 +346,9 @@ class Ramp:
             log_bound = (0.5 * (math.log(2.0 * eps) + math.log(abs(self.energies[1])))
                          if self.two_level else math.log(eps))
             t1 = min(t1, (log_bound - log_x - math.log(self._v_norm)) / eps)
+        if math.isinf(t1):
+            raise DomainError(f"switching rate eps = {eps:.6g} is too small: the start "
+                              "of stepping is not a finite time; raise eps")
         if not t1 < t_end:
             raise DomainError(
                 f"end time {t_end:.6g} is so far in the past that a start "
@@ -779,14 +786,17 @@ def _two_level_kernel(ramp, y, f0, tol):
 
 def _step_estimate(ramp, t0, t1, tol) -> float:
     """The up-front estimate of a ``Ramp`` run's step count from t0 to t1,
-    by the shape's rates of the module docstring; inf where the coupling
-    overflows."""
+    by the shape's rates of the module docstring: NaN where the coupling
+    x exp(eps t1) overflows, and inf where only the estimate does."""
     eps = ramp.eps
     try:
-        # the growth of exp(eps t) over the span, over eps
-        growth = (math.exp(eps * t1) - math.exp(eps * t0)) / eps if eps else t1 - t0
+        end = math.exp(eps * t1)
     except OverflowError:
-        return math.inf
+        return math.nan
+    if math.isinf(ramp.x * end):
+        return math.nan
+    # the growth of exp(eps t) over the span, over eps
+    growth = (end - math.exp(eps * t0)) / eps if eps else t1 - t0
     angle = ramp.x * ramp._v_norm * growth
     rotation = float(np.abs(ramp.energies).max()) * (t1 - t0)
     if ramp.two_level:
@@ -827,7 +837,7 @@ def ode_evolve(rhs, y0, t0: float, t1: float, tol: float) -> Trajectory:
                 f"{np.shape(y0)} for N = {rhs.energies.size}"
             )
         steps = _step_estimate(rhs, t0, t1, tol)
-        if MAX_STEPS < steps < math.inf:
+        if steps > MAX_STEPS:
             raise IntegrationError(
                 f"step budget exhausted before the start: about {steps:.3g} steps "
                 f"from t = {t0:.6g} to {t1:.6g} exceed the budget of {MAX_STEPS}; "

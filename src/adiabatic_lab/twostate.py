@@ -200,10 +200,48 @@ def exact_eigensystem(m: TwoStateModel) -> TwoStateEigensystem:
 # phase-function recursion coefficients
 
 
-# the process-wide store behind gtilde_table: entry 1, -1 / (2 - s) as a jet
-# in s, to start with
-_gtilde_store = np.array([[-0.5, -0.25, -0.125]])
-_gtilde_store.flags.writeable = False
+def _gtilde(order: int, jet_order: int, at_rate: float) -> np.ndarray:
+    """The first ``order`` phase-recursion coefficients in units of delta, as
+    jets of order K = ``jet_order`` in s = i * eps / delta around s0 = i *
+    ``at_rate``: a read-only ``(order, K + 1)`` array whose row n-1 holds
+    entry n's Taylor coefficients in s - s0; float64 at s0 = 0, complex
+    otherwise. A ``DomainError`` if ``order`` is below 1.
+
+    In s the recursion is entry n = b_n / (2 - (2n-1) s), with b_1 = -1 and
+    b_n = sum_{m<n} entry_{n-m} * entry_m; around s0 = 0 every jet
+    coefficient is real. Jet index k of b_n is
+    anti-diagonal k of one (K+1) x (K+1) product of earlier rows, added in
+    order of the row; with a_n = 2 - (2n-1) s0, the jet of
+    b / (a_n - (2n-1) (s - s0)) is c_k = (b_k + (2n-1) c_{k-1}) / a_n,
+    Horner's rule in s.
+    """
+    if order < 1:
+        raise DomainError(f"order must be >= 1, got {order}")
+    s0 = 1j * at_rate if at_rate else 0.0
+    rows = np.zeros((order, jet_order + 1), dtype=type(s0))
+    # anti-diagonal k past its first cell, pair[0][k]
+    cells = [[(j, k - j) for j in range(1, k + 1)] for k in range(jet_order + 1)]
+    # entry 1 has no products: b_1 = -1 stands in their place
+    pair = np.diag([-1.0] + [0.0] * jet_order).tolist()
+    for n in range(order):
+        # row n holds entry n + 1: pair[j][l] = sum over m of coefficient j
+        # of entry_{n+1-m} times coefficient l of entry_m
+        if n:
+            pair = (rows[n - 1 :: -1].T @ rows[:n]).tolist()
+        q, c = 2 * n + 1, 0.0
+        a = 2 - q * s0
+        for k, rest in enumerate(cells):
+            b = pair[0][k]
+            for j, l in rest:
+                b += pair[j][l]
+            rows[n, k] = c = (b + q * c) / a
+    rows.flags.writeable = False
+    return rows
+
+
+# the process-wide store behind gtilde_table: the longest table asked for
+# so far
+_gtilde_store = np.empty((0, 3))
 
 
 def gtilde_table(order: int) -> np.ndarray:
@@ -213,62 +251,43 @@ def gtilde_table(order: int) -> np.ndarray:
     row n-1 (value, slope, half curvature) multiplies (x / delta)**(2n); in
     absolute units entry n is delta**(1 - 2n) times as large.
 
-    In s the recursion is real: first entry = -1 / (2 - s), entry n =
-    sum_{m<n} entry_{n-m} * entry_m / (2 - (2n-1) * s). Its coefficient k
-    of the rate r = eps / delta is i**k times its coefficient k of s, so the
-    jets in the rate are the rows times (1, i, -1). Entry n is
-    at most |binom(1/2, n)| <= 1/2, its value at s = 0; slope and curvature
-    grow as a power of n.
+    It is the phase recursion that also gives ``gtilde_values``, here at jet
+    order 2 around s0 = 0, where it is real: first entry = -1 / (2 - s),
+    entry n = sum_{m<n} entry_{n-m} * entry_m / (2 - (2n-1) * s). Its
+    coefficient k of the rate r = eps / delta is i**k times its coefficient
+    k of s, so the jets in the rate are the rows times (1, i, -1). Entry n
+    is at most |binom(1/2, n)| <= 1/2, its value at s = 0; slope and
+    curvature grow as a power of n.
 
-    Entry n depends on n alone, so each entry is computed once per process.
-    The entries live in one process-wide read-only store that holds the
-    longest table asked for so far (24 bytes per order). A longer ``order``
-    copies the store into a new array, extends it by the same recursion,
-    marks it read-only and swaps it in; entry n reads only entries below n,
-    so every prefix is the same bits as a fresh build. The returned table is
-    the prefix ``store[:order]``, a read-only view that cannot be made
-    writeable; its ``.base`` is the store itself, which can be, and a write
-    through it would change every later table. Two threads that extend the
-    store at once build equal arrays, and the last swap wins.
+    Entry n depends on n alone, so each table is built once per process.
+    It lives in one process-wide read-only store that holds the longest
+    table asked for so far (24 bytes per order). A longer ``order`` builds
+    the table afresh at that order and swaps it in; entry n reads only
+    entries below n, so every prefix is the same bits as a shorter build.
+    The returned table is the prefix ``store[:order]``, a read-only view
+    that cannot be made writeable; its ``.base`` is the store itself, which
+    can be, and a write through it would change every later table. Two
+    threads that grow the store at once build equal prefixes, and the last
+    swap wins.
     """
     global _gtilde_store
-    if order < 1:
-        raise DomainError(f"order must be >= 1, got {order}")
     store = _gtilde_store
-    done = len(store)
-    if order > done:
-        table = np.empty((order, 3))
-        table[:done] = store
-        for n in range(done + 1, order + 1):
-            # pair[j][l] = sum over m of coefficient j of entry_{n-m} times
-            # coefficient l of entry_m; the jet coefficients of the sum of
-            # products are its anti-diagonal sums
-            pair = (table[n - 2 :: -1].T @ table[: n - 1]).tolist()
-            c0 = pair[0][0]
-            c1 = pair[0][1] + pair[1][0]
-            c2 = pair[0][2] + pair[1][1] + pair[2][0]
-            # times 1 / (2 - 2q s) = (1, q, q**2) / 2 as a jet in s
-            q = n - 0.5
-            table[n - 1] = (0.5 * c0, 0.5 * (c1 + q * c0), 0.5 * (c2 + q * (c1 + q * c0)))
-        table.flags.writeable = False
-        _gtilde_store = store = table
+    # _gtilde refuses an order below 1
+    if not 0 < order <= len(store):
+        _gtilde_store = store = _gtilde(order, 2, 0.0)
     return store[:order]
 
 
 def gtilde_values(rate: float, order: int) -> np.ndarray:
     """The phase-recursion coefficients evaluated exactly at the rate
-    r = eps / delta, by the plain complex recursion in r: entry 1 =
-    -i / (2i + r), entry n = i * sum_{m<n} entry_{n-m} * entry_m /
-    (2i + (2n-1) * r). At r = 0 they are column 0 of ``gtilde_table``; at a
-    real rate each is at most 1/2 in magnitude."""
-    if order < 1:
-        raise DomainError(f"order must be >= 1, got {order}")
-    g = np.zeros(order + 1, dtype=complex)  # g[0] unused; 1-based
-    g[1] = -1j / (2j + rate)
-    for n in range(2, order + 1):
-        conv = np.dot(g[1:n], g[n - 1 : 0 : -1])
-        g[n] = 1j * conv / (2j + (2 * n - 1) * rate)
-    return g[1:]
+    r = eps / delta: column 0 of the recursion of ``gtilde_table`` at jet
+    order 0 around s0 = i r, a read-only array. In r, entry 1 =
+    -i / (2i + r) and entry n = i * sum_{m<n} entry_{n-m} * entry_m /
+    (2i + (2n-1) * r). They are complex, and float64 at r = 0, where they
+    are column 0 of ``gtilde_table`` to rounding (the jet-order-0 product
+    may add in another order); at a real rate each is at most 1/2 in
+    magnitude."""
+    return _gtilde(order, 0, rate)[:, 0]
 
 
 # ---------------------------------------------------------------------------

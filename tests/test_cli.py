@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -544,6 +545,49 @@ def test_n_state_basis_start_with_a_gap_far_below_the_coupling(tmp_path, capsys)
     )
 
 
+@pytest.mark.parametrize("group", ["two-state", "n-state"])
+def test_exit_code_step_estimate_that_overflows_fails_at_once(tmp_path, capsys, group):
+    # at x = 1e308 the coupling x exp(eps t) stays finite over the run, but
+    # the angle x ||V|| times the growth over the span overflows: the
+    # estimate is inf, over any budget, and the run is refused before its
+    # first step instead of stepping toward the budget
+    argv = [group, "evolve", "--x", "1e308"]
+    if group == "n-state":
+        path = tmp_path / "model.json"
+        save_model(generate_nstate_model(seed=7, levels=6, x=1e308), path)
+        argv = [group, "evolve", "--model", str(path)]
+    started = time.perf_counter()
+    assert run(*argv) == 3
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err.startswith(
+        "error: integration: step budget exhausted before the start: about inf steps "
+    )
+
+
+@pytest.mark.parametrize("eps", [1e-200, 5e-324])
+def test_exit_code_n_state_dyson_not_finite(tmp_path, capsys, eps):
+    # the terms carry (x / eps)**2: past the range of doubles the state is
+    # refused, with no overflow warning
+    path = tmp_path / "model.json"
+    save_model(generate_nstate_model(seed=7, levels=6, eps=eps), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("n-state", "dyson", "--model", str(path)) == 2
+    assert capsys.readouterr().err == (
+        f"error: second-order Dyson state is not finite at eps = {eps:.6g}: its terms "
+        "carry (x / eps)**2; raise eps\n"
+    )
+
+
+def test_exit_code_n_state_oracle_coupling_overflows_without_a_warning(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    save_model(generate_nstate_model(seed=7, levels=6, x=1e308), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("n-state", "oracle", "--model", str(path)) == 2
+    assert capsys.readouterr().err == "error: matrix entries must be finite numbers\n"
+
+
 def test_exit_code_non_finite_mu(capsys):
     assert run("two-state", "exact", "--mu", "nan") == 2
     assert "mu must be finite" in capsys.readouterr().err
@@ -615,6 +659,23 @@ def test_exit_code_tol_outside_unit_interval(tmp_path, capsys, command, tol):
         (["two-state", "compare", "--t=-1e300"], None,
          "end time -1e+300 is so far in the past that a start ln(100) / eps before "
          "it rounds to it; move the end time later"),
+        # a rate so slow that the start a multiple of 1 / eps before the end,
+        # or f / eps, is not a finite number is refused in terms of eps
+        (["two-state", "evolve", "--eps", "5e-324"], None,
+         "switching rate eps = 4.94066e-324 is too small: the start of stepping is "
+         "not a finite time; raise eps"),
+        (["two-state", "compare", "--eps", "1e-306"], None,
+         "switching rate eps = 1e-306 is too small: the start of stepping is not a "
+         "finite time; raise eps"),
+        (["two-state", "compare", "--eps", "1e-310"], None,
+         "switching rate eps = 1e-310 is too small: the divergent phase f / eps is "
+         "not a finite number; raise eps"),
+        (["two-state", "sweep-eps", "--eps-grid", "1e-306:0.5:2"], None,
+         "switching rate eps = 1e-306 is too small: the start of stepping is not a "
+         "finite time; raise eps"),
+        (["n-state", "evolve"], {**EMBED, "eps": 5e-324},
+         "switching rate eps = 4.94066e-324 is too small: the start of stepping is "
+         "not a finite time; raise eps"),
     ],
     ids=["top-level-list", "one-level", "energies-2d", "n-state-x-zero",
          "n-state-eps-negative", "n-state-split-order-0", "n-state-recursion-order-0",
@@ -624,7 +685,10 @@ def test_exit_code_tol_outside_unit_interval(tmp_path, capsys, command, tol):
          "two-state-evolve-t-end-inf", "two-state-evolve-t-end-minus-inf",
          "two-state-compare-t-minus-inf", "n-state-evolve-t-end-inf",
          "n-state-evolve-t-end-minus-inf",
-         "two-state-evolve-far-past", "two-state-compare-far-past"],
+         "two-state-evolve-far-past", "two-state-compare-far-past",
+         "two-state-evolve-subnormal-eps", "two-state-compare-tiny-eps",
+         "two-state-compare-subnormal-eps", "two-state-sweep-eps-tiny-eps",
+         "n-state-evolve-subnormal-eps"],
 )
 def test_exit_code_refusals(tmp_path, capsys, argv, model, message):
     if model is not None:

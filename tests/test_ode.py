@@ -152,6 +152,20 @@ def test_stepping_start_refuses_a_start_that_rounds_to_the_end(energies, v):
     assert ramp.stepping_start(0.0, 0) == -math.log(100.0) / 0.25
 
 
+@pytest.mark.parametrize(
+    "energies, v",
+    [((0.0, 2.0), [[0.0, 1.0], [1.0, 0.0]]), ((0.0, 1.0, 2.0), np.ones((3, 3)))],
+    ids=["two-level", "three-levels"],
+)
+def test_stepping_start_refuses_a_start_that_is_not_a_finite_time(energies, v):
+    # at a subnormal eps every time a multiple of 1 / eps before the end is
+    # -inf: the refusal names eps, not a time
+    ramp = Ramp(energies, v, 0.5, 5e-324)
+    with pytest.raises(DomainError, match=r"^switching rate eps = 4\.94066e-324 is too "
+                       r"small: the start of stepping is not a finite time; raise eps$"):
+        ramp.stepping_start(0.0, 0)
+
+
 def test_ramp_run_whose_coupling_overflows_is_not_refused_up_front():
     # exp(eps t1) overflows, so the step estimate is not finite: the run is
     # not refused, and fails where the coupling 1e300 exp(t) overflows, at
@@ -160,6 +174,17 @@ def test_ramp_run_whose_coupling_overflows_is_not_refused_up_front():
     with pytest.raises(IntegrationError, match="underflow") as excinfo:
         ode_evolve(ramp, np.zeros(2, dtype=complex), 0.0, 800.0, 1e-10)
     assert 19.0 < excinfo.value.time < 19.0072
+
+
+def test_ramp_run_whose_estimate_alone_overflows_is_refused_up_front():
+    # the coupling 1e308 exp(0.25 t) is at most 1e308 up to t = 0, but the
+    # angle it turns by, 1e308 (1 - exp(-2.5)) / 0.25, overflows: the
+    # estimate is inf, and the run is refused before its first step
+    ramp = Ramp((0.0, 2.0), [[0.0, 1.0], [1.0, 0.0]], 1e308, 0.25)
+    with pytest.raises(IntegrationError, match="before the start: about inf steps from "
+                       "t = -10 to 0 exceed") as excinfo:
+        ode_evolve(ramp, np.array([1.0 + 0j, 0j]), -10.0, 0.0, 1e-10)
+    assert excinfo.value.time == -10.0
 
 
 def test_ramp_run_refused_up_front_where_its_estimate_exceeds_the_budget(monkeypatch):

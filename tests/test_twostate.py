@@ -229,12 +229,16 @@ def test_gtilde_curvature_matches_finite_differences():
     np.testing.assert_allclose(2 * c2, fd, rtol=1e-4, atol=1e-10)
 
 
-def gtilde_table_loop(order):
+def gtilde_table_loop(order, jet_order=2, at_rate=0.0):
     """Reference table: two general jet products per order, the sum of
-    products accumulated in order of m."""
-    den = np.zeros((order, 3), dtype=complex)
-    den[:, 0] = 2j
-    den[:, 1] = 2 * np.arange(1, order + 1) - 1
+    products accumulated in order of m; jets of order ``jet_order`` in the
+    rate r around ``at_rate``, where entry n's denominator is
+    2i + (2n-1) r."""
+    odd = 2 * np.arange(1, order + 1) - 1
+    den = np.zeros((order, jet_order + 1), dtype=complex)
+    den[:, 0] = 2j + odd * at_rate
+    if jet_order:
+        den[:, 1] = odd
     recip = jet_recip(den)
     entries = np.empty_like(den)
     entries[0] = -1j * recip[0]
@@ -290,6 +294,42 @@ def test_gtilde_table_matches_two_product_loop_property(order):
     got = gtilde_table(order) * RATE
     assert (np.abs(got - ref) / np.abs(ref)).max() <= 1e-13
     np.testing.assert_array_equal(gtilde_table(order) * RATE, got)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.05])
+@pytest.mark.parametrize("jet_order", [0, 1, 2, 4, 8])
+@pytest.mark.parametrize("order", [30, 200])
+def test_one_recursion_at_any_jet_order_matches_the_complex_jet_reference(
+    order, jet_order, rate
+):
+    # jets in s = i r around i * rate: coefficient k in the rate is i**k
+    # times coefficient k in s; real at rate 0, complex otherwise
+    rows = twostate._gtilde(order, jet_order, rate)
+    assert rows.shape == (order, jet_order + 1)
+    assert rows.dtype == (np.float64 if rate == 0.0 else np.complex128)
+    assert not rows.flags.writeable
+    ref = gtilde_table_loop(order, jet_order, rate)
+    error = np.abs(rows * 1j ** np.arange(jet_order + 1) - ref)
+    assert (error / np.abs(ref).max(axis=0)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("order", [1, 30, 200])
+def test_table_and_values_are_the_one_recursion(order):
+    # the table is the recursion at jet order 2 around 0, and the values are
+    # its column 0 at jet order 0 around the rate: real at rate 0, complex
+    # otherwise
+    np.testing.assert_array_equal(gtilde_table(order), twostate._gtilde(order, 2, 0.0))
+    for rate in (0.0, 0.05):
+        np.testing.assert_array_equal(gtilde_values(rate, order),
+                                      twostate._gtilde(order, 0, rate)[:, 0])
+    assert gtilde_values(0.0, order).dtype == np.float64
+    assert gtilde_values(0.05, order).dtype == np.complex128
+
+
+@pytest.mark.parametrize("order", [0, -1])
+def test_gtilde_values_refuse_an_order_below_one(order):
+    with pytest.raises(DomainError, match=rf"order must be >= 1, got {order}$"):
+        gtilde_values(0.05, order)
 
 
 def test_gtilde_values_match_series_coefficients_of_closed_form():
@@ -1101,6 +1141,14 @@ def test_evolve_does_not_depend_on_the_start_threshold(monkeypatch, eps):
         assert traj.times[0] == -math.log(growth) / eps
         a0.append(complex(traj.final_state[0]))
     assert max(abs(a - a0[0]) for a in a0[1:]) <= 1e-12
+
+
+@pytest.mark.parametrize("eps", [0.4, 0.1, 0.025, 0.0125, 0.003125, 0.001, 0.0005])
+def test_phase_recursion_amplitude_at_order_200_against_arbitrary_precision_oracle(eps):
+    # exp(-i f / eps) from the finite-rate values of the one recursion
+    m = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=eps)
+    a0 = cmath.exp(-1j * phase_series(m, 0.0, 200).value / eps)
+    assert abs(a0 - a0_oracle(m)) <= 2e-14
 
 
 @pytest.mark.parametrize("eps", [0.25, 0.05, 0.0125, 0.003125])
