@@ -112,7 +112,17 @@ def _parse_eps_grid(text: str):
         ) from None
     if not (start > 0 and factor > 0 and count >= 1):
         raise DomainError(f"--eps-grid values out of range: {text!r}")
-    return [start * factor**i for i in range(count)]
+    try:
+        grid = [start * factor**i for i in range(count)]
+    except OverflowError:
+        grid = [math.inf]
+    # every point is checked before the first rate runs
+    bad = [eps for eps in grid if not 0 < eps < math.inf]
+    if bad:
+        raise DomainError(
+            f"--eps-grid points must be finite positive doubles: {text!r} reaches {bad[0]:g}"
+        )
+    return grid
 
 
 def _trajectory_table(traj, labels) -> Table:

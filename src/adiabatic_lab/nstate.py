@@ -20,7 +20,7 @@ from .errors import ConsistencyError, ContinuationError, DegeneracyError, Domain
 # nothing here calls jet_recip; it stays importable from this module because
 # bench/spans.py wraps nstate.jet_recip by name in every traced run
 from .numkit import (  # noqa: F401
-    HermitianMatrix, Ramp, Trajectory, hermitian_eig, jet_recip, ode_evolve,
+    HermitianMatrix, Ramp, Trajectory, hermitian_eig, jet_recip, laurent_split, ode_evolve,
 )
 from .twostate import TwoStateModel, ramped_coupling, ramped_coupling_squared, require_time
 
@@ -212,7 +212,7 @@ def rs_recursion(
     phi = np.zeros((order + 1, model.dim, jet_order + 1), dtype=vm.dtype)
     phi[0, g, 0] = 1.0
     # terms past the range of doubles come out non-finite, without a
-    # warning; _split_from rejects them
+    # warning; laurent_split rejects them
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, order + 1):
             xi[n - 1] = vm[g].dot(phi[n - 1])
@@ -261,42 +261,22 @@ class AssembledState:
 
 
 def _split_from(xi: np.ndarray, model: NStateModel) -> GSplit:
-    """Laurent split of the accumulated phase from jets in s = 1j * rate:
-    g_a = sum x**n c_0 / n (to be divided by the rate), the shift sum
-    x**n c_0 and g_b = sum x**n c_1 / n. A ``ConsistencyError`` names the
-    quantity whose imaginary part exceeds IMAG_GATE, a ``DomainError`` the
-    first order whose term is not finite."""
-    n = np.arange(1, len(xi) + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = model.x**n
-        parts = (
-            np.sum(powers * xi[:, 0] / n),
-            np.sum(powers * xi[:, 0]),
-            np.sum(powers * xi[:, 1] / n),
-        )
-        if not (np.isfinite(xi).all() and np.isfinite(parts).all()):
-            finite = np.isfinite(powers[:, None] * xi).all(axis=1)
-            first = int(np.argmin(finite)) + 1 if not finite.all() else len(finite)
-            raise DomainError(
-                f"phase-recursion terms are not finite from order {first} of "
-                f"{len(finite)}: the recursion or the powers of the coupling "
-                "overflow; lower the order"
-            )
-    residues = [abs(p.imag) for p in parts]
+    """Laurent split of the accumulated phase from jets in s = 1j * rate,
+    ``numkit.laurent_split`` at lam = x, step 1: g_a = sum x**n c_0 / n
+    (to be divided by the rate), the shift sum x**n c_0 and g_b = sum
+    x**n c_1 / n. A ``ConsistencyError`` names the quantity whose imaginary
+    part exceeds IMAG_GATE, a ``DomainError`` the first order whose term is
+    not finite."""
+    (g_a, g_b), de, terms = laurent_split(xi, model.x, 1)
+    residues = [abs(p.imag) for p in (g_a, de, g_b)]
     worst = int(np.argmax(residues))
     if residues[worst] > IMAG_GATE:
         name = ("g_a", "delta_e", "g_b")[worst]
         raise ConsistencyError(
             f"imaginary residue {residues[worst]:.3e} on {name} exceeds {IMAG_GATE:.0e}"
         )
-    g_a, de, g_b = (float(p.real) for p in parts)
-    return GSplit(
-        g_a=g_a,
-        delta_e=de,
-        g_b=g_b,
-        last_term_magnitude=float(abs(powers[-1] * xi[-1, 0])),
-        max_imag_residue=residues[worst],
-    )
+    return GSplit(g_a=g_a.real, delta_e=de.real, g_b=g_b.real,
+                  last_term_magnitude=float(abs(terms[-1, 0])), max_imag_residue=residues[worst])
 
 
 def g_split(model: NStateModel, order: int) -> GSplit:

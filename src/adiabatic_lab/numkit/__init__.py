@@ -1,12 +1,13 @@
-"""Foundation numerics: array jets, a Hermitian eigensolver, and an adaptive
-embedded Runge-Kutta integrator for complex ODE systems.
+"""Foundation numerics: array jets and the Laurent split summed from them, a
+Hermitian eigensolver, and an adaptive embedded Runge-Kutta integrator for
+complex ODE systems.
 
 All types are immutable after construction and all operations are pure
 functions of their inputs, so everything here is safe to call concurrently.
 """
 
 from .eig import HermitianMatrix, hermitian_eig
-from .jets import jet_mul, jet_recip
+from .jets import jet_mul, jet_recip, laurent_split
 from .ode import Ramp, Trajectory, ode_evolve
 
 __all__ = [
@@ -16,5 +17,6 @@ __all__ = [
     "hermitian_eig",
     "jet_mul",
     "jet_recip",
+    "laurent_split",
     "ode_evolve",
 ]

@@ -423,18 +423,33 @@ def _rms(v, scale) -> float:
 
 def _initial_step(rhs, t0, t1, y0, f0, tol):
     """Hairer-style starting step estimate; NaN when the scaled size of the
-    state or of its derivative overflows, as no step can then be sized."""
+    state overflows, as no step can then be sized.
+
+    Where the scaled size of the derivative, or of its change over the
+    probe step, overflows, as for a right-hand side within a few powers of
+    1e10 of the top of the doubles, the estimate is made in the time k t
+    and divided by k, with k the largest power of two not above the rate
+    max |f0| / max(1, max |y0|); a rate of at most 1 leaves the NaN. In
+    that time the rate is below 2, and scaling by a power of two is exact.
+    Elsewhere the estimate is the plain one, in the time t."""
     span = t1 - t0
     with np.errstate(over="ignore", invalid="ignore"):
         scale = tol + tol * np.abs(y0)
         d0 = _rms(y0, scale)
-        d1 = _rms(f0, scale)
+        d1 = d2 = _rms(f0, scale)
+        if d0 + d1 < math.inf:
+            h0 = 1e-6 if d1 < 1e-5 or d0 < 1e-5 else 0.01 * d0 / d1
+            h0 = min(h0, span)
+            f1 = np.asarray(rhs(t0 + h0, y0 + h0 * f0), dtype=complex)
+            d2 = _rms(f1 - f0, scale) / h0
+    rate = np.abs(f0).max() / max(1.0, np.abs(y0).max())
+    k = math.ldexp(1.0, math.frexp(rate)[1] - 1)
+    if max(d1, d2) == math.inf and k > 1:
+        return _initial_step(
+            lambda t, y: np.divide(rhs(t / k, y), k), k * t0, k * t1, y0, f0 / k, tol
+        ) / k
     if not d0 + d1 < math.inf:
         return math.nan
-    h0 = 1e-6 if d1 < 1e-5 or d0 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, span)
-    f1 = np.asarray(rhs(t0 + h0, y0 + h0 * f0), dtype=complex)
-    d2 = _rms(f1 - f0, scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:

@@ -13,7 +13,6 @@ every series route is tested against.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from .errors import DomainError
 # nothing here calls jet_mul or jet_recip; both stay importable from this
 # module because bench/spans.py wraps twostate.jet_mul and
 # twostate.jet_recip by name in every traced run
-from .numkit import Ramp, Trajectory, jet_mul, jet_recip, ode_evolve  # noqa: F401
+from .numkit import Ramp, Trajectory, jet_mul, jet_recip, laurent_split, ode_evolve  # noqa: F401
 
 __all__ = [
     "TwoStateModel",
@@ -353,32 +352,32 @@ def phase_series(
     (the amplitude is ``exp(-1j * f / eps)``), and whether its truncated
     series in powers of the squared ramped coupling has converged.
 
-    ``converged`` says that the last two terms shrink and that the geometric
-    tail they start is at most 1e-12 * max(1, |f|). A ``DomainError`` if the
-    sum is not finite: the powers of the squared ramped coupling can overflow
-    even where the square itself does not.
+    The series is summed in units of delta: ``numkit.laurent_split`` of
+    ``gtilde_values`` at lam = (x / delta) * exp(eps * t), step 2, gives
+    f / delta, which is multiplied by delta. ``converged`` says that the
+    last two terms shrink and that the geometric tail they start is at most
+    1e-12 * max(1, |f / delta|). A ``DomainError`` if the squared ramped
+    coupling over delta**2 or the sum is not finite: the powers of the
+    squared coupling can overflow even where the square itself does not.
     """
     g = gtilde_values(m.eps / m.delta, order)
-    lam2 = ramped_coupling_squared(m.x, m.eps, t)
-    u = lam2 / m.delta / m.delta  # delta**2 can underflow to 0
-    n = np.arange(1, order + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = m.delta * u**n / (2 * n) * g
-        f = complex(np.sum(terms))
-        mags = np.abs(terms)
-    if not cmath.isfinite(f):
-        raise DomainError(
-            f"phase function f is not finite at t = {t:.6g}: the squared ramped "
-            f"coupling {lam2:.6g} is beyond the reach of the order-{order} series"
-        )
-    last = float(mags[-1])
-    prev = float(mags[-2]) if order > 1 else 0.0
+    # refuses a coupling, or its square, past the range of doubles
+    ramped_coupling_squared(m.x / m.delta, m.eps, t)
+    lam = ramped_coupling(m.x / m.delta, m.eps, t)
+    try:
+        (f,), _, terms = laurent_split(g[:, None], lam, 2)
+    except DomainError:
+        raise DomainError(f"phase function f is not finite at t = {t:.6g}: the squared ramped "
+                          f"coupling over delta**2, {lam * lam:.6g}, is beyond the reach of "
+                          f"the order-{order} series") from None
+    last = abs(terms[-1, 0]) / (2 * order)
+    prev = abs(terms[-2, 0]) / (2 * order - 2) if order > 1 else 0.0
     # terms that keep shrinking by r = last / prev leave a tail of
     # last * r / (1 - r) = last**2 / (prev - last)
     converged = last == 0.0 or (
         last < prev and last * last / (prev - last) <= 1e-12 * max(1.0, abs(f))
     )
-    return PhaseSeriesResult(value=f, converged=converged)
+    return PhaseSeriesResult(value=complex(m.delta * f), converged=bool(converged))
 
 
 def phase_split(m: TwoStateModel, order: int = DEFAULT_ORDER) -> PhaseSplitTwoState:
@@ -410,28 +409,25 @@ def phase_split(m: TwoStateModel, order: int = DEFAULT_ORDER) -> PhaseSplitTwoSt
             f"branch point at x = i*delta); got x = {x}"
         )
     table = gtilde_table(order)
-    n = np.arange(1, order + 1)
     u = x / delta
-    powers = u ** (2 * n)
-    a = math.fsum(powers * table[:, 0] / (2 * n))  # f_a in units of delta
-    d = math.fsum(powers * table[:, 0])  # the shift in units of delta
+    # f_a and the shift in units of delta
+    (a, f_b, c), d, terms = laurent_split(table, u, 2)
     # |binom(1/2, order + 1)| = Gamma(order + 1/2) / (2 sqrt(pi) (order + 1)!)
     binom = math.exp(math.lgamma(order + 0.5) - math.lgamma(order + 2))
     tail = binom / (2 * math.sqrt(math.pi)) * u ** (2 * order + 2) / (1 - u * u)
-    f_b = math.fsum(powers * table[:, 1] / (2 * n))
-    f_c = -m.eps / delta * math.fsum(powers * table[:, 2] / (2 * n))
 
     # d/du of the sums over u**(2n), term by term; u underflows to 0 only
     # where x / delta is far below the smallest double, and every power
     # and both derivatives are 0 there
-    dd = math.fsum(2 * n * powers * table[:, 0]) / u if u else 0.0
-    dfb = math.fsum(powers * table[:, 1]) / u if u else 0.0
+    n = np.arange(1, order + 1)
+    dd = math.fsum((2 * n * u ** (2 * n) * table[:, 0]).tolist()) / u if u else 0.0
+    dfb = math.fsum(terms[:, 1].tolist()) / u if u else 0.0
     norm_n = exact_eigensystem(m).norm_n
     return PhaseSplitTwoState(
         f_a=delta * a,
         delta_e_a=delta * d,
         f_b=f_b,
-        f_c=f_c,
+        f_c=-m.eps / delta * c,
         max_imag_residue=0.0,
         norm_n=norm_n,
         normalization_residual=abs(math.exp(f_b) - norm_n),

@@ -460,6 +460,54 @@ def test_finite_rate_coefficients_at_small_delta(tmp_path, argv):
     assert report.flags["converged[phase-recursion]"] is True
 
 
+def _compare_at_scale(tmp_path, delta, x_share, eps_share):
+    """``two-state compare`` at half-gap ``delta``, x = ``x_share`` * delta and
+    eps = ``eps_share`` * delta: the amplitude by route, and the flags."""
+    out = tmp_path / f"compare-{delta!r}.json"
+    argv = ["two-state", "compare", "--delta", repr(delta), "--x", repr(x_share * delta),
+            "--eps", repr(eps_share * delta), "--out", str(out)]
+    assert run(*argv) == 0
+    report = report_from_json(out)
+    (table,) = report.tables
+    amps = {row[0]: complex(row[1], row[2]) for row in table.rows}
+    return amps, report.flags
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("delta", [1e-300, 1e-160, 1e200, 1e300])
+@pytest.mark.parametrize(
+    "x_share, eps_share, phase_converged",
+    [(0.5, 1.0, True), (1.5, 0.25, False)],
+    ids=["inside-radius", "past-radius"],
+)
+def test_two_state_compare_is_scale_covariant(
+    tmp_path, delta, x_share, eps_share, phase_converged
+):
+    # scaling delta, x and eps together leaves a(t = 0) as it is; each route
+    # works in units of delta or in a rescaled time, so none overflows,
+    # underflows or judges its convergence in absolute units
+    base, base_flags = _compare_at_scale(tmp_path, 1.0, x_share, eps_share)
+    amps, flags = _compare_at_scale(tmp_path, delta, x_share, eps_share)
+    assert flags == base_flags
+    assert flags["converged[phase-recursion]"] is phase_converged
+    for route, value in amps.items():
+        assert abs(value - base[route]) <= 1e-12, route
+
+
+@pytest.mark.parametrize(
+    "grid, reached", [("1e300:1e10:2", "inf"), ("1e-5:1e10:40", "inf"),
+                      ("1e-300:1e-30:2", "0"), ("inf:0.5:2", "inf")],
+    ids=["overflows", "power-overflows", "underflows", "infinite-start"],
+)
+def test_exit_code_eps_grid_leaves_the_doubles(capsys, grid, reached):
+    # refused before the first rate runs: nothing is printed
+    assert run("two-state", "sweep-eps", "--eps-grid", grid) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --eps-grid points must be finite positive doubles: "
+                            f"{grid!r} reaches {reached}\n")
+
+
 @pytest.mark.parametrize(
     "command, base, message",
     [

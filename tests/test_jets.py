@@ -1,8 +1,13 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from adiabatic_lab.errors import SingularJetError
-from adiabatic_lab.numkit import jet_mul, jet_recip
+from adiabatic_lab.errors import DomainError, SingularJetError
+from adiabatic_lab.nstate import NStateModel, rs_recursion
+from adiabatic_lab.numkit import HermitianMatrix, jet_mul, jet_recip, laurent_split
+from adiabatic_lab.twostate import gtilde_table
 
 
 def jet(*coeffs):
@@ -141,3 +146,96 @@ def test_mul_bit_identical_to_summed_loop(order):
             b = random_complex(rng, shape_b)
             np.testing.assert_array_equal(jet_mul(a, b), jet_mul_loop(a, b))
             np.testing.assert_array_equal(jet_mul(b, a), jet_mul_loop(b, a))
+
+
+# ---------------------------------------------------------------------------
+# the Laurent split
+
+
+def _exact_sum(values):
+    """The sum of the doubles ``values``, correctly rounded, via fractions."""
+    return float(sum(map(Fraction, values.tolist()), Fraction(0)))
+
+
+@pytest.mark.parametrize("order", [1, 30, 200, 1000])
+@pytest.mark.parametrize("u", [1e-200, 0.2, 0.5, 0.87, 0.999])
+def test_laurent_split_two_state_columns_bit_identical(order, u):
+    # the sums as phase_split formed them before it called laurent_split:
+    # (u**(2n) * c) / (2n) and the shift u**(2n) * c, each by math.fsum
+    table = gtilde_table(order)
+    n = np.arange(1, order + 1)
+    powers = u ** (2 * n)
+    expected = [math.fsum(powers * table[:, k] / (2 * n)) for k in range(3)]
+    sums, shift, terms = laurent_split(table, u, 2)
+    assert sums == expected
+    assert shift == math.fsum(powers * table[:, 0])
+    assert np.array_equal(terms, powers[:, None] * table)
+    assert all(type(value) is float for value in (*sums, shift))
+
+
+def _bench_models(seed):
+    """The many-level benchmark's models at ``seed``, drawn as it draws them
+    from one generator: N = 8, 16, 32 and 64 levels with spacings in
+    [1, 2), a real symmetric Gaussian V and the coupling at 5% of the first
+    gap."""
+    rng = np.random.default_rng(seed)
+    models = []
+    for levels in (8, 16, 32, 64):
+        energies = np.concatenate([[0.0], np.cumsum(1.0 + rng.random(levels - 1))])
+        upper = np.triu(rng.standard_normal((levels, levels)))
+        v = upper + np.triu(upper, 1).T
+        models.append(NStateModel(energies, HermitianMatrix(v), 0.05 * energies[1], 0.25))
+    return models
+
+
+def _complex_model(seed, levels):
+    rng = np.random.default_rng(seed)
+    energies = np.cumsum(rng.uniform(0.5, 1.5, levels))
+    a = rng.normal(size=(levels, levels)) + 1j * rng.normal(size=(levels, levels))
+    return NStateModel(energies, HermitianMatrix((a + a.conj().T) / 2), 0.1, 0.25)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [model for seed in (1, 7, 977) for model in _bench_models(seed)]
+    + [_complex_model(seed, levels) for seed in (3, 11) for levels in (4, 8)],
+)
+def test_laurent_split_n_state_against_pairwise_sums(model):
+    # correctly rounded, and within 5e-16 of the pairwise np.sum the N-state
+    # split used before, on real and complex jets alike
+    xi = rs_recursion(model, 30, 1)[0]
+    n = np.arange(1, 31)
+    powers = model.x**n
+    pairwise = (
+        np.sum(powers * xi[:, 0] / n), np.sum(powers * xi[:, 1] / n), np.sum(powers * xi[:, 0])
+    )
+    (g_a, g_b), shift, terms = laurent_split(xi, model.x, 1)
+    for got, old in zip((g_a, g_b, shift), pairwise):
+        assert abs(got - old) <= 5e-16 * abs(old)
+    for got, column in zip((g_a, g_b, shift), (terms[:, 0] / n, terms[:, 1] / n, terms[:, 0])):
+        assert complex(got) == complex(_exact_sum(column.real), _exact_sum(column.imag))
+    assert isinstance(g_a, complex) is np.iscomplexobj(xi)
+
+
+def test_laurent_split_refuses_the_first_non_finite_order():
+    jets = np.ones((40, 2))
+    jets[25, 1] = np.inf
+    # lam**m first overflows at m = 31 (1e310); the inf at order 26 comes first
+    with pytest.raises(DomainError, match="not finite from order 26 of 40: "):
+        laurent_split(jets, 1e10, 1)
+    with pytest.raises(DomainError, match="not finite from order 31 of 40: "):
+        laurent_split(np.ones((40, 1)), 1e10, 1)
+    # inf times a power that underflows to 0 is NaN, not finite either
+    jets = np.ones((3, 1))
+    jets[2, 0] = np.inf
+    with pytest.raises(DomainError, match="not finite from order 3 of 3: "):
+        laurent_split(jets, 1e-200, 1)
+
+
+def test_laurent_split_refuses_finite_terms_that_sum_past_the_doubles():
+    # 1e308 + 1e308 leaves the range of doubles: math.fsum raises
+    # OverflowError, refused as the last order
+    with pytest.raises(DomainError, match="not finite from order 2 of 2: "):
+        laurent_split(np.full((2, 1), 1e308), 1.0, 1)
+    with pytest.raises(DomainError, match="not finite from order 2 of 2: "):
+        laurent_split(np.full((2, 1), 1e308j), 1.0, 1)

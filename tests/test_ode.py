@@ -267,6 +267,20 @@ def test_large_finite_state_accepted():
     assert np.abs(traj.final_state - expected).max() <= 1e-8 * 1e200
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("delta", [1e146, 1e150, 1e200, 1e300])
+def test_first_step_sized_near_the_top_of_the_doubles(delta):
+    # in the time t the scaled change of the derivative over the probe step
+    # overflows from about delta = 1e146, and the scaled derivative itself
+    # from about 1e150; sized in the time k t, the run is the delta = 1 run
+    # scaled, to integration error
+    ref = evolve_two_state(TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=1.0), 0.0, 1e-10)
+    m = TwoStateModel(mu=0.0, delta=delta, x=delta / 2, eps=delta)
+    traj = evolve_two_state(m, 0.0, 1e-10)
+    assert abs(traj.final_state[0] - ref.final_state[0]) <= 1e-12
+    assert traj.accepted_steps <= 2 * ref.accepted_steps
+
+
 _CONSTANT_1E308 = lambda t, y: np.full_like(y, 1e308)
 # y' = y: V = i I, a non-Hermitian coupling that grows the state as exp(t)
 _GROWTH = Ramp((0.0, 0.0), 1j * np.eye(2), 1.0, 0.0)
