@@ -190,8 +190,12 @@ def rs_recursion(
     The resolvent at order n divides component k by ``(E_k - E_g) - n * s``;
     the n-fold rate follows from the n-th power of the ramped coupling and
     is what makes the finite-rate result match the Dyson expansion order by
-    order. With a = (E_k - E_g) - 1j * n * at_eps, the jet of b / (a - n s)
-    is c_k = (b_k + n c_{k-1}) / a, Horner's rule in s.
+    order. Per order, the sum over m of xi_m phi_{n-m} is one matrix
+    product, of the rows xi_1 .. xi_{n-1} against phi_{n-1} .. phi_1: entry
+    (j, l) of its (K+1) x (K+1) blocks is coefficient j of xi times
+    coefficient l of phi, so jet index k of the sum is anti-diagonal
+    j + l = k. With a = (E_k - E_g) - 1j * n * at_eps, the jet of
+    b / (a - n s) is c_k = (b_k + n c_{k-1}) / a, Horner's rule in s.
     """
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
@@ -207,9 +211,10 @@ def rs_recursion(
     w = model.energies - model.ground_energy
     w[g] = 1.0
 
-    xi = np.zeros((order, jet_order + 1), dtype=vm.dtype)
+    k1, dim = jet_order + 1, model.dim
+    xi = np.zeros((order, k1), dtype=vm.dtype)
     # phi[0] is the unperturbed state e_g, phi[n] the order-n correction
-    phi = np.zeros((order + 1, model.dim, jet_order + 1), dtype=vm.dtype)
+    phi = np.zeros((order + 1, dim, k1), dtype=vm.dtype)
     phi[0, g, 0] = 1.0
     # terms past the range of doubles come out non-finite, without a
     # warning; laurent_split rejects them
@@ -218,15 +223,17 @@ def rs_recursion(
             xi[n - 1] = vm[g].dot(phi[n - 1])
             bracket = vm.dot(phi[n - 1])
             bracket[g] = 0.0
-            # rows xi_{n-1} .. xi_1 against phi_1 .. phi_{n-1}: jet index k of
-            # the sum over m of xi_{n-m} phi_m contracts m and the split of k
-            xi_rev = xi[: n - 1][::-1]
+            # pair[j, :, l] = sum over m of coefficient j of xi_m times
+            # coefficient l of phi_{n-m}; the reversed rows of phi are a
+            # view, and at n = 1 the product is zero
+            reversed_phi = phi[n - 1 : 0 : -1].reshape(n - 1, dim * k1)
+            pair = (xi[: n - 1].T @ reversed_phi).reshape(k1, dim, k1)
             a = w - n * s0
             c = 0.0
-            for k in range(jet_order + 1):
-                b = bracket[:, k] - np.tensordot(
-                    xi_rev[:, : k + 1], phi[1:n, :, k::-1], axes=([0, 1], [0, 2])
-                )
+            for k in range(k1):
+                b = bracket[:, k]
+                for j in range(k + 1):
+                    b = b - pair[j, :, k - j]
                 phi[n, :, k] = c = (n * c - b) / a
 
     xi.flags.writeable = False
@@ -305,10 +312,12 @@ def assemble_state(model: NStateModel, order: int) -> AssembledState:
             f"exp(g_b) is not a finite positive double: g_b = {split.g_b:.6g} at "
             f"order {order}; the phase-recursion series does not converge here"
         )
-    state = np.zeros(model.dim, dtype=complex)
+    # the powers x**n that the split weighs the jets with; it has refused
+    # every order where one overflows
+    powers = model.x ** np.arange(1, order + 1)
+    # the corrections' tracked components are zero: e_g adds 1 there alone
+    state = powers.dot(phi[:, :, 0]).astype(complex)
     state[model.ground_index] = 1.0
-    for n in range(1, order + 1):
-        state += model.x**n * phi[n - 1, :, 0]
     state *= norm
     return AssembledState(
         state=state, split=split, energy=model.ground_energy + split.delta_e

@@ -470,6 +470,8 @@ def _stage_matrix_update(hw, k, tol):
     update_row = hw[11]
     err_rows = hw[12:, 1:]
     stages = k[1:]
+    # the Gram matrix of the scaled error rows, whose diagonal is (n5, n3)
+    gram = np.empty((2, 2))
 
     def update(ay):
         y_new = update_row.dot(k)
@@ -478,10 +480,11 @@ def _stage_matrix_update(hw, k, tol):
         # a non-finite state is rejected; the mean of the scale cannot overflow
         if not scale.dot(mean) < math.inf:
             return y_new, ay_new, math.inf
-        q5, q3 = err_rows.dot(stages) / scale
+        # the squared norms of complex rows are those of their float views
+        q = (err_rows.dot(stages) / scale).view(float)
+        q.dot(q.T, gram)
         # Python floats, which give NaN for inf / inf without a warning
-        n5 = float(np.vdot(q5, q5).real)
-        n3 = float(np.vdot(q3, q3).real)
+        (n5, _), (_, n3) = gram.tolist()
         # n5 = 0 would divide 0 by 0 if n3 = 0 too; an infinite n5 gives
         # NaN, which is rejected
         return y_new, ay_new, n5 * norm_scale / math.sqrt(n5 + 0.01 * n3) if n5 else 0.0

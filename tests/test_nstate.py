@@ -36,6 +36,7 @@ from adiabatic_lab.nstate import (
 )
 from adiabatic_lab.rng import random_hermitian_model_arrays
 from adiabatic_lab.twostate import TwoStateModel, delta_e_closed, gtilde_values
+from test_jets import _bench_models
 
 SHIFT = -0.11803398874989485
 NORM = 0.9732489894677302
@@ -413,12 +414,14 @@ def test_recursion_agrees_with_the_complex_rate_jets_property(
 
 
 def test_recursion_calls_no_jet_kernel_and_is_real_for_a_real_v(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the recursion called a jet kernel")
+    def refuse(*args, **kwargs):
+        raise AssertionError("the recursion called a jet kernel or np.tensordot")
 
     for module in (jets, nstate):
         for name in ("jet_mul", "jet_recip"):
             monkeypatch.setattr(module, name, refuse, raising=False)
+    # the sum of products is one matrix product per order
+    monkeypatch.setattr(np, "tensordot", refuse)
     real, complex_v = random_model(3, 5), random_model(3, 5, complex_v=True)
     for order in (1, 30, 200):
         for model, at_eps, dtype in (
@@ -518,6 +521,32 @@ def test_assemble_two_level_embed_matches_eigenvector():
     )
     assert np.linalg.norm(res.state) == pytest.approx(1.0, abs=1e-8)
     assert res.energy == pytest.approx(-1.1180339887498949, abs=1e-9)
+
+
+def _assembled_order_by_order(model, order):
+    """The assembled state as a sum taken one order at a time, in Python
+    powers of the coupling."""
+    phi = rs_recursion(model, order, 1)[1]
+    state = np.zeros(model.dim, dtype=complex)
+    state[model.ground_index] = 1.0
+    for n in range(1, order + 1):
+        state += model.x**n * phi[n - 1, :, 0]
+    return state * math.exp(g_split(model, order).g_b)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "model, order",
+    [(model, 30) for seed in (1, 7, 977) for model in _bench_models(seed)]
+    # x**n underflows to 0 before order 400, the jets do not overflow
+    + [(random_model(5, 6, x=0.15), 400)],
+)
+def test_assembled_state_matches_the_order_by_order_sum(model, order):
+    # one product of the powers with the corrections, within 4 ulps of the
+    # largest entry of the sum taken one order at a time
+    ref = _assembled_order_by_order(model, order)
+    state = assemble_state(model, order).state
+    assert np.abs(state - ref).max() <= 4 * np.spacing(np.abs(ref).max())
 
 
 def test_assemble_norm_identity_on_random_models():
