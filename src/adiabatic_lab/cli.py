@@ -1,9 +1,13 @@
-"""Command-line front end: ``adiabatic-lab <two-state|n-state> <subcommand>``.
+"""Command-line front end: ``adiabatic-lab <two-state|n-state> <subcommand>``
+and ``adiabatic-lab batch FILE``.
 
 Batch tool: reads JSON model files (or inline two-state flags), runs the
 requested computation, prints a plain-text summary, and optionally emits a
-CSV/JSON report. Exit codes: 0 ok, 2 domain error, 3 integration failure,
-4 degeneracy, 5 continuation failure, 10 I/O error.
+CSV/JSON report. ``batch`` runs many such commands in one process, one JSON
+array of argv strings per line of FILE (``-`` for stdin), each with the
+output it has alone. Exit codes: 0 ok, 2 domain or usage error, 3
+integration failure, 4 degeneracy, 5 continuation failure, 10 I/O error; a
+batch exits 0 when every line did, else with its first failing line's code.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import argparse
 import cmath
 import functools
 import itertools
+import json
 import logging
 import math
 import os
@@ -577,15 +582,31 @@ def build_parser() -> argparse.ArgumentParser:
                 if flag not in _OUTPUT:
                     echo.append(action.dest)
             p.set_defaults(func=func, load=own_load[0] if own_load else load, echo=echo)
+    batch = groups.add_parser(
+        "batch",
+        help="run many commands in this process, one JSON array of argv strings "
+        "per line",
+        allow_abbrev=False,
+    )
+    batch.add_argument("file", help="the batch file; - reads stdin")
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one command; returns its exit code. The parser is built on the
-    first call in a process and reused by later ones."""
+    """Run one command, or a batch of them; returns its exit code. The
+    parser is built on the first call in a process and reused by later
+    ones."""
     level = os.environ.get("ADIABATIC_LAB_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = build_parser().parse_args(argv)
+    if args.group == "batch":
+        return _batch(args.file)
+    return _run(args)
+
+
+def _run(args) -> int:
+    """One parsed command: its report on stdout and in ``--out``, or its
+    error on stderr; returns its exit code."""
     command = f"{args.group} {args.command}"
     started = time.perf_counter()
     try:
@@ -597,10 +618,58 @@ def main(argv=None) -> int:
         if args.out and "format" in args:
             emit(report, args.format, args.out)
     except (LabError, OSError) as exc:
-        code, prefix = next((c, p) for cls, c, p in _EXITS if isinstance(exc, cls))
-        print(f"error: {prefix}{exc}", file=sys.stderr)
-        return code
+        return _error(exc)
     return 0
+
+
+def _error(exc) -> int:
+    code, prefix = next((c, p) for cls, c, p in _EXITS if isinstance(exc, cls))
+    print(f"error: {prefix}{exc}", file=sys.stderr)
+    return code
+
+
+def _batch(source) -> int:
+    """Run each line of ``source`` (``-`` for stdin), a JSON array of argv
+    strings, as one command in this process, in order; blank lines are
+    skipped. A failing line prints its error as the command alone would,
+    then its line number and exit code, and the batch goes on. Returns 0
+    if every line ran cleanly, else the first failing line's code."""
+    try:
+        if source == "-":
+            text = sys.stdin.read()
+        else:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+    except OSError as exc:
+        return _error(exc)
+    except UnicodeDecodeError as exc:
+        return _error(DomainError(f"{source}: not UTF-8 text: {exc.reason} "
+                                  f"at byte {exc.start}"))
+    first = 0
+    for number, line in enumerate(text.split("\n"), 1):
+        if line.strip():
+            code = _batch_line(line)
+            if code:
+                print(f"batch: line {number} exited {code}", file=sys.stderr)
+                first = first or code
+    return first
+
+
+def _batch_line(line) -> int:
+    """Run one batch line as its command; returns the line's exit code."""
+    try:
+        argv = json.loads(line)
+    except ValueError:
+        argv = None
+    if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
+        return _error(DomainError(f"batch line is not a JSON array of strings: {line!r}"))
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage error
+        return exc.code
+    if args.group == "batch":
+        return _error(DomainError("batch line runs batch: batches do not nest"))
+    return _run(args)
 
 
 if __name__ == "__main__":

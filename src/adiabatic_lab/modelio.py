@@ -102,10 +102,32 @@ def _model_from_dict(data, where):
     )
 
 
+# the last model loaded and the full text of its file; a load of the same
+# text returns this model, which is frozen and holds read-only arrays
+_last_load = (None, None)
+
+
 def load_model(path):
-    """Parse and validate a model file; OSError propagates to the caller."""
+    """Parse and validate a model file; OSError propagates to the caller.
+
+    The process keeps one entry: the last model loaded with its file's
+    full text. A file whose text equals that text returns the same model
+    object, at the cost of one string comparison; any other text is parsed
+    and validated, and replaces the entry only if it loads. The entry is
+    keyed by content alone: a path or a modification time would miss a
+    same-size rewrite within one timestamp tick. Two threads that load at
+    once each get a valid model, and the last one to finish keeps the entry.
+    """
+    global _last_load
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ModelFileError(f"{path}: not UTF-8 text: {exc.reason} "
+                                 f"at byte {exc.start}") from None
+    last_text, last_model = _last_load
+    if text == last_text:
+        return last_model
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -113,11 +135,13 @@ def load_model(path):
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
     try:
-        return _model_from_dict(data, where=str(path))
+        model = _model_from_dict(data, where=str(path))
     except ModelFileError:
         raise
     except DomainError as exc:
         raise ModelFileError(f"{path}: {exc}") from None
+    _last_load = (text, model)
+    return model
 
 
 def model_to_dict(model) -> dict:

@@ -422,7 +422,7 @@ def oracle_shift(model: NStateModel) -> float:
     Raises ContinuationError when no eigenvector holds a majority weight,
     i.e. the coupling is too strong for perturbative tracking.
     """
-    w, vecs = hermitian_eig(model.hamiltonian())
+    w, vecs = hermitian_eig(model.hamiltonian(), exact=True)
     weights = np.abs(vecs[model.ground_index, :]) ** 2
     k = int(np.argmax(weights))
     if weights[k] < OVERLAP_FLOOR:

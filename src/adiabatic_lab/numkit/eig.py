@@ -18,6 +18,11 @@ __all__ = ["HermitianMatrix", "hermitian_eig"]
 HERMITICITY_TOL = 1e-12
 
 
+def _require_finite(m):
+    if not np.all(np.isfinite(m)):
+        raise DomainError("matrix entries must be finite numbers")
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
     """Square complex matrix validated to be Hermitian on construction; it
@@ -29,8 +34,7 @@ class HermitianMatrix:
         m = np.asarray(self.entries, dtype=complex).copy()
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError(f"matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise DomainError("matrix entries must be finite numbers")
+        _require_finite(m)
         drift = np.max(np.abs(m - m.conj().T), initial=0.0)
         limit = HERMITICITY_TOL * np.max(np.abs(m), initial=1.0)
         if drift > limit:
@@ -49,12 +53,19 @@ class HermitianMatrix:
         return self.entries.shape[0]
 
 
-def hermitian_eig(m):
+def hermitian_eig(m, *, exact=False):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues real and
     ascending and eigenvectors as orthonormal columns of a unitary matrix.
+    An array that is not a ``HermitianMatrix`` is validated as one first,
+    unless ``exact`` says it is exactly Hermitian by construction (a real
+    diagonal plus a real multiple of a ``HermitianMatrix``'s entries): then
+    only its entries are checked to be finite, which the multiple can fail.
     """
+    if exact:
+        _require_finite(m)
+        return np.linalg.eigh(m)
     if not isinstance(m, HermitianMatrix):
         m = HermitianMatrix(m)
     return np.linalg.eigh(m.entries)

@@ -1,7 +1,9 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -99,6 +101,76 @@ def test_model_file_errors_carry_location(tmp_path):
     )
     with pytest.raises(ModelFileError, match="'delta'"):
         load_model(bad_type)
+
+
+def test_model_file_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'{"kind": "two-state", "mu": 0.0, "delta": 1.0, "x": 0.5, "eps": 0.25}\xff')
+    assert run("two-state", "exact", "--model", str(path)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: not UTF-8 text: invalid start byte at byte 69\n"
+    )
+
+
+# ---------------------------------------------------------------------------
+# the one-entry model store
+
+
+def test_same_model_text_under_two_paths_loads_one_model(tmp_path):
+    text = json.dumps(EMBED)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(text)
+    second.write_text(text)
+    assert load_model(first) is load_model(second)
+
+
+def test_same_size_rewrite_with_the_same_timestamp_is_parsed_again(tmp_path):
+    # the store is keyed by content: a rewrite that keeps the size and the
+    # modification time still loads the new model
+    path = write_model(tmp_path, x=0.5)
+    text = path.read_text()
+    before = path.stat()
+    assert load_model(path).x == 0.5
+    rewritten = text.replace('"x": 0.5', '"x": 0.7')
+    assert len(rewritten) == len(text) and rewritten != text
+    path.write_text(rewritten)
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    assert load_model(path).x == 0.7
+
+
+def test_failed_loads_keep_the_stored_model_and_name_their_own_path(tmp_path):
+    good = write_model(tmp_path)
+    model = load_model(good)
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    with pytest.raises(ModelFileError, match=f"^{re.escape(str(bad_json))}: invalid JSON"):
+        load_model(bad_json)
+    degenerate = tmp_path / "degenerate.json"
+    degenerate.write_text(json.dumps({**EMBED, "x": -0.5}))
+    with pytest.raises(ModelFileError,
+                       match=f"^{re.escape(str(degenerate))}: coupling x must be > 0"):
+        load_model(degenerate)
+    assert load_model(good) is model
+
+
+@pytest.mark.parametrize("base", [EMBED, TWO], ids=["n-state", "two-state"])
+def test_stored_model_cannot_be_changed(tmp_path, base):
+    # one model serves every load of its text, so no load can change it
+    model = load_model(write_model(tmp_path, base))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.x = 1.0
+    if base is EMBED:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.v.entries = np.zeros((2, 2))
+        with pytest.raises(ValueError, match="read-only"):
+            model.energies[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            model.v.entries[0, 1] = 0.0
+    assert load_model(write_model(tmp_path, base)) is model
+    saved = model_to_dict(model)
+    assert {key: saved[key] for key in base} == base
 
 
 # ---------------------------------------------------------------------------
@@ -1212,9 +1284,14 @@ def _subparsers(parser):
 
 
 def test_parser_surface():
-    # every subcommand's flags: option strings, type, default, choices, required
+    # every subcommand's flags: option strings, type, default, choices,
+    # required; batch takes the one positional FILE and no flag
     seen = {}
-    for group, group_parser in _subparsers(build_parser()).items():
+    groups = _subparsers(build_parser())
+    batch = groups.pop("batch")
+    assert [(a.dest, a.option_strings, a.required) for a in batch._actions
+            if not isinstance(a, argparse._HelpAction)] == [("file", [], True)]
+    for group, group_parser in groups.items():
         for command, parser in _subparsers(group_parser).items():
             flags = {}
             for action in parser._actions:
@@ -1275,7 +1352,7 @@ def test_every_csv_report_has_a_header_and_a_row(tmp_path, command):
 
 
 def test_main_builds_the_parser_once_per_process(tmp_path, monkeypatch):
-    # one tree is 17 parsers: the root, two groups and 14 subcommands
+    # one tree is 18 parsers: the root, two groups, 14 subcommands and batch
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -1301,7 +1378,7 @@ def test_main_builds_the_parser_once_per_process(tmp_path, monkeypatch):
         main(["two-state", "phase", "--order", "abc"])
     assert exc.value.code == 2
     per_call.append(len(built) - before)
-    assert sum(per_call) <= 17
+    assert sum(per_call) <= 18
     assert per_call[1:] == [0, 0, 0, 0]
 
 

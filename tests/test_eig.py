@@ -51,6 +51,17 @@ def test_random_reconstruction_and_residuals(n):
             assert np.linalg.norm(m @ v[:, k] - w[k] * v[:, k]) <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_exact_input_gives_the_validated_bits(n):
+    # a real diagonal plus a real multiple of a validated matrix is exactly
+    # Hermitian, so validating it again would keep it bit for bit
+    rng = np.random.default_rng(n)
+    h = np.diag(rng.normal(size=n)) + 0.37 * HermitianMatrix(random_hermitian(rng, n)).entries
+    w, v = hermitian_eig(h, exact=True)
+    w_checked, v_checked = hermitian_eig(h)
+    assert np.array_equal(w, w_checked) and np.array_equal(v, v_checked)
+
+
 def test_eigenvalues_real_for_complex_hermitian():
     rng = np.random.default_rng(99)
     m = random_hermitian(rng, 6)
@@ -74,6 +85,8 @@ def test_rejects_non_finite_entries(bad):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="finite"):
             hermitian_eig(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(DomainError, match="finite"):
+            hermitian_eig(np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex), exact=True)
         with pytest.raises(DomainError, match="finite"):
             HermitianMatrix(np.array([[0.0, bad], [bad, 1.0]]))
 
