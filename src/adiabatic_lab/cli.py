@@ -33,7 +33,7 @@ from .errors import (
     IntegrationError,
     LabError,
 )
-from .modelio import generate_nstate_model, load_model, save_model
+from .modelio import generate_nstate_model, load_model, read_text, save_model
 from .report import RunReport, Table, emit
 
 log = logging.getLogger("adiabatic_lab")
@@ -636,15 +636,12 @@ def _batch(source) -> int:
     if every line ran cleanly, else the first failing line's code."""
     try:
         if source == "-":
-            text = sys.stdin.read()
+            text = read_text(sys.stdin, source)
         else:
             with open(source, encoding="utf-8") as fh:
-                text = fh.read()
-    except OSError as exc:
+                text = read_text(fh, source)
+    except (LabError, OSError) as exc:
         return _error(exc)
-    except UnicodeDecodeError as exc:
-        return _error(DomainError(f"{source}: not UTF-8 text: {exc.reason} "
-                                  f"at byte {exc.start}"))
     first = 0
     for number, line in enumerate(text.split("\n"), 1):
         if line.strip():

@@ -22,6 +22,7 @@ __all__ = [
     "ModelFileError",
     "load_model",
     "model_to_dict",
+    "read_text",
     "save_model",
     "generate_nstate_model",
 ]
@@ -102,6 +103,17 @@ def _model_from_dict(data, where):
     )
 
 
+def read_text(fh, name):
+    """All the text of the open text file ``fh``; bytes it cannot decode
+    raise a ModelFileError that names the file as ``name``."""
+    try:
+        return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(
+            f"{name}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+
+
 # the last model loaded and the full text of its file; a load of the same
 # text returns this model, which is frozen and holds read-only arrays
 _last_load = (None, None)
@@ -120,11 +132,7 @@ def load_model(path):
     """
     global _last_load
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ModelFileError(f"{path}: not UTF-8 text: {exc.reason} "
-                                 f"at byte {exc.start}") from None
+        text = read_text(fh, path)
     last_text, last_model = _last_load
     if text == last_text:
         return last_model

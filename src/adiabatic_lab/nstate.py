@@ -96,8 +96,8 @@ class NStateModel:
                 f"levels {g} and {worst} are separated by {gaps[worst]:.3e}, "
                 f"below the degeneracy floor {floor:.3e}"
             )
-        e.flags.writeable = False
-        object.__setattr__(self, "energies", e)
+        # on an immutable buffer: no flag can make the energies writeable again
+        object.__setattr__(self, "energies", np.frombuffer(e.tobytes()))
         object.__setattr__(self, "v", v)
 
     @property
@@ -422,7 +422,7 @@ def oracle_shift(model: NStateModel) -> float:
     Raises ContinuationError when no eigenvector holds a majority weight,
     i.e. the coupling is too strong for perturbative tracking.
     """
-    w, vecs = hermitian_eig(model.hamiltonian(), exact=True)
+    w, vecs = hermitian_eig(model.hamiltonian())
     weights = np.abs(vecs[model.ground_index, :]) ** 2
     k = int(np.argmax(weights))
     if weights[k] < OVERLAP_FLOOR:

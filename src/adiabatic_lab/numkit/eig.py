@@ -1,4 +1,5 @@
-"""Dense Hermitian eigensolver: validation in front of LAPACK's ``eigh``.
+"""Dense Hermitian eigensolver: a validated Hermitian matrix type and LAPACK's
+``eigh``.
 
 The exact-diagonalization route shares no code with the series routes it
 checks; LAPACK is as independent of them as any hand-written solver.
@@ -26,7 +27,8 @@ def _require_finite(m):
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
     """Square complex matrix validated to be Hermitian on construction; it
-    keeps the Hermitian part of what it validated."""
+    keeps the Hermitian part of what it validated, in entries that no flag
+    can make writeable again."""
 
     entries: np.ndarray
 
@@ -45,7 +47,7 @@ class HermitianMatrix:
         # exactly Hermitian (sums commute), so a matrix built from it passes
         # this check at its own scale; halving cannot overflow as A + A^H can
         m = m / 2 + m.conj().T / 2
-        m.flags.writeable = False
+        m = np.frombuffer(m.tobytes(), dtype=complex).reshape(m.shape)
         object.__setattr__(self, "entries", m)
 
     @property
@@ -53,19 +55,19 @@ class HermitianMatrix:
         return self.entries.shape[0]
 
 
-def hermitian_eig(m, *, exact=False):
+def hermitian_eig(m):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues real and
     ascending and eigenvectors as orthonormal columns of a unitary matrix.
-    An array that is not a ``HermitianMatrix`` is validated as one first,
-    unless ``exact`` says it is exactly Hermitian by construction (a real
-    diagonal plus a real multiple of a ``HermitianMatrix``'s entries): then
-    only its entries are checked to be finite, which the multiple can fail.
+    A ``HermitianMatrix`` is taken as its entries. Any other square array is
+    taken to be Hermitian already (``eigh`` reads its lower triangle) and
+    is only checked to be finite: a real diagonal plus a real multiple of a
+    ``HermitianMatrix``'s entries, as the exact route builds, is Hermitian
+    by construction but can overflow.
     """
-    if exact:
-        _require_finite(m)
-        return np.linalg.eigh(m)
-    if not isinstance(m, HermitianMatrix):
-        m = HermitianMatrix(m)
-    return np.linalg.eigh(m.entries)
+    if isinstance(m, HermitianMatrix):
+        m = m.entries
+    m = np.asarray(m, dtype=complex)
+    _require_finite(m)
+    return np.linalg.eigh(m)

@@ -168,6 +168,10 @@ def test_stored_model_cannot_be_changed(tmp_path, base):
             model.energies[0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             model.v.entries[0, 1] = 0.0
+        # a read-only flag alone could be set back
+        for array in (model.energies, model.v.entries):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                array.flags.writeable = True
     assert load_model(write_model(tmp_path, base)) is model
     saved = model_to_dict(model)
     assert {key: saved[key] for key in base} == base
