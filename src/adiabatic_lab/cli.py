@@ -510,6 +510,8 @@ _FLAGS = {
     "--gap": {"type": float, "default": 1.0},
     "--vscale": {"type": float, "default": 1.0},
 }
+# the flags that take a float; see _parse
+_FLOAT_FLAGS = frozenset(flag for flag, kw in _FLAGS.items() if kw.get("type") is float)
 _OUTPUT = ("--out", "--format")
 _TWO = (("--model", {"help": "two-state model JSON file"}), "--mu", "--delta", "--x",
         "--eps", *_OUTPUT)
@@ -592,13 +594,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_float(text) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse(argv):
+    """``argv`` (the process's arguments if None) parsed by the shared
+    parser.
+
+    A float flag followed by a value that begins with '-' is first joined
+    to it as ``--flag=value``, for every spelling that ``float`` accepts.
+    argparse takes a separate token that begins with '-' for a flag unless
+    its internal negative-number pattern matches, which may change between
+    versions and on 3.10 to 3.13 matches no exponent (-2.5e1) and no inf;
+    the joined form is a value on every version. Tokens after a bare
+    ``--`` are left as they are.
+    """
+    argv = list(sys.argv[1:] if argv is None else argv)
+    i = 0
+    while i < len(argv) - 1 and argv[i] != "--":
+        flag, value = argv[i], argv[i + 1]
+        if flag in _FLOAT_FLAGS and value.startswith("-") and _is_float(value):
+            argv[i : i + 2] = [f"{flag}={value}"]
+        i += 1
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
     """Run one command, or a batch of them; returns its exit code. The
     parser is built on the first call in a process and reused by later
     ones."""
     level = os.environ.get("ADIABATIC_LAB_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     if args.group == "batch":
         return _batch(args.file)
     return _run(args)
@@ -661,7 +693,7 @@ def _batch_line(line) -> int:
     if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
         return _error(DomainError(f"batch line is not a JSON array of strings: {line!r}"))
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:  # argparse has printed its usage error
         return exc.code
     if args.group == "batch":

@@ -52,6 +52,11 @@ OVERLAP_FLOOR = 0.5
 START_THRESHOLD = 1e-8
 
 
+def _immutable(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` on an immutable buffer: no flag can make it writeable."""
+    return np.frombuffer(a.tobytes(), dtype=a.dtype).reshape(a.shape)
+
+
 @dataclass(frozen=True, eq=False)
 class NStateModel:
     """Unperturbed energies, Hermitian perturbation, coupling and switching
@@ -96,8 +101,7 @@ class NStateModel:
                 f"levels {g} and {worst} are separated by {gaps[worst]:.3e}, "
                 f"below the degeneracy floor {floor:.3e}"
             )
-        # on an immutable buffer: no flag can make the energies writeable again
-        object.__setattr__(self, "energies", np.frombuffer(e.tobytes()))
+        object.__setattr__(self, "energies", _immutable(e))
         object.__setattr__(self, "v", v)
 
     @property
@@ -174,10 +178,26 @@ def dyson2(model: NStateModel, t: float) -> np.ndarray:
 # projector recursion
 
 
+# the last recursion run: its model, its arguments (order, jet_order,
+# at_eps) and its (xi, phi); only a call with the same model object and
+# equal arguments reads it
+_last_recursion = (None, None, None)
+
+
 def rs_recursion(
     model: NStateModel, order: int, jet_order: int, at_eps: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the projector recursion to ``order`` powers of the coupling.
+
+    The process keeps one entry: the last model object, its arguments and
+    its result. A call with that same model object and equal arguments
+    returns the stored pair, as the split, assemble and compare commands
+    of one model in one batch all run the same recursion; any other call
+    runs the recursion and replaces the entry, unless it raises. The key is
+    object identity, which is safe because a model is frozen and keeps its
+    arrays on immutable buffers; the stored arrays sit on immutable buffers
+    too, so no caller can change what a later call reads. Two threads that
+    run at once each get their own result, and the last one keeps the entry.
 
     Returns the read-only pair ``(xi, phi)``: ``xi[n-1, k]`` is the k-th jet
     coefficient of the order-n phase coefficient and ``phi[n-1, :, k]`` that
@@ -197,6 +217,18 @@ def rs_recursion(
     j + l = k. With a = (E_k - E_g) - 1j * n * at_eps, the jet of
     b / (a - n s) is c_k = (b_k + n c_{k-1}) / a, Horner's rule in s.
     """
+    global _last_recursion
+    last_model, last_args, last_result = _last_recursion
+    args = (order, jet_order, at_eps)
+    if model is last_model and args == last_args:
+        return last_result
+    result = _recursion(model, *args)
+    _last_recursion = (model, args, result)
+    return result
+
+
+def _recursion(model, order, jet_order, at_eps):
+    """The body of ``rs_recursion``, run on every call that misses its store."""
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
     if jet_order < 0:
@@ -236,9 +268,7 @@ def rs_recursion(
                     b = b - pair[j, :, k - j]
                 phi[n, :, k] = c = (n * c - b) / a
 
-    xi.flags.writeable = False
-    phi.flags.writeable = False
-    return xi, phi[1:]
+    return _immutable(xi), _immutable(phi[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +443,10 @@ def evolve_nstate(model: NStateModel, t_end: float, tol: float) -> Trajectory:
     )
 
 
+# the last model whose shift was found, and that shift
+_last_shift = (None, None)
+
+
 def oracle_shift(model: NStateModel) -> float:
     """Exact level shift: eigenvalue of the fully coupled Hamiltonian whose
     eigenvector carries the most probability on the tracked basis state
@@ -421,7 +455,17 @@ def oracle_shift(model: NStateModel) -> float:
 
     Raises ContinuationError when no eigenvector holds a majority weight,
     i.e. the coupling is too strong for perturbative tracking.
+
+    The process keeps one entry, as ``rs_recursion`` does: the last model
+    object whose shift was found, and that shift. The same model object
+    again returns it with no eigensolve, as the oracle and compare commands
+    of one model in one batch ask for the same shift; a failing call
+    stores nothing.
     """
+    global _last_shift
+    last_model, last_shift = _last_shift
+    if model is last_model:
+        return last_shift
     w, vecs = hermitian_eig(model.hamiltonian())
     weights = np.abs(vecs[model.ground_index, :]) ** 2
     k = int(np.argmax(weights))
@@ -430,4 +474,6 @@ def oracle_shift(model: NStateModel) -> float:
             f"largest eigenvector weight on the tracked state is "
             f"{weights[k]:.3f} < {OVERLAP_FLOOR}; adiabatic continuation ambiguous"
         )
-    return float(w[k] - model.ground_energy)
+    shift = float(w[k] - model.ground_energy)
+    _last_shift = (model, shift)
+    return shift

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from adiabatic_lab import modelio
+from adiabatic_lab import modelio, nstate
 from adiabatic_lab.cli import main
 
 # the shape of the benchmark's three command lists: four two-state compare
@@ -72,6 +72,30 @@ def test_batch_reports_are_the_one_shot_bytes(tmp_path, monkeypatch, capsys, com
     assert batched_out.err == alone_out.err == ""
     assert files(batched) == files(alone)
     assert len(files(alone)) == len(lines)
+
+
+def test_one_models_routes_run_one_recursion_and_one_eigensolve(tmp_path, monkeypatch,
+                                                               capsys):
+    # split, assemble and compare run one recursion, oracle and compare one
+    # eigensolve: the one model object of the batch hits the stores
+    monkeypatch.chdir(tmp_path)
+    # empty stores: no earlier test's model object or result is read
+    monkeypatch.setattr(modelio, "_last_load", (None, None))
+    monkeypatch.setattr(nstate, "_last_recursion", (None, None, None))
+    monkeypatch.setattr(nstate, "_last_shift", (None, None))
+    runs = []
+    for name in ("_recursion", "hermitian_eig"):
+        def counted(*args, name=name, fn=getattr(nstate, name)):
+            runs.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(nstate, name, counted)
+    gen, *routes = many_level()[:5]
+    assert [argv[1] for argv in routes] == ["split", "assemble", "oracle", "compare"]
+    assert main(gen) == 0
+    assert main(["batch", str(write_batch(tmp_path / "lines.txt", routes))]) == 0
+    assert sorted(runs) == ["_recursion", "hermitian_eig"]
+    assert capsys.readouterr().err == ""
 
 
 def test_failing_lines_report_their_code_and_the_batch_goes_on(tmp_path, monkeypatch,

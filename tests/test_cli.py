@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from adiabatic_lab import nstate, twostate
-from adiabatic_lab.cli import build_parser, main
+from adiabatic_lab.cli import _parse, build_parser, main
 from adiabatic_lab.modelio import (
     ModelFileError,
     generate_nstate_model,
@@ -1291,7 +1291,8 @@ def test_parser_surface():
     # every subcommand's flags: option strings, type, default, choices,
     # required; batch takes the one positional FILE and no flag
     seen = {}
-    groups = _subparsers(build_parser())
+    # a copy: the parser is shared by every later call in the process
+    groups = dict(_subparsers(build_parser()))
     batch = groups.pop("batch")
     assert [(a.dest, a.option_strings, a.required) for a in batch._actions
             if not isinstance(a, argparse._HelpAction)] == [("file", [], True)]
@@ -1338,6 +1339,62 @@ def test_abbreviated_flags_are_refused(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(argv[2:])}" in capsys.readouterr().err
+
+
+# every float flag of every subcommand
+FLOAT_FLAGS = sorted((*key, flag) for key, flags in EXPECTED_FLAGS.items()
+                     for flag, (kind, *_) in flags.items() if kind is float)
+
+
+@pytest.mark.parametrize("spelling", ["-2.5e1", "-1E1", "-1e-3", "-.5e+2", "-2.5", "-inf"])
+@pytest.mark.parametrize("group, command, flag", FLOAT_FLAGS)
+def test_negative_float_values_parse_in_every_spelling(group, command, flag, spelling):
+    # argparse's own negative-number pattern takes no exponent and no inf on
+    # Python 3.10 to 3.13; the value is the float of its spelling
+    argv = [group, command, flag, spelling]
+    if command == "gen":
+        argv += ["--seed", "1", "--levels", "2"]
+    assert getattr(_parse(argv), flag[2:].replace("-", "_")) == float(spelling)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["two-state", "evolve", "--t-end", "-2.5e1"], ["two-state", "compare", "--mu", "-1e-3"],
+     ["two-state", "compare", "--t", "-1E1"], ["n-state", "evolve", "--t-end", "-1e1"]],
+    ids=["two-state-evolve-t-end", "two-state-compare-mu", "two-state-compare-t",
+         "n-state-evolve-t-end"],
+)
+def test_negative_exponent_values_run_as_their_joined_form(tmp_path, capsys, argv):
+    # a separate value and the --flag=value form run the same command, alone
+    # and as a batch line
+    if argv[0] == "n-state":
+        argv = [*argv, "--model", str(write_model(tmp_path))]
+    joined = [*argv[:2], f"{argv[2]}={argv[3]}", *argv[4:]]
+    assert main(joined) == 0
+    expected = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+    lines = tmp_path / "lines.txt"
+    lines.write_text(json.dumps(argv) + "\n", encoding="utf-8")
+    assert main(["batch", str(lines)]) == 0
+    assert capsys.readouterr() == (expected, "")
+
+
+def test_a_flag_after_a_float_flag_stays_a_flag(capsys):
+    # only a value that float accepts is joined to the flag before it
+    with pytest.raises(SystemExit) as exc:
+        main(["two-state", "evolve", "--t-end", "--tol", "1e-8"])
+    assert exc.value.code == 2
+    assert "argument --t-end: expected one argument" in capsys.readouterr().err
+
+
+def test_values_after_a_bare_double_dash_are_not_joined(capsys):
+    # after --, every token is a positional: batch takes --t as its file and
+    # refuses the second, where a joined --t=-1e1 would be one file name
+    with pytest.raises(SystemExit) as exc:
+        main(["batch", "--", "--t", "-1e1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: -1e1\n")
 
 
 @pytest.mark.parametrize(

@@ -413,6 +413,47 @@ def test_recursion_agrees_with_the_complex_rate_jets_property(
     )
 
 
+def test_recursion_store_hits_only_the_same_model_and_arguments(monkeypatch):
+    runs, body = [], nstate._recursion
+
+    def counted(*args):
+        runs.append(args)
+        return body(*args)
+
+    monkeypatch.setattr(nstate, "_recursion", counted)
+    monkeypatch.setattr(nstate, "_last_recursion", (None, None, None))
+    model = random_model(3, 5)
+    # equal numbers, another object
+    twin = NStateModel(model.energies, model.v, model.x, model.eps)
+    stored = rs_recursion(model, 6, 1)
+    assert rs_recursion(model, 6, 1) is stored
+    assert len(runs) == 1
+    # another model object, order, jet order or expansion point runs the body
+    for args in ((twin, 6, 1), (model, 7, 1), (model, 6, 2), (model, 6, 1, model.eps)):
+        before = len(runs)
+        result = rs_recursion(*args)
+        assert len(runs) == before + 1
+        assert rs_recursion(*args) is result
+        assert len(runs) == before + 1
+    np.testing.assert_array_equal(rs_recursion(twin, 6, 1)[1], stored[1])
+    # a failing call stores nothing: the entry it met stays
+    last = rs_recursion(model, 6, 1)
+    for args in ((model, 0, 1), (model, 6, -1)):
+        with pytest.raises(DomainError):
+            rs_recursion(*args)
+    before = len(runs)
+    assert rs_recursion(model, 6, 1) is last
+    assert len(runs) == before
+
+
+@pytest.mark.parametrize("at_eps", [0.0, 0.25])
+def test_stored_recursion_cannot_be_made_writeable(at_eps):
+    for array in rs_recursion(random_model(3, 5), 6, 1, at_eps):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array.flags.writeable = True
+
+
 def test_recursion_calls_no_jet_kernel_and_is_real_for_a_real_v(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the recursion called a jet kernel or np.tensordot")
@@ -725,19 +766,30 @@ def test_evolve_generator_products_pinned(monkeypatch):
     # stand in for right-hand-side calls: two at the start (the derivative
     # that ode_evolve takes and the ramp kernel's first stage), one to size
     # the first step, eleven per trial step and one per accepted step but
-    # the last (first same as last). They are counted at np.dot, which the
-    # kernel looks up when it is built and the ramp looks up per call
+    # the last (first same as last). They are counted on a generator of a
+    # counting ndarray subclass: the kernel calls its bound dot method, and
+    # the ramp called as a right-hand side passes it to np.dot
     monkeypatch.setattr(ode, "MAX_STEPS", 1000)
     model = generate_nstate_model(seed=7, levels=6)
     generators = []
-    dot = np.dot
 
-    def counting(a, b, out=None):
-        if a.ndim == 2 and a.dtype == np.float64:
-            generators.append(a)
-        return dot(a, b, out)
+    class Counting(np.ndarray):
+        def dot(self, b, out=None):
+            generators.append(self)
+            return self.view(np.ndarray).dot(b, out)
 
-    monkeypatch.setattr(np, "dot", counting)
+        def __array_function__(self, func, types, args, kwargs):
+            if func is np.dot and args[0] is self:
+                generators.append(self)
+            plain = [a.view(np.ndarray) if isinstance(a, Counting) else a for a in args]
+            return func(*plain, **kwargs)
+
+    def counting_ramp(*args):
+        ramp = Ramp(*args)
+        object.__setattr__(ramp, "generator", ramp.generator.view(Counting))
+        return ramp
+
+    monkeypatch.setattr(nstate, "Ramp", counting_ramp)
     traj = evolve_nstate(model, 0.0, 1e-10)
     assert (traj.accepted_steps, traj.rejected_steps, len(generators)) == (119, 0, 1430)
     assert len(generators) == 2 + 12 * traj.accepted_steps + 11 * traj.rejected_steps
@@ -1066,6 +1118,31 @@ def test_oracle_continuation_failure_for_strong_coupling():
     m = NStateModel(energies=energies, v=HermitianMatrix(v), x=200.0, eps=0.25)
     with pytest.raises(ContinuationError, match="ambiguous"):
         oracle_shift(m)
+
+
+def test_oracle_shift_store_hits_only_the_same_model_and_keeps_no_failure(monkeypatch):
+    eigs, eig = [], nstate.hermitian_eig
+
+    def counted(m):
+        eigs.append(m)
+        return eig(m)
+
+    monkeypatch.setattr(nstate, "hermitian_eig", counted)
+    monkeypatch.setattr(nstate, "_last_shift", (None, None))
+    model = random_model(3, 5)
+    # equal numbers, another object
+    twin = NStateModel(model.energies, model.v, model.x, model.eps)
+    energies, v = random_hermitian_model_arrays(1, 8, 1.0, 1.0)
+    strong = NStateModel(energies=energies, v=HermitianMatrix(v), x=200.0, eps=0.25)
+    shift = oracle_shift(model)
+    assert (oracle_shift(model), len(eigs)) == (shift, 1)
+    assert (oracle_shift(twin), len(eigs)) == (shift, 2)
+    # a failing call stores nothing: it fails again, and the entry it met stays
+    for _ in range(2):
+        with pytest.raises(ContinuationError):
+            oracle_shift(strong)
+    assert (oracle_shift(twin), len(eigs)) == (shift, 4)
+    assert (oracle_shift(model), len(eigs)) == (shift, 5)
 
 
 def test_oracle_convergence_order_of_truncated_series():
