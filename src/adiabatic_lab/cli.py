@@ -510,8 +510,8 @@ _FLAGS = {
     "--gap": {"type": float, "default": 1.0},
     "--vscale": {"type": float, "default": 1.0},
 }
-# the flags that take a float; see _parse
-_FLOAT_FLAGS = frozenset(flag for flag, kw in _FLAGS.items() if kw.get("type") is float)
+# the flags that take a float or an int; see _parse
+_NUMBER_FLAGS = frozenset(flag for flag, kw in _FLAGS.items() if kw.get("type") in (float, int))
 _OUTPUT = ("--out", "--format")
 _TWO = (("--model", {"help": "two-state model JSON file"}), "--mu", "--delta", "--x",
         "--eps", *_OUTPUT)
@@ -552,7 +552,6 @@ _COMMANDS = {
 }
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The whole ``adiabatic-lab`` argument tree, built on the first call and
     shared by every later one in the process.
@@ -563,6 +562,13 @@ def build_parser() -> argparse.ArgumentParser:
     tree as it was, so sharing it is safe as long as callers do not mutate
     the returned parser.
     """
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers():
+    """The tree of ``build_parser`` and a dict of its subcommand parsers by
+    (group, subcommand), built once per process."""
     # no parser expands an abbreviated flag: one that a subcommand lacks
     # would otherwise set another, as --t sets sweep-eps's --tol
     parser = argparse.ArgumentParser(
@@ -572,11 +578,13 @@ def build_parser() -> argparse.ArgumentParser:
         "phase-recursion and ODE routes with cross-validation.",
     )
     groups = parser.add_subparsers(dest="group", required=True)
+    leaves = {}
     for group, (group_help, load, commands) in _COMMANDS.items():
         sub = groups.add_parser(group, help=group_help, allow_abbrev=False)
         sub = sub.add_subparsers(dest="command", required=True)
         for name, help_text, func, flags, *own_load in commands:
-            p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+            p = leaves[group, name] = sub.add_parser(name, help=help_text,
+                                                     allow_abbrev=False)
             echo = []
             for flag in flags:
                 flag, overrides = (flag, {}) if isinstance(flag, str) else flag
@@ -591,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     batch.add_argument("file", help="the batch file; - reads stdin")
-    return parser
+    return parser, leaves
 
 
 def _is_float(text) -> bool:
@@ -606,22 +614,37 @@ def _parse(argv):
     """``argv`` (the process's arguments if None) parsed by the shared
     parser.
 
-    A float flag followed by a value that begins with '-' is first joined
-    to it as ``--flag=value``, for every spelling that ``float`` accepts.
-    argparse takes a separate token that begins with '-' for a flag unless
-    its internal negative-number pattern matches, which may change between
-    versions and on 3.10 to 3.13 matches no exponent (-2.5e1) and no inf;
-    the joined form is a value on every version. Tokens after a bare
+    A float or int flag followed by a value that begins with '-' is first
+    joined to it as ``--flag=value``, for every spelling that ``float``
+    accepts. argparse takes a separate token that begins with '-' for a
+    flag unless its internal negative-number pattern matches, which may
+    change between versions and on 3.10 to 3.13 matches no exponent
+    (-2.5e1) and no inf; the joined form is a value on every version, and
+    an int flag then refuses it as an invalid int. Tokens after a bare
     ``--`` are left as they are.
+
+    Where the first two tokens name a subcommand and no bare ``--`` is
+    given, that subcommand's parser alone parses the rest, which is what
+    the tree hands it, at about a third of the tree's cost; its help and its
+    errors are the tree's, as it is the same parser object. A line with a
+    token it leaves over goes to the whole tree, whose "unrecognized
+    arguments" error names the tree's usage.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     i = 0
     while i < len(argv) - 1 and argv[i] != "--":
         flag, value = argv[i], argv[i + 1]
-        if flag in _FLOAT_FLAGS and value.startswith("-") and _is_float(value):
+        if flag in _NUMBER_FLAGS and value.startswith("-") and _is_float(value):
             argv[i : i + 2] = [f"{flag}={value}"]
         i += 1
-    return build_parser().parse_args(argv)
+    tree, leaves = _parsers()
+    leaf = leaves.get(tuple(argv[:2]))
+    if leaf is not None and "--" not in argv:
+        args, left_over = leaf.parse_known_args(argv[2:])
+        if not left_over:
+            args.group, args.command = argv[:2]
+            return args
+    return tree.parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -1397,6 +1397,137 @@ def test_values_after_a_bare_double_dash_are_not_joined(capsys):
     assert capsys.readouterr().err.endswith("error: unrecognized arguments: -1e1\n")
 
 
+# every int flag of every subcommand
+INT_FLAGS = sorted((*key, flag) for key, flags in EXPECTED_FLAGS.items()
+                   for flag, (kind, *_) in flags.items() if kind is int)
+
+
+def _required(command, flag=None):
+    """The flags ``command`` requires, other than ``flag``, with values."""
+    if command != "gen":
+        return []
+    return [token for required in ("--seed", "--levels") if required != flag
+            for token in (required, "1")]
+
+
+def _parse_outcome(capsys, parse, argv):
+    """The namespace's vars, or the exit code, of ``parse(argv)``, with what
+    it printed."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr()
+
+
+@pytest.mark.parametrize("spelling", ["-1e1", "-2.5E1", "-inf"])
+@pytest.mark.parametrize("group, command, flag", INT_FLAGS)
+def test_negative_float_spellings_of_int_flags_are_invalid_ints(capsys, group, command, flag,
+                                                                 spelling):
+    # joined to the flag, as a float flag's value is: argparse names the
+    # invalid int, as for --flag=value, where it would otherwise ask for an
+    # argument
+    argv = [group, command, flag, spelling, *_required(command, flag)]
+    joined = [group, command, f"{flag}={spelling}", *_required(command, flag)]
+    outcome = _parse_outcome(capsys, _parse, argv)
+    assert outcome == _parse_outcome(capsys, _parse, joined)
+    assert outcome[0] == 2
+    assert outcome[1].err.endswith(f"error: argument {flag}: invalid int value: '{spelling}'\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["two-state", "phase", "--order", "-1e1"],
+     ["n-state", "gen", "--seed", "-1e1", "--levels", "2", "--out", "m.json"],
+     ["n-state", "gen", "--levels", "-1e1", "--seed", "1", "--out", "m.json"]],
+    ids=["order", "seed", "levels"],
+)
+def test_negative_exponent_int_values_exit_2_alone_and_in_a_batch(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    alone = capsys.readouterr()
+    assert alone.out == ""
+    assert f"argument {argv[2]}: invalid int value: '-1e1'" in alone.err
+    lines = tmp_path / "lines.txt"
+    lines.write_text(json.dumps(argv) + "\n", encoding="utf-8")
+    assert main(["batch", str(lines)]) == 2
+    assert capsys.readouterr() == ("", alone.err + "batch: line 1 exited 2\n")
+
+
+def _argv_grid(group, command):
+    """argv for one subcommand: its defaults, every flag set (as separate
+    tokens, as --flag=value and with negative numbers) and a repeated flag."""
+    flags = EXPECTED_FLAGS[group, command]
+    values = {float: "0.75", int: "7", None: "file.json"}
+    negative = {float: "-2.5", int: "-3", None: "file.json"}
+
+    def value(flag, table):
+        kind, _, choices, _ = flags[flag]
+        return choices[0] if choices else "0.1:0.5:3" if flag == "--eps-grid" else table[kind]
+
+    base = [group, command, *_required(command)]
+    spaced = [token for flag in flags for token in (flag, value(flag, values))]
+    joined = [f"{flag}={value(flag, negative)}" for flag in flags]
+    negatives = [token for flag in flags for token in (flag, value(flag, negative))]
+    first = next(iter(flags))
+    repeated = [first, value(first, values), first, value(first, negative)]
+    return [base, [group, command, *spaced], [group, command, *joined],
+            [group, command, *negatives], [*base, *repeated]]
+
+
+@pytest.mark.parametrize("group, command", sorted(EXPECTED_FLAGS))
+def test_a_subcommand_parser_alone_parses_as_the_tree_does(capsys, group, command):
+    # _parse hands a line that names a subcommand to that subcommand's
+    # parser; the namespace must be the tree's
+    for argv in _argv_grid(group, command):
+        assert vars(_parse(argv)) == vars(build_parser().parse_args(argv)), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["two-state", "evolve", "--bogus", "1"],
+     ["n-state", "split", "--order", "5", "extra"],
+     ["two-state", "evolve", "--tol", "abc"],
+     ["two-state", "phase", "--format", "xml"],
+     ["n-state", "gen", "--out", "m.json"],
+     ["n-state", "gen", "--seed", "1"],
+     ["n-state", "gen", "--levels", "2"],
+     ["two-state", "compare", "-h"],
+     ["n-state", "gen", "-h"],
+     ["two-state", "evolve", "--", "--tol", "1"],
+     ["two-state"],
+     ["two-state", "bogus"]],
+    ids=["unknown-flag", "extra-token", "bad-float", "bad-choice", "no-seed-or-levels",
+         "no-levels", "no-seed", "help", "gen-help", "double-dash", "no-subcommand",
+         "unknown-subcommand"],
+)
+def test_errors_and_help_are_the_trees_bytes(capsys, argv):
+    # usage errors, help and their exit codes are byte-identical to the
+    # whole tree's, on either path of _parse
+    assert _parse_outcome(capsys, _parse, argv) == _parse_outcome(
+        capsys, build_parser().parse_args, argv
+    )
+
+
+def test_only_a_line_with_left_over_tokens_reaches_the_tree(monkeypatch):
+    # a clean subcommand line is parsed by its own parser; the tree sees a
+    # line that parser leaves a token of, and a line with a bare --
+    tree = build_parser()
+    seen = []
+    parse_args = tree.parse_args
+    monkeypatch.setattr(tree, "parse_args", lambda argv: seen.append(argv) or parse_args(argv))
+    _parse(["two-state", "phase", "--order", "20"])
+    _parse(["n-state", "gen", "--seed", "1", "--levels", "2"])
+    assert seen == []
+    _parse(["batch", "lines.txt"])
+    for argv in (["two-state", "phase", "--bogus"], ["two-state", "phase", "--order", "20", "--"]):
+        with pytest.raises(SystemExit):
+            _parse(argv)
+    assert seen == [["batch", "lines.txt"], ["two-state", "phase", "--bogus"],
+                    ["two-state", "phase", "--order", "20", "--"]]
+
+
 @pytest.mark.parametrize(
     "command",
     sorted(" ".join(key) for key, flags in EXPECTED_FLAGS.items() if "--format" in flags),

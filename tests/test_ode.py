@@ -370,19 +370,31 @@ def test_kernel_is_eighth_order(monkeypatch, y0):
         assert coarse / fine >= 200
 
 
+def _first_step_the_whole_span(monkeypatch):
+    """Start every run with a step over its whole span, so that its first
+    trials are rejected: a kernel must then step again from the base state
+    it was at, and move it only on an accepted trial."""
+    monkeypatch.setattr(ode, "_initial_step", lambda rhs, t0, t1, *args: t1 - t0)
+
+
+@pytest.mark.parametrize("first_step", ["estimate", "span"])
 @pytest.mark.parametrize(
     "eps, budget",
     [(0.2, 800), (0.05, 2200), (0.0125, 6000), (0.003125, 17000)],
     ids=["slow-0.2", "slow-0.05", "slow-0.0125", "slow-0.003125"],
 )
-def test_pair_kernel_matches_array_kernel(monkeypatch, eps, budget):
+def test_pair_kernel_matches_array_kernel(monkeypatch, eps, budget, first_step):
     # the two-state route on the two-level kernel against the array kernel,
     # reached through a plain callable that wraps the same Ramp. The two
     # kernels round differently, so their step grids drift apart in the
     # last bits; the step counts and the end states must still agree.
     # The budget, about four times the steps taken, makes a wrong weight,
-    # whose error estimate shrinks the step without end, fail in seconds
+    # whose error estimate shrinks the step without end, fail in seconds.
+    # With the estimated first step no trial is rejected; with a first step
+    # over the whole span the first trials are
     monkeypatch.setattr(ode, "MAX_STEPS", budget)
+    if first_step == "span":
+        _first_step_the_whole_span(monkeypatch)
     model = TwoStateModel(mu=0.0, delta=1.0, x=0.5, eps=eps)
     pair = evolve_two_state(model, 0.0, 1e-10)
     monkeypatch.setattr(
@@ -390,7 +402,10 @@ def test_pair_kernel_matches_array_kernel(monkeypatch, eps, budget):
         lambda ramp, *args: ode_evolve(lambda t, y: ramp(t, y), *args),
     )
     array = evolve_two_state(model, 0.0, 1e-10)
-    assert pair.accepted_steps == array.accepted_steps
+    assert (pair.accepted_steps, pair.rejected_steps) == (
+        array.accepted_steps, array.rejected_steps
+    )
+    assert (pair.rejected_steps > 0) is (first_step == "span")
     assert np.abs(pair.final_state - array.final_state).max() <= 1e-12
 
 
@@ -405,15 +420,19 @@ def _ramp_system(n, complex_v):
     return energies, (a + a.conj().T) / 2, 0.05, 0.25
 
 
+@pytest.mark.parametrize("first_step", ["estimate", "span"])
 @pytest.mark.parametrize("complex_v", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("n", [2, 3, 8, 32, 64])
-def test_ramp_kernel_matches_array_kernel(monkeypatch, n, complex_v):
+def test_ramp_kernel_matches_array_kernel(monkeypatch, n, complex_v, first_step):
     # a Ramp on the ramp kernel (at n = 2 too, as its first energy is not
     # 0) against the array kernel on the same system, given as a right-hand
     # side; they round differently, so the step grids drift apart in the
     # last bits, but the counts and end states must agree. The runs take 140
-    # to 906 steps; the budget fails a wrong weight fast
+    # to 906 steps; the budget fails a wrong weight fast. A first step over
+    # the whole span has the first trials rejected
     monkeypatch.setattr(ode, "MAX_STEPS", 4000)
+    if first_step == "span":
+        _first_step_the_whole_span(monkeypatch)
     energies, v, x, eps = _ramp_system(n, complex_v)
     rhs = lambda t, y: -1j * (energies * y + (x * math.exp(eps * t)) * v.dot(y))
     y0 = np.zeros(n, dtype=complex)
@@ -423,6 +442,8 @@ def test_ramp_kernel_matches_array_kernel(monkeypatch, n, complex_v):
     assert (ramp.accepted_steps, ramp.rejected_steps) == (
         array.accepted_steps, array.rejected_steps
     )
+    if first_step == "span":
+        assert ramp.rejected_steps > 0
     assert np.abs(ramp.final_state - array.final_state).max() <= 1e-12
 
 
