@@ -8,6 +8,7 @@ This module checks JSON types only; the model types check the numbers
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 
@@ -32,28 +33,28 @@ class ModelFileError(DomainError):
     """Model file is syntactically or semantically invalid."""
 
 
-def _field(mapping, key, where):
+def _field(mapping, key):
     if key not in mapping:
-        raise ModelFileError(f"{where}: missing required field '{key}'")
+        raise ModelFileError(f"missing required field '{key}'")
     return mapping[key]
 
 
-def _number(mapping, key, where):
+def _number(mapping, key):
     """A JSON int or float that fits in a double, as a float; NaN and
     Infinity are left to the model types."""
-    value = _field(mapping, key, where)
+    value = _field(mapping, key)
     try:
         # the exact type, because a bool is an int to Python
         if type(value) in (int, float):
             return float(value)
     except OverflowError:
         pass
-    raise ModelFileError(f"{where}: field '{key}' must be a finite number")
+    raise ModelFileError(f"field '{key}' must be a finite number")
 
 
-def _numbers(mapping, key, where):
+def _numbers(mapping, key):
     """A list, or a list of lists, of JSON ints and floats as a float array."""
-    raw = _field(mapping, key, where)
+    raw = _field(mapping, key)
     if isinstance(raw, list):
         rows = raw if all(isinstance(r, list) for r in raw) else [raw]
         try:
@@ -62,45 +63,43 @@ def _numbers(mapping, key, where):
             if set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
                 return np.array(raw, dtype=float)
         except ValueError as exc:
-            raise ModelFileError(f"{where}: field '{key}' is ragged: {exc}") from None
+            raise ModelFileError(f"field '{key}' is ragged: {exc}") from None
         except OverflowError:
             pass
-    raise ModelFileError(f"{where}: field '{key}' must hold only finite numbers")
+    raise ModelFileError(f"field '{key}' must hold only finite numbers")
 
 
-def _model_from_dict(data, where):
+def _model_from_dict(data):
     if not isinstance(data, dict):
-        raise ModelFileError(f"{where}: top level must be a JSON object")
+        raise ModelFileError("top level must be a JSON object")
     kind = data.get("kind")
     if kind == "two-state":
         return TwoStateModel(
-            **{key: _number(data, key, where) for key in ("mu", "delta", "x", "eps")}
+            **{key: _number(data, key) for key in ("mu", "delta", "x", "eps")}
         )
     if kind == "n-state":
-        energies = _numbers(data, "energies", where)
-        v_real = _numbers(data, "v_real", where)
-        v_imag = _numbers(data, "v_imag", where)
+        energies = _numbers(data, "energies")
+        v_real = _numbers(data, "v_real")
+        v_imag = _numbers(data, "v_imag")
         # numpy would broadcast a mismatch away
         if v_real.shape != v_imag.shape:
             raise ModelFileError(
-                f"{where}: v_real {v_real.shape} and v_imag {v_imag.shape} differ"
+                f"v_real {v_real.shape} and v_imag {v_imag.shape} differ"
             )
         ground_index = data.get("ground_index", 0)
         if type(ground_index) is not int:
-            raise ModelFileError(f"{where}: field 'ground_index' must be an integer")
+            raise ModelFileError("field 'ground_index' must be an integer")
         # 1j * inf warns; HermitianMatrix rejects the entry as not finite
         with np.errstate(invalid="ignore"):
             v = v_real + 1j * v_imag
         return NStateModel(
             energies=energies,
             v=v,
-            x=_number(data, "x", where),
-            eps=_number(data, "eps", where),
+            x=_number(data, "x"),
+            eps=_number(data, "eps"),
             ground_index=ground_index,
         )
-    raise ModelFileError(
-        f"{where}: field 'kind' must be 'two-state' or 'n-state', got {kind!r}"
-    )
+    raise ModelFileError(f"field 'kind' must be 'two-state' or 'n-state', got {kind!r}")
 
 
 def read_text(fh, name):
@@ -114,42 +113,33 @@ def read_text(fh, name):
         ) from None
 
 
-# the last model loaded and the full text of its file; a load of the same
-# text returns this model, which is frozen and holds read-only arrays
-_last_load = (None, None)
-
-
 def load_model(path):
     """Parse and validate a model file; OSError propagates to the caller.
 
-    The process keeps one entry: the last model loaded with its file's
-    full text. A file whose text equals that text returns the same model
-    object, at the cost of one string comparison; any other text is parsed
-    and validated, and replaces the entry only if it loads. The entry is
-    keyed by content alone: a path or a modification time would miss a
-    same-size rewrite within one timestamp tick. Two threads that load at
-    once each get a valid model, and the last one to finish keeps the entry.
+    ``_model_from_text`` keeps the last model loaded (``functools.lru_cache``
+    of size 1), keyed by its file's full text: a file with that text returns
+    the same model object, at the cost of hashing the text. The key is
+    content alone: a path or a modification time would miss a same-size
+    rewrite within one timestamp tick. The model is frozen and holds
+    read-only arrays, so no caller can change what a later load returns.
     """
-    global _last_load
     with open(path, "r", encoding="utf-8") as fh:
         text = read_text(fh, path)
-    last_text, last_model = _last_load
-    if text == last_text:
-        return last_model
+    try:
+        return _model_from_text(text)
+    except DomainError as exc:
+        raise ModelFileError(f"{path}: {exc}") from None
+
+
+@functools.lru_cache(maxsize=1)
+def _model_from_text(text):
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFileError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-    try:
-        model = _model_from_dict(data, where=str(path))
-    except ModelFileError:
-        raise
-    except DomainError as exc:
-        raise ModelFileError(f"{path}: {exc}") from None
-    _last_load = (text, model)
-    return model
+    return _model_from_dict(data)
 
 
 def model_to_dict(model) -> dict:

@@ -11,6 +11,7 @@ A second-order Dyson expansion provides an independent finite-rate check.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +21,8 @@ from .errors import ConsistencyError, ContinuationError, DegeneracyError, Domain
 # nothing here calls jet_recip; it stays importable from this module because
 # bench/spans.py wraps nstate.jet_recip by name in every traced run
 from .numkit import (  # noqa: F401
-    HermitianMatrix, Ramp, Trajectory, hermitian_eig, jet_recip, laurent_split, ode_evolve,
+    HermitianMatrix, Ramp, Trajectory, hermitian_eig, immutable, jet_recip, laurent_split,
+    ode_evolve,
 )
 from .twostate import TwoStateModel, ramped_coupling, ramped_coupling_squared, require_time
 
@@ -50,11 +52,6 @@ OVERLAP_FLOOR = 0.5
 # is this share of the smallest gap; the basis state misses the switch-on
 # state by about as much, so the start is deep in the tail
 START_THRESHOLD = 1e-8
-
-
-def _immutable(a: np.ndarray) -> np.ndarray:
-    """A copy of ``a`` on an immutable buffer: no flag can make it writeable."""
-    return np.frombuffer(a.tobytes(), dtype=a.dtype).reshape(a.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +98,7 @@ class NStateModel:
                 f"levels {g} and {worst} are separated by {gaps[worst]:.3e}, "
                 f"below the degeneracy floor {floor:.3e}"
             )
-        object.__setattr__(self, "energies", _immutable(e))
+        object.__setattr__(self, "energies", immutable(e))
         object.__setattr__(self, "v", v)
 
     @property
@@ -178,26 +175,18 @@ def dyson2(model: NStateModel, t: float) -> np.ndarray:
 # projector recursion
 
 
-# the last recursion run: its model, its arguments (order, jet_order,
-# at_eps) and its (xi, phi); only a call with the same model object and
-# equal arguments reads it
-_last_recursion = (None, None, None)
-
-
 def rs_recursion(
     model: NStateModel, order: int, jet_order: int, at_eps: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the projector recursion to ``order`` powers of the coupling.
 
-    The process keeps one entry: the last model object, its arguments and
-    its result. A call with that same model object and equal arguments
+    ``_recursion`` keeps the last call's result (``functools.lru_cache``
+    of size 1): a call with that same model object and equal arguments
     returns the stored pair, as the split, assemble and compare commands
-    of one model in one batch all run the same recursion; any other call
-    runs the recursion and replaces the entry, unless it raises. The key is
+    of one model in one batch all run the same recursion. The key is
     object identity, which is safe because a model is frozen and keeps its
     arrays on immutable buffers; the stored arrays sit on immutable buffers
-    too, so no caller can change what a later call reads. Two threads that
-    run at once each get their own result, and the last one keeps the entry.
+    too, so no caller can change what a later call reads.
 
     Returns the read-only pair ``(xi, phi)``: ``xi[n-1, k]`` is the k-th jet
     coefficient of the order-n phase coefficient and ``phi[n-1, :, k]`` that
@@ -217,18 +206,13 @@ def rs_recursion(
     j + l = k. With a = (E_k - E_g) - 1j * n * at_eps, the jet of
     b / (a - n s) is c_k = (b_k + n c_{k-1}) / a, Horner's rule in s.
     """
-    global _last_recursion
-    last_model, last_args, last_result = _last_recursion
-    args = (order, jet_order, at_eps)
-    if model is last_model and args == last_args:
-        return last_result
-    result = _recursion(model, *args)
-    _last_recursion = (model, args, result)
-    return result
+    return _recursion(model, order, jet_order, at_eps)
 
 
+# the stores sit on private functions: bench/spans.py times only plain
+# functions, so rs_recursion and oracle_shift stay undecorated
+@functools.lru_cache(maxsize=1)
 def _recursion(model, order, jet_order, at_eps):
-    """The body of ``rs_recursion``, run on every call that misses its store."""
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
     if jet_order < 0:
@@ -268,7 +252,7 @@ def _recursion(model, order, jet_order, at_eps):
                     b = b - pair[j, :, k - j]
                 phi[n, :, k] = c = (n * c - b) / a
 
-    return _immutable(xi), _immutable(phi[1:])
+    return immutable(xi), immutable(phi[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -360,20 +344,14 @@ def assemble_state(model: NStateModel, order: int) -> AssembledState:
 
 def switch_on_time(gap: float, x: float, eps: float, t_end: float, tol: float) -> float:
     """Start time at which the ramped coupling is ``START_THRESHOLD`` of the
-    gap; ``t_end`` must be a number that the start precedes, and the run's
-    tolerance ``tol`` must lie in (0, 1): at 1 and above the integrator's
-    error control is off."""
+    gap; ``t_end`` must be a finite number, and the run's tolerance ``tol``
+    must lie in (0, 1): at 1 and above the integrator's error control is
+    off."""
     if not 0 < tol < 1:
         raise DomainError(f"tol must be in (0, 1), got {tol}")
     require_time(t_end, "t_end")
     # in log space, where the coupling over the gap cannot underflow
-    t0 = (math.log(gap) + math.log(START_THRESHOLD) - math.log(x)) / eps
-    if not t0 < t_end:
-        raise DomainError(
-            f"switch-on start t0 = {t0:.6g} is not before t_end = {t_end:.6g}; "
-            "move t_end later"
-        )
-    return t0
+    return (math.log(gap) + math.log(START_THRESHOLD) - math.log(x)) / eps
 
 
 def _quiet_stretch(model, ramp, t0, t_end, tol, y0):
@@ -421,8 +399,10 @@ def evolve_nstate(model: NStateModel, t_end: float, tol: float) -> Trajectory:
     returned trajectory's first row is (t0, basis state) and the ODE's rows
     follow from (t1, y(t1)); its step counts are the ODE's. Where the
     stretch is empty (t1 not after t0) the ODE starts at t0 in the basis
-    state. A ``DomainError`` if ``t_end`` is not a finite number or the
-    coupling overflows there; an ``IntegrationError`` at t1 where
+    state. Where the coupling stays below the threshold up to ``t_end``
+    (t0 not before it), the run starts in the basis state at t1, with an
+    empty stretch. A ``DomainError`` if ``t_end`` is not a finite number or
+    the coupling overflows there; an ``IntegrationError`` at t1 where
     ``ode_evolve``'s step estimate exceeds ``numkit.ode.MAX_STEPS``.
     """
     t0 = switch_on_time(model.min_gap, model.x, model.eps, t_end, tol)
@@ -431,6 +411,8 @@ def evolve_nstate(model: NStateModel, t_end: float, tol: float) -> Trajectory:
     y0 = np.zeros(model.dim, dtype=complex)
     y0[model.ground_index] = 1.0
     ramp = Ramp(model.energies, model.v.entries, model.x, model.eps)
+    if not t0 < t_end:
+        t0 = ramp.stepping_start(t_end, model.ground_index)
     t1, y1 = _quiet_stretch(model, ramp, t0, t_end, tol, y0)
     traj = ode_evolve(ramp, y1, t1, t_end, tol)
     if t1 == t0:
@@ -443,10 +425,6 @@ def evolve_nstate(model: NStateModel, t_end: float, tol: float) -> Trajectory:
     )
 
 
-# the last model whose shift was found, and that shift
-_last_shift = (None, None)
-
-
 def oracle_shift(model: NStateModel) -> float:
     """Exact level shift: eigenvalue of the fully coupled Hamiltonian whose
     eigenvector carries the most probability on the tracked basis state
@@ -456,16 +434,16 @@ def oracle_shift(model: NStateModel) -> float:
     Raises ContinuationError when no eigenvector holds a majority weight,
     i.e. the coupling is too strong for perturbative tracking.
 
-    The process keeps one entry, as ``rs_recursion`` does: the last model
-    object whose shift was found, and that shift. The same model object
-    again returns it with no eigensolve, as the oracle and compare commands
-    of one model in one batch ask for the same shift; a failing call
-    stores nothing.
+    ``_shift`` keeps the last model object's shift, as ``rs_recursion``
+    keeps its result: the same model object again returns it with no
+    eigensolve, as the oracle and compare commands of one model in one
+    batch ask for the same shift.
     """
-    global _last_shift
-    last_model, last_shift = _last_shift
-    if model is last_model:
-        return last_shift
+    return _shift(model)
+
+
+@functools.lru_cache(maxsize=1)
+def _shift(model):
     w, vecs = hermitian_eig(model.hamiltonian())
     weights = np.abs(vecs[model.ground_index, :]) ** 2
     k = int(np.argmax(weights))
@@ -474,6 +452,4 @@ def oracle_shift(model: NStateModel) -> float:
             f"largest eigenvector weight on the tracked state is "
             f"{weights[k]:.3f} < {OVERLAP_FLOOR}; adiabatic continuation ambiguous"
         )
-    shift = float(w[k] - model.ground_energy)
-    _last_shift = (model, shift)
-    return shift
+    return float(w[k] - model.ground_energy)

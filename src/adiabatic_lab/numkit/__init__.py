@@ -6,7 +6,7 @@ All types are immutable after construction and all operations are pure
 functions of their inputs, so everything here is safe to call concurrently.
 """
 
-from .eig import HermitianMatrix, hermitian_eig
+from .eig import HermitianMatrix, hermitian_eig, immutable
 from .jets import jet_mul, jet_recip, laurent_split
 from .ode import Ramp, Trajectory, ode_evolve
 
@@ -15,6 +15,7 @@ __all__ = [
     "Ramp",
     "Trajectory",
     "hermitian_eig",
+    "immutable",
     "jet_mul",
     "jet_recip",
     "laurent_split",

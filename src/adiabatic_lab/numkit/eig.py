@@ -13,10 +13,15 @@ import numpy as np
 
 from ..errors import DomainError
 
-__all__ = ["HermitianMatrix", "hermitian_eig"]
+__all__ = ["HermitianMatrix", "hermitian_eig", "immutable"]
 
 # largest accepted max |A - A^H|, relative to max(1, max |A|)
 HERMITICITY_TOL = 1e-12
+
+
+def immutable(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` on an immutable buffer: no flag can make it writeable."""
+    return np.frombuffer(a.tobytes(), dtype=a.dtype).reshape(a.shape)
 
 
 def _require_finite(m):
@@ -46,9 +51,7 @@ class HermitianMatrix:
             )
         # exactly Hermitian (sums commute), so a matrix built from it passes
         # this check at its own scale; halving cannot overflow as A + A^H can
-        m = m / 2 + m.conj().T / 2
-        m = np.frombuffer(m.tobytes(), dtype=complex).reshape(m.shape)
-        object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "entries", immutable(m / 2 + m.conj().T / 2))
 
     @property
     def dim(self) -> int:

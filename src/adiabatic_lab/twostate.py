@@ -13,6 +13,7 @@ every series route is tested against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,7 +24,9 @@ from .errors import DomainError
 # nothing here calls jet_mul or jet_recip; both stay importable from this
 # module because bench/spans.py wraps twostate.jet_mul and
 # twostate.jet_recip by name in every traced run
-from .numkit import Ramp, Trajectory, jet_mul, jet_recip, laurent_split, ode_evolve  # noqa: F401
+from .numkit import (  # noqa: F401
+    Ramp, Trajectory, immutable, jet_mul, jet_recip, laurent_split, ode_evolve,
+)
 
 __all__ = [
     "TwoStateModel",
@@ -238,11 +241,6 @@ def _gtilde(order: int, jet_order: int, at_rate: float) -> np.ndarray:
     return rows
 
 
-# the process-wide store behind gtilde_table: the longest table asked for
-# so far
-_gtilde_store = np.empty((0, 3))
-
-
 def gtilde_table(order: int) -> np.ndarray:
     """First ``order`` phase-recursion coefficients in units of the half-gap
     delta, as second-order jets in s = i * eps / delta around the
@@ -258,23 +256,18 @@ def gtilde_table(order: int) -> np.ndarray:
     is at most |binom(1/2, n)| <= 1/2, its value at s = 0; slope and
     curvature grow as a power of n.
 
-    Entry n depends on n alone, so each table is built once per process.
-    It lives in one process-wide read-only store that holds the longest
-    table asked for so far (24 bytes per order). A longer ``order`` builds
-    the table afresh at that order and swaps it in; entry n reads only
-    entries below n, so every prefix is the same bits as a shorter build.
-    The returned table is the prefix ``store[:order]``, a read-only view
-    that cannot be made writeable; its ``.base`` is the store itself, which
-    can be, and a write through it would change every later table. Two
-    threads that grow the store at once build equal prefixes, and the last
-    swap wins.
+    ``_table`` keeps the last order's table (``functools.lru_cache`` of
+    size 1, 24 bytes per order) on an immutable buffer: the same ``order``
+    again returns the same table, and no caller can make it writeable.
     """
-    global _gtilde_store
-    store = _gtilde_store
-    # _gtilde refuses an order below 1
-    if not 0 < order <= len(store):
-        _gtilde_store = store = _gtilde(order, 2, 0.0)
-    return store[:order]
+    return _table(order)
+
+
+# the store sits on a private function: bench/spans.py times only plain
+# functions, so gtilde_table stays undecorated
+@functools.lru_cache(maxsize=1)
+def _table(order):
+    return immutable(_gtilde(order, 2, 0.0))
 
 
 def gtilde_values(rate: float, order: int) -> np.ndarray:

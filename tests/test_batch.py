@@ -52,7 +52,8 @@ def files(directory):
 
 
 @pytest.mark.parametrize("command_list", [slow_switch, many_level, high_order_phase])
-def test_batch_reports_are_the_one_shot_bytes(tmp_path, monkeypatch, capsys, command_list):
+def test_batch_reports_are_the_one_shot_bytes(tmp_path, monkeypatch, capsys, empty_stores,
+                                              command_list):
     lines = command_list()
     # relative paths: the reports echo --model, so both runs name the same files
     alone, batched = tmp_path / "alone", tmp_path / "batched"
@@ -60,9 +61,9 @@ def test_batch_reports_are_the_one_shot_bytes(tmp_path, monkeypatch, capsys, com
     batched.mkdir()
     monkeypatch.chdir(alone)
     for argv in lines:
-        # an empty store: each command parses its model file, as a fresh
+        # empty stores: each command parses its model file, as a fresh
         # process would
-        monkeypatch.setattr(modelio, "_last_load", (None, None))
+        empty_stores()
         assert main(argv) == 0
     alone_out = capsys.readouterr()
     monkeypatch.chdir(batched)
@@ -79,22 +80,19 @@ def test_one_models_routes_run_one_recursion_and_one_eigensolve(tmp_path, monkey
     # split, assemble and compare run one recursion, oracle and compare one
     # eigensolve: the one model object of the batch hits the stores
     monkeypatch.chdir(tmp_path)
-    # empty stores: no earlier test's model object or result is read
-    monkeypatch.setattr(modelio, "_last_load", (None, None))
-    monkeypatch.setattr(nstate, "_last_recursion", (None, None, None))
-    monkeypatch.setattr(nstate, "_last_shift", (None, None))
-    runs = []
-    for name in ("_recursion", "hermitian_eig"):
-        def counted(*args, name=name, fn=getattr(nstate, name)):
-            runs.append(name)
-            return fn(*args)
+    eigs, eig = [], nstate.hermitian_eig
 
-        monkeypatch.setattr(nstate, name, counted)
+    def counted(m):
+        eigs.append(m)
+        return eig(m)
+
+    monkeypatch.setattr(nstate, "hermitian_eig", counted)
     gen, *routes = many_level()[:5]
     assert [argv[1] for argv in routes] == ["split", "assemble", "oracle", "compare"]
     assert main(gen) == 0
     assert main(["batch", str(write_batch(tmp_path / "lines.txt", routes))]) == 0
-    assert sorted(runs) == ["_recursion", "hermitian_eig"]
+    assert (nstate._recursion.cache_info().misses, len(eigs)) == (1, 1)
+    assert modelio._model_from_text.cache_info().misses == 1
     assert capsys.readouterr().err == ""
 
 

@@ -152,6 +152,11 @@ def test_failed_loads_keep_the_stored_model_and_name_their_own_path(tmp_path):
     with pytest.raises(ModelFileError,
                        match=f"^{re.escape(str(degenerate))}: coupling x must be > 0"):
         load_model(degenerate)
+    # the same failing text under another path names that path
+    twin = tmp_path / "twin.json"
+    twin.write_text(degenerate.read_text())
+    with pytest.raises(ModelFileError, match=f"^{re.escape(str(twin))}: coupling x must be > 0"):
+        load_model(twin)
     assert load_model(good) is model
 
 
@@ -1324,6 +1329,22 @@ def test_n_state_evolve_takes_no_start_threshold(capsys):
         main(["n-state", "evolve", "--start-threshold", "1e-8"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --start-threshold 1e-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x", ["1e-9", "1e-320"])
+@pytest.mark.parametrize("command", ["evolve", "compare"])
+def test_n_state_ode_runs_a_coupling_below_the_start_threshold(tmp_path, capsys, command, x):
+    # the coupling stays below START_THRESHOLD of the gap up to t_end = 0:
+    # the run starts in the basis state where stepping starts
+    path = tmp_path / "small.json"
+    assert run("n-state", "gen", "--seed", "7", "--levels", "6", "--x", x,
+               "--out", str(path)) == 0
+    capsys.readouterr()
+    assert run("n-state", command, "--model", str(path)) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    want = "final_norm[ode] = 1\n" if command == "evolve" else "shift[oracle] = "
+    assert want in out
 
 
 @pytest.mark.parametrize(
